@@ -31,6 +31,7 @@ from .errors import (
     ConfigInvalid,
     EmptyEvent,
     InfeasibleConstraint,
+    InfeasibleError,
     MaxentError,
     TableTooLarge,
 )
@@ -55,8 +56,10 @@ from .meta import MetaConstraint, run_meta_pipeline
 from .tilting import (
     ConstraintSpec,
     DivergenceSpec,
+    attainable_range,
     divergence_projection,
     i_projection,
+    resolve_target,
     solve_tilt_with_report,
     stationarity_residual,
     total_variation,
@@ -157,21 +160,19 @@ def _constraint_from(inputs: dict, v) -> ConstraintSpec:
     raise ConfigInvalid("missing target or target_interval")
 
 
-def _check_point_feasible(q: FiniteDistribution, v: np.ndarray, c: float) -> None:
-    sup = q.support
-    v_lo, v_hi = float(v[sup].min()), float(v[sup].max())
-    if v_lo == v_hi:
-        if c != v_lo:
-            from .errors import DegeneratePotential
-
-            raise DegeneratePotential(
-                f"potential constant at {v_lo!r} on the support but target is {c!r}"
-            )
-        return
-    if not (v_lo < c < v_hi):
-        raise InfeasibleConstraint(
-            f"target {c!r} outside the attainable open interval ({v_lo!r}, {v_hi!r})"
-        )
+def _window_from(inputs: dict, P: FiniteDistribution, v: np.ndarray) -> tuple[float, float]:
+    """The Xi window; one that misses the attainable range holds no type class at any n."""
+    window = _require(inputs, "Xi")
+    if not isinstance(window, (list, tuple)) or len(window) != 2:
+        raise ConfigInvalid("Xi must be [lo, hi]")
+    lo, hi = float(window[0]), float(window[1])
+    if lo > hi:
+        raise ConfigInvalid("Xi must satisfy lo <= hi")
+    try:
+        resolve_target(P, v, (lo, hi), boundary=True)
+    except InfeasibleError as exc:
+        raise EmptyEvent(str(exc)) from exc
+    return lo, hi
 
 
 def _n_grid_from(inputs: dict, key: str = "n_grid") -> list[int]:
@@ -222,7 +223,7 @@ def _prepare_tilt(inputs: dict) -> RunPlan:
     v = _as_potential_list(_require(inputs, "potential"), q.size)
     c = float(_require(inputs, "target"))
     tol = float(inputs.get("tol", 1e-10))
-    _check_point_feasible(q, v, c)
+    resolve_target(q, v, c, tol)
 
     def execute(ctx: RunContext) -> dict:
         tilt, report = solve_tilt_with_report(q, v, c, tol)
@@ -251,20 +252,7 @@ def _prepare_project(inputs: dict) -> RunPlan:
     P = _as_distribution(_require(inputs, "P"), "P")
     v = _as_potential_list(_require(inputs, "potential"), P.size)
     constraint = _constraint_from(inputs, v)
-    sup = P.support
-    v_lo, v_hi = float(v[sup].min()), float(v[sup].max())
-    if constraint.is_interval:
-        lo, hi = constraint.target
-        if lo > v_hi or hi < v_lo:
-            raise InfeasibleConstraint(
-                f"window [{lo!r}, {hi!r}] misses the attainable range [{v_lo!r}, {v_hi!r}]"
-            )
-    else:
-        c = float(constraint.target)
-        if not (v_lo <= c <= v_hi):
-            raise InfeasibleConstraint(
-                f"target {c!r} outside the attainable range [{v_lo!r}, {v_hi!r}]"
-            )
+    resolve_target(P, v, constraint.target, boundary=True)
 
     def execute(ctx: RunContext) -> dict:
         tilt, rate = i_projection(P, constraint)
@@ -284,7 +272,7 @@ def _prepare_necessity(inputs: dict) -> RunPlan:
     q = _as_distribution(_require(inputs, "q"), "q")
     v = _as_potential_list(_require(inputs, "potential"), q.size)
     c = float(_require(inputs, "target"))
-    _check_point_feasible(q, v, c)
+    resolve_target(q, v, c)
     constraint = ConstraintSpec.point(v, c)
 
     def execute(ctx: RunContext) -> dict:
@@ -350,21 +338,10 @@ def _prepare_sanov(inputs: dict) -> RunPlan:
 def _prepare_gibbs(inputs: dict) -> RunPlan:
     P = _as_distribution(_require(inputs, "P"), "P")
     v = _as_potential_list(_require(inputs, "potential"), P.size)
-    window = _require(inputs, "Xi")
-    if not isinstance(window, (list, tuple)) or len(window) != 2:
-        raise ConfigInvalid("Xi must be [lo, hi]")
-    lo, hi = float(window[0]), float(window[1])
-    if lo > hi:
-        raise ConfigInvalid("Xi must satisfy lo <= hi")
+    lo, hi = _window_from(inputs, P, v)
     n_grid = _n_grid_from(inputs)
     for n in n_grid:
         _guard_table(P.size, n)
-    sup = P.support
-    v_lo, v_hi = float(v[sup].min()), float(v[sup].max())
-    if lo > v_hi or hi < v_lo:
-        raise EmptyEvent(
-            f"window [{lo!r}, {hi!r}] misses the attainable range [{v_lo!r}, {v_hi!r}]"
-        )
     constraint = ConstraintSpec.interval(v, lo, hi)
 
     def execute(ctx: RunContext) -> dict:
@@ -397,8 +374,7 @@ def _prepare_rate(inputs: dict) -> RunPlan:
         points = int(inputs.get("points", 50))
         if points < 2:
             raise ConfigInvalid("points must be at least 2")
-        sup = P.support
-        xi_grid = list(np.linspace(float(v[sup].min()), float(v[sup].max()), points))
+        xi_grid = list(np.linspace(*attainable_range(P, v), points))
 
     def execute(ctx: RunContext) -> dict:
         pts = error_rate_function(P, v, xi_grid)
@@ -420,12 +396,7 @@ def _prepare_meta(inputs: dict) -> RunPlan:
     if not isinstance(n, int) or n < 1:
         raise ConfigInvalid("n must be a positive integer")
     _guard_table(P.size, n)
-    window = _require(inputs, "Xi")
-    if not isinstance(window, (list, tuple)) or len(window) != 2:
-        raise ConfigInvalid("Xi must be [lo, hi]")
-    lo, hi = float(window[0]), float(window[1])
-    if lo > hi:
-        raise ConfigInvalid("Xi must satisfy lo <= hi")
+    lo, hi = _window_from(inputs, P, v)
     u_spec = _require(inputs, "U")
     if not isinstance(u_spec, dict) or "kind" not in u_spec:
         raise ConfigInvalid('U must be an object like {"kind": "centered_square"}')
@@ -445,12 +416,6 @@ def _prepare_meta(inputs: dict) -> RunPlan:
         if step <= 0 or abs(round(1.0 / step) * step - 1.0) > 1e-9:
             raise ConfigInvalid(f"model_grid_step {step!r} must divide 1")
     speed = float(inputs.get("speed", 1.0))
-    sup = P.support
-    v_lo, v_hi = float(v[sup].min()), float(v[sup].max())
-    if lo > v_hi or hi < v_lo:
-        raise EmptyEvent(
-            f"window [{lo!r}, {hi!r}] misses the attainable range [{v_lo!r}, {v_hi!r}]"
-        )
 
     def execute(ctx: RunContext) -> dict:
         result = run_meta_pipeline(P, v, n, (lo, hi), meta, speed=speed, grid_step=step)

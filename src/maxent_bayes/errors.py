@@ -91,10 +91,6 @@ class NonConvergence(NumericalError):
         self.residual = residual
 
 
-class FixedPointDivergence(NumericalError):
-    """Self-consistent centering iteration failed to settle."""
-
-
 class GridTooCoarse(NumericalError):
     """Quadrature grid too coarse for the requested tolerance."""
 
@@ -108,9 +104,3 @@ class ResourceError(MaxentError):
 
 class TableTooLarge(ResourceError):
     """Type-class enumeration would exceed the configured cap."""
-
-
-class InsufficientHits(MaxentError):
-    """Monte Carlo event too rare to estimate; reported, not fatal."""
-
-    exit_code = 4

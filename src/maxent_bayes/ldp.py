@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
-from .errors import EmptyEvent, EmptyPreimage, InfeasibleError, TableTooLarge
+from .errors import EmptyEvent, EmptyPreimage, InfeasibleError, NumericalError, TableTooLarge
 from .measures import FiniteDistribution, as_potential, total_variation
 from .tilting import ConstraintSpec, TiltedDistribution, i_projection
 
@@ -37,6 +36,12 @@ MIN_EXPECTED_HITS = 10
 # Stream purpose codes, kept distinct so different draws never share a stream.
 _STREAM_SANOV = 0
 _STREAM_DRAW = 1
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) with max-subtraction; -inf for an all -inf array."""
+    m = float(np.max(a))
+    return m if math.isinf(m) else m + math.log(float(np.sum(np.exp(a - m))))
 
 
 def table_size(k: int, n: int) -> int:
@@ -77,7 +82,7 @@ class TypeClassTable:
         return self.counts / self.n
 
     def total_log_mass(self) -> float:
-        return float(logsumexp(self.log_probs))
+        return _logsumexp(self.log_probs)
 
 
 def enumerate_types(P: FiniteDistribution, n: int) -> TypeClassTable:
@@ -92,9 +97,12 @@ def enumerate_types(P: FiniteDistribution, n: int) -> TypeClassTable:
     with np.errstate(divide="ignore", invalid="ignore"):
         log_p = np.log(P.weights)
         terms = np.where(counts > 0, counts * log_p[None, :], 0.0)
-    log_probs = gammaln(n + 1) - gammaln(counts + 1).sum(axis=1) + terms.sum(axis=1)
+    log_factorial = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
+    log_probs = log_factorial[n] - log_factorial[counts].sum(axis=1) + terms.sum(axis=1)
     table = TypeClassTable(base=P, n=n, counts=counts, log_probs=log_probs)
-    assert abs(table.total_log_mass()) <= 1e-9
+    log_mass = table.total_log_mass()
+    if not abs(log_mass) <= 1e-9:
+        raise NumericalError(f"type-class probabilities sum to exp({log_mass:.3g}), not 1")
     return table
 
 
@@ -190,7 +198,7 @@ def sanov_exact(
             empties.append(int(n))
             logs.append(-math.inf)
         else:
-            logs.append(float(logsumexp(selected)))
+            logs.append(_logsumexp(selected))
     analytic_rate = _analytic_rate(P, constraint)
     ns = np.asarray([n for n, lp in zip(n_grid, logs) if math.isfinite(lp)], dtype=float)
     ys = np.asarray([lp for lp in logs if math.isfinite(lp)])
@@ -353,7 +361,7 @@ def gibbs_conditioning(
         raise EmptyEvent(f"no type class of n={n} satisfies {_describe(constraint)}")
     log_sel = log_sel[finite]
     freqs = table.frequencies()[mask][finite]
-    weights = np.exp(log_sel - logsumexp(log_sel))
+    weights = np.exp(log_sel - _logsumexp(log_sel))
     mean = FiniteDistribution(P.alphabet, weights @ freqs)
     lo, hi = _window(constraint)
     predicted, _ = i_projection(P, ConstraintSpec.interval(v, lo, hi))

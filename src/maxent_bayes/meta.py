@@ -9,6 +9,10 @@ over a simplex grid of candidate models: maximize
     - speed * KL(mu || P) - lambda_eta * U(V . mu) + ln Q(mu)
 
 over feasible grid points, optionally polished by multiplicative updates.
+
+The centered-square statistic (xi - m)^2 centres on the mean of the fitted
+law: m is a bracketed root of h(m) - m on the range of the support, h(m) the
+mean of the tilt onto E[(xi - m)^2] = eta, with h(min) >= min, h(max) <= max.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EmptyEvent, EmptyFeasibleSet, FixedPointDivergence, TableTooLarge
+from .errors import EmptyEvent, EmptyFeasibleSet, NonConvergence, TableTooLarge
 from .ldp import _compositions, enumerate_types, table_size
 from .measures import (
     Alphabet,
@@ -27,13 +31,18 @@ from .measures import (
     as_potential,
     expected_loss,
 )
-from .tilting import _solve_multiplier, solve_tilt
+from .tilting import (
+    ConstraintSpec,
+    _bracketed_root,
+    _tilt_multiplier,
+    attainable_range,
+    i_projection,
+    solve_tilt,
+)
 
 XI_MERGE_TOLERANCE = 1e-12
 WINDOW_TOLERANCE = 1e-12
 DEFAULT_GRID_STEPS = {2: 0.001, 3: 0.02}
-FIXED_POINT_CAP = 500
-FIXED_POINT_TOL = 1e-10
 POLISH_ITERATION_CAP = 500
 
 U_KINDS = ("identity", "centered_square", "user_table")
@@ -143,14 +152,10 @@ def error_distribution_exact(
     order = np.argsort(xi, kind="stable")
     xi_sorted = xi[order]
     probs_sorted = np.exp(table.log_probs[order])
-    group_ids = np.zeros(xi_sorted.size, dtype=np.int64)
-    gid = 0
-    for i in range(1, xi_sorted.size):
-        if xi_sorted[i] - xi_sorted[i - 1] > XI_MERGE_TOLERANCE:
-            gid += 1
-        group_ids[i] = gid
-    support = np.array([xi_sorted[group_ids == g][0] for g in range(gid + 1)])
-    weights = np.bincount(group_ids, weights=probs_sorted, minlength=gid + 1)
+    starts = np.concatenate(([True], np.diff(xi_sorted) > XI_MERGE_TOLERANCE))
+    group_ids = np.cumsum(starts) - 1
+    support = xi_sorted[np.flatnonzero(starts)]
+    weights = np.bincount(group_ids, weights=probs_sorted, minlength=support.size)
     dist = FiniteDistribution(Alphabet(tuple(float(x) for x in support)), weights)
     return ErrorDistribution(support=support, weights=dist, provenance="exact-enumeration")
 
@@ -160,43 +165,44 @@ def maxent_error_fit(
 ) -> ErrorDistribution:
     """Tilt the error distribution so that E[U] = eta.
 
-    For the centered-square statistic the centering point depends on the
-    fitted distribution itself; it is resolved by fixed-point iteration
-    (tilt, re-center, repeat) capped at 500 rounds.
+    The centered-square statistic without a given centre uses the
+    self-consistent one, the mean of the fitted law (see the module docstring).
     """
-    ref = reference.weights
-    support = reference.support
-
-    if meta.kind == "centered_square" and meta.center is None:
-        m = reference.mean()
-        shift = math.inf
-        for _ in range(FIXED_POINT_CAP):
-            tilt = solve_tilt(ref, (support - m) ** 2, meta.eta, tol)
-            m_new = float(np.dot(support, tilt.realized.weights))
-            shift = abs(m_new - m)
-            if shift < FIXED_POINT_TOL:
-                return ErrorDistribution(
-                    support=support,
-                    weights=tilt.realized,
-                    provenance="fitted",
-                    lambda_eta=tilt.lam,
-                    center=m_new,
-                )
-            m = m_new
-        raise FixedPointDivergence(
-            f"centering did not settle in {FIXED_POINT_CAP} rounds (last shift {shift:.3g})"
-        )
-
-    u = meta.values(support)
-    tilt = solve_tilt(ref, u, meta.eta, tol)
-    center = meta.center if meta.kind == "centered_square" else None
+    center = meta.center
+    if meta.kind == "centered_square" and center is None:
+        center = _self_consistent_center(reference, meta.eta, tol)
+    tilt = solve_tilt(reference.weights, meta.values(reference.support, center), meta.eta, tol)
     return ErrorDistribution(
-        support=support,
+        support=reference.support,
         weights=tilt.realized,
         provenance="fitted",
         lambda_eta=tilt.lam,
-        center=center,
+        center=center if meta.kind == "centered_square" else None,
     )
+
+
+def _self_consistent_center(reference: ErrorDistribution, eta: float, tol: float) -> float:
+    """Root of h(m) - m, h(m) the mean of the tilt onto E[(xi - m)^2] = eta.
+
+    Where eta lies outside the range of (xi - m)^2 over the support, h takes
+    the limit of the tilt (the reference conditioned on the nearest or the
+    farthest support points), so h is defined on the whole bracket.  The
+    search starts from the reference mean.
+    """
+    ref = reference.weights
+    xi = reference.support
+
+    def gap(m: float) -> tuple[float, None]:
+        u = (xi - m) ** 2
+        u_lo, u_hi = attainable_range(ref, u)
+        tilt, _ = i_projection(ref, ConstraintSpec.point(u, min(max(eta, u_lo), u_hi)), tol)
+        return float(np.dot(xi, tilt.realized.weights)) - m, None
+
+    lo, hi = attainable_range(ref, xi)
+    m, g, _ = _bracketed_root(gap, lo, hi, reference.mean(), tol)
+    if abs(g) > tol:
+        raise NonConvergence(f"self-consistent centre stalled at residual {abs(g):.3g}", residual=abs(g))
+    return m
 
 
 def simplex_grid(k: int, step: float) -> np.ndarray:
@@ -331,16 +337,14 @@ def _polish_map(
         xi = float(np.dot(v, mu))
         return speed * kl + lambda_eta * float(meta.values(np.array([xi]))[0])
 
+    v_lo, v_hi = attainable_range(P, v)
+
     def clip_to_window(mu: np.ndarray) -> np.ndarray:
         xi = float(np.dot(v, mu))
         target = min(max(xi, lo), hi)
-        if target == xi:
+        if target == xi or not (v_lo < target < v_hi):
             return mu
-        v_lo, v_hi = float(v.min()), float(v.max())
-        if not (v_lo < target < v_hi):
-            return mu
-        _, w, _, _ = _solve_multiplier(np.log(mu), v, target, 1e-12)
-        return w
+        return _tilt_multiplier(np.log(mu), v, target, 1e-12)[1]
 
     mu = np.maximum(start.weights, 1e-12)
     mu = clip_to_window(mu / mu.sum())

@@ -2,17 +2,22 @@
 
 The core primitive is the exponential tilt p_lam = q * exp(-lam * V) / Z(lam),
 the unique distribution matching a mean constraint V . p = c while staying as
-close as possible (in relative entropy) to the reference q.  The multiplier
-lam is found by bracketing bisection followed by a Newton polish; the map
-lam -> E_{p_lam}[V] is strictly decreasing whenever V is non-constant on the
-support, so bisection is globally convergent.
+close as possible (in relative entropy) to the reference q.
 
-All partition-function arithmetic is done in the log domain with
-max-subtraction, so large multipliers neither overflow nor underflow.
+Every projection onto {p : V . p = c} is a root in its constraint
+multipliers, with the primal in closed form:
 
-A second solver minimizes other convex divergences under the same constraint
-(multiplicative-update steps with constraint re-projection), which lets tests
-measure how far non-KL projections land from the exponential tilt.
+* relative entropy: p = q exp(-lam V) / Z, a 1-D root in lam; the mean
+  decreases in lam, and the bracket doubles until the sign changes;
+* reverse relative entropy: p_i = q_i / (1 + beta (v_i - c)), a 1-D root in
+  beta on the closed-form bracket (-1 / (max V - c), 1 / (c - min V));
+* squared Euclidean and chi-squared: p_i = max(q_i + (a + b v_i) / G'', 0),
+  from the concave 2-D dual by damped Newton with an active-set Jacobian.
+
+The 1-D roots share one safeguarded bracketed root finder.  Partition-function
+arithmetic is in the log domain with max-subtraction, so large multipliers
+neither overflow nor underflow.  ``resolve_target`` is the one place that
+decides whether a point or window target is reachable.
 """
 
 from __future__ import annotations
@@ -36,11 +41,11 @@ from .measures import (
     total_variation,
 )
 
-# Bracket expansion stops at |lam| <= 700 / max|V| to keep exp arguments sane.
-LAMBDA_CAP_SCALE = 700.0
 DEFAULT_TILT_TOL = 1e-10
 DEFAULT_PROJECTION_TOL = 1e-8
-PROJECTION_ITERATION_CAP = 100_000
+# Safety net only: each root step either halves |f| or halves the bracket.
+ROOT_STEP_CAP = 200
+DUAL_NEWTON_CAP = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +112,118 @@ class DivergenceSpec:
 
 
 # ---------------------------------------------------------------------------
-# Multiplier root-finding on log-weights
+# Feasibility
+# ---------------------------------------------------------------------------
+def attainable_range(q: FiniteDistribution, v: np.ndarray) -> tuple[float, float]:
+    """[min V, max V] over the support of q: the means a reweighting of q reaches."""
+    v_sup = v[q.support]
+    return float(v_sup.min()), float(v_sup.max())
+
+
+def resolve_target(
+    q: FiniteDistribution,
+    v: np.ndarray,
+    target: float | tuple[float, float],
+    tol: float = DEFAULT_TILT_TOL,
+    boundary: bool = False,
+) -> tuple[float | None, str | None]:
+    """Decide whether reweighting q can meet a point or window mean target.
+
+    Returns ``(c, end)``.  ``c`` is None when q itself meets the target (a
+    window holding the mean of q, a point equal to it, or a potential
+    constant on the support within ``tol`` of the point); otherwise it is
+    the point itself, or the window endpoint nearer the mean of q.  ``end``
+    is "min" or "max" when c is that end of the attainable range.
+
+    Raises DegeneratePotential when V is constant on the support but another
+    value is asked, and InfeasibleConstraint when the target misses the
+    attainable range, or meets only an end of it while ``boundary`` is
+    False (only the relative-entropy projection has a limit there).
+    """
+    v_lo, v_hi = attainable_range(q, v)
+    mean = float(np.dot(q.weights, v))
+    if isinstance(target, (tuple, list)):
+        lo, hi = target
+        if lo > v_hi or hi < v_lo:
+            raise InfeasibleConstraint(
+                f"window [{lo!r}, {hi!r}] misses the attainable range [{v_lo!r}, {v_hi!r}]"
+            )
+        if lo <= mean <= hi:
+            return None, None
+        c = min(max(lo if mean < lo else hi, v_lo), v_hi)
+    else:
+        c = float(target)
+    if v_lo == v_hi:
+        if abs(c - v_lo) <= tol:
+            return None, None
+        raise DegeneratePotential(
+            f"potential is constant ({v_lo!r}) on the support but target is {c!r}"
+        )
+    if c == mean:
+        return None, None
+    if v_lo < c < v_hi:
+        return c, None
+    if boundary and v_lo <= c <= v_hi:
+        return c, "min" if c == v_lo else "max"
+    raise InfeasibleConstraint(
+        f"target {c!r} outside the attainable "
+        + (f"range [{v_lo!r}, {v_hi!r}]" if boundary else f"open interval ({v_lo!r}, {v_hi!r})")
+    )
+
+
+# ---------------------------------------------------------------------------
+# Safeguarded bracketed root
+# ---------------------------------------------------------------------------
+def _bracketed_root(
+    f: Callable[[float], tuple[float, float | None]],
+    lo: float,
+    hi: float,
+    x: float,
+    tol: float,
+) -> tuple[float, float, dict]:
+    """Root of a decreasing function on the open bracket (lo, hi), from x.
+
+    ``f(x)`` returns ``(value, slope)``; with ``slope`` None a secant through
+    the last two points stands in for the derivative.  The Newton (or
+    secant) step is taken when it lands strictly inside the bracket and the
+    last step at least halved |f|; otherwise the bracket is bisected.  Stops
+    when |f| <= tol, when a step falls below float resolution, or when the
+    bracket collapses, and returns the best point seen as (x, f(x), counts)
+    for the caller to judge.
+    """
+    best_x, best_f = x, math.inf
+    prev = None
+    newton = bisections = 0
+    for _ in range(ROOT_STEP_CAP):
+        fx, slope = f(x)
+        if abs(fx) < abs(best_f):
+            best_x, best_f = x, fx
+        if abs(fx) <= tol:
+            break
+        if fx > 0.0:
+            lo = x
+        else:
+            hi = x
+        if slope is None and prev is not None and math.isfinite(fx):
+            slope = (fx - prev[1]) / (x - prev[0])
+        fast = prev is None or abs(fx) <= 0.5 * abs(prev[1])
+        prev = (x, fx)
+        step = x - fx / slope if fast and slope is not None and slope < 0.0 else math.nan
+        if lo < step < hi:
+            if abs(step - x) <= 4.0 * math.ulp(x):
+                break
+            x = step
+            newton += 1
+        else:
+            x = 0.5 * (lo + hi)
+            bisections += 1
+            if not lo < x < hi:
+                break
+    return best_x, best_f, {"newton": newton, "bisections": bisections}
+
+
+# ---------------------------------------------------------------------------
+# Relative entropy: the exponential tilt
 # ---------------------------------------------------------------------------
 def _tilt_state(log_w: np.ndarray, v: np.ndarray, lam: float):
     """Normalized weights and log-partition of log_w - lam * v."""
@@ -118,116 +234,53 @@ def _tilt_state(log_w: np.ndarray, v: np.ndarray, lam: float):
     return w / z, m + math.log(z)
 
 
-def _solve_multiplier(
+def _tilt_multiplier(
     log_w: np.ndarray, v: np.ndarray, c: float, tol: float
 ) -> tuple[float, np.ndarray, float, dict]:
     """Find lam with sum_i softmax(log_w - lam v)_i v_i = c.
 
-    Assumes v is non-constant and min(v) < c < max(v) (caller checks).
-    Returns (lam, weights, log_partition, report).
+    Assumes min(v) < c < max(v).  Returns (lam, weights, log_partition, report).
     """
-    cap = LAMBDA_CAP_SCALE / max(np.abs(v).max(), 1e-300)
 
-    def mean_at(lam: float):
-        w, log_z = _tilt_state(log_w, v, lam)
-        return float(np.dot(w, v)), w, log_z
+    def gap(lam: float) -> tuple[float, float]:
+        w, _ = _tilt_state(log_w, v, lam)
+        m = float(np.dot(w, v))
+        return m - c, -float(np.dot(w, (v - m) ** 2))
 
-    m0, w0, z0 = mean_at(0.0)
-    if m0 == c:
-        return 0.0, w0, z0, {"bracket": (0.0, 0.0), "expansions": 0, "bisections": 0, "newton": 0, "residual": 0.0}
-
-    lo, hi = -1.0, 1.0
-    g_lo = mean_at(lo)[0] - c
-    g_hi = mean_at(hi)[0] - c
-    expansions = 0
-    # mean is decreasing in lam: widen until g(lo) >= 0 >= g(hi)
-    while g_lo < 0.0:
-        hi, g_hi = lo, g_lo
-        lo *= 2.0
+    # the mean decreases in lam: double away from 0 until it crosses c
+    g0 = gap(0.0)[0]
+    near, far, expansions = 0.0, math.copysign(1.0, g0), 0
+    while g0 != 0.0 and (gap(far)[0] > 0.0) == (g0 > 0.0):
+        near, far = far, 2.0 * far
         expansions += 1
-        if -lo > cap:
-            raise InfeasibleConstraint(
-                f"target {c!r} is numerically unattainable (multiplier below -{cap:.3g})"
-            )
-        g_lo = mean_at(lo)[0] - c
-    while g_hi > 0.0:
-        lo, g_lo = hi, g_hi
-        hi *= 2.0
-        expansions += 1
-        if hi > cap:
-            raise InfeasibleConstraint(
-                f"target {c!r} is numerically unattainable (multiplier above {cap:.3g})"
-            )
-        g_hi = mean_at(hi)[0] - c
-    bracket = (lo, hi)
+        if not math.isfinite(far):
+            raise NonConvergence(f"multiplier for target {c!r} overflows the float range")
+    lo, hi = sorted((near, far))
 
-    bisections = 0
-    while hi - lo > 1e-2 * (1.0 + abs(lo) + abs(hi)) and bisections < 200:
-        mid = 0.5 * (lo + hi)
-        if mean_at(mid)[0] - c > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        bisections += 1
+    lam, g, counts = _bracketed_root(gap, lo, hi, 0.5 * (lo + hi), tol)
+    if abs(g) > tol:
+        raise NonConvergence(f"multiplier search stalled at residual {abs(g):.3g}", residual=abs(g))
+    w, log_z = _tilt_state(log_w, v, lam)
+    report = {"bracket": (lo, hi), "expansions": expansions, **counts, "residual": abs(g)}
+    return lam, w, log_z, report
 
-    lam = 0.5 * (lo + hi)
-    newton = 0
-    for _ in range(100):
-        m, w, log_z = mean_at(lam)
-        g = m - c
-        if abs(g) <= tol:
-            return lam, w, log_z, {
-                "bracket": bracket,
-                "expansions": expansions,
-                "bisections": bisections,
-                "newton": newton,
-                "residual": abs(g),
-            }
-        if g > 0.0:
-            lo = lam
-        else:
-            hi = lam
-        var = float(np.dot(w, (v - m) ** 2))
-        step_to = lam + g / var if var > 0.0 else 0.5 * (lo + hi)
-        if not (lo < step_to < hi):
-            step_to = 0.5 * (lo + hi)
-        lam = step_to
-        newton += 1
-    raise NonConvergence(
-        f"multiplier search stalled at residual {abs(g):.3g}", residual=abs(g)
+
+def _identity_tilt(q: FiniteDistribution, v: np.ndarray) -> TiltedDistribution:
+    return TiltedDistribution(
+        reference=q,
+        potential=v,
+        lam=0.0,
+        realized=FiniteDistribution(q.alphabet, q.weights),
+        log_partition=0.0,
     )
 
 
-def _support_log_weights(q: FiniteDistribution) -> tuple[np.ndarray, np.ndarray]:
-    sup = q.support
-    return sup, np.log(q.weights[sup])
-
-
-def solve_tilt_with_report(
-    q: FiniteDistribution, potential, c: float, tol: float = DEFAULT_TILT_TOL
+def _tilt(
+    q: FiniteDistribution, v: np.ndarray, c: float, tol: float
 ) -> tuple[TiltedDistribution, dict]:
-    """solve_tilt, also returning solver diagnostics for verbose output."""
-    v = as_potential(potential, q.alphabet)
-    sup, log_w = _support_log_weights(q)
-    v_sup = v[sup]
-    v_lo, v_hi = float(v_sup.min()), float(v_sup.max())
-
-    trivial_report = {"bracket": (0.0, 0.0), "expansions": 0, "bisections": 0, "newton": 0, "residual": 0.0}
-    if v_lo == v_hi:
-        if abs(c - v_lo) <= tol:
-            return _identity_tilt(q, v), trivial_report
-        raise DegeneratePotential(
-            f"potential is constant ({v_lo!r}) on the support but target is {c!r}"
-        )
-    if not (v_lo < c < v_hi):
-        raise InfeasibleConstraint(
-            f"target {c!r} outside the attainable open interval ({v_lo!r}, {v_hi!r})"
-        )
-    # already satisfied in the caller's arithmetic: keep lam = 0 exactly
-    if float(np.dot(q.weights[sup], v_sup)) == c:
-        return _identity_tilt(q, v), trivial_report
-
-    lam, w_sup, log_z, report = _solve_multiplier(log_w, v_sup, c, tol)
+    """Tilt of q onto an interior target c (already resolved)."""
+    sup = q.support
+    lam, w_sup, log_z, report = _tilt_multiplier(np.log(q.weights[sup]), v[sup], c, tol)
     weights = np.zeros(q.size)
     weights[sup] = w_sup
     realized = FiniteDistribution(q.alphabet, weights)
@@ -235,6 +288,18 @@ def solve_tilt_with_report(
         reference=q, potential=v, lam=lam, realized=realized, log_partition=log_z
     )
     return tilt, report
+
+
+def solve_tilt_with_report(
+    q: FiniteDistribution, potential, c: float, tol: float = DEFAULT_TILT_TOL
+) -> tuple[TiltedDistribution, dict]:
+    """solve_tilt, also returning solver diagnostics for verbose output."""
+    v = as_potential(potential, q.alphabet)
+    target, _ = resolve_target(q, v, float(c), tol)
+    if target is None:
+        trivial = {"bracket": (0.0, 0.0), "expansions": 0, "bisections": 0, "newton": 0, "residual": 0.0}
+        return _identity_tilt(q, v), trivial
+    return _tilt(q, v, target, tol)
 
 
 def solve_tilt(
@@ -249,26 +314,11 @@ def solve_tilt(
     return solve_tilt_with_report(q, potential, c, tol)[0]
 
 
-def _identity_tilt(q: FiniteDistribution, v: np.ndarray) -> TiltedDistribution:
-    return TiltedDistribution(
-        reference=q,
-        potential=v,
-        lam=0.0,
-        realized=FiniteDistribution(q.alphabet, q.weights),
-        log_partition=0.0,
-    )
-
-
 def _boundary_projection(
-    q: FiniteDistribution, v: np.ndarray, end: str
+    q: FiniteDistribution, v: np.ndarray, c: float, end: str
 ) -> TiltedDistribution:
-    """Conditioning of q on the extreme set of V: the lam -> +/-inf limit."""
-    sup = q.support
-    v_sup = v[sup]
-    extreme = v_sup.max() if end == "max" else v_sup.min()
-    mask = np.zeros(q.size, dtype=bool)
-    mask[sup[v_sup == extreme]] = True
-    weights = np.where(mask, q.weights, 0.0)
+    """Conditioning of q on {V = c}, c an end of the range: the lam -> +/-inf limit."""
+    weights = np.where(v == c, q.weights, 0.0)
     realized = FiniteDistribution(q.alphabet, weights / weights.sum())
     lam = -math.inf if end == "max" else math.inf
     return TiltedDistribution(
@@ -287,34 +337,10 @@ def i_projection(
     inside the window, otherwise to the window endpoint nearer that mean.
     """
     v = as_potential(constraint.potential, P.alphabet)
-    sup = P.support
-    v_lo, v_hi = float(v[sup].min()), float(v[sup].max())
-
-    if constraint.is_interval:
-        lo, hi = constraint.target
-        if lo > v_hi or hi < v_lo:
-            raise InfeasibleConstraint(
-                f"window [{lo!r}, {hi!r}] misses the attainable range [{v_lo!r}, {v_hi!r}]"
-            )
-        mean = float(np.dot(v, P.weights))
-        if lo <= mean <= hi:
-            return _identity_tilt(P, v), 0.0
-        c = lo if mean < lo else hi
-        c = min(max(c, v_lo), v_hi)
-    else:
-        c = float(constraint.target)
-        if not (v_lo <= c <= v_hi):
-            raise InfeasibleConstraint(
-                f"target {c!r} outside the attainable range [{v_lo!r}, {v_hi!r}]"
-            )
-
-    if v_lo == v_hi:
+    c, end = resolve_target(P, v, constraint.target, tol, boundary=True)
+    if c is None:
         return _identity_tilt(P, v), 0.0
-    if c == v_lo or c == v_hi:
-        tilt = _boundary_projection(P, v, "max" if c == v_hi else "min")
-        return tilt, kl_divergence(tilt.realized, P)
-
-    tilt = solve_tilt(P, v, c, tol)
+    tilt = _boundary_projection(P, v, c, end) if end else _tilt(P, v, c, tol)[0]
     return tilt, kl_divergence(tilt.realized, P)
 
 
@@ -330,8 +356,8 @@ def _generator_functions(
 ]:
     """Objective G(p, q), gradient, and diagonal Hessian in p, closed over q.
 
-    Derivatives assume strictly positive p on the support of q, which the
-    multiplicative-update iterates guarantee.
+    The relative-entropy derivatives assume strictly positive p on the
+    support of q; the quadratic generators have a constant Hessian.
     """
     if spec.generator == "kl":
         return (
@@ -367,70 +393,100 @@ def _kkt_residual(grad: np.ndarray, v: np.ndarray) -> float:
     return float(np.abs(grad - basis @ coef).max())
 
 
-def _newton_kkt_polish(
-    objective: Callable,
-    gradient: Callable,
-    hess_diag: Callable,
-    v: np.ndarray,
-    p: np.ndarray,
-    tol: float,
-    max_iter: int = 60,
-) -> np.ndarray:
-    """Equality-constrained Newton on {sum p = 1, V . p = c} from a feasible p.
+def _reverse_kl_projection(q: np.ndarray, v: np.ndarray, c: float) -> np.ndarray:
+    """p_i = q_i / s_i, s_i = 1 + beta (v_i - c), at the root of sum q (v - c) / s.
 
-    Every step solves the KKT system with the (diagonal) Hessian, stays in
-    the affine constraint set exactly, and is damped to keep the iterate
-    strictly positive.  Converges quadratically for interior optima.
+    Stationarity gives p_i = q_i / (alpha + beta v_i); summing p_i times the
+    denominator gives alpha = 1 - beta c.  The root function is strictly
+    decreasing in beta on (-1 / (max V - c), 1 / (c - min V)), where every
+    s_i > 0, and beta has the sign of mean(q) - c.  On that half of the
+    bracket the solve runs in sigma = s_j, the denominator of the end v_j
+    that bounds it: s_i = ((v_i - v_j) + sigma (c - v_i)) / (c - v_j), which
+    stays accurate when the root crowds the pole (sigma -> 0, mass moved onto
+    a light atom).  sigma = 1 is beta = 0.  The solve uses sigma times the
+    root function: same sign, and close to linear near the pole.
     """
-    a = np.column_stack([np.ones_like(v), v])
-    for _ in range(max_iter):
-        grad = gradient(p)
-        if _kkt_residual(grad, v) <= tol:
+    d = v - c
+    j = int(np.argmin(v)) if float(np.dot(q, v)) > c else int(np.argmax(v))
+    w = c - v[j]
+    sign = math.copysign(1.0, w)
+
+    def denominators(sigma: float) -> np.ndarray:
+        return ((v - v[j]) - sigma * d) / w
+
+    def gap(sigma: float) -> tuple[float, float]:
+        s = denominators(sigma)
+        t = d / s
+        h = float(np.dot(q, t))
+        dh = float(np.dot(q, t * t)) / w
+        return -sign * sigma * h, -sign * (h + sigma * dh)
+
+    sigma, _, _ = _bracketed_root(gap, 0.0, 1.0, 1.0, 0.0)
+    p = q / denominators(sigma)
+    return p / p.sum()
+
+
+def _quadratic_projection(
+    spec: DivergenceSpec, q: np.ndarray, v: np.ndarray, c: float
+) -> np.ndarray:
+    """Squared-Euclidean or chi-squared projection through its 2-D dual.
+
+    For p >= 0 the Lagrangian G(p) - a (sum p - 1) - b (V . p - c) is
+    minimized by p_i = max(q_i + h_i (a + b v_i), 0) with h = 1 / G''.  The
+    dual is concave with gradient (1 - sum p, c - V . p), and minus its
+    Hessian is sum h_i (1, v_i)(1, v_i)^T over the active (positive)
+    entries.  Damped Newton steps backtrack on the dual objective until the
+    constraint residual reaches round-off; the dual is quadratic on each
+    active set, so a full step that keeps the active set lands on the root.
+    V is measured from the active atom of largest h, re-chosen every step:
+    that atom's term a + b (v_i - anchor) = a then stays O(1) even when the
+    slope b is huge (mass moved onto atoms with tiny q under chi-squared).
+    """
+    objective, _, hess_diag = _generator_functions(spec, q)
+    h = 1.0 / hess_diag(q)
+    aim = 1e-14 * (1.0 + float(np.abs(v).max()))
+
+    def primal(theta: np.ndarray, anchor: float) -> np.ndarray:
+        return np.maximum(q + h * (theta[0] + theta[1] * (v - anchor)), 0.0)
+
+    def gap(p: np.ndarray, anchor: float) -> np.ndarray:
+        return np.array([1.0 - p.sum(), (c - anchor) - float(np.dot(p, v - anchor))])
+
+    theta, anchor, p = np.zeros(2), 0.0, q
+    for _ in range(DUAL_NEWTON_CAP):
+        if np.any(p > 0.0):
+            new_anchor = float(v[p > 0.0][np.argmax(h[p > 0.0])])
+            theta = np.array([theta[0] + theta[1] * (new_anchor - anchor), theta[1]])
+            anchor = new_anchor
+            p = primal(theta, anchor)
+        grad = gap(p, anchor)
+        residual = float(np.abs(grad).max())
+        if residual <= aim:
             break
-        h_inv = 1.0 / hess_diag(p)
-        ah = a * h_inv[:, None]
-        m = a.T @ ah  # 2x2
-        try:
-            nu = np.linalg.solve(m, -(ah.T @ grad))
-        except np.linalg.LinAlgError:
-            break
-        dp = -h_inv * (grad + a @ nu)
-        if not np.all(np.isfinite(dp)) or np.abs(dp).max() == 0.0:
-            break
-        # fraction-to-boundary damping keeps the iterate strictly positive
-        neg = dp < 0
+        value = objective(p) + float(theta @ grad)
+        active = p > 0.0
+        offsets = v[active] - anchor
+        basis = np.stack([np.ones_like(offsets), offsets])
+        jac = (basis * h[active]) @ basis.T
+        newton = np.linalg.det(jac) > 1e-12 * jac[0, 0] * jac[1, 1]
+        # fewer than two distinct active values leave jac singular: steepest ascent
+        direction = np.linalg.solve(jac, grad) if newton else grad
+        slope = float(grad @ direction)
         t = 1.0
-        if np.any(neg):
-            t = min(1.0, float(0.99 * np.min(-p[neg] / dp[neg])))
-        obj = objective(p)
-        while t > 1e-18:
-            cand = p + t * dp
-            if np.all(cand > 0) and objective(cand) <= obj + 1e-15:
-                p = cand
+        while t > 1e-12:
+            cand = theta + t * direction
+            p_cand = primal(cand, anchor)
+            grad_cand = gap(p_cand, anchor)
+            # the residual test takes over where dual values differ only by round-off
+            if objective(p_cand) + float(cand @ grad_cand) >= value + 1e-4 * t * slope or (
+                float(np.abs(grad_cand).max()) <= (1.0 - 1e-4 * t) * residual
+            ):
                 break
             t *= 0.5
         else:
-            break
+            break  # no ascent left at float resolution
+        theta, p = cand, p_cand
     return p
-
-
-def _resolve_point_target(
-    q: FiniteDistribution, v: np.ndarray, constraint: ConstraintSpec
-) -> float | None:
-    """Interval case split; None means q itself is already feasible."""
-    sup = q.support
-    v_lo, v_hi = float(v[sup].min()), float(v[sup].max())
-    if constraint.is_interval:
-        lo, hi = constraint.target
-        if lo > v_hi or hi < v_lo:
-            raise InfeasibleConstraint(
-                f"window [{lo!r}, {hi!r}] misses the attainable range [{v_lo!r}, {v_hi!r}]"
-            )
-        mean = float(np.dot(v, q.weights))
-        if lo <= mean <= hi:
-            return None
-        return lo if mean < lo else hi
-    return float(constraint.target)
 
 
 def divergence_projection(
@@ -441,72 +497,35 @@ def divergence_projection(
 ) -> FiniteDistribution:
     """Minimize the named divergence G(p, q) over {p : V . p = c}.
 
-    Entropic mirror steps p <- p * exp(-a grad) with the mean constraint
-    re-enforced after every step (a tilt of the iterate), halving the step
-    whenever the objective fails to decrease.  Iterates remain strictly
-    positive on support(q), so point targets must lie strictly inside the
-    attainable range.  Stops when the KKT residual (gradient minus its
-    projection onto span{1, V}) drops below ``tol``.
+    Each generator's minimizer is closed-form in the constraint multipliers
+    (see the module docstring), which are solved to float resolution.  Point
+    targets must lie strictly inside the attainable range.  Raises
+    NonConvergence if a constraint residual is still above ``tol``.
     """
     v_full = as_potential(constraint.potential, q.alphabet)
-    c = _resolve_point_target(q, v_full, constraint)
+    c, _ = resolve_target(q, v_full, constraint.target, tol)
     if c is None:
         return FiniteDistribution(q.alphabet, q.weights)
 
     sup = q.support
     v = v_full[sup]
     qw = q.weights[sup]
-    if float(v.min()) == float(v.max()):
-        if abs(c - float(v.min())) <= tol:
-            return FiniteDistribution(q.alphabet, q.weights)
-        raise DegeneratePotential(
-            f"potential is constant ({float(v.min())!r}) on the support but target is {c!r}"
-        )
-    if not (float(v.min()) < c < float(v.max())):
-        raise InfeasibleConstraint(
-            f"target {c!r} not strictly inside ({float(v.min())!r}, {float(v.max())!r})"
-        )
-
-    objective, gradient, hess_diag = _generator_functions(spec, qw)
-
-    # Feasible interior start: the exponential tilt of q onto the constraint.
-    _, p, _, _ = _solve_multiplier(np.log(qw), v, c, DEFAULT_TILT_TOL)
-
-    step = 0.5
-    obj = objective(p)
-    residual = math.inf
-    coarse_tol = max(tol, 1e-6)
-    for _ in range(PROJECTION_ITERATION_CAP):
-        grad = gradient(p)
-        residual = _kkt_residual(grad, v)
-        if residual <= coarse_tol:
-            break
-        improved = False
-        while step >= 1e-18:
-            log_p_new = np.log(p) - step * (grad - grad.max())
-            _, p_new, _, _ = _solve_multiplier(log_p_new, v, c, DEFAULT_TILT_TOL)
-            obj_new = objective(p_new)
-            if obj_new <= obj:
-                p, obj = p_new, obj_new
-                improved = True
-                step = min(step * 1.5, 10.0)
-                break
-            step *= 0.5
-        if not improved:
-            # Step underflow: gradient lies in span{1, V} up to round-off.
-            break
-    if residual > tol:
-        # Push from mirror-descent accuracy to the requested tolerance.
-        p = _newton_kkt_polish(objective, gradient, hess_diag, v, p, tol)
-        residual = _kkt_residual(gradient(p), v)
+    if spec.generator == "kl":
+        p = _tilt_multiplier(np.log(qw), v, c, min(tol, DEFAULT_TILT_TOL))[1]
+    elif spec.generator == "reverse_kl":
+        p = _reverse_kl_projection(qw, v, c)
+    else:
+        p = _quadratic_projection(spec, qw, v, c)
+    total = float(p.sum())
+    residual = max(abs(total - 1.0), abs(float(np.dot(p, v)) - c))
     if residual > tol:
         raise NonConvergence(
-            f"projection stalled with KKT residual {residual:.3g} > {tol:.3g}",
+            f"{spec.generator} projection stalled with constraint residual {residual:.3g} > {tol:.3g}",
             residual=residual,
         )
 
     weights = np.zeros(q.size)
-    weights[sup] = p
+    weights[sup] = p / total
     return FiniteDistribution(q.alphabet, weights)
 
 

@@ -15,7 +15,8 @@ from maxent_bayes import (
     sanov_exact,
     sanov_monte_carlo,
 )
-from maxent_bayes.errors import EmptyEvent, EmptyPreimage, TableTooLarge
+import maxent_bayes.ldp as ldp_mod
+from maxent_bayes.errors import EmptyEvent, EmptyPreimage, NumericalError, TableTooLarge
 from maxent_bayes.ldp import table_size
 from tests.conftest import random_distribution
 
@@ -65,6 +66,13 @@ class TestEnumerateTypes:
     def test_zero_atoms_are_handled(self):
         table = enumerate_types(dist(0.5, 0.5, 0.0), 3)
         assert abs(table.total_log_mass()) <= 1e-9
+
+    def test_missing_type_class_is_a_numerical_error(self, monkeypatch):
+        # the mass check is a typed error, so it survives python -O
+        full = ldp_mod._compositions
+        monkeypatch.setattr(ldp_mod, "_compositions", lambda n, k: full(n, k)[:-1])
+        with pytest.raises(NumericalError, match="sum to"):
+            enumerate_types(BERN_HALF, 4)
 
 
 class TestSanovExact:

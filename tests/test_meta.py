@@ -2,8 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
-import maxent_bayes.meta as meta_mod
 from maxent_bayes import (
     FiniteDistribution,
     MetaConstraint,
@@ -19,7 +19,7 @@ from maxent_bayes import (
     simplex_grid,
     total_variation,
 )
-from maxent_bayes.errors import EmptyFeasibleSet, FixedPointDivergence
+from maxent_bayes.errors import EmptyFeasibleSet
 
 
 def dist(*weights):
@@ -28,6 +28,29 @@ def dist(*weights):
 
 BERN_HALF = dist(0.5, 0.5)
 V01 = [0.0, 1.0]
+
+
+def centre_oracle(ed, eta):
+    """Independent self-consistent centre: brentq on m over brentq-solved tilts."""
+    xi, log_r = ed.support, np.log(ed.weights.weights)
+
+    def tilted_mean(m):
+        u = (xi - m) ** 2
+
+        def law(lam):
+            a = log_r - lam * u
+            w = np.exp(a - a.max())
+            return w / w.sum()
+
+        lam = optimize.brentq(lambda lam: float(law(lam) @ u) - eta, -1e4, 1e4, xtol=1e-14)
+        return float(law(lam) @ xi)
+
+    # the restricted support is a fine lattice, so every centre in a
+    # neighbourhood of the root is within sqrt(eta) of a support point
+    grid = np.linspace(xi.min() + 0.05, xi.max() - 0.05, 60)
+    gaps = [tilted_mean(m) - m for m in grid]
+    i = next(i for i in range(len(grid) - 1) if gaps[i] > 0 >= gaps[i + 1])
+    return optimize.brentq(lambda m: tilted_mean(m) - m, grid[i], grid[i + 1], xtol=1e-13)
 
 
 class TestErrorDistributionExact:
@@ -100,11 +123,16 @@ class TestMaxentErrorFit:
                 best_lam, best_gap = float(lam), gap
         assert fit.lambda_eta == pytest.approx(best_lam, abs=2e-3)
 
-    def test_fixed_point_cap_raises(self, monkeypatch):
-        ed = error_distribution_exact(dist(0.2, 0.8), V01, 12)
-        monkeypatch.setattr(meta_mod, "FIXED_POINT_CAP", 1)
-        with pytest.raises(FixedPointDivergence):
-            maxent_error_fit(ed, MetaConstraint(kind="centered_square", eta=0.5 * ed.variance()))
+    def test_self_consistent_centre_on_pinned_instances(self):
+        # every eta here lies above the variance of the restricted law
+        P = dist(0.5, 0.3, 0.2)
+        ed = error_distribution_exact(P, [0.0, 1.0, 3.0], 60).restrict(0.5, 2.0)
+        for eta, expected in ((0.1, 0.939), (0.05, 0.917), (0.3, 0.999)):
+            fit = maxent_error_fit(ed, MetaConstraint(kind="centered_square", eta=eta))
+            assert fit.center == pytest.approx(expected, abs=1e-3)
+            assert fit.center == pytest.approx(centre_oracle(ed, eta), abs=1e-8)
+            assert fit.mean() == pytest.approx(fit.center, abs=1e-10)
+            assert fit.variance() == pytest.approx(eta, abs=1e-9)
 
     def test_user_table_statistic(self):
         ed = error_distribution_exact(BERN_HALF, V01, 1)
