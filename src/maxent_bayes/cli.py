@@ -7,16 +7,19 @@ Usage:
 
 Commands: bayes, tilt, project, necessity, sanov, gibbs, rate, meta, corr.
 
-Every command validates its config before any computation starts, writes its
-outputs plus a run manifest with per-output checksums, and echoes the result
-JSON to stdout.  Exit codes by error family: validation 2, infeasible 3,
-numerical 4, resource 5.
+Every command validates its config before any computation starts (inputs
+per command, with defaults and domains: README.md, "Config inputs"; every
+scalar input must be a finite real, and tol, speed, sigma_y and
+model_grid_step also > 0), writes its outputs plus a run manifest with
+per-output checksums, and echoes the result JSON to stdout.  Exit codes by
+error family: validation 2, infeasible 3, numerical 4, resource 5.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -118,6 +121,24 @@ def _require(inputs: dict, key: str):
     return inputs[key]
 
 
+def _real(value, what: str, positive: bool = False) -> float:
+    """A scalar input: a finite real, and > 0 when ``positive``."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigInvalid(f"{what} must be a real number, got {value!r}") from exc
+    if not math.isfinite(x) or (positive and x <= 0.0):
+        domain = "finite positive" if positive else "finite"
+        raise ConfigInvalid(f"{what} must be a {domain} real, got {value!r}")
+    return x
+
+
+def _reals(values, what: str) -> tuple[float, ...]:
+    if not isinstance(values, (list, tuple)):
+        raise ConfigInvalid(f"{what} must be a list of reals")
+    return tuple(_real(x, f"{what} entry") for x in values)
+
+
 def _as_distribution(obj, what: str) -> FiniteDistribution:
     try:
         if isinstance(obj, dict):
@@ -145,18 +166,12 @@ def _constraint_from(inputs: dict, v) -> ConstraintSpec:
     if "target" in inputs and "target_interval" in inputs:
         raise ConfigInvalid("give either target or target_interval, not both")
     if "target" in inputs:
-        try:
-            return ConstraintSpec.point(v, float(inputs["target"]))
-        except (TypeError, ValueError) as exc:
-            raise ConfigInvalid(f"bad target: {exc}") from exc
+        return ConstraintSpec.point(v, _real(inputs["target"], "target"))
     if "target_interval" in inputs:
         iv = inputs["target_interval"]
         if not isinstance(iv, (list, tuple)) or len(iv) != 2:
             raise ConfigInvalid("target_interval must be [lo, hi]")
-        try:
-            return ConstraintSpec.interval(v, float(iv[0]), float(iv[1]))
-        except (TypeError, ValueError) as exc:
-            raise ConfigInvalid(f"bad target_interval: {exc}") from exc
+        return ConstraintSpec.interval(v, *_reals(iv, "target_interval"))
     raise ConfigInvalid("missing target or target_interval")
 
 
@@ -165,7 +180,7 @@ def _window_from(inputs: dict, P: FiniteDistribution, v: np.ndarray) -> tuple[fl
     window = _require(inputs, "Xi")
     if not isinstance(window, (list, tuple)) or len(window) != 2:
         raise ConfigInvalid("Xi must be [lo, hi]")
-    lo, hi = float(window[0]), float(window[1])
+    lo, hi = _reals(window, "Xi")
     if lo > hi:
         raise ConfigInvalid("Xi must satisfy lo <= hi")
     try:
@@ -221,8 +236,8 @@ def _prepare_bayes(inputs: dict) -> RunPlan:
 def _prepare_tilt(inputs: dict) -> RunPlan:
     q = _as_distribution(_require(inputs, "q"), "q")
     v = _as_potential_list(_require(inputs, "potential"), q.size)
-    c = float(_require(inputs, "target"))
-    tol = float(inputs.get("tol", 1e-10))
+    c = _real(_require(inputs, "target"), "target")
+    tol = _real(inputs.get("tol", 1e-10), "tol", positive=True)
     resolve_target(q, v, c, tol)
 
     def execute(ctx: RunContext) -> dict:
@@ -271,7 +286,7 @@ def _prepare_necessity(inputs: dict) -> RunPlan:
     spec = DivergenceSpec(str(generator))
     q = _as_distribution(_require(inputs, "q"), "q")
     v = _as_potential_list(_require(inputs, "potential"), q.size)
-    c = float(_require(inputs, "target"))
+    c = _real(_require(inputs, "target"), "target")
     resolve_target(q, v, c)
     constraint = ConstraintSpec.point(v, c)
 
@@ -367,7 +382,7 @@ def _prepare_rate(inputs: dict) -> RunPlan:
     P = _as_distribution(_require(inputs, "P"), "P")
     v = _as_potential_list(_require(inputs, "potential"), P.size)
     if "xi_grid" in inputs:
-        xi_grid = [float(x) for x in inputs["xi_grid"]]
+        xi_grid = list(_reals(inputs["xi_grid"], "xi_grid"))
         if not xi_grid:
             raise ConfigInvalid("xi_grid must be non-empty")
     else:
@@ -403,19 +418,25 @@ def _prepare_meta(inputs: dict) -> RunPlan:
     try:
         meta = MetaConstraint(
             kind=u_spec["kind"],
-            eta=float(_require(inputs, "eta")),
-            center=u_spec.get("center"),
-            table_xi=tuple(u_spec["table_xi"]) if "table_xi" in u_spec else None,
-            table_u=tuple(u_spec["table_u"]) if "table_u" in u_spec else None,
+            eta=_real(_require(inputs, "eta"), "eta"),
+            center=None if u_spec.get("center") is None else _real(u_spec["center"], "center"),
+            table_xi=_reals(u_spec["table_xi"], "table_xi") if "table_xi" in u_spec else None,
+            table_u=_reals(u_spec["table_u"], "table_u") if "table_u" in u_spec else None,
         )
     except ValueError as exc:
         raise ConfigInvalid(str(exc)) from exc
+    # the bounds on E[U] that hold without the exact law of V . L_n
+    a, b = np.clip((lo, hi), *attainable_range(P, v))
+    if (meta.kind == "identity" and not a <= meta.eta <= b) or (
+        meta.kind == "centered_square" and meta.eta < 0.0
+    ):
+        raise InfeasibleConstraint(f"eta {meta.eta!r} is out of reach of E[U] on [{a!r}, {b!r}]")
     step = inputs.get("model_grid_step")
     if step is not None:
-        step = float(step)
-        if step <= 0 or abs(round(1.0 / step) * step - 1.0) > 1e-9:
+        step = _real(step, "model_grid_step", positive=True)
+        if abs(round(1.0 / step) * step - 1.0) > 1e-9:
             raise ConfigInvalid(f"model_grid_step {step!r} must divide 1")
-    speed = float(inputs.get("speed", 1.0))
+    speed = _real(inputs.get("speed", 1.0), "speed", positive=True)
 
     def execute(ctx: RunContext) -> dict:
         result = run_meta_pipeline(P, v, n, (lo, hi), meta, speed=speed, grid_step=step)
@@ -434,8 +455,8 @@ def _prepare_meta(inputs: dict) -> RunPlan:
 
 
 def _prepare_corr(inputs: dict) -> RunPlan:
-    sigma_y = float(inputs.get("sigma_y", 1.0))
-    epsilon = float(inputs.get("epsilon", 0.0))
+    sigma_y = _real(inputs.get("sigma_y", 1.0), "sigma_y", positive=True)
+    epsilon = _real(inputs.get("epsilon", 0.0), "epsilon")
     loss_spec = _require(inputs, "loss")
     if not isinstance(loss_spec, dict) or "kind" not in loss_spec:
         raise ConfigInvalid('loss must be an object like {"kind": "quadratic"}')
@@ -443,11 +464,9 @@ def _prepare_corr(inputs: dict) -> RunPlan:
     r_grid = _require(inputs, "r_grid")
     if not isinstance(r_grid, (list, tuple)) or len(r_grid) < 5:
         raise ConfigInvalid("r_grid must list at least 5 correlations")
-    rs = [float(r) for r in r_grid]
+    rs = _reals(r_grid, "r_grid")
     if any(not 0.0 <= r < 1.0 for r in rs):
         raise ConfigInvalid("correlations must lie in [0, 1)")
-    if sigma_y <= 0:
-        raise ConfigInvalid("sigma_y must be positive")
     if epsilon < 0:
         raise ConfigInvalid("epsilon must be non-negative")
     max_r = max(rs)
@@ -455,7 +474,7 @@ def _prepare_corr(inputs: dict) -> RunPlan:
         raise InfeasibleConstraint(
             f"epsilon {epsilon!r} exceeds the envelope variance at r={max_r!r}"
         )
-    x_value = float(inputs.get("x_value", 0.0))
+    x_value = _real(inputs.get("x_value", 0.0), "x_value")
     grid_points = int(inputs.get("grid_points", 2001))
 
     def execute(ctx: RunContext) -> dict:
@@ -521,7 +540,7 @@ def prepare(config: dict, command: str | None = None) -> RunPlan:
         return _PREPARERS[cmd](inputs)
     except MaxentError:
         raise
-    except (TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
         raise ConfigInvalid(f"bad inputs for {cmd!r}: {exc}") from exc
 
 

@@ -21,13 +21,22 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GridTooCoarse, UnsupportedLoss
+from .errors import GridTooCoarse, NumericalError, UnsupportedLoss
+from .ldp import _fit_line
 
 DEFAULT_GRID_POINTS = 2001
 DEFAULT_GRID_RADIUS = 8.0  # in conditional standard deviations
 QUADRATURE_ANCHOR_RTOL = 1e-4
 
 SUPPORTED_LOSSES = ("quadratic", "huber", "quartic")
+
+
+def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
+    """Trapezoid-rule weights on an evenly spaced grid."""
+    w = np.full(x.size, x[1] - x[0])
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
 
 
 @dataclass(frozen=True)
@@ -40,8 +49,8 @@ class LossFunction:
     def __post_init__(self):
         if self.kind not in SUPPORTED_LOSSES:
             raise UnsupportedLoss(f"loss {self.kind!r} not in {SUPPORTED_LOSSES}")
-        if self.param < 0:
-            raise ValueError("loss parameter must be non-negative")
+        if not (math.isfinite(self.param) and self.param >= 0):
+            raise ValueError("loss parameter must be finite and non-negative")
 
     def value(self, z: float, y: np.ndarray) -> np.ndarray:
         t = np.asarray(y, dtype=float) - z
@@ -118,13 +127,14 @@ class GaussianPairModel:
         s = math.sqrt(self.envelope_variance)
         if s == 0.0:
             return np.array([m]), np.array([1.0])
+        y, w = self._gaussian_quadrature(m, s)
+        return y, w / w.sum()
+
+    def _gaussian_quadrature(self, m: float, s: float) -> tuple[np.ndarray, np.ndarray]:
+        """Grid over m +/- radius * s and trapezoid weights times the N(m, s^2) density."""
         y = np.linspace(m - self.grid_radius * s, m + self.grid_radius * s, self.grid_points)
         density = np.exp(-0.5 * ((y - m) / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
-        w = np.full(y.size, y[1] - y[0])
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        w = density * w
-        return y, w / w.sum()
+        return y, density * _trapezoid_weights(y)
 
     def conditional_centered_moment(self, x_value: float, p: int) -> float:
         """E[(Y - m)^p | X = x] of the mixture, by quadrature."""
@@ -142,29 +152,20 @@ class GaussianPairModel:
         return (1.0 - pm) * gaussian_part + pm * float(loss.value(m, np.array([m]))[0])
 
     def joint_mass(self, x_points: int | None = None) -> float:
-        """Trapezoid mass of the discretized joint law (1 by construction up to tails)."""
+        """Trapezoid mass of the discretized joint law (1 by construction up to tails).
+
+        The y-grid is centred on the conditional mean, so the conditional
+        Gaussian mass is the same at every x and is evaluated once.
+        """
         if self.r == 1.0:
             return 1.0
-        pts = x_points or self.grid_points
-        x = np.linspace(-self.grid_radius, self.grid_radius, pts)
-        wx = np.full(pts, x[1] - x[0])
-        wx[0] *= 0.5
-        wx[-1] *= 0.5
+        x = np.linspace(-self.grid_radius, self.grid_radius, x_points or self.grid_points)
         marginal = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        conditional_mass = []
-        s = math.sqrt(self.envelope_variance)
-        for xv in x:
-            y, _ = self.conditional_grid(float(xv))
-            density = np.exp(-0.5 * ((y - self.conditional_mean(float(xv))) / s) ** 2)
-            density /= s * math.sqrt(2.0 * math.pi)
-            wy = np.full(y.size, y[1] - y[0])
-            wy[0] *= 0.5
-            wy[-1] *= 0.5
-            conditional_mass.append(float(np.dot(density, wy)))
-        gaussian_mass = float(np.dot(wx, marginal * np.asarray(conditional_mass)))
+        marginal_mass = float(np.dot(_trapezoid_weights(x), marginal))
+        _, w = self._gaussian_quadrature(0.0, math.sqrt(self.envelope_variance))
+        conditional_mass = float(w.sum())
         pm = self.point_mass_weight()
-        marginal_mass = float(np.dot(wx, marginal))
-        return (1.0 - pm) * gaussian_mass + pm * marginal_mass
+        return ((1.0 - pm) * conditional_mass + pm) * marginal_mass
 
     def _check_quadrature_anchor(self, x_value: float) -> None:
         target = self.conditional_variance
@@ -262,7 +263,7 @@ def loss_correlation_curve(
     """Expected loss across a correlation grid, regressed on (1 - r^2).
 
     The slope estimates the curvature constant k*c and the intercept -k*eps;
-    losses must be non-increasing in r, which is asserted.
+    losses must be non-increasing in r, or NumericalError is raised.
     """
     rs = [float(r) for r in r_grid]
     if len(rs) < 5:
@@ -278,18 +279,10 @@ def loss_correlation_curve(
         losses.append(model.conditional_expected_loss(x_value, loss))
 
     order = np.argsort(rs)
-    ordered = np.asarray(losses)[order]
-    assert np.all(np.diff(ordered) <= 1e-12), "expected loss must not increase with correlation"
+    if not np.all(np.diff(np.asarray(losses)[order]) <= 1e-12):
+        raise NumericalError("expected loss increases with correlation")
 
-    x = 1.0 - np.asarray(rs) ** 2
-    y = np.asarray(losses)
-    xb, yb = x.mean(), y.mean()
-    sxx = float(np.sum((x - xb) ** 2))
-    slope = float(np.sum((x - xb) * (y - yb)) / sxx)
-    intercept = float(yb - slope * xb)
-    ss_res = float(np.sum((y - (intercept + slope * x)) ** 2))
-    ss_tot = float(np.sum((y - yb) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    slope, intercept, r2, _ = _fit_line(1.0 - np.asarray(rs) ** 2, np.asarray(losses))
     return LossCurve(
         r_grid=tuple(rs),
         expected_losses=tuple(float(v) for v in losses),

@@ -138,30 +138,30 @@ class RateEstimate:
     insufficient_ns: tuple[int, ...] = ()
 
 
-def _fit_log_probs(
-    ns: np.ndarray, logs: np.ndarray, variances: np.ndarray | None = None
-) -> tuple[float, float, float]:
-    """Least-squares slope of log P_n on n; returns (slope, r2, slope_se)."""
-    m = ns.size
+def _fit_line(
+    x: np.ndarray, y: np.ndarray, variances: np.ndarray | None = None
+) -> tuple[float, float, float, float]:
+    """Least-squares line y ~ a + b x, weighted by 1 / variances when given.
+
+    Returns (slope, intercept, r2, slope_se); NaNs for fewer than 2 points.
+    """
+    m = x.size
     if m < 2:
-        return math.nan, math.nan, math.nan
-    if variances is None:
-        w = np.ones(m)
-    else:
-        w = 1.0 / np.maximum(variances, 1e-30)
-    xb = float(np.sum(w * ns) / np.sum(w))
-    yb = float(np.sum(w * logs) / np.sum(w))
-    sxx = float(np.sum(w * (ns - xb) ** 2))
-    slope = float(np.sum(w * (ns - xb) * (logs - yb)) / sxx)
-    fitted = yb + slope * (ns - xb)
-    ss_res = float(np.sum(w * (logs - fitted) ** 2))
-    ss_tot = float(np.sum(w * (logs - yb) ** 2))
+        return math.nan, math.nan, math.nan, math.nan
+    w = np.ones(m) if variances is None else 1.0 / np.maximum(variances, 1e-30)
+    xb = float(np.sum(w * x) / np.sum(w))
+    yb = float(np.sum(w * y) / np.sum(w))
+    sxx = float(np.sum(w * (x - xb) ** 2))
+    slope = float(np.sum(w * (x - xb) * (y - yb)) / sxx)
+    fitted = yb + slope * (x - xb)
+    ss_res = float(np.sum(w * (y - fitted) ** 2))
+    ss_tot = float(np.sum(w * (y - yb) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     if variances is None:
         se = math.sqrt(ss_res / ((m - 2) * sxx)) if m > 2 and sxx > 0 else math.nan
     else:
         se = math.sqrt(1.0 / sxx)
-    return slope, r2, se
+    return slope, yb - slope * xb, r2, se
 
 
 def _describe(constraint: ConstraintSpec) -> str:
@@ -202,7 +202,7 @@ def sanov_exact(
     analytic_rate = _analytic_rate(P, constraint)
     ns = np.asarray([n for n, lp in zip(n_grid, logs) if math.isfinite(lp)], dtype=float)
     ys = np.asarray([lp for lp in logs if math.isfinite(lp)])
-    slope, r2, se = _fit_log_probs(ns, ys)
+    slope, _, r2, se = _fit_line(ns, ys)
     return RateEstimate(
         constraint_description=_describe(constraint),
         n_grid=tuple(int(n) for n in n_grid),
@@ -316,7 +316,7 @@ def sanov_monte_carlo(
     ns = np.asarray([float(n_grid[i]) for i in usable])
     ys = np.asarray([logs[i] for i in usable])
     var = np.asarray([variances[i] for i in usable])
-    slope, r2, se = _fit_log_probs(ns, ys, var)
+    slope, _, r2, se = _fit_line(ns, ys, var)
     return RateEstimate(
         constraint_description=_describe(constraint),
         n_grid=tuple(int(n) for n in n_grid),

@@ -8,7 +8,9 @@ over a simplex grid of candidate models: maximize
 
     - speed * KL(mu || P) - lambda_eta * U(V . mu) + ln Q(mu)
 
-over feasible grid points, optionally polished by multiplicative updates.
+over feasible grid points.  With a flat prior Q the optimum lies on the tilt
+curve of P (the least-KL model for each xi = V . mu), so the grid answer is
+refined to the best tilt inside the window: a 1-D root in the multiplier.
 
 The centered-square statistic (xi - m)^2 centres on the mean of the fitted
 law: m is a bracketed root of h(m) - m on the range of the support, h(m) the
@@ -34,7 +36,7 @@ from .measures import (
 from .tilting import (
     ConstraintSpec,
     _bracketed_root,
-    _tilt_multiplier,
+    _tilt_state,
     attainable_range,
     i_projection,
     solve_tilt,
@@ -43,7 +45,6 @@ from .tilting import (
 XI_MERGE_TOLERANCE = 1e-12
 WINDOW_TOLERANCE = 1e-12
 DEFAULT_GRID_STEPS = {2: 0.001, 3: 0.02}
-POLISH_ITERATION_CAP = 500
 
 U_KINDS = ("identity", "centered_square", "user_table")
 
@@ -251,6 +252,37 @@ def _log_prior_values(
         return np.log(w[feasible]), False
 
 
+def _best_model(
+    P: FiniteDistribution,
+    models: np.ndarray,
+    xi: np.ndarray,
+    log_q: np.ndarray,
+    meta: MetaConstraint,
+    lambda_eta: float,
+    speed: float,
+    method: str,
+) -> MapModelResult:
+    """Argmax of the MAP objective over the rows of ``models`` (first of ties)."""
+    kl_terms = speed * _grid_kl(models, P.weights)
+    u_terms = lambda_eta * meta.values(xi)
+    objective = -kl_terms - u_terms + log_q
+    best_val = float(np.max(objective))
+    if not math.isfinite(best_val):
+        raise EmptyFeasibleSet("every feasible grid model has -inf objective")
+    best = int(np.flatnonzero(objective >= best_val - TIE_TOLERANCE)[0])
+    components = {
+        "kl_term": float(kl_terms[best]),
+        "meta_term": float(u_terms[best]),
+        "log_q_term": float(log_q[best]),
+    }
+    return MapModelResult(
+        model=FiniteDistribution(P.alphabet, models[best]),
+        objective=float(objective[best]),
+        components=components,
+        method=method,
+    )
+
+
 def map_model(
     P: FiniteDistribution,
     model_prior,
@@ -260,15 +292,16 @@ def map_model(
     lambda_eta: float,
     speed: float = 1.0,
     grid_step: float | None = None,
-    tol: float = 1e-9,
-    polish: bool = True,
 ) -> MapModelResult:
     """MAP search for the most probable model given an expected-loss window.
 
-    The grid argmax is exhaustive; a multiplicative-update polish then looks
-    for a better off-grid point (only with a flat prior and a differentiable
-    statistic, and it is kept only if it strictly improves the objective).
+    The grid argmax is exhaustive.  With a flat prior and a differentiable
+    statistic the best point on the tilt curve of P inside the window (see
+    ``_polish_map``) replaces it when it has a strictly larger objective;
+    ``method`` then reads "tilt" instead of "grid".
     """
+    if not (math.isfinite(speed) and speed > 0.0):
+        raise ValueError(f"speed must be finite and positive, got {speed!r}")
     v = as_potential(potential, P.alphabet)
     lo, hi = float(xi_window[0]), float(xi_window[1])
     if lo > hi:
@@ -282,33 +315,11 @@ def map_model(
     if not np.any(feasible):
         raise EmptyFeasibleSet(f"no grid model has expected loss in [{lo!r}, {hi!r}]")
 
-    kl_terms = speed * _grid_kl(grid[feasible], P.weights)
-    u_terms = lambda_eta * meta.values(xi_vals[feasible])
     log_q, flat_prior = _log_prior_values(model_prior, grid, feasible)
-    objective = -kl_terms - u_terms + log_q
-    best_val = float(np.max(objective))
-    if not math.isfinite(best_val):
-        raise EmptyFeasibleSet("every feasible grid model has -inf objective")
-    best_idx = int(np.flatnonzero(objective >= best_val - TIE_TOLERANCE)[0])
+    result = _best_model(P, grid[feasible], xi_vals[feasible], log_q, meta, lambda_eta, speed, "grid")
 
-    model = FiniteDistribution(P.alphabet, grid[feasible][best_idx])
-    components = {
-        "kl_term": float(kl_terms[best_idx]),
-        "meta_term": float(u_terms[best_idx]),
-        "log_q_term": float(log_q[best_idx]),
-    }
-    result = MapModelResult(
-        model=model,
-        objective=float(objective[best_idx]),
-        components=components,
-        method="grid",
-    )
-
-    can_polish = polish and flat_prior and meta.kind != "user_table"
-    if can_polish:
-        polished = _polish_map(
-            P, v, (lo, hi), meta, lambda_eta, speed, model, float(log_q[best_idx])
-        )
+    if flat_prior and meta.kind != "user_table":
+        polished = _polish_map(P, v, (lo, hi), meta, lambda_eta, speed, float(log_q[0]))
         if polished is not None and polished.objective > result.objective + 1e-15:
             result = polished
     return result
@@ -321,69 +332,45 @@ def _polish_map(
     meta: MetaConstraint,
     lambda_eta: float,
     speed: float,
-    start: FiniteDistribution,
     log_q_const: float,
 ) -> MapModelResult | None:
-    """Multiplicative-update refinement of the grid argmax inside the window."""
+    """Best model on the tilt curve of P with V . mu in the window.
+
+    For fixed xi = V . mu the tilt of P onto xi has the least KL(mu || P), so
+    the objective is F(xi) = -speed I(xi) - lambda_eta U(xi) with I'(xi) the
+    tilt multiplier lam (p ~ P exp(-lam V)).  F' = 0 is a root in lam of
+    lambda_eta U'(xi(lam)) - speed lam, which changes sign on the window's
+    lam-range clipped to lambda_eta U'([min V, max V]) / speed (U' is
+    monotone).  The candidates are that root and the tilts onto the window
+    ends.  F is concave for identity U and for centered_square with
+    lambda_eta >= 0, where this is the exact optimum; otherwise a local one.
+    """
     lo, hi = window
-    p = P.weights
-    sup = P.support
-    if sup.size < P.size:
-        return None  # degenerate reference: keep the grid answer
-
-    def neg_objective(mu: np.ndarray) -> float:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kl = float(np.where(mu > 0, mu * np.log(mu / p), 0.0).sum())
-        xi = float(np.dot(v, mu))
-        return speed * kl + lambda_eta * float(meta.values(np.array([xi]))[0])
-
     v_lo, v_hi = attainable_range(P, v)
+    # candidate means must land inside the WINDOW_TOLERANCE band
+    tol = 0.1 * WINDOW_TOLERANCE * max(1.0, float(np.abs(v).max()))
+    ends = [i_projection(P, ConstraintSpec.point(v, c), tol)[0] for c in np.clip(window, v_lo, v_hi)]
+    candidates = [end.realized.weights for end in ends]
+    with np.errstate(divide="ignore"):
+        log_p = np.log(P.weights)
 
-    def clip_to_window(mu: np.ndarray) -> np.ndarray:
-        xi = float(np.dot(v, mu))
-        target = min(max(xi, lo), hi)
-        if target == xi or not (v_lo < target < v_hi):
-            return mu
-        return _tilt_multiplier(np.log(mu), v, target, 1e-12)[1]
+    def gap(lam: float) -> tuple[float, None]:
+        xi = float(_tilt_state(log_p, v, lam)[0] @ v)
+        return lambda_eta * meta.derivative(xi) - speed * lam, None
 
-    mu = np.maximum(start.weights, 1e-12)
-    mu = clip_to_window(mu / mu.sum())
-    obj = neg_objective(mu)
-    step = 0.25
-    for _ in range(POLISH_ITERATION_CAP):
-        xi = float(np.dot(v, mu))
-        grad = speed * (np.log(mu / p) + 1.0) + lambda_eta * meta.derivative(xi) * v
-        improved = False
-        while step >= 1e-16:
-            cand = mu * np.exp(-step * (grad - grad.max()))
-            cand = clip_to_window(cand / cand.sum())
-            cand_obj = neg_objective(cand)
-            if cand_obj < obj - 1e-15:
-                mu, obj = cand, cand_obj
-                improved = True
-                step = min(step * 1.5, 4.0)
-                break
-            step *= 0.5
-        if not improved:
-            break
+    reach = sorted(lambda_eta * meta.derivative(x) / speed for x in (v_lo, v_hi))
+    lam_lo, lam_hi = max(reach[0], ends[1].lam), min(reach[1], ends[0].lam)
+    if lam_lo <= lam_hi:
+        lam = _bracketed_root(gap, lam_lo, lam_hi, 0.5 * (lam_lo + lam_hi), 0.0)[0]
+        candidates.append(_tilt_state(log_p, v, lam)[0])
 
-    xi = float(np.dot(v, mu))
-    if not (lo - WINDOW_TOLERANCE <= xi <= hi + WINDOW_TOLERANCE):
+    mus = np.array(candidates)
+    xi = mus @ v
+    inside = (xi >= lo - WINDOW_TOLERANCE) & (xi <= hi + WINDOW_TOLERANCE)
+    if not np.any(inside):
         return None
-    model = FiniteDistribution(P.alphabet, mu)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kl = float(np.where(mu > 0, mu * np.log(mu / p), 0.0).sum())
-    components = {
-        "kl_term": speed * kl,
-        "meta_term": lambda_eta * float(meta.values(np.array([xi]))[0]),
-        "log_q_term": log_q_const,
-    }
-    return MapModelResult(
-        model=model,
-        objective=-components["kl_term"] - components["meta_term"] + components["log_q_term"],
-        components=components,
-        method="multiplicative-update",
-    )
+    log_q = np.full(np.count_nonzero(inside), log_q_const)
+    return _best_model(P, mus[inside], xi[inside], log_q, meta, lambda_eta, speed, "tilt")
 
 
 def misfit_weight(

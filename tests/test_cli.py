@@ -185,6 +185,28 @@ class TestMain:
         assert cli.main(["tilt", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         capsys.readouterr()
 
+    def test_map_polish_overflow_instance_runs_clean(self, tmp_path, capsys):
+        # the multiplicative-update polish overflowed in exp on this instance
+        config = {
+            "command": "meta",
+            "inputs": {
+                "P": [0.186613, 0.382311, 0.431076],
+                "loss_row": [2, 1, 0],
+                "n": 30,
+                "Xi": [1.822, 2.0],
+                "U": {"kind": "identity"},
+                "eta": 1.959639259924845,
+                "model_grid_step": 0.02,
+                "speed": 100,
+            },
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main(["meta", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["method"] == "tilt"
+
     def test_threads_env_fallback(self, monkeypatch):
         monkeypatch.setenv(cli.THREADS_ENV_VAR, "3")
         assert cli._default_threads() == 3
@@ -256,79 +278,105 @@ class TestJsonIo:
         assert text == "a,b\r\n1,0.5\r\n2,-inf\r\n"
 
 
+VALID_CONFIGS = [
+    tilt_config(),
+    {
+        "command": "project",
+        "inputs": {"P": [0.4, 0.6], "potential": [0, 1], "target_interval": [0.7, 0.9]},
+    },
+    {
+        "command": "necessity",
+        "inputs": {
+            "generator": "squared_euclidean",
+            "q": [1 / 3, 1 / 3, 1 / 3],
+            "potential": [0, 1, 2],
+            "target": 0.5,
+        },
+    },
+    {
+        "command": "bayes",
+        "inputs": {
+            "posterior": {"alphabet": [0, 1], "weights": [0.9, 0.1]},
+            "loss": {
+                "prediction_alphabet": [0, 1],
+                "label_alphabet": [0, 1],
+                "entries": [[0, 1], [1, 0]],
+            },
+        },
+    },
+    {
+        "command": "sanov",
+        "inputs": {
+            "P": [0.5, 0.5],
+            "potential": [0, 1],
+            "target_interval": [0.7, 1.0],
+            "n_grid": [10, 15],
+            "method": "exact",
+        },
+    },
+    {
+        "command": "gibbs",
+        "inputs": {"P": [0.5, 0.5], "potential": [0, 1], "Xi": [0.7, 0.8], "n_grid": [15]},
+    },
+    {
+        "command": "rate",
+        "inputs": {"P": [0.5, 0.5], "potential": [0, 1], "xi_grid": [0.25, 0.5, 1.5]},
+    },
+    {
+        "command": "meta",
+        "inputs": {
+            "P": [0.5, 0.5],
+            "loss_row": [0, 1],
+            "n": 12,
+            "Xi": [0.6, 0.9],
+            "U": {"kind": "identity"},
+            "eta": 0.7,
+            "model_grid_step": 0.01,
+        },
+    },
+    {
+        "command": "corr",
+        "inputs": {
+            "sigma_y": 1.0,
+            "epsilon": 0.0,
+            "loss": {"kind": "quadratic"},
+            "r_grid": [0.0, 0.2, 0.4, 0.6, 0.8],
+            "grid_points": 401,
+        },
+    },
+]
+
+
+# Scalar inputs per command that must be finite (speed, tol, sigma_y and
+# model_grid_step also > 0); list-valued ones have their first entry corrupted.
+SCALAR_INPUTS = {
+    "tilt": ("target", "tol"),
+    "project": ("target_interval",),
+    "necessity": ("target",),
+    "sanov": ("target_interval",),
+    "gibbs": ("Xi",),
+    "rate": ("xi_grid",),
+    "meta": ("eta", "Xi", "speed", "model_grid_step"),
+    "corr": ("sigma_y", "epsilon", "x_value"),
+}
+
+
+def with_scalar(config, key, value):
+    config = json.loads(json.dumps(config))
+    inputs = config["inputs"]
+    if isinstance(inputs.get(key), list):
+        inputs[key][0] = value
+    else:
+        inputs[key] = value
+    return config
+
+
 def _fuzz_configs(rng):
     """Seeded stream of valid and corrupted configs across all commands."""
-    valid = [
-        tilt_config(),
-        {
-            "command": "project",
-            "inputs": {"P": [0.4, 0.6], "potential": [0, 1], "target_interval": [0.7, 0.9]},
-        },
-        {
-            "command": "necessity",
-            "inputs": {
-                "generator": "squared_euclidean",
-                "q": [1 / 3, 1 / 3, 1 / 3],
-                "potential": [0, 1, 2],
-                "target": 0.5,
-            },
-        },
-        {
-            "command": "bayes",
-            "inputs": {
-                "posterior": {"alphabet": [0, 1], "weights": [0.9, 0.1]},
-                "loss": {
-                    "prediction_alphabet": [0, 1],
-                    "label_alphabet": [0, 1],
-                    "entries": [[0, 1], [1, 0]],
-                },
-            },
-        },
-        {
-            "command": "sanov",
-            "inputs": {
-                "P": [0.5, 0.5],
-                "potential": [0, 1],
-                "target_interval": [0.7, 1.0],
-                "n_grid": [10, 15],
-                "method": "exact",
-            },
-        },
-        {
-            "command": "gibbs",
-            "inputs": {"P": [0.5, 0.5], "potential": [0, 1], "Xi": [0.7, 0.8], "n_grid": [15]},
-        },
-        {
-            "command": "rate",
-            "inputs": {"P": [0.5, 0.5], "potential": [0, 1], "xi_grid": [0.25, 0.5, 1.5]},
-        },
-        {
-            "command": "meta",
-            "inputs": {
-                "P": [0.5, 0.5],
-                "loss_row": [0, 1],
-                "n": 12,
-                "Xi": [0.6, 0.9],
-                "U": {"kind": "identity"},
-                "eta": 0.7,
-                "model_grid_step": 0.01,
-            },
-        },
-        {
-            "command": "corr",
-            "inputs": {
-                "sigma_y": 1.0,
-                "epsilon": 0.0,
-                "loss": {"kind": "quadratic"},
-                "r_grid": [0.0, 0.2, 0.4, 0.6, 0.8],
-                "grid_points": 401,
-            },
-        },
-    ]
 
     def corrupt(config):
         config = json.loads(json.dumps(config))
-        kind = rng.integers(0, 6)
+        kind = rng.integers(0, 7)
         inputs = config["inputs"]
         if kind == 0 and inputs:
             inputs.pop(sorted(inputs)[rng.integers(0, len(inputs))])
@@ -347,6 +395,10 @@ def _fuzz_configs(rng):
             config["format"] = "xml"
         elif kind == 4:
             config["command"] = "mystery"
+        elif kind == 6 and config["command"] in SCALAR_INPUTS:
+            keys = SCALAR_INPUTS[config["command"]]
+            bad = (math.nan, math.inf, 0.0, -1.0)[rng.integers(0, 4)]
+            return with_scalar(config, keys[rng.integers(0, len(keys))], bad)
         else:
             for key in ("q", "P", "posterior"):
                 if key in inputs:
@@ -357,10 +409,9 @@ def _fuzz_configs(rng):
                 config["seed"] = "not an int"
         return config
 
-    for config in valid:
-        yield config
-    for _ in range(60):
-        base = valid[rng.integers(0, len(valid))]
+    yield from VALID_CONFIGS
+    for _ in range(100):
+        base = VALID_CONFIGS[rng.integers(0, len(VALID_CONFIGS))]
         yield corrupt(base)
 
 
@@ -383,3 +434,31 @@ class TestValidationCompleteness:
                 assert error is not None, config
                 family = self.STATIC_FAMILIES.get(error.exit_code, "numerical")
                 assert diags[0]["family"] == family, (config, diags, error)
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("rate", "xi_grid", math.nan),
+            ("rate", "xi_grid", math.inf),
+            ("corr", "x_value", math.nan),
+            ("corr", "sigma_y", math.nan),
+            ("corr", "epsilon", math.nan),
+            ("tilt", "target", math.nan),
+            ("necessity", "target", math.nan),
+            ("meta", "eta", math.nan),
+            ("meta", "Xi", math.nan),
+            ("meta", "speed", 0.0),
+            ("meta", "speed", -1.0),
+            ("meta", "speed", math.inf),
+            ("tilt", "tol", math.nan),
+            ("tilt", "tol", -1.0),
+        ],
+    )
+    def test_bad_scalar_is_a_validation_error(self, tmp_path, capsys, command, key, value):
+        base = next(c for c in VALID_CONFIGS if c["command"] == command)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(with_scalar(base, key, value)), encoding="utf-8")
+        assert cli.main([command, "--config", str(cfg), "--validate-only"]) == 2
+        assert json.loads(capsys.readouterr().out)["diagnostics"][0]["error"] == "ConfigInvalid"
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "ConfigInvalid" in capsys.readouterr().err

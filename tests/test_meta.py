@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy import optimize
 
 from maxent_bayes import (
@@ -223,6 +225,149 @@ class TestMapModel:
         fast = map_model(BERN_HALF, None, V01, (0.6, 0.9), meta, lambda_eta=0.1, speed=60.0)
         # a faster speed penalizes KL harder, pulling the argmax toward the window edge nearest P
         assert fast.components["kl_term"] / 60.0 <= slow.components["kl_term"] + 1e-12
+
+
+def tilt_of(p, v, lam):
+    """P tilted by exp(-lam V), from the closed form."""
+    a = np.log(p) - lam * v
+    w = np.exp(a - a.max())
+    return w / w.sum()
+
+
+def tilt_onto(p, v, c):
+    """The tilt of P with mean c, its multiplier found by brentq."""
+    lam = optimize.brentq(lambda lam: float(tilt_of(p, v, lam) @ v) - c, -1e3, 1e3, xtol=1e-15)
+    return tilt_of(p, v, lam)
+
+
+def continuous_objective(mu, p, v, meta, lam, speed):
+    """-speed KL(mu || P) - lambda_eta U(V . mu), without the flat log-prior."""
+    mu = np.maximum(mu, 1e-300)
+    return -speed * float(mu @ np.log(mu / p)) - lam * float(meta.values(mu @ v))
+
+
+def grid_maximum(p, v, window, meta, lam, speed, step):
+    grid = simplex_grid(p.size, step)
+    xi = grid @ v
+    inside = (xi >= window[0] - 1e-12) & (xi <= window[1] + 1e-12)
+    best = max(continuous_objective(mu, p, v, meta, lam, speed) for mu in grid[inside])
+    return best - math.log(grid.shape[0])
+
+
+def slsqp_maximum(p, v, window, meta, lam, speed, start):
+    """Best of SLSQP over the simplex and the window, when it ends feasible."""
+    res = optimize.minimize(
+        lambda mu: -continuous_objective(mu, p, v, meta, lam, speed),
+        start,
+        method="SLSQP",
+        bounds=[(0.0, 1.0)] * p.size,
+        constraints=[
+            {"type": "eq", "fun": lambda mu: mu.sum() - 1.0},
+            {"type": "ineq", "fun": lambda mu: mu @ v - window[0]},
+            {"type": "ineq", "fun": lambda mu: window[1] - mu @ v},
+        ],
+        options={"ftol": 1e-15, "maxiter": 1000},
+    )
+    mu = res.x
+    if abs(mu.sum() - 1.0) > 1e-12 or not window[0] <= mu @ v <= window[1]:
+        return -math.inf
+    return -res.fun
+
+
+@st.composite
+def concave_map_instances(draw):
+    """k = 3 instances whose objective is concave on the tilt curve."""
+    raw = np.asarray(draw(st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3)))
+    v = np.asarray(draw(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3)))
+    span = float(np.ptp(v))
+    assume(span > 0.1)
+    lo, hi = sorted(float(v.min()) + span * draw(st.floats(0.0, 1.0)) for _ in range(2))
+    kind = draw(st.sampled_from(("identity", "centered_square")))
+    if kind == "identity":
+        meta, lam = MetaConstraint(kind="identity", eta=0.0), draw(st.floats(-20.0, 20.0))
+    else:
+        center = float(v.min()) + span * draw(st.floats(0.0, 1.0))
+        meta = MetaConstraint(kind="centered_square", eta=0.0, center=center)
+        lam = draw(st.floats(0.0, 50.0))
+    return raw / raw.sum(), v, (lo, hi + 0.1 * span), meta, lam, draw(st.floats(0.2, 20.0))
+
+
+class TestTiltPolish:
+    def test_overflow_instance_is_polished_without_warnings(self):
+        # lambda_eta is the fitted multiplier of this meta config; the
+        # multiplicative update overflowed in exp here, and the suite turns
+        # RuntimeWarning into an error
+        P = dist(0.186613, 0.382311, 0.431076)
+        meta = MetaConstraint(kind="identity", eta=1.959639259924845)
+        result = map_model(
+            P, None, [2.0, 1.0, 0.0], (1.822, 2.0), meta,
+            lambda_eta=-117.70323035796122, speed=100.0, grid_step=0.02,
+        )
+        assert result.method == "tilt"
+        expected = tilt_onto(P.weights, np.array([2.0, 1.0, 0.0]), 1.822)
+        assert np.abs(result.model.weights - expected).sum() / 2 <= 1e-9
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("place", ("inside", "below", "above"))
+    def test_identity_is_the_tilt_by_lambda_over_speed(self, seed, place):
+        rng = np.random.default_rng(seed)
+        p = rng.dirichlet(np.ones(3)) * 0.9 + 0.1 / 3
+        v = np.array([0.0, 1.0, 2.5])
+        lam, speed = float(rng.normal(0.0, 5.0)), float(rng.uniform(0.5, 20.0))
+        free = tilt_of(p, v, lam / speed)
+        xi = float(free @ v)
+        width = 0.3
+        window = {
+            "inside": (xi - width, xi + width),
+            "below": (xi + 0.05, xi + 0.05 + width),  # the tilt's mean lies below the window
+            "above": (xi - 0.05 - width, xi - 0.05),
+        }[place]
+        window = (max(window[0], 0.0), min(window[1], 2.5))
+        assert window[0] < window[1]
+        if place == "inside":
+            expected = free
+        else:
+            expected = tilt_onto(p, v, window[0] if place == "below" else window[1])
+        result = map_model(
+            FiniteDistribution.from_weights(list(p)), None, v, window,
+            MetaConstraint(kind="identity", eta=0.0), lambda_eta=lam, speed=speed,
+        )
+        assert np.abs(result.model.weights - expected).sum() / 2 <= 1e-9
+
+    @given(concave_map_instances())
+    def test_concave_cases_reach_the_continuous_optimum(self, instance):
+        p, v, window, meta, lam, speed = instance
+        step = 0.02
+        result = map_model(
+            FiniteDistribution.from_weights(list(p)), None, v, window, meta,
+            lambda_eta=lam, speed=speed, grid_step=step,
+        )
+        log_q = -math.log(simplex_grid(3, step).shape[0])
+        assert result.objective >= grid_maximum(p, v, window, meta, lam, speed, step) - 1e-12
+        reference = slsqp_maximum(p, v, window, meta, lam, speed, np.full(3, 1.0 / 3.0))
+        assert result.objective - log_q >= reference - 1e-9
+
+    def test_reference_with_a_zero_weight_is_polished(self):
+        # the polish used to bail out when P had a zero weight; the optimum is
+        # the tilt of (0.5, 0.5) onto the window end 0.61, between grid points
+        P = dist(0.5, 0.5, 0.0)
+        v = [0.0, 1.0, 2.0]
+        meta = MetaConstraint(kind="identity", eta=0.0)
+        result = map_model(P, None, v, (0.61, 0.9), meta, lambda_eta=1.0, grid_step=0.02)
+        assert result.method == "tilt"
+        assert result.model.weights == pytest.approx([0.39, 0.61, 0.0], abs=1e-12)
+        grid = simplex_grid(3, 0.02)
+        xi = grid @ np.asarray(v)
+        best = max(
+            -kl_divergence(FiniteDistribution(P.alphabet, mu), P) - 1.0 * float(mu @ v)
+            for mu in grid[(xi >= 0.61) & (xi <= 0.9) & (grid[:, 2] == 0.0)]
+        ) - math.log(grid.shape[0])
+        assert result.objective >= best
+
+    def test_speed_must_be_finite_and_positive(self):
+        for speed in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                map_model(BERN_HALF, None, V01, (0.6, 0.9), flat_meta(), lambda_eta=0.1, speed=speed)
 
 
 class TestMisfitWeight:
