@@ -10,7 +10,8 @@ Commands: bayes, tilt, project, necessity, sanov, gibbs, rate, meta, corr.
 Every command validates its config before any computation starts (inputs
 per command, with defaults and domains: README.md, "Config inputs"; every
 scalar input must be a finite real, and tol, speed, sigma_y and
-model_grid_step also > 0), writes its outputs plus a run manifest with
+model_grid_step also > 0; every count a JSON integer, not a bool or a
+float), writes its outputs plus a run manifest with
 per-output checksums, and echoes the result JSON to stdout.  Exit codes by
 error family: validation 2, infeasible 3, numerical 4, resource 5.
 """
@@ -55,7 +56,7 @@ from .measures import (
     bayes_classifier,
     kl_divergence,
 )
-from .meta import MetaConstraint, run_meta_pipeline
+from .meta import MetaConstraint, model_grid_step, run_meta_pipeline
 from .tilting import (
     ConstraintSpec,
     DivergenceSpec,
@@ -133,6 +134,13 @@ def _real(value, what: str, positive: bool = False) -> float:
     return x
 
 
+def _count(value, what: str, least: int) -> int:
+    """A count input: a JSON integer (not a bool or a float) >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigInvalid(f"{what} must be an integer >= {least}, got {value!r}")
+    return value
+
+
 def _reals(values, what: str) -> tuple[float, ...]:
     if not isinstance(values, (list, tuple)):
         raise ConfigInvalid(f"{what} must be a list of reals")
@@ -194,20 +202,13 @@ def _n_grid_from(inputs: dict, key: str = "n_grid") -> list[int]:
     grid = _require(inputs, key)
     if not isinstance(grid, (list, tuple)) or not grid:
         raise ConfigInvalid(f"{key} must be a non-empty list of positive integers")
-    out = []
-    for n in grid:
-        if not isinstance(n, int) or n < 1:
-            raise ConfigInvalid(f"{key} entries must be positive integers, got {n!r}")
-        out.append(n)
-    return out
+    return [_count(n, f"{key} entry", 1) for n in grid]
 
 
-def _guard_table(k: int, n: int) -> None:
+def _guard_table(k: int, n: int, what: str = "enumeration") -> None:
     size = table_size(k, n)
     if size > TABLE_CAP:
-        raise TableTooLarge(
-            f"enumeration for k={k}, n={n} needs {size} type classes (cap {TABLE_CAP})"
-        )
+        raise TableTooLarge(f"{what} for k={k}, n={n} needs {size} type classes (cap {TABLE_CAP})")
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +315,10 @@ def _prepare_sanov(inputs: dict) -> RunPlan:
     method = inputs.get("method", "exact")
     if method not in ("exact", "monte-carlo"):
         raise ConfigInvalid(f"method must be exact or monte-carlo, got {method!r}")
-    trials = int(inputs.get("trials", 100_000))
+    trials = _count(inputs.get("trials", 100_000), "trials", 1000)
     if method == "exact":
         for n in n_grid:
             _guard_table(P.size, n)
-    elif trials < 1000:
-        raise ConfigInvalid("monte-carlo needs at least 1000 trials")
 
     def execute(ctx: RunContext) -> dict:
         if method == "exact":
@@ -381,14 +380,12 @@ def _prepare_gibbs(inputs: dict) -> RunPlan:
 def _prepare_rate(inputs: dict) -> RunPlan:
     P = _as_distribution(_require(inputs, "P"), "P")
     v = _as_potential_list(_require(inputs, "potential"), P.size)
+    points = _count(inputs.get("points", 50), "points", 2)
     if "xi_grid" in inputs:
         xi_grid = list(_reals(inputs["xi_grid"], "xi_grid"))
         if not xi_grid:
             raise ConfigInvalid("xi_grid must be non-empty")
     else:
-        points = int(inputs.get("points", 50))
-        if points < 2:
-            raise ConfigInvalid("points must be at least 2")
         xi_grid = list(np.linspace(*attainable_range(P, v), points))
 
     def execute(ctx: RunContext) -> dict:
@@ -407,9 +404,7 @@ def _prepare_rate(inputs: dict) -> RunPlan:
 def _prepare_meta(inputs: dict) -> RunPlan:
     P = _as_distribution(_require(inputs, "P"), "P")
     v = _as_potential_list(_require(inputs, "loss_row"), P.size)
-    n = _require(inputs, "n")
-    if not isinstance(n, int) or n < 1:
-        raise ConfigInvalid("n must be a positive integer")
+    n = _count(_require(inputs, "n"), "n", 1)
     _guard_table(P.size, n)
     lo, hi = _window_from(inputs, P, v)
     u_spec = _require(inputs, "U")
@@ -436,6 +431,8 @@ def _prepare_meta(inputs: dict) -> RunPlan:
         step = _real(step, "model_grid_step", positive=True)
         if abs(round(1.0 / step) * step - 1.0) > 1e-9:
             raise ConfigInvalid(f"model_grid_step {step!r} must divide 1")
+    grid_step = model_grid_step(P.size, step)
+    _guard_table(P.size, round(1.0 / grid_step), f"model grid with step {grid_step!r}")
     speed = _real(inputs.get("speed", 1.0), "speed", positive=True)
 
     def execute(ctx: RunContext) -> dict:
@@ -475,7 +472,7 @@ def _prepare_corr(inputs: dict) -> RunPlan:
             f"epsilon {epsilon!r} exceeds the envelope variance at r={max_r!r}"
         )
     x_value = _real(inputs.get("x_value", 0.0), "x_value")
-    grid_points = int(inputs.get("grid_points", 2001))
+    grid_points = _count(inputs.get("grid_points", 2001), "grid_points", 3)
 
     def execute(ctx: RunContext) -> dict:
         curve = loss_correlation_curve(
@@ -530,8 +527,7 @@ def prepare(config: dict, command: str | None = None) -> RunPlan:
     fmt = config.get("format", "both")
     if fmt not in FORMATS:
         raise ConfigInvalid(f"format must be one of {FORMATS}")
-    seed = config.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0 or seed >= 2 ** 64:
+    if _count(config.get("seed", 0), "seed", 0) >= 2 ** 64:
         raise ConfigInvalid("seed must be a 64-bit non-negative integer")
     out_dir = config.get("output_dir", ".")
     if not isinstance(out_dir, str):
@@ -575,7 +571,7 @@ def run(
     fmt = fmt or config.get("format", "both")
     if fmt not in FORMATS:
         raise ConfigInvalid(f"format must be one of {FORMATS}")
-    seed = seed if seed is not None else int(config.get("seed", 0))
+    seed = seed if seed is not None else config.get("seed", 0)
     if seed < 0 or seed >= 2 ** 64:
         raise ConfigInvalid("seed must be a 64-bit non-negative integer")
     threads = threads if threads is not None else _default_threads()

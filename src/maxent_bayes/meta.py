@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import EmptyEvent, EmptyFeasibleSet, NonConvergence, TableTooLarge
-from .ldp import _compositions, enumerate_types, table_size
+from .ldp import TABLE_CAP, _compositions, enumerate_types, table_size
 from .measures import (
     Alphabet,
     FiniteDistribution,
@@ -206,14 +206,19 @@ def _self_consistent_center(reference: ErrorDistribution, eta: float, tol: float
     return m
 
 
+def model_grid_step(k: int, grid_step: float | None = None) -> float:
+    """The MAP model grid step: ``grid_step`` if given, else the default for k."""
+    return grid_step if grid_step is not None else DEFAULT_GRID_STEPS.get(k, 0.05)
+
+
 def simplex_grid(k: int, step: float) -> np.ndarray:
     """Uniform mesh over the k-simplex with the given step (must divide 1)."""
     cells = round(1.0 / step)
     if abs(cells * step - 1.0) > 1e-9:
         raise ValueError(f"grid step {step!r} must divide 1")
     size = table_size(k, cells)
-    if size > 10_000_000:
-        raise TableTooLarge(f"model grid of {size} points exceeds cap")
+    if size > TABLE_CAP:
+        raise TableTooLarge(f"model grid of {size} points exceeds cap {TABLE_CAP}")
     return _compositions(cells, k) / cells
 
 
@@ -307,8 +312,7 @@ def map_model(
     if lo > hi:
         raise ValueError("window must satisfy lo <= hi")
     k = P.size
-    step = grid_step if grid_step is not None else DEFAULT_GRID_STEPS.get(k, 0.05)
-    grid = simplex_grid(k, step)
+    grid = simplex_grid(k, model_grid_step(k, grid_step))
 
     xi_vals = grid @ v
     feasible = (xi_vals >= lo - WINDOW_TOLERANCE) & (xi_vals <= hi + WINDOW_TOLERANCE)

@@ -4,20 +4,21 @@ The core primitive is the exponential tilt p_lam = q * exp(-lam * V) / Z(lam),
 the unique distribution matching a mean constraint V . p = c while staying as
 close as possible (in relative entropy) to the reference q.
 
-Every projection onto {p : V . p = c} is a root in its constraint
-multipliers, with the primal in closed form:
+Every projection onto {p : V . p = c} has its primal in closed form in the
+constraint multipliers:
 
 * relative entropy: p = q exp(-lam V) / Z, a 1-D root in lam; the mean
   decreases in lam, and the bracket doubles until the sign changes;
 * reverse relative entropy: p_i = q_i / (1 + beta (v_i - c)), a 1-D root in
   beta on the closed-form bracket (-1 / (max V - c), 1 / (c - min V));
 * squared Euclidean and chi-squared: p_i = max(q_i + (a + b v_i) / G'', 0),
-  from the concave 2-D dual by damped Newton with an active-set Jacobian.
+  exact in at most k closed-form steps of an active-set walk in b.
 
-The 1-D roots share one safeguarded bracketed root finder.  Partition-function
-arithmetic is in the log domain with max-subtraction, so large multipliers
-neither overflow nor underflow.  ``resolve_target`` is the one place that
-decides whether a point or window target is reachable.
+The 1-D roots share one safeguarded bracketed root finder, the only
+iterative solve in the package.  Partition-function arithmetic is in the log
+domain with max-subtraction, so large multipliers neither overflow nor
+underflow.  ``resolve_target`` is the one place that decides whether a point
+or window target is reachable.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ DEFAULT_TILT_TOL = 1e-10
 DEFAULT_PROJECTION_TOL = 1e-8
 # Safety net only: each root step either halves |f| or halves the bracket.
 ROOT_STEP_CAP = 200
-DUAL_NEWTON_CAP = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,43 +347,13 @@ def i_projection(
 # ---------------------------------------------------------------------------
 # General-divergence projections
 # ---------------------------------------------------------------------------
-def _generator_functions(
-    spec: DivergenceSpec, q: np.ndarray
-) -> tuple[
-    Callable[[np.ndarray], float],
-    Callable[[np.ndarray], np.ndarray],
-    Callable[[np.ndarray], np.ndarray],
-]:
-    """Objective G(p, q), gradient, and diagonal Hessian in p, closed over q.
-
-    The relative-entropy derivatives assume strictly positive p on the
-    support of q; the quadratic generators have a constant Hessian.
-    """
-    if spec.generator == "kl":
-        return (
-            lambda p: float(np.sum(p * np.log(p / q))),
-            lambda p: np.log(p / q) + 1.0,
-            lambda p: 1.0 / p,
-        )
-    if spec.generator == "reverse_kl":
-        return (
-            lambda p: float(np.sum(q * np.log(q / p))),
-            lambda p: -q / p,
-            lambda p: q / (p * p),
-        )
-    if spec.generator == "squared_euclidean":
-        return (
-            lambda p: 0.5 * float(np.sum((p - q) ** 2)),
-            lambda p: p - q,
-            lambda p: np.ones_like(p),
-        )
-    if spec.generator == "chi_squared":
-        return (
-            lambda p: float(np.sum((p - q) ** 2 / q)),
-            lambda p: 2.0 * (p - q) / q,
-            lambda p: 2.0 / q,
-        )
-    raise UnsupportedGenerator(f"generator {spec.generator!r} has no closed-form derivative")
+# Gradient in p of each generator G(p, q); relative entropy needs p > 0 where q > 0.
+_GRADIENTS = {
+    "kl": lambda p, q: np.log(p / q) + 1.0,
+    "reverse_kl": lambda p, q: -q / p,
+    "squared_euclidean": lambda p, q: p - q,
+    "chi_squared": lambda p, q: 2.0 * (p - q) / q,
+}
 
 
 def _kkt_residual(grad: np.ndarray, v: np.ndarray) -> float:
@@ -429,64 +399,53 @@ def _reverse_kl_projection(q: np.ndarray, v: np.ndarray, c: float) -> np.ndarray
 def _quadratic_projection(
     spec: DivergenceSpec, q: np.ndarray, v: np.ndarray, c: float
 ) -> np.ndarray:
-    """Squared-Euclidean or chi-squared projection through its 2-D dual.
+    """Squared-Euclidean or chi-squared projection by an exact active-set walk.
 
     For p >= 0 the Lagrangian G(p) - a (sum p - 1) - b (V . p - c) is
-    minimized by p_i = max(q_i + h_i (a + b v_i), 0) with h = 1 / G''.  The
-    dual is concave with gradient (1 - sum p, c - V . p), and minus its
-    Hessian is sum h_i (1, v_i)(1, v_i)^T over the active (positive)
-    entries.  Damped Newton steps backtrack on the dual objective until the
-    constraint residual reaches round-off; the dual is quadratic on each
-    active set, so a full step that keeps the active set lands on the root.
-    V is measured from the active atom of largest h, re-chosen every step:
-    that atom's term a + b (v_i - anchor) = a then stays O(1) even when the
-    slope b is huge (mass moved onto atoms with tiny q under chi-squared).
+    minimized by p_i = max(q_i + h_i (a + b v_i), 0) with h = 1 / G'', up to
+    a factor that a and b absorb: 1, or q for chi-squared.  With V and c
+    negated if need be so that c > V . q, raise b from 0, where p = q.  On a
+    fixed active set S, normalisation fixes a, so
+
+        p_S = base + b h_S (d - dbar),  base = q_S + h_S (1 - q(S)) / h(S),
+
+    with d the values of V measured from the active atom of largest h and
+    dbar their h-weighted mean on S; V . p rises with slope
+    sum_S h (d - dbar)^2.  Each piece takes the b that meets c unless a
+    falling atom (d < dbar) reaches 0 first; then that atom is dropped and
+    the walk goes on.  Only falling atoms leave, so dbar grows and a clamped
+    atom never returns: at most k pieces, each in closed form.  Per piece, h
+    is taken relative to the anchor atom and d relative to the spread of V
+    on S (the step is then b times both scales), which keeps the step and
+    the slope finite when q spans hundreds of orders of magnitude.
     """
-    objective, _, hess_diag = _generator_functions(spec, q)
-    h = 1.0 / hess_diag(q)
-    aim = 1e-14 * (1.0 + float(np.abs(v).max()))
-
-    def primal(theta: np.ndarray, anchor: float) -> np.ndarray:
-        return np.maximum(q + h * (theta[0] + theta[1] * (v - anchor)), 0.0)
-
-    def gap(p: np.ndarray, anchor: float) -> np.ndarray:
-        return np.array([1.0 - p.sum(), (c - anchor) - float(np.dot(p, v - anchor))])
-
-    theta, anchor, p = np.zeros(2), 0.0, q
-    for _ in range(DUAL_NEWTON_CAP):
-        if np.any(p > 0.0):
-            new_anchor = float(v[p > 0.0][np.argmax(h[p > 0.0])])
-            theta = np.array([theta[0] + theta[1] * (new_anchor - anchor), theta[1]])
-            anchor = new_anchor
-            p = primal(theta, anchor)
-        grad = gap(p, anchor)
-        residual = float(np.abs(grad).max())
-        if residual <= aim:
-            break
-        value = objective(p) + float(theta @ grad)
-        active = p > 0.0
-        offsets = v[active] - anchor
-        basis = np.stack([np.ones_like(offsets), offsets])
-        jac = (basis * h[active]) @ basis.T
-        newton = np.linalg.det(jac) > 1e-12 * jac[0, 0] * jac[1, 1]
-        # fewer than two distinct active values leave jac singular: steepest ascent
-        direction = np.linalg.solve(jac, grad) if newton else grad
-        slope = float(grad @ direction)
-        t = 1.0
-        while t > 1e-12:
-            cand = theta + t * direction
-            p_cand = primal(cand, anchor)
-            grad_cand = gap(p_cand, anchor)
-            # the residual test takes over where dual values differ only by round-off
-            if objective(p_cand) + float(cand @ grad_cand) >= value + 1e-4 * t * slope or (
-                float(np.abs(grad_cand).max()) <= (1.0 - 1e-4 * t) * residual
-            ):
-                break
-            t *= 0.5
-        else:
-            break  # no ascent left at float resolution
-        theta, p = cand, p_cand
-    return p
+    if float(np.dot(q, v)) > c:
+        v, c = -v, -c
+    h = q if spec.generator == "chi_squared" else np.ones_like(q)
+    active = np.ones(q.size, dtype=bool)
+    while True:
+        qs, vs = q[active], v[active]
+        top = int(np.argmax(h[active]))
+        w = h[active] / h[active][top]
+        spread = float(vs.max() - vs.min()) or 1.0  # any scale for a single value
+        d = (vs - vs[top]) / spread
+        # 1 - q(S) is the clamped mass; round-off must not make base negative
+        base = qs + w * (max(1.0 - float(qs.sum()), 0.0) / float(w.sum()))
+        dbar = float(np.dot(w, d)) / float(w.sum())
+        move = w * (d - dbar)
+        slope = float(np.dot(move, d - dbar))
+        need = (c - vs[top]) / spread - float(np.dot(base, d))
+        # relative speed at which each atom falls; the fastest reaches 0 first
+        # (a speed past the float range comes from a subnormal base: one at 0)
+        with np.errstate(over="ignore"):
+            fall = -move / base
+        first = int(np.argmax(fall))
+        if need * float(fall[first]) <= slope:
+            step = need / slope if slope > 0.0 else 0.0
+            p = np.zeros_like(q)
+            p[active] = np.maximum(base + step * move, 0.0)
+            return p
+        active[np.flatnonzero(active)[first]] = False
 
 
 def divergence_projection(
@@ -498,9 +457,11 @@ def divergence_projection(
     """Minimize the named divergence G(p, q) over {p : V . p = c}.
 
     Each generator's minimizer is closed-form in the constraint multipliers
-    (see the module docstring), which are solved to float resolution.  Point
-    targets must lie strictly inside the attainable range.  Raises
-    NonConvergence if a constraint residual is still above ``tol``.
+    (see the module docstring): relative entropy and reverse relative
+    entropy solve them as a 1-D root to float resolution, and the quadratic
+    generators find them exactly by an active-set walk.  Point targets must
+    lie strictly inside the attainable range.  The constraint residual is
+    checked as a safety net: NonConvergence if it is still above ``tol``.
     """
     v_full = as_potential(constraint.potential, q.alphabet)
     c, _ = resolve_target(q, v_full, constraint.target, tol)
@@ -558,5 +519,4 @@ def stationarity_residual(spec: DivergenceSpec, candidate: TiltedDistribution) -
     p = p_full[sup]
     q = candidate.reference.weights[sup]
     v = candidate.potential[sup]
-    _, gradient, _ = _generator_functions(spec, q)
-    return _kkt_residual(gradient(p), v)
+    return _kkt_residual(_GRADIENTS[spec.generator](p, q), v)

