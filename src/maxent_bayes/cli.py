@@ -8,10 +8,11 @@ Usage:
 Commands: bayes, tilt, project, necessity, sanov, gibbs, rate, meta, corr.
 
 Every command validates its config before any computation starts (inputs
-per command, with defaults and domains: README.md, "Config inputs"; every
-scalar input must be a finite real, and tol, speed, sigma_y and
-model_grid_step also > 0; every count a JSON integer, not a bool or a
-float), writes its outputs plus a run manifest with
+per command, with defaults and domains: README.md, "Config inputs"; an
+input key the command does not read is an error, also inside the U and
+loss objects; every scalar input must be a finite real, and speed,
+sigma_y and model_grid_step also > 0; every count a JSON integer, not a
+bool or a float), writes its outputs plus a run manifest with
 per-output checksums, and echoes the result JSON to stdout.  Exit codes by
 error family: validation 2, infeasible 3, numerical 4, resource 5.
 """
@@ -70,8 +71,23 @@ from .tilting import (
 )
 
 THREADS_ENV_VAR = "MAXENT_BAYES_THREADS"
-COMMANDS = ("bayes", "tilt", "project", "necessity", "sanov", "gibbs", "rate", "meta", "corr")
 FORMATS = ("csv", "json", "both")
+# The input keys each command reads; an object input maps to the keys it reads.
+INPUT_KEYS = {
+    "bayes": {"posterior": None, "loss": ("prediction_alphabet", "label_alphabet", "entries")},
+    "tilt": {"q": None, "potential": None, "target": None},
+    "project": {"P": None, "potential": None, "target": None, "target_interval": None},
+    "necessity": {"generator": None, "q": None, "potential": None, "target": None},
+    "sanov": {"P": None, "potential": None, "target": None, "target_interval": None,
+              "n_grid": None, "method": None, "trials": None},
+    "gibbs": {"P": None, "potential": None, "Xi": None, "n_grid": None},
+    "rate": {"P": None, "potential": None, "points": None, "xi_grid": None},
+    "meta": {"P": None, "loss_row": None, "n": None, "Xi": None, "eta": None,
+             "U": ("kind", "center", "table_xi", "table_u"), "model_grid_step": None, "speed": None},
+    "corr": {"loss": ("kind", "delta", "scale"), "r_grid": None, "sigma_y": None, "epsilon": None,
+             "x_value": None, "grid_points": None},
+}
+COMMANDS = tuple(INPUT_KEYS)
 
 
 @dataclass
@@ -120,6 +136,12 @@ def _require(inputs: dict, key: str):
     if key not in inputs:
         raise ConfigInvalid(f"missing required input {key!r}")
     return inputs[key]
+
+
+def _check_keys(obj: dict, known, what: str) -> None:
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ConfigInvalid(f"{what} has keys the command does not read: {', '.join(map(str, unknown))}")
 
 
 def _real(value, what: str, positive: bool = False) -> float:
@@ -238,11 +260,10 @@ def _prepare_tilt(inputs: dict) -> RunPlan:
     q = _as_distribution(_require(inputs, "q"), "q")
     v = _as_potential_list(_require(inputs, "potential"), q.size)
     c = _real(_require(inputs, "target"), "target")
-    tol = _real(inputs.get("tol", 1e-10), "tol", positive=True)
-    resolve_target(q, v, c, tol)
+    resolve_target(q, v, c)
 
     def execute(ctx: RunContext) -> dict:
-        tilt, report = solve_tilt_with_report(q, v, c, tol)
+        tilt, report = solve_tilt_with_report(q, v, c)
         payload = {
             "lambda": tilt.lam,
             "realized": [float(w) for w in tilt.realized.weights],
@@ -524,6 +545,10 @@ def prepare(config: dict, command: str | None = None) -> RunPlan:
     inputs = config.get("inputs")
     if not isinstance(inputs, dict):
         raise ConfigInvalid("config must carry an inputs object")
+    _check_keys(inputs, INPUT_KEYS[cmd], "inputs")
+    for key, known in INPUT_KEYS[cmd].items():
+        if known and isinstance(inputs.get(key), dict):
+            _check_keys(inputs[key], known, key)
     fmt = config.get("format", "both")
     if fmt not in FORMATS:
         raise ConfigInvalid(f"format must be one of {FORMATS}")

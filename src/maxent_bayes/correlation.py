@@ -8,8 +8,8 @@ point mass at m, the simplest distribution whose variance falls short of the
 Gaussian envelope by exactly epsilon.
 
 Everything is evaluated on a finite quadrature grid so the claims stay
-exactly checkable: grids span +/-8 conditional standard deviations by
-default, wide enough that truncation error in second moments sits below
+exactly checkable: grids span +/-8 conditional standard deviations,
+wide enough that truncation error in second moments sits below
 1e-12 and the quadratic-loss expansion check can be held to 1e-8.
 """
 
@@ -25,10 +25,12 @@ from .errors import GridTooCoarse, NumericalError, UnsupportedLoss
 from .ldp import _fit_line
 
 DEFAULT_GRID_POINTS = 2001
-DEFAULT_GRID_RADIUS = 8.0  # in conditional standard deviations
+GRID_RADIUS = 8.0  # in conditional standard deviations
 QUADRATURE_ANCHOR_RTOL = 1e-4
 
-SUPPORTED_LOSSES = ("quadratic", "huber", "quartic")
+# Each supported loss and the one parameter it takes, if any (default 1.0).
+LOSS_PARAMETERS = {"quadratic": None, "huber": "delta", "quartic": "scale"}
+SUPPORTED_LOSSES = tuple(LOSS_PARAMETERS)
 
 
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
@@ -71,11 +73,12 @@ class LossFunction:
 
 
 def loss_function(kind: str, **params) -> LossFunction:
-    if kind == "huber":
-        return LossFunction("huber", float(params.get("delta", 1.0)))
-    if kind == "quartic":
-        return LossFunction("quartic", float(params.get("scale", 1.0)))
-    return LossFunction(kind)
+    """The loss ``kind`` with its parameter, if any; any other keyword is a ValueError."""
+    name = LOSS_PARAMETERS.get(kind)
+    unknown = sorted(set(params) - {name})
+    if unknown:
+        raise ValueError(f"loss {kind!r} takes no parameter {', '.join(unknown)}")
+    return LossFunction(kind, float(params.get(name, 1.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,7 +89,6 @@ class GaussianPairModel:
     r: float
     epsilon: float = 0.0
     grid_points: int = DEFAULT_GRID_POINTS
-    grid_radius: float = DEFAULT_GRID_RADIUS
 
     def __post_init__(self):
         if self.sigma_y <= 0:
@@ -131,8 +133,8 @@ class GaussianPairModel:
         return y, w / w.sum()
 
     def _gaussian_quadrature(self, m: float, s: float) -> tuple[np.ndarray, np.ndarray]:
-        """Grid over m +/- radius * s and trapezoid weights times the N(m, s^2) density."""
-        y = np.linspace(m - self.grid_radius * s, m + self.grid_radius * s, self.grid_points)
+        """Grid over m +/- GRID_RADIUS * s and trapezoid weights times the N(m, s^2) density."""
+        y = np.linspace(m - GRID_RADIUS * s, m + GRID_RADIUS * s, self.grid_points)
         density = np.exp(-0.5 * ((y - m) / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
         return y, density * _trapezoid_weights(y)
 
@@ -151,7 +153,7 @@ class GaussianPairModel:
         pm = self.point_mass_weight()
         return (1.0 - pm) * gaussian_part + pm * float(loss.value(m, np.array([m]))[0])
 
-    def joint_mass(self, x_points: int | None = None) -> float:
+    def joint_mass(self) -> float:
         """Trapezoid mass of the discretized joint law (1 by construction up to tails).
 
         The y-grid is centred on the conditional mean, so the conditional
@@ -159,7 +161,7 @@ class GaussianPairModel:
         """
         if self.r == 1.0:
             return 1.0
-        x = np.linspace(-self.grid_radius, self.grid_radius, x_points or self.grid_points)
+        x = np.linspace(-GRID_RADIUS, GRID_RADIUS, self.grid_points)
         marginal = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
         marginal_mass = float(np.dot(_trapezoid_weights(x), marginal))
         _, w = self._gaussian_quadrature(0.0, math.sqrt(self.envelope_variance))
@@ -258,7 +260,6 @@ def loss_correlation_curve(
     epsilon: float = 0.0,
     x_value: float = 0.0,
     grid_points: int = DEFAULT_GRID_POINTS,
-    grid_radius: float = DEFAULT_GRID_RADIUS,
 ) -> LossCurve:
     """Expected loss across a correlation grid, regressed on (1 - r^2).
 
@@ -272,10 +273,7 @@ def loss_correlation_curve(
         raise ValueError("correlations must lie in [0, 1)")
     losses = []
     for r in rs:
-        model = GaussianPairModel(
-            sigma_y=sigma_y, r=r, epsilon=epsilon,
-            grid_points=grid_points, grid_radius=grid_radius,
-        )
+        model = GaussianPairModel(sigma_y=sigma_y, r=r, epsilon=epsilon, grid_points=grid_points)
         losses.append(model.conditional_expected_loss(x_value, loss))
 
     order = np.argsort(rs)

@@ -15,7 +15,6 @@ a single n would not.
 
 from __future__ import annotations
 
-import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -28,8 +27,12 @@ from .measures import FiniteDistribution, as_potential, total_variation
 from .tilting import ConstraintSpec, TiltedDistribution, i_projection
 
 TABLE_CAP = 10_000_000
-# Slack for testing whether a rational type mean j/n lies in a float window.
-MEMBERSHIP_TOLERANCE = 1e-12
+# The one band around expected-loss windows and values: a rational type mean
+# j/n counts as inside a float window, and two values xi as equal, within it.
+XI_BAND = 1e-12
+# Monte Carlo trials per sampling block.  Each block draws from its own
+# stream, keyed by its index, so this size fixes every Monte Carlo output.
+MC_BLOCK_SIZE = 65536
 WILSON_Z = 1.959963984540054  # 95% normal quantile
 MIN_EXPECTED_HITS = 10
 
@@ -50,19 +53,24 @@ def table_size(k: int, n: int) -> int:
 
 
 def _compositions(n: int, k: int) -> np.ndarray:
-    """All count vectors of length k summing to n, in lexicographic bar order."""
-    if k == 1:
-        return np.array([[n]], dtype=np.int64)
-    bars = np.fromiter(
-        (b for combo in itertools.combinations(range(n + k - 1), k - 1) for b in combo),
-        dtype=np.int64,
-    ).reshape(-1, k - 1)
-    counts = np.empty((bars.shape[0], k), dtype=np.int64)
-    counts[:, 0] = bars[:, 0]
-    if k > 2:
-        counts[:, 1:-1] = np.diff(bars, axis=1) - 1
-    counts[:, -1] = (n + k - 2) - bars[:, -1]
-    return counts
+    """All count vectors of length k summing to n, in lexicographic order.
+
+    Part by part: each row with r units left becomes r + 1 rows whose next
+    part runs 0..r; the last part takes what is left.
+    """
+    counts = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([n], dtype=np.int64)
+    for _ in range(k - 1):
+        reps = left + 1
+        part = np.arange(int(reps.sum()), dtype=np.int64) - np.repeat(np.cumsum(reps) - reps, reps)
+        counts = np.column_stack([np.repeat(counts, reps, axis=0), part])
+        left = np.repeat(left, reps) - part
+    return np.column_stack([counts, left])
+
+
+def in_window(x, lo: float, hi: float):
+    """Whether x (a value or an array) lies in [lo, hi] widened by XI_BAND."""
+    return (x >= lo - XI_BAND) & (x <= hi + XI_BAND)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,9 +123,7 @@ def _window(constraint: ConstraintSpec) -> tuple[float, float]:
 
 
 def _event_mask(table: TypeClassTable, v: np.ndarray, constraint: ConstraintSpec) -> np.ndarray:
-    lo, hi = _window(constraint)
-    means = table.frequencies() @ v
-    return (means >= lo - MEMBERSHIP_TOLERANCE) & (means <= hi + MEMBERSHIP_TOLERANCE)
+    return in_window(table.frequencies() @ v, *_window(constraint))
 
 
 @dataclass(frozen=True)
@@ -266,7 +272,6 @@ def sanov_monte_carlo(
     n_grid: Sequence[int],
     trials: int,
     threads: int = 1,
-    block_size: int = 65536,
 ) -> RateEstimate:
     """Monte Carlo estimate of the same decay rate, for cross-checking.
 
@@ -281,14 +286,12 @@ def sanov_monte_carlo(
     lo, hi = _window(constraint)
 
     def hits_for(n: int) -> int:
-        n_blocks = (trials + block_size - 1) // block_size
-        sizes = [min(block_size, trials - b * block_size) for b in range(n_blocks)]
+        n_blocks = (trials + MC_BLOCK_SIZE - 1) // MC_BLOCK_SIZE
+        sizes = [min(MC_BLOCK_SIZE, trials - b * MC_BLOCK_SIZE) for b in range(n_blocks)]
 
         def block_hits(b: int) -> int:
             counts = sampler.multinomial_block(n, b, sizes[b])
-            means = counts @ v / n
-            sel = (means >= lo - MEMBERSHIP_TOLERANCE) & (means <= hi + MEMBERSHIP_TOLERANCE)
-            return int(np.count_nonzero(sel))
+            return int(np.count_nonzero(in_window(counts @ v / n, lo, hi)))
 
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -406,13 +409,12 @@ def error_rate_function(
 class ContractedRate:
     """Grid-level pushforward of a rate function: J(eta) = min I over the preimage."""
 
-    def __init__(self, etas: np.ndarray, rates: np.ndarray, merge_tol: float):
+    def __init__(self, etas: np.ndarray, rates: np.ndarray):
         self.etas = etas
         self.rates = rates
-        self.merge_tol = merge_tol
 
     def __call__(self, eta: float) -> float:
-        idx = np.flatnonzero(np.abs(self.etas - eta) <= self.merge_tol)
+        idx = np.flatnonzero(np.abs(self.etas - eta) <= XI_BAND)
         if idx.size == 0:
             raise EmptyPreimage(f"no grid point maps to {eta!r}")
         return float(self.rates[idx[0]])
@@ -424,18 +426,18 @@ class ContractedRate:
 def contract_rate(
     rate_points: Sequence[RatePoint],
     pushforward: Callable[[float], float],
-    merge_tol: float = 1e-12,
 ) -> ContractedRate:
-    """Push the rate grid through a map, taking the min rate per image value."""
+    """Push the rate grid through a map, taking the min rate per image value
+    (image values within XI_BAND of each other count as one)."""
     etas = np.asarray([pushforward(p.xi) for p in rate_points], dtype=float)
     rates = np.asarray([p.rate for p in rate_points], dtype=float)
     order = np.argsort(etas, kind="stable")
     merged_e: list[float] = []
     merged_r: list[float] = []
     for e, r in zip(etas[order], rates[order]):
-        if merged_e and abs(e - merged_e[-1]) <= merge_tol:
+        if merged_e and abs(e - merged_e[-1]) <= XI_BAND:
             merged_r[-1] = min(merged_r[-1], float(r))
         else:
             merged_e.append(float(e))
             merged_r.append(float(r))
-    return ContractedRate(np.asarray(merged_e), np.asarray(merged_r), merge_tol)
+    return ContractedRate(np.asarray(merged_e), np.asarray(merged_r))

@@ -81,9 +81,8 @@ class FiniteDistribution:
 
     alphabet: Alphabet
     weights: np.ndarray
-    tau_norm: float = NORM_TOLERANCE
 
-    def __init__(self, alphabet: Alphabet, weights, tau_norm: float = NORM_TOLERANCE):
+    def __init__(self, alphabet: Alphabet, weights):
         w = np.asarray(weights, dtype=float)
         if w.shape != (alphabet.size,):
             raise ValueError(f"weights must have length {alphabet.size}, got {w.shape}")
@@ -96,13 +95,12 @@ class FiniteDistribution:
             raise ValueError(f"weights sum to {total!r}, further than {RENORMALIZE_TOLERANCE} from 1")
         if total == 0.0:
             raise ValueError("distribution must have non-empty support")
-        # renormalize only outside tau_norm, so construction is idempotent and
-        # copies stay bit-identical
-        if abs(total - 1.0) > tau_norm:
+        # renormalize only outside NORM_TOLERANCE, so construction is
+        # idempotent and copies stay bit-identical
+        if abs(total - 1.0) > NORM_TOLERANCE:
             w = w / total
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "weights", _readonly(w))
-        object.__setattr__(self, "tau_norm", tau_norm)
 
     @property
     def size(self) -> int:

@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EmptyEvent, EmptyFeasibleSet, NonConvergence, TableTooLarge
-from .ldp import TABLE_CAP, _compositions, enumerate_types, table_size
+from .errors import EmptyEvent, EmptyFeasibleSet, TableTooLarge
+from .ldp import TABLE_CAP, XI_BAND, _compositions, enumerate_types, in_window, table_size
 from .measures import (
     Alphabet,
     FiniteDistribution,
@@ -36,14 +36,13 @@ from .measures import (
 from .tilting import (
     ConstraintSpec,
     _bracketed_root,
+    _floor,
     _tilt_state,
     attainable_range,
     i_projection,
     solve_tilt,
 )
 
-XI_MERGE_TOLERANCE = 1e-12
-WINDOW_TOLERANCE = 1e-12
 DEFAULT_GRID_STEPS = {2: 0.001, 3: 0.02}
 
 U_KINDS = ("identity", "centered_square", "user_table")
@@ -79,15 +78,15 @@ class ErrorDistribution:
         m = self.mean()
         return float(np.dot((self.support - m) ** 2, self.weights.weights))
 
-    def weight_at(self, xi: float, tol: float = XI_MERGE_TOLERANCE) -> float:
-        idx = np.flatnonzero(np.abs(self.support - xi) <= tol)
+    def weight_at(self, xi: float) -> float:
+        idx = np.flatnonzero(np.abs(self.support - xi) <= XI_BAND)
         if idx.size == 0:
             raise KeyError(f"{xi!r} is not a support point")
         return float(self.weights.weights[idx[0]])
 
     def restrict(self, lo: float, hi: float) -> "ErrorDistribution":
         """Condition on xi falling inside [lo, hi]."""
-        mask = (self.support >= lo - WINDOW_TOLERANCE) & (self.support <= hi + WINDOW_TOLERANCE)
+        mask = in_window(self.support, lo, hi)
         if not np.any(mask & (self.weights.weights > 0)):
             raise EmptyEvent(f"no error-value mass inside [{lo!r}, {hi!r}]")
         sub = self.support[mask]
@@ -153,7 +152,7 @@ def error_distribution_exact(
     order = np.argsort(xi, kind="stable")
     xi_sorted = xi[order]
     probs_sorted = np.exp(table.log_probs[order])
-    starts = np.concatenate(([True], np.diff(xi_sorted) > XI_MERGE_TOLERANCE))
+    starts = np.concatenate(([True], np.diff(xi_sorted) > XI_BAND))
     group_ids = np.cumsum(starts) - 1
     support = xi_sorted[np.flatnonzero(starts)]
     weights = np.bincount(group_ids, weights=probs_sorted, minlength=support.size)
@@ -161,9 +160,7 @@ def error_distribution_exact(
     return ErrorDistribution(support=support, weights=dist, provenance="exact-enumeration")
 
 
-def maxent_error_fit(
-    reference: ErrorDistribution, meta: MetaConstraint, tol: float = 1e-10
-) -> ErrorDistribution:
+def maxent_error_fit(reference: ErrorDistribution, meta: MetaConstraint) -> ErrorDistribution:
     """Tilt the error distribution so that E[U] = eta.
 
     The centered-square statistic without a given centre uses the
@@ -171,8 +168,8 @@ def maxent_error_fit(
     """
     center = meta.center
     if meta.kind == "centered_square" and center is None:
-        center = _self_consistent_center(reference, meta.eta, tol)
-    tilt = solve_tilt(reference.weights, meta.values(reference.support, center), meta.eta, tol)
+        center = _self_consistent_center(reference, meta.eta)
+    tilt = solve_tilt(reference.weights, meta.values(reference.support, center), meta.eta)
     return ErrorDistribution(
         support=reference.support,
         weights=tilt.realized,
@@ -182,13 +179,14 @@ def maxent_error_fit(
     )
 
 
-def _self_consistent_center(reference: ErrorDistribution, eta: float, tol: float) -> float:
+def _self_consistent_center(reference: ErrorDistribution, eta: float) -> float:
     """Root of h(m) - m, h(m) the mean of the tilt onto E[(xi - m)^2] = eta.
 
     Where eta lies outside the range of (xi - m)^2 over the support, h takes
     the limit of the tilt (the reference conditioned on the nearest or the
     farthest support points), so h is defined on the whole bracket.  The
-    search starts from the reference mean.
+    search starts from the reference mean and stops at the float resolution
+    of the support.
     """
     ref = reference.weights
     xi = reference.support
@@ -196,14 +194,11 @@ def _self_consistent_center(reference: ErrorDistribution, eta: float, tol: float
     def gap(m: float) -> tuple[float, None]:
         u = (xi - m) ** 2
         u_lo, u_hi = attainable_range(ref, u)
-        tilt, _ = i_projection(ref, ConstraintSpec.point(u, min(max(eta, u_lo), u_hi)), tol)
+        tilt, _ = i_projection(ref, ConstraintSpec.point(u, min(max(eta, u_lo), u_hi)))
         return float(np.dot(xi, tilt.realized.weights)) - m, None
 
     lo, hi = attainable_range(ref, xi)
-    m, g, _ = _bracketed_root(gap, lo, hi, reference.mean(), tol)
-    if abs(g) > tol:
-        raise NonConvergence(f"self-consistent centre stalled at residual {abs(g):.3g}", residual=abs(g))
-    return m
+    return _bracketed_root(gap, lo, hi, reference.mean(), _floor(xi))[0]
 
 
 def model_grid_step(k: int, grid_step: float | None = None) -> float:
@@ -315,7 +310,7 @@ def map_model(
     grid = simplex_grid(k, model_grid_step(k, grid_step))
 
     xi_vals = grid @ v
-    feasible = (xi_vals >= lo - WINDOW_TOLERANCE) & (xi_vals <= hi + WINDOW_TOLERANCE)
+    feasible = in_window(xi_vals, lo, hi)
     if not np.any(feasible):
         raise EmptyFeasibleSet(f"no grid model has expected loss in [{lo!r}, {hi!r}]")
 
@@ -351,9 +346,7 @@ def _polish_map(
     """
     lo, hi = window
     v_lo, v_hi = attainable_range(P, v)
-    # candidate means must land inside the WINDOW_TOLERANCE band
-    tol = 0.1 * WINDOW_TOLERANCE * max(1.0, float(np.abs(v).max()))
-    ends = [i_projection(P, ConstraintSpec.point(v, c), tol)[0] for c in np.clip(window, v_lo, v_hi)]
+    ends = [i_projection(P, ConstraintSpec.point(v, c))[0] for c in np.clip(window, v_lo, v_hi)]
     candidates = [end.realized.weights for end in ends]
     with np.errstate(divide="ignore"):
         log_p = np.log(P.weights)
@@ -365,12 +358,13 @@ def _polish_map(
     reach = sorted(lambda_eta * meta.derivative(x) / speed for x in (v_lo, v_hi))
     lam_lo, lam_hi = max(reach[0], ends[1].lam), min(reach[1], ends[0].lam)
     if lam_lo <= lam_hi:
-        lam = _bracketed_root(gap, lam_lo, lam_hi, 0.5 * (lam_lo + lam_hi), 0.0)[0]
+        floor = _floor(speed * np.array([lam_lo, lam_hi]))  # both terms of gap lie in that range
+        lam = _bracketed_root(gap, lam_lo, lam_hi, 0.5 * (lam_lo + lam_hi), floor)[0]
         candidates.append(_tilt_state(log_p, v, lam)[0])
 
     mus = np.array(candidates)
     xi = mus @ v
-    inside = (xi >= lo - WINDOW_TOLERANCE) & (xi <= hi + WINDOW_TOLERANCE)
+    inside = in_window(xi, lo, hi)
     if not np.any(inside):
         return None
     log_q = np.full(np.count_nonzero(inside), log_q_const)

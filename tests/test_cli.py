@@ -366,8 +366,10 @@ VALID_CONFIGS = [
 ]
 
 
-# Scalar inputs per command that must be finite (speed, tol, sigma_y and
+# Scalar inputs per command that must be finite (speed, sigma_y and
 # model_grid_step also > 0); list-valued ones have their first entry corrupted.
+# tilt no longer reads a tol input: a config that carries one, with any value,
+# must still fail validation, now as a key the command does not read.
 SCALAR_INPUTS = {
     "tilt": ("target", "tol"),
     "project": ("target_interval",),
@@ -469,6 +471,7 @@ class TestValidationCompleteness:
             ("meta", "speed", 0.0),
             ("meta", "speed", -1.0),
             ("meta", "speed", math.inf),
+            # an unread key, whatever its value
             ("tilt", "tol", math.nan),
             ("tilt", "tol", -1.0),
             ("corr", "grid_points", 2),
@@ -487,3 +490,61 @@ class TestValidationCompleteness:
         assert json.loads(capsys.readouterr().out)["diagnostics"][0]["error"] == "ConfigInvalid"
         assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "ConfigInvalid" in capsys.readouterr().err
+
+
+class TestUnreadInputKeys:
+    @pytest.mark.parametrize(
+        "command, path, key",
+        [
+            ("tilt", (), "tol"),
+            ("sanov", (), "target_intervals"),
+            ("meta", ("U",), "scale"),
+            ("corr", ("loss",), "delta"),  # quadratic loss takes no parameter
+            ("corr", ("loss",), "spread"),
+            ("bayes", ("loss",), "weights"),
+        ],
+    )
+    def test_unread_key_is_a_validation_error(self, tmp_path, capsys, command, path, key):
+        config = json.loads(json.dumps(next(c for c in VALID_CONFIGS if c["command"] == command)))
+        obj = config["inputs"]
+        for part in path:
+            obj = obj[part]
+        obj[key] = 1e-10
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main([command, "--config", str(cfg), "--validate-only"]) == 2
+        diagnostic = json.loads(capsys.readouterr().out)["diagnostics"][0]
+        assert diagnostic["error"] == "ConfigInvalid" and key in diagnostic["message"]
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "ConfigInvalid" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_every_listed_key_is_read(self):
+        # each valid config uses only listed keys, and the huber and quartic
+        # parameters pass for their own kind
+        for config in VALID_CONFIGS:
+            assert cli.validate(config) == []
+        for kind, name in (("huber", "delta"), ("quartic", "scale")):
+            config = json.loads(json.dumps(next(c for c in VALID_CONFIGS if c["command"] == "corr")))
+            config["inputs"]["loss"] = {"kind": kind, name: 0.5}
+            assert cli.validate(config) == []
+
+
+class TestScaleFreeTilt:
+    """A loss has no units: the tilt onto (V, c) and onto (s V, s c) agree at any scale s."""
+
+    @pytest.mark.parametrize("scale", (1e-9, 1e-170, 1e-250))
+    def test_tilt_at_tiny_potential_scales(self, tmp_path, scale):
+        config = {"command": "tilt", "inputs": {"q": [0.5, 0.5], "potential": [0.0, scale], "target": scale / 4}}
+        out = io.StringIO()
+        cli.run(config, out_dir=tmp_path, stdout=out)
+        result = json.loads(out.getvalue())
+        assert result["realized"] == pytest.approx([0.75, 0.25], abs=1e-15)
+        assert result["lambda"] * scale == pytest.approx(math.log(3.0), rel=1e-12)
+
+    def test_rate_at_a_tiny_potential_scale(self, tmp_path):
+        config = {"command": "rate", "inputs": {"P": [0.5, 0.5], "potential": [0.0, 1e-9], "xi_grid": [2.5e-10]}}
+        out = io.StringIO()
+        cli.run(config, out_dir=tmp_path, stdout=out, fmt="json")
+        rate = json.loads(out.getvalue())["rate"][0]
+        assert rate == pytest.approx(0.75 * math.log(1.5) + 0.25 * math.log(0.5), rel=1e-12)

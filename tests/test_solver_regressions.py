@@ -26,7 +26,9 @@ from maxent_bayes import (
     MetaConstraint,
     divergence_projection,
     error_rate_function,
+    i_projection,
     run_meta_pipeline,
+    solve_tilt,
 )
 
 NON_KL = ("reverse_kl", "squared_euclidean", "chi_squared")
@@ -167,6 +169,67 @@ class TestPinnedProjections:
         qd = FiniteDistribution(Alphabet.of_size(3), q)
         p = divergence_projection(DivergenceSpec("squared_euclidean"), qd, ConstraintSpec.point([0.0, 1.0, 2.0], 1.5))
         assert p.weights == pytest.approx([0.25, 0.0, 0.75], abs=1e-15)
+
+
+    @pytest.mark.parametrize(
+        "q, v, c, expected",
+        [
+            # the step in the slope multiplier overflows; the KKT point is
+            # [1/4, 5e-324 * 3.75e309, 3/4]
+            ([1.0, 5e-324, 1e-310], [0.0, 1.0, 2.0], 1.5, [0.25, 1.85e-14, 0.75]),
+            # a binary point target pins p
+            ([1.0, 5e-324], [0.0, 1.0], 0.5, [0.5, 0.5]),
+        ],
+    )
+    def test_chi_squared_with_subnormal_reference_weights(self, q, v, c, expected):
+        qd = FiniteDistribution(Alphabet.of_size(len(q)), q)
+        p = divergence_projection(DivergenceSpec("chi_squared"), qd, ConstraintSpec.point(v, c))
+        assert p.weights == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "gen, scale",
+        [
+            ("squared_euclidean", 1e8 * (1.0 + 1e-7)),
+            ("squared_euclidean", 1e8),
+            ("squared_euclidean", 1e9),
+            ("squared_euclidean", 1e12),
+            ("chi_squared", 1e9),
+        ],
+    )
+    def test_quadratic_projection_at_large_potential_scales(self, gen, scale):
+        q, v, c = np.array([0.2, 0.3, 0.5]), np.array([0.0, 1.0, 2.0]), 0.7137
+        expected = exact_quadratic_projection(gen, q, v, c)
+        assert project(gen, q, scale * v, scale * c) == pytest.approx(expected, abs=1e-12)
+
+    def test_reverse_kl_root_next_to_the_pole(self):
+        # sigma times the root function is not monotone here: it nears 0 at
+        # the pole too, so the root must come from the closed bracket
+        q = np.array([3.384482764294887e-139, 4.595234284450572e-90, 1.0])
+        v = np.array([-72.15470500572667, 2.3059809331427403, 0.05376842145930244])
+        c = 2.3059342830418075
+        p = project("reverse_kl", q / q.sum(), v, c)
+        assert_kkt("reverse_kl", p, q / q.sum(), v, c)
+        assert p[1] == pytest.approx(0.99997928699, abs=1e-10)
+
+    def test_tilt_at_a_subnormal_potential_scale(self):
+        # the multiplier, about 1.37e308, is near the top of the float range
+        P = FiniteDistribution.from_weights([1.0 / 3.0] * 3)
+        tilt, rate = i_projection(P, ConstraintSpec.point([0.0, 0.0, 1.1e-308], 1.1e-309))
+        assert tilt.realized.weights == pytest.approx([0.45, 0.45, 0.1], abs=1e-15)
+        assert rate == pytest.approx(0.9 * math.log(1.35) + 0.1 * math.log(0.3), rel=1e-12)
+
+    def test_kl_newton_probe_far_past_the_root(self):
+        # the variance of V under q is about 1e-66, so the Newton step from 0
+        # lands 60 orders of magnitude past the root
+        q = np.array([1.7e-100, 1.2e-176, 1.0, 1.4e-59, 4.2e-124, 2.0e-71])
+        q = q / q.sum()
+        v = np.array([2.6864513760518065, 0.08535251969335618, -3.679596365364284, 0.10652887803464774,
+                      0.22372473542908053, -219.6069660397782])
+        c = -219.60682750937812
+        p = project("kl", q, v, c)
+        mean = lambda lam: float(special.softmax(np.log(q) - lam * v) @ v) - c
+        lam = optimize.brentq(mean, 0.0, 10.0, xtol=1e-15)
+        assert p == pytest.approx(special.softmax(np.log(q) - lam * v), abs=1e-9)
 
 
 def exact_quadratic_projection(gen, q, v, c):
@@ -326,3 +389,46 @@ class TestPinnedMeta:
             assert float(fitted @ xi) == pytest.approx(center, abs=1e-8)
         best = grid_maximum(p, v, window, kind, lam, center, step)
         assert out.map_result.objective >= best - 1e-9
+
+
+@st.composite
+def scaled_instances(draw):
+    """q with weights >= 1e-6; V with |v| in [1e-3, 1e3], values 1e-3 apart;
+    a point and a window target inside the range; a power of two 2^j."""
+    k = draw(st.integers(2, 6))
+    raw = np.asarray(draw(st.lists(st.floats(1.0, 1e6), min_size=k, max_size=k)))
+    sizes = draw(st.lists(st.floats(1e-3, 1e3), min_size=k, max_size=k))
+    signs = draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=k, max_size=k))
+    v = np.asarray(sizes) * np.asarray(signs)
+    assume(np.diff(np.sort(v)).min() >= 1e-3)
+    u, a, b = (draw(st.floats(0.01, 0.99)) for _ in range(3))
+    lo, hi = sorted(v.min() + x * np.ptp(v) for x in (a, b))
+    j = draw(st.integers(-60, 60))
+    return FiniteDistribution.from_weights(raw / raw.sum()), v, float(v.min() + u * np.ptp(v)), (lo, hi), j
+
+
+class TestScaleEquivariance:
+    """A loss has no units: every solve on (2^j V, 2^j c) is the solve on (V, c)."""
+
+    @given(scaled_instances())
+    def test_projections_and_rates_are_bit_identical_under_dyadic_scaling(self, instance):
+        q, v, c, (lo, hi), j = instance
+        f = 2.0 ** j
+        tilt, scaled = solve_tilt(q, v, c), solve_tilt(q, f * v, f * c)
+        assert np.array_equal(tilt.realized.weights, scaled.realized.weights)
+        assert scaled.lam * f == tilt.lam
+        for target, target_f in (
+            (ConstraintSpec.point(v, c), ConstraintSpec.point(f * v, f * c)),
+            (ConstraintSpec.interval(v, lo, hi), ConstraintSpec.interval(f * v, f * lo, f * hi)),
+        ):
+            (mu, rate), (mu_f, rate_f) = i_projection(q, target), i_projection(q, target_f)
+            assert np.array_equal(mu.realized.weights, mu_f.realized.weights) and rate == rate_f
+            assert mu_f.lam * f == mu.lam
+        for gen in ("kl", "reverse_kl", "squared_euclidean", "chi_squared"):
+            spec = DivergenceSpec(gen)
+            p = divergence_projection(spec, q, ConstraintSpec.point(v, c))
+            p_f = divergence_projection(spec, q, ConstraintSpec.point(f * v, f * c))
+            assert np.array_equal(p.weights, p_f.weights), gen
+        xs = [float(x) for x in np.linspace(v.min() - 1.0, v.max(), 6)] + [c]
+        rates = [point.rate for point in error_rate_function(q, v, xs)]
+        assert rates == [point.rate for point in error_rate_function(q, f * v, [f * x for x in xs])]
