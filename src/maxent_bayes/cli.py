@@ -72,7 +72,8 @@ from .tilting import (
 
 THREADS_ENV_VAR = "MAXENT_BAYES_THREADS"
 FORMATS = ("csv", "json", "both")
-# The input keys each command reads; an object input maps to the keys it reads.
+# The input keys each command reads; an object input maps to the keys it reads
+# (None for the corr loss: correlation.loss_function checks its keys per kind).
 INPUT_KEYS = {
     "bayes": {"posterior": None, "loss": ("prediction_alphabet", "label_alphabet", "entries")},
     "tilt": {"q": None, "potential": None, "target": None},
@@ -84,7 +85,7 @@ INPUT_KEYS = {
     "rate": {"P": None, "potential": None, "points": None, "xi_grid": None},
     "meta": {"P": None, "loss_row": None, "n": None, "Xi": None, "eta": None,
              "U": ("kind", "center", "table_xi", "table_u"), "model_grid_step": None, "speed": None},
-    "corr": {"loss": ("kind", "delta", "scale"), "r_grid": None, "sigma_y": None, "epsilon": None,
+    "corr": {"loss": None, "r_grid": None, "sigma_y": None, "epsilon": None,
              "x_value": None, "grid_points": None},
 }
 COMMANDS = tuple(INPUT_KEYS)
@@ -441,10 +442,13 @@ def _prepare_meta(inputs: dict) -> RunPlan:
         )
     except ValueError as exc:
         raise ConfigInvalid(str(exc)) from exc
-    # the bounds on E[U] that hold without the exact law of V . L_n
+    # the bounds on E[U] that hold without the exact law of V . L_n: a law on
+    # [a, b] has E[(xi - m)^2] at most the squared distance from m to the far
+    # end, and ((b - a) / 2)^2 about its own mean (the self-consistent centre)
     a, b = np.clip((lo, hi), *attainable_range(P, v))
+    far = (b - a) / 2 if meta.center is None else max(meta.center - a, b - meta.center)
     if (meta.kind == "identity" and not a <= meta.eta <= b) or (
-        meta.kind == "centered_square" and meta.eta < 0.0
+        meta.kind == "centered_square" and not 0.0 <= meta.eta <= far ** 2
     ):
         raise InfeasibleConstraint(f"eta {meta.eta!r} is out of reach of E[U] on [{a!r}, {b!r}]")
     step = inputs.get("model_grid_step")

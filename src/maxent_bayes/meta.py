@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EmptyEvent, EmptyFeasibleSet, TableTooLarge
+from .errors import EmptyEvent, EmptyFeasibleSet, InfeasibleConstraint, TableTooLarge
 from .ldp import TABLE_CAP, XI_BAND, _compositions, enumerate_types, in_window, table_size
 from .measures import (
     Alphabet,
@@ -186,10 +186,17 @@ def _self_consistent_center(reference: ErrorDistribution, eta: float) -> float:
     the limit of the tilt (the reference conditioned on the nearest or the
     farthest support points), so h is defined on the whole bracket.  The
     search starts from the reference mean and stops at the float resolution
-    of the support.
+    of the support.  No centre exists when eta exceeds ((max - min) / 2)^2
+    over the support, the largest variance of a law on it: there h - m only
+    jumps from + to - at the midpoint, so that is an InfeasibleConstraint.
     """
     ref = reference.weights
     xi = reference.support
+    lo, hi = attainable_range(ref, xi)
+    if eta > ((hi - lo) / 2) ** 2:
+        raise InfeasibleConstraint(
+            f"eta {eta!r} exceeds the largest variance of a law on [{lo!r}, {hi!r}]: no self-consistent centre"
+        )
 
     def gap(m: float) -> tuple[float, None]:
         u = (xi - m) ** 2
@@ -197,7 +204,6 @@ def _self_consistent_center(reference: ErrorDistribution, eta: float) -> float:
         tilt, _ = i_projection(ref, ConstraintSpec.point(u, min(max(eta, u_lo), u_hi)))
         return float(np.dot(xi, tilt.realized.weights)) - m, None
 
-    lo, hi = attainable_range(ref, xi)
     return _bracketed_root(gap, lo, hi, reference.mean(), _floor(xi))[0]
 
 

@@ -211,11 +211,12 @@ def _bracketed_root(
     secant) step is taken when it lands strictly inside the bracket and the
     last step at least halved |f|; otherwise the bracket is split
     (``_split``).  Stops when |f| <= floor (the float resolution of f, which
-    the caller derives from its inputs), when a step falls below float
-    resolution, or when the bracket closes on adjacent floats, and returns
-    (x, f(x), counts) for x the last point on either side of the root with
-    the smaller |f|.  Raises NonConvergence only if ROOT_STEP_CAP steps run
-    out first.
+    the caller derives from its inputs) or when the bracket closes on
+    adjacent floats, and returns (x, f(x), counts) for x the last point on
+    either side of the root with the smaller |f|.  A Newton step below float
+    resolution is still evaluated: where f bends sharply it can be far from
+    the root.  Raises NonConvergence only if ROOT_STEP_CAP steps run out
+    first.
     """
     ends = {}
     prev = None
@@ -235,8 +236,6 @@ def _bracketed_root(
         prev = (x, fx)
         step = x - fx / slope if fast and slope is not None and -math.inf < slope < 0.0 else math.nan
         if lo < step < hi:
-            if abs(step - x) <= 4.0 * math.ulp(x):
-                break
             x = step
             newton += 1
         else:
@@ -275,7 +274,9 @@ def _tilt_multiplier(
     the same for v and 2^j v, and the first probe, the Newton step from
     t = 0, is finite for any finite v.  The mean decreases in t; the probe
     doubles until the sign changes.  Returns (lam, weights, log_partition,
-    report), reusing the state of the evaluation the root settles on.
+    report), reusing the state of the evaluation the root settles on; the
+    report's ``mean_step`` is how far V . p moves over one float step of t
+    there, in units of V.
     """
     s = float(np.abs(v).max())
     d, c_d = v / s, c / s
@@ -305,8 +306,11 @@ def _tilt_multiplier(
     lam = t / s
     if not math.isfinite(lam):
         raise NonConvergence(f"multiplier for target {c!r} overflows the float range")
-    _, _, w, log_z = seen[t]
-    report = {"bracket": (lo / s, hi / s), "expansions": expansions, **counts, "residual": abs(g) * s}
+    _, slope, w, log_z = seen[t]
+    # one float step of t moves V . p by the variance under p times that step
+    mean_step = -slope * math.ulp(t) * s
+    report = {"bracket": (lo / s, hi / s), "expansions": expansions, **counts, "residual": abs(g) * s,
+              "mean_step": mean_step}
     return lam, w, log_z, report
 
 
@@ -404,7 +408,7 @@ def _kkt_residual(grad: np.ndarray, v: np.ndarray) -> float:
     return float(np.abs(grad - basis @ coef).max())
 
 
-def _reverse_kl_projection(q: np.ndarray, v: np.ndarray, c: float) -> np.ndarray:
+def _reverse_kl_projection(q: np.ndarray, v: np.ndarray, c: float) -> tuple[np.ndarray, float]:
     """p_i = q_i / s_i, s_i = 1 + beta (v_i - c), at the root of sum q (v - c) / s.
 
     Stationarity gives p_i = q_i / (alpha + beta v_i); summing p_i times the
@@ -412,20 +416,27 @@ def _reverse_kl_projection(q: np.ndarray, v: np.ndarray, c: float) -> np.ndarray
     decreasing in beta on (-1 / (max V - c), 1 / (c - min V)), where every
     s_i > 0, and beta has the sign of mean(q) - c.  On that half of the
     bracket the solve runs in sigma = s_j, the denominator of the end v_j
-    that bounds it: s_i = ((v_i - v_j) + sigma (c - v_i)) / (c - v_j), which
-    stays accurate when the root crowds the pole (sigma -> 0, mass moved onto
-    a light atom).  sigma = 1 is beta = 0.  The solve uses sigma times the
-    root function: same sign, and close to linear near the pole, but with no
-    fixed scale there, so it runs until the bracket closes (floor 0).
+    that bounds it: s_i = (1 - sigma) e_i + sigma, e_i = (v_i - v_j) /
+    (c - v_j) >= 0.  A sum of non-negative terms, it stays accurate when the
+    root crowds the pole (sigma -> 0, mass moved onto a light atom) and when
+    c - v_j is below the resolution of V.  sigma = 1 is beta = 0.  The solve
+    uses sigma times the root function: same sign, and close to linear near
+    the pole, but with no fixed scale there, so it runs until the bracket
+    closes (floor 0).
+
+    Returns p and how far V . p moves over one float step of sigma there:
+    at the root d(V . p)/d sigma = sum p (v - c)^2 / s / (c - v_j), and
+    s >= sigma keeps ulp(sigma) / s below 1.
     """
     d = v - c
     j = int(np.argmin(v)) if float(np.dot(q, v)) > c else int(np.argmax(v))
     w = c - v[j]
     sign = math.copysign(1.0, w)
-    e = (v - v[j]) / w
+    with np.errstate(over="ignore"):  # c - v_j subnormal: e past the float range acts as its top
+        e = np.minimum((v - v[j]) / w, np.finfo(float).max)
 
     def denominators(sigma: float) -> np.ndarray:
-        return ((v - v[j]) - sigma * d) / w
+        return (1.0 - sigma) * e + sigma
 
     def gap(sigma: float) -> tuple[float, float]:
         # the slope, sum q t (1 + sigma t / w), has 1 + sigma t / w = e / s,
@@ -436,8 +447,11 @@ def _reverse_kl_projection(q: np.ndarray, v: np.ndarray, c: float) -> np.ndarray
             return -sign * sigma * float(np.dot(q, t)), -sign * float(np.dot(q, t * e / s))
 
     sigma, _, _ = _bracketed_root(gap, 0.0, 1.0, 1.0, 0.0)
-    p = q / denominators(sigma)
-    return p / p.sum()
+    s = denominators(sigma)
+    p = q / s
+    p /= p.sum()
+    # (v - c) / (c - v_j) = e - 1
+    return p, float(np.dot(p * np.abs(d), np.abs(e - 1.0) * (math.ulp(sigma) / s)))
 
 
 def _quadratic_projection(
@@ -505,9 +519,14 @@ def divergence_projection(
     entropy solve them as a 1-D root to float resolution, and the quadratic
     generators find them exactly by an active-set walk.  Point targets must
     lie strictly inside the attainable range.  The roots raise
-    NonConvergence only if they run out of steps; the walk's mass and mean
-    are checked against k times ``_floor`` of 1 and of V, a NumericalError
-    if either is off.
+    NonConvergence only if they run out of steps.  Every answer's mass and
+    mean are checked, each in its own units, a NumericalError if either is
+    off.  The mass is held to k times ``_floor(1)``, the round-off of a
+    k-term sum.  V . p is held to k + 2 times ``_floor(V)`` (the sum, and
+    the tilt's floor of FLOOR_ULPS ulps of 1 in units of max |V|) plus 2
+    FLOOR_ULPS times how far V . p moves over one float step of the root's
+    variable (zero for the exact walk): a root that closed its bracket sits
+    within one such step, and round-off blurs V . p over a few more.
     """
     v_full = as_potential(constraint.potential, q.alphabet)
     c, _ = resolve_target(q, v_full, constraint.target)
@@ -518,19 +537,18 @@ def divergence_projection(
     v = v_full[sup]
     qw = q.weights[sup]
     if spec.generator == "kl":
-        p = _tilt_multiplier(np.log(qw), v, c)[1]
+        _, p, _, report = _tilt_multiplier(np.log(qw), v, c)
+        mean_step = report["mean_step"]
     elif spec.generator == "reverse_kl":
-        p = _reverse_kl_projection(qw, v, c)
+        p, mean_step = _reverse_kl_projection(qw, v, c)
     else:
-        p = _quadratic_projection(spec, qw, v, c)
-        # the walk is exact: mass or mean off by more than the float
-        # resolution of a k-term sum, each in its own units, is a fault
-        mass, mean = abs(float(p.sum()) - 1.0), abs(float(np.dot(p, v)) - c)
-        if not (mass <= p.size * _floor(1.0) and mean <= p.size * _floor(v)):
-            raise NumericalError(
-                f"{spec.generator} projection is off by {mass:.3g} in mass and {mean:.3g} in V . p"
-            )
+        p, mean_step = _quadratic_projection(spec, qw, v, c), 0.0
     total = float(p.sum())
+    mass, mean = abs(total - 1.0), abs(float(np.dot(p, v)) - c)
+    if not (mass <= p.size * _floor(1.0) and mean <= (p.size + 2) * _floor(v) + 2 * FLOOR_ULPS * mean_step):
+        raise NumericalError(
+            f"{spec.generator} projection is off by {mass:.3g} in mass and {mean:.3g} in V . p"
+        )
 
     weights = np.zeros(q.size)
     weights[sup] = p / total

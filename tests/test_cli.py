@@ -190,6 +190,21 @@ class TestMain:
         assert cli.main(["meta", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 5
         capsys.readouterr()
 
+    @pytest.mark.parametrize("center, eta", [(None, 0.03), (0.6, 0.1)])
+    def test_meta_centered_square_out_of_reach_exits_3(self, tmp_path, capsys, center, eta):
+        # on the window [0.6, 0.9], E[(xi - m)^2] is at most 0.15^2 about the
+        # mean of the law and 0.3^2 about m = 0.6
+        inputs = {"P": [0.5, 0.5], "loss_row": [0, 1], "n": 12, "Xi": [0.6, 0.9],
+                  "U": {"kind": "centered_square"}, "eta": eta}
+        if center is not None:
+            inputs["U"]["center"] = center
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": "meta", "inputs": inputs}), encoding="utf-8")
+        assert cli.main(["meta", "--config", str(cfg), "--validate-only"]) == 3
+        assert json.loads(capsys.readouterr().out)["diagnostics"][0]["error"] == "InfeasibleConstraint"
+        assert cli.main(["meta", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        capsys.readouterr()
+
     def test_validate_only_reports_diagnostics(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(tilt_config(target=5.0)), encoding="utf-8")

@@ -21,7 +21,7 @@ from maxent_bayes import (
     simplex_grid,
     total_variation,
 )
-from maxent_bayes.errors import EmptyFeasibleSet
+from maxent_bayes.errors import EmptyFeasibleSet, InfeasibleConstraint
 
 
 def dist(*weights):
@@ -106,6 +106,12 @@ class TestMaxentErrorFit:
         assert fit.lambda_eta > 0.0
         assert fit.variance() == pytest.approx(eta, abs=1e-9)
         assert fit.provenance == "fitted"
+
+    def test_centered_square_past_the_largest_variance_is_infeasible(self):
+        # a law on [0, 1] has variance at most 1/4, so no centre is self-consistent
+        ed = error_distribution_exact(BERN_HALF, V01, 40)
+        with pytest.raises(InfeasibleConstraint, match="self-consistent"):
+            maxent_error_fit(ed, MetaConstraint(kind="centered_square", eta=0.26))
 
     def test_centered_square_against_multiplier_grid_search(self):
         ed = error_distribution_exact(BERN_HALF, V01, 40)

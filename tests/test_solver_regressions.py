@@ -29,7 +29,9 @@ from maxent_bayes import (
     i_projection,
     run_meta_pipeline,
     solve_tilt,
+    tilting,
 )
+from maxent_bayes.errors import NumericalError
 
 NON_KL = ("reverse_kl", "squared_euclidean", "chi_squared")
 
@@ -230,6 +232,96 @@ class TestPinnedProjections:
         mean = lambda lam: float(special.softmax(np.log(q) - lam * v) @ v) - c
         lam = optimize.brentq(mean, 0.0, 10.0, xtol=1e-15)
         assert p == pytest.approx(special.softmax(np.log(q) - lam * v), abs=1e-9)
+
+    @pytest.mark.parametrize("gen", ("kl",) + NON_KL)
+    @pytest.mark.parametrize(
+        "v, c",
+        [
+            # reverse KL's root function bends so sharply at sigma = 1 that a
+            # Newton step below float resolution once stopped the root there,
+            # returning p = q
+            ([0.0, 1.0], 1.0 - 2.0 ** -53),
+            ([0.0, 1.0], 2.0 ** -53),
+            # c - min V is below the resolution of V; the reverse-KL
+            # denominator (v - v_j) - sigma (v - c) cancelled to 0
+            ([-1e300, 1e300], -1e300 + 1e284),
+            # c - min V is subnormal, so (v - v_j) / (c - v_j) overflows
+            ([0.0, 1.0], 1e-320),
+        ],
+    )
+    def test_two_atoms_with_the_target_at_an_end(self, gen, v, c):
+        # on two atoms the constraints alone fix p
+        v = np.asarray(v)
+        expected = np.array([v[1] - c, c - v[0]]) / (v[1] - v[0])
+        p = project(gen, np.array([0.5, 0.5]), v, c)
+        assert p == pytest.approx(expected, abs=1e-15)
+        if gen == "reverse_kl":
+            assert p.min() == pytest.approx(expected.min(), rel=1e-12)
+
+
+def shift_root(monkeypatch, move):
+    """Make every bracketed root return move(root) in place of the root."""
+    real = tilting._bracketed_root
+
+    def root(f, lo, hi, x, floor):
+        x, _, counts = real(f, lo, hi, x, floor)
+        x = move(x)
+        return x, f(x)[0], counts
+
+    monkeypatch.setattr(tilting, "_bracketed_root", root)
+
+
+class TestResidualCheck:
+    """divergence_projection checks the mass and V . p of every answer."""
+
+    # the reverse-KL root of this instance crowds the pole (sigma about 1e-5)
+    POLE = (np.array([3.384482764294887e-139, 4.595234284450572e-90, 1.0]),
+            np.array([-72.15470500572667, 2.3059809331427403, 0.05376842145930244]),
+            2.3059342830418075)
+    PLAIN = (np.array([0.2, 0.3, 0.5]), np.array([0.0, 1.0, 2.0]), 0.7137)
+
+    @pytest.mark.parametrize("gen, instance", [("kl", PLAIN), ("kl", POLE), ("reverse_kl", PLAIN),
+                                               ("reverse_kl", POLE)])
+    def test_one_float_step_off_the_root_passes(self, monkeypatch, gen, instance):
+        q, v, c = instance
+        shift_root(monkeypatch, lambda x: float(np.nextafter(x, 0.0)))
+        assert abs(project(gen, q / q.sum(), v, c) @ v - c) <= 1e-12 * np.abs(v).max()
+
+    @pytest.mark.parametrize("gen, instance", [("kl", PLAIN), ("kl", POLE), ("reverse_kl", PLAIN),
+                                               ("reverse_kl", POLE)])
+    def test_a_root_a_millionth_off_raises(self, monkeypatch, gen, instance):
+        q, v, c = instance
+        shift_root(monkeypatch, lambda x: x * (1.0 - 1e-6))
+        with pytest.raises(NumericalError, match="in V . p"):
+            project(gen, q / q.sum(), v, c)
+
+    def test_the_old_reverse_kl_answer_next_to_the_pole_raises(self, monkeypatch):
+        # the best-|f| rule once returned sigma = 3e-155 here, V . p off by 1e16 ulps
+        q, v, c = self.POLE
+        shift_root(monkeypatch, lambda x: 3e-155)
+        with pytest.raises(NumericalError, match="in V . p"):
+            project("reverse_kl", q / q.sum(), v, c)
+
+    def test_wide_random_instances_pass_with_reverse_kl_kkt(self):
+        # q over 300 orders of magnitude, |V| over 6, c inside or within 1e-6 of an end
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            k = int(rng.integers(2, 9))
+            q = 10.0 ** rng.uniform(-300.0, 0.0, k)
+            q /= q.sum()
+            v = rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-3.0, 3.0, k)
+            u = (rng.uniform(0.01, 0.99), rng.uniform(0.0, 1e-6), 1.0 - rng.uniform(0.0, 1e-6))[rng.integers(3)]
+            c = float(v.min() + u * np.ptp(v))
+            if not v.min() < c < v.max():
+                continue
+            for gen in ("kl", "squared_euclidean", "chi_squared"):
+                project(gen, q, v, c)
+            p = project("reverse_kl", q, v, c)
+            # stationarity: q / p is affine in V
+            g = q / p
+            basis = np.column_stack([np.ones_like(v), v])
+            coef, *_ = np.linalg.lstsq(basis, g, rcond=None)
+            assert np.abs(g - basis @ coef).max() <= 1e-10 * np.abs(g).max()
 
 
 def exact_quadratic_projection(gen, q, v, c):
