@@ -2,11 +2,11 @@
 
 Library layout:
 
-* ``measures``     finite distributions, empirical measures, losses, Bayes decisions
+* ``measures``     finite distributions, losses, Bayes decisions
 * ``tilting``      exponential tilts, I-projection, general-divergence projections
 * ``ldp``          exact type-class tables, decay-rate estimates, conditioning
 * ``meta``         distributions of expected-loss values and MAP model search
-* ``correlation``  Gaussian-pair conditional-loss expansion and envelope checks
+* ``correlation``  Gaussian-pair conditional-loss expansion and loss-correlation curves
 * ``cli``          the ``maxent-bayes`` command-line harness
 """
 
@@ -15,11 +15,9 @@ __version__ = "0.1.0"
 from .measures import (
     Alphabet,
     BayesDecision,
-    EmpiricalMeasure,
     FiniteDistribution,
     LossMatrix,
     bayes_classifier,
-    empirical_from_samples,
     expected_loss,
     kl_divergence,
     shannon_entropy,
@@ -55,7 +53,6 @@ from .meta import (
     error_distribution_exact,
     maxent_error_fit,
     map_model,
-    misfit_weight,
     run_meta_pipeline,
     simplex_grid,
 )
@@ -63,11 +60,9 @@ from .correlation import (
     GaussianPairModel,
     LossCurve,
     LossFunction,
-    MomentEnvelopeReport,
     conditional_loss_expansion,
     loss_correlation_curve,
     loss_function,
-    moment_envelope_check,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

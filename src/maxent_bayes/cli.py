@@ -73,7 +73,8 @@ from .tilting import (
 THREADS_ENV_VAR = "MAXENT_BAYES_THREADS"
 FORMATS = ("csv", "json", "both")
 # The input keys each command reads; an object input maps to the keys it reads
-# (None for the corr loss: correlation.loss_function checks its keys per kind).
+# (None for the corr loss: correlation.loss_function checks its keys per kind;
+# MetaConstraint checks which of the U keys its kind reads).
 INPUT_KEYS = {
     "bayes": {"posterior": None, "loss": ("prediction_alphabet", "label_alphabet", "entries")},
     "tilt": {"q": None, "potential": None, "target": None},
@@ -445,7 +446,7 @@ def _prepare_meta(inputs: dict) -> RunPlan:
     # the bounds on E[U] that hold without the exact law of V . L_n: a law on
     # [a, b] has E[(xi - m)^2] at most the squared distance from m to the far
     # end, and ((b - a) / 2)^2 about its own mean (the self-consistent centre)
-    a, b = np.clip((lo, hi), *attainable_range(P, v))
+    a, b = np.clip((lo, hi), *attainable_range(P, v)).tolist()
     far = (b - a) / 2 if meta.center is None else max(meta.center - a, b - meta.center)
     if (meta.kind == "identity" and not a <= meta.eta <= b) or (
         meta.kind == "centered_square" and not 0.0 <= meta.eta <= far ** 2

@@ -153,70 +153,21 @@ class GaussianPairModel:
         pm = self.point_mass_weight()
         return (1.0 - pm) * gaussian_part + pm * float(loss.value(m, np.array([m]))[0])
 
-    def joint_mass(self) -> float:
-        """Trapezoid mass of the discretized joint law (1 by construction up to tails).
-
-        The y-grid is centred on the conditional mean, so the conditional
-        Gaussian mass is the same at every x and is evaluated once.
-        """
-        if self.r == 1.0:
-            return 1.0
-        x = np.linspace(-GRID_RADIUS, GRID_RADIUS, self.grid_points)
-        marginal = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        marginal_mass = float(np.dot(_trapezoid_weights(x), marginal))
-        _, w = self._gaussian_quadrature(0.0, math.sqrt(self.envelope_variance))
-        conditional_mass = float(w.sum())
-        pm = self.point_mass_weight()
-        return ((1.0 - pm) * conditional_mass + pm) * marginal_mass
-
     def _check_quadrature_anchor(self, x_value: float) -> None:
-        target = self.conditional_variance
-        got = self.conditional_centered_moment(x_value, 2)
-        if target == 0.0:
-            if abs(got) > 1e-12:
-                raise GridTooCoarse(f"degenerate conditional has residual variance {got!r}")
+        """Raise GridTooCoarse unless the quadrature recovers the variance of
+        the Gaussian component (the point mass adds nothing to it, and mixing
+        it in would cancel the variance to round-off as epsilon nears the
+        envelope)."""
+        target = self.envelope_variance
+        if target == 0.0:  # r = 1: the conditional is a point, with no grid
             return
-        rel = abs(got - target) / target
+        m = self.conditional_mean(x_value)
+        y, w = self.conditional_grid(x_value)
+        rel = abs(float(np.dot(w, (y - m) ** 2)) - target) / target
         if rel > QUADRATURE_ANCHOR_RTOL:
             raise GridTooCoarse(
                 f"p=2 quadrature error {rel:.3g} exceeds {QUADRATURE_ANCHOR_RTOL}"
             )
-
-
-@dataclass(frozen=True)
-class MomentEnvelopeReport:
-    """Even conditional moments against the (sigma^2 p)^{p/2} envelope."""
-
-    p_grid: tuple[int, ...]
-    lhs: tuple[float, ...]
-    rhs: tuple[float, ...]
-    satisfied: tuple[bool, ...]
-
-    def all_satisfied(self) -> bool:
-        return all(self.satisfied)
-
-
-def moment_envelope_check(
-    model: GaussianPairModel, x_value: float = 0.0, p_grid: Sequence[int] = (2, 4, 6, 8)
-) -> MomentEnvelopeReport:
-    """Check E[(Y - m)^p | X] <= (sigma^2 p)^{p/2} on even moment orders."""
-    if any(p <= 0 or p % 2 for p in p_grid):
-        raise ValueError("moment orders must be positive and even")
-    model._check_quadrature_anchor(x_value)
-    sigma2 = model.envelope_variance
-    lhs, rhs, ok = [], [], []
-    for p in p_grid:
-        left = model.conditional_centered_moment(x_value, int(p))
-        right = (sigma2 * p) ** (p / 2.0)
-        lhs.append(left)
-        rhs.append(right)
-        ok.append(left <= right + 1e-12)
-    return MomentEnvelopeReport(
-        p_grid=tuple(int(p) for p in p_grid),
-        lhs=tuple(lhs),
-        rhs=tuple(rhs),
-        satisfied=tuple(ok),
-    )
 
 
 @dataclass(frozen=True)
@@ -263,8 +214,10 @@ def loss_correlation_curve(
 ) -> LossCurve:
     """Expected loss across a correlation grid, regressed on (1 - r^2).
 
-    The slope estimates the curvature constant k*c and the intercept -k*eps;
-    losses must be non-increasing in r, or NumericalError is raised.
+    The slope estimates the curvature constant k*c and the intercept -k*eps.
+    At every r the quadrature must recover the conditional variance to
+    QUADRATURE_ANCHOR_RTOL, or GridTooCoarse is raised; losses must be
+    non-increasing in r, or NumericalError is raised.
     """
     rs = [float(r) for r in r_grid]
     if len(rs) < 5:
@@ -274,6 +227,7 @@ def loss_correlation_curve(
     losses = []
     for r in rs:
         model = GaussianPairModel(sigma_y=sigma_y, r=r, epsilon=epsilon, grid_points=grid_points)
+        model._check_quadrature_anchor(x_value)
         losses.append(model.conditional_expected_loss(x_value, loss))
 
     order = np.argsort(rs)

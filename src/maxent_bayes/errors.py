@@ -25,14 +25,6 @@ class AlphabetMismatch(ValidationError):
     """Two objects that must share an alphabet do not."""
 
 
-class EmptySample(ValidationError):
-    """An empirical measure was requested from zero observations."""
-
-
-class IndexOutOfRange(ValidationError):
-    """A sample index does not address any alphabet symbol."""
-
-
 class UnsupportedGenerator(ValidationError):
     """Divergence generator tag outside the supported set."""
 

@@ -36,9 +36,9 @@ MC_BLOCK_SIZE = 65536
 WILSON_Z = 1.959963984540054  # 95% normal quantile
 MIN_EXPECTED_HITS = 10
 
-# Stream purpose codes, kept distinct so different draws never share a stream.
+# Monte Carlo spawn keys are (0, _STREAM_SANOV, n, block); changing either
+# leading code changes every Monte Carlo output.
 _STREAM_SANOV = 0
-_STREAM_DRAW = 1
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -228,33 +228,22 @@ def sanov_exact(
 class SeededSampler:
     """Deterministic counter-based sampling streams.
 
-    Streams are keyed by (seed, stream_id, purpose, context ints) through a
-    SeedSequence spawn key feeding a Philox generator, so identical draws are
-    bit-identical across runs and across any parallel schedule.
+    Each Monte Carlo block draws from its own stream, keyed by (seed, n,
+    block index) through a SeedSequence spawn key feeding a Philox
+    generator, so identical draws are bit-identical across runs and across
+    any parallel schedule.
     """
 
     seed: int
     base: FiniteDistribution
-    stream_id: int = 0
 
     def __post_init__(self):
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must be a 64-bit non-negative integer")
-        if self.stream_id < 0:
-            raise ValueError("stream_id must be non-negative")
-
-    def generator(self, tag: tuple[int, ...]) -> np.random.Generator:
-        key = (self.stream_id,) + tuple(int(t) for t in tag)
-        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=key)
-        return np.random.Generator(np.random.Philox(seq))
 
     def multinomial_block(self, n: int, block_index: int, block_trials: int) -> np.ndarray:
-        rng = self.generator((_STREAM_SANOV, n, block_index))
-        return rng.multinomial(n, self.base.weights, size=block_trials)
-
-    def draw_indices(self, count: int, context: int = 0) -> np.ndarray:
-        rng = self.generator((_STREAM_DRAW, context))
-        return rng.choice(self.base.size, size=count, p=self.base.weights)
+        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(0, _STREAM_SANOV, n, block_index))
+        return np.random.Generator(np.random.Philox(seq)).multinomial(n, self.base.weights, size=block_trials)
 
 
 def _wilson_interval(hits: int, trials: int) -> tuple[float, float]:

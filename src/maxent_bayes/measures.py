@@ -1,4 +1,4 @@
-"""Finite probability measures, empirical measures, losses, and Bayes decisions.
+"""Finite probability measures, losses, and Bayes decisions.
 
 Conventions used throughout the package:
 
@@ -18,12 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    AbsoluteContinuityViolation,
-    AlphabetMismatch,
-    EmptySample,
-    IndexOutOfRange,
-)
+from .errors import AbsoluteContinuityViolation, AlphabetMismatch
 
 # Constructors renormalize inputs this close to unit mass and reject worse.
 RENORMALIZE_TOLERANCE = 1e-9
@@ -56,9 +51,6 @@ class Alphabet:
     @property
     def size(self) -> int:
         return len(self.symbols)
-
-    def index(self, symbol) -> int:
-        return self.symbols.index(symbol)
 
     @classmethod
     def of_size(cls, k: int) -> "Alphabet":
@@ -111,18 +103,9 @@ class FiniteDistribution:
         """Indices with strictly positive weight."""
         return np.flatnonzero(self.weights > 0.0)
 
-    def __getitem__(self, i: int) -> float:
-        return float(self.weights[i])
-
     @classmethod
     def uniform(cls, alphabet: Alphabet) -> "FiniteDistribution":
         return cls(alphabet, np.full(alphabet.size, 1.0 / alphabet.size))
-
-    @classmethod
-    def point_mass(cls, alphabet: Alphabet, index: int) -> "FiniteDistribution":
-        w = np.zeros(alphabet.size)
-        w[index] = 1.0
-        return cls(alphabet, w)
 
     @classmethod
     def from_weights(cls, weights) -> "FiniteDistribution":
@@ -130,41 +113,9 @@ class FiniteDistribution:
         w = np.asarray(weights, dtype=float)
         return cls(Alphabet.of_size(w.shape[0]), w)
 
-    def to_dict(self) -> dict:
-        return {"alphabet": list(self.alphabet.symbols), "weights": [float(w) for w in self.weights]}
-
     @classmethod
     def from_dict(cls, d: dict) -> "FiniteDistribution":
         return cls(Alphabet(d["alphabet"]), d["weights"])
-
-
-@dataclass(frozen=True, eq=False)
-class EmpiricalMeasure:
-    """A type vector: integer counts of n independent observations."""
-
-    alphabet: Alphabet
-    counts: np.ndarray
-    n: int
-
-    def __init__(self, alphabet: Alphabet, counts):
-        c = np.asarray(counts)
-        if c.shape != (alphabet.size,):
-            raise ValueError(f"counts must have length {alphabet.size}")
-        if not np.issubdtype(c.dtype, np.integer):
-            if not np.all(c == np.floor(c)):
-                raise ValueError("counts must be integers")
-            c = c.astype(np.int64)
-        if np.any(c < 0):
-            raise ValueError("counts must be non-negative")
-        n = int(c.sum())
-        if n <= 0:
-            raise EmptySample("empirical measure needs at least one observation")
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "counts", _readonly(c.astype(np.int64)))
-        object.__setattr__(self, "n", n)
-
-    def frequencies(self) -> FiniteDistribution:
-        return FiniteDistribution(self.alphabet, self.counts / self.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,24 +141,6 @@ class LossMatrix:
         object.__setattr__(self, "entries", _readonly(e))
 
     @classmethod
-    def single_row(cls, potential, label_alphabet: Alphabet | None = None) -> "LossMatrix":
-        """A 1xk matrix; the row doubles as a potential vector V."""
-        v = np.asarray(potential, dtype=float)
-        if label_alphabet is None:
-            label_alphabet = Alphabet.of_size(v.shape[0])
-        return cls(Alphabet(("V",)), label_alphabet, v.reshape(1, -1))
-
-    def row(self, i: int) -> np.ndarray:
-        return self.entries[i]
-
-    def to_dict(self) -> dict:
-        return {
-            "prediction_alphabet": list(self.prediction_alphabet.symbols),
-            "label_alphabet": list(self.label_alphabet.symbols),
-            "entries": [[float(x) for x in row] for row in self.entries],
-        }
-
-    @classmethod
     def from_dict(cls, d: dict) -> "LossMatrix":
         return cls(Alphabet(d["prediction_alphabet"]), Alphabet(d["label_alphabet"]), d["entries"])
 
@@ -221,12 +154,7 @@ class BayesDecision:
 
 
 def as_potential(potential, alphabet: Alphabet) -> np.ndarray:
-    """Coerce a loss row (single-row LossMatrix, full row, or array) to a vector."""
-    if isinstance(potential, LossMatrix):
-        if potential.entries.shape[0] != 1:
-            raise ValueError("a potential must be a single-row loss matrix")
-        _check_same_alphabet(potential.label_alphabet, alphabet, "potential")
-        return np.asarray(potential.entries[0], dtype=float)
+    """Coerce a loss row (a sequence of k finite reals) to a vector."""
     v = np.asarray(potential, dtype=float)
     if v.shape != (alphabet.size,):
         raise AlphabetMismatch(f"potential length {v.shape} does not match alphabet size {alphabet.size}")
@@ -284,18 +212,3 @@ def bayes_classifier(posterior: FiniteDistribution, loss: LossMatrix) -> BayesDe
     best = float(risks.min())
     idx = int(np.flatnonzero(risks <= best + TIE_TOLERANCE)[0])
     return BayesDecision(decision_index=idx, expected_loss=float(risks[idx]))
-
-
-def empirical_from_samples(samples: Sequence[int], alphabet: Alphabet) -> EmpiricalMeasure:
-    """Count observations, given as alphabet indices, into a type vector."""
-    s = np.asarray(samples)
-    if s.size == 0:
-        raise EmptySample("no observations")
-    if not np.issubdtype(s.dtype, np.integer):
-        raise IndexOutOfRange("samples must be integer alphabet indices")
-    if s.min() < 0 or s.max() >= alphabet.size:
-        raise IndexOutOfRange(
-            f"sample index out of range for alphabet of size {alphabet.size}"
-        )
-    counts = np.bincount(s, minlength=alphabet.size)
-    return EmpiricalMeasure(alphabet, counts)

@@ -26,13 +26,7 @@ import numpy as np
 
 from .errors import EmptyEvent, EmptyFeasibleSet, InfeasibleConstraint, TableTooLarge
 from .ldp import TABLE_CAP, XI_BAND, _compositions, enumerate_types, in_window, table_size
-from .measures import (
-    Alphabet,
-    FiniteDistribution,
-    TIE_TOLERANCE,
-    as_potential,
-    expected_loss,
-)
+from .measures import Alphabet, FiniteDistribution, TIE_TOLERANCE, as_potential
 from .tilting import (
     ConstraintSpec,
     _bracketed_root,
@@ -45,7 +39,8 @@ from .tilting import (
 
 DEFAULT_GRID_STEPS = {2: 0.001, 3: 0.02}
 
-U_KINDS = ("identity", "centered_square", "user_table")
+# Each statistic kind and the parameters it reads; setting any other is an error.
+U_PARAMETERS = {"identity": (), "centered_square": ("center",), "user_table": ("table_xi", "table_u")}
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,7 +54,6 @@ class ErrorDistribution:
 
     support: np.ndarray
     weights: FiniteDistribution
-    provenance: str
     lambda_eta: float | None = None
     center: float | None = None
 
@@ -92,7 +86,7 @@ class ErrorDistribution:
         sub = self.support[mask]
         w = self.weights.weights[mask]
         dist = FiniteDistribution(Alphabet(tuple(float(x) for x in sub)), w / w.sum())
-        return ErrorDistribution(support=sub, weights=dist, provenance=self.provenance)
+        return ErrorDistribution(support=sub, weights=dist)
 
 
 @dataclass(frozen=True)
@@ -112,30 +106,32 @@ class MetaConstraint:
     table_u: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in U_KINDS:
-            raise ValueError(f"statistic kind {self.kind!r} not in {U_KINDS}")
+        if self.kind not in U_PARAMETERS:
+            raise ValueError(f"statistic kind {self.kind!r} not in {tuple(U_PARAMETERS)}")
+        unread = [name for name in ("center", "table_xi", "table_u")
+                  if getattr(self, name) is not None and name not in U_PARAMETERS[self.kind]]
+        if unread:
+            raise ValueError(f"statistic {self.kind!r} takes no parameter {', '.join(unread)}")
         if self.kind == "user_table" and (self.table_xi is None or self.table_u is None):
             raise ValueError("user_table statistic needs table_xi and table_u")
 
-    def values(self, xi: np.ndarray, center: float | None = None) -> np.ndarray:
+    def values(self, xi: np.ndarray) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
         if self.kind == "identity":
             return xi
         if self.kind == "centered_square":
-            m = center if center is not None else self.center
-            if m is None:
+            if self.center is None:
                 raise ValueError("centered_square needs a resolved center")
-            return (xi - m) ** 2
+            return (xi - self.center) ** 2
         return np.interp(xi, np.asarray(self.table_xi), np.asarray(self.table_u))
 
-    def derivative(self, xi: float, center: float | None = None) -> float:
+    def derivative(self, xi: float) -> float:
         if self.kind == "identity":
             return 1.0
         if self.kind == "centered_square":
-            m = center if center is not None else self.center
-            if m is None:
+            if self.center is None:
                 raise ValueError("centered_square needs a resolved center")
-            return 2.0 * (xi - m)
+            return 2.0 * (xi - self.center)
         raise ValueError("user_table statistic has no smooth derivative")
 
     def with_center(self, center: float) -> "MetaConstraint":
@@ -157,7 +153,7 @@ def error_distribution_exact(
     support = xi_sorted[np.flatnonzero(starts)]
     weights = np.bincount(group_ids, weights=probs_sorted, minlength=support.size)
     dist = FiniteDistribution(Alphabet(tuple(float(x) for x in support)), weights)
-    return ErrorDistribution(support=support, weights=dist, provenance="exact-enumeration")
+    return ErrorDistribution(support=support, weights=dist)
 
 
 def maxent_error_fit(reference: ErrorDistribution, meta: MetaConstraint) -> ErrorDistribution:
@@ -166,16 +162,11 @@ def maxent_error_fit(reference: ErrorDistribution, meta: MetaConstraint) -> Erro
     The centered-square statistic without a given centre uses the
     self-consistent one, the mean of the fitted law (see the module docstring).
     """
-    center = meta.center
-    if meta.kind == "centered_square" and center is None:
-        center = _self_consistent_center(reference, meta.eta)
-    tilt = solve_tilt(reference.weights, meta.values(reference.support, center), meta.eta)
+    if meta.kind == "centered_square" and meta.center is None:
+        meta = meta.with_center(_self_consistent_center(reference, meta.eta))
+    tilt = solve_tilt(reference.weights, meta.values(reference.support), meta.eta)
     return ErrorDistribution(
-        support=reference.support,
-        weights=tilt.realized,
-        provenance="fitted",
-        lambda_eta=tilt.lam,
-        center=center if meta.kind == "centered_square" else None,
+        support=reference.support, weights=tilt.realized, lambda_eta=tilt.lam, center=meta.center
     )
 
 
@@ -246,11 +237,6 @@ def _log_prior_values(
     n_feasible = int(np.count_nonzero(feasible))
     if prior is None:
         return np.full(n_feasible, -math.log(grid.shape[0])), True
-    if callable(prior):
-        vals = np.array([float(prior(mu)) for mu in grid[feasible]])
-        if np.any(vals <= 0) or not np.all(np.isfinite(vals)):
-            raise ValueError("prior density must be finite and positive on the grid")
-        return np.log(vals), False
     w = np.asarray(prior, dtype=float)
     if w.shape != (grid.shape[0],):
         raise ValueError(f"grid prior must have length {grid.shape[0]}")
@@ -375,14 +361,6 @@ def _polish_map(
         return None
     log_q = np.full(np.count_nonzero(inside), log_q_const)
     return _best_model(P, mus[inside], xi[inside], log_q, meta, lambda_eta, speed, "tilt")
-
-
-def misfit_weight(
-    mu: FiniteDistribution, potential, nu: ErrorDistribution, lambda_eta: float
-) -> float:
-    """exp(-lambda_eta (V . mu - E_nu[xi])^2): the squared-deviation reweighting."""
-    deviation = expected_loss(mu, potential) - nu.mean()
-    return math.exp(-lambda_eta * deviation * deviation)
 
 
 @dataclass(frozen=True, eq=False)

@@ -60,6 +60,24 @@ def _floor(values) -> float:
     return FLOOR_ULPS * math.ulp(float(np.abs(values).max()))
 
 
+def _check_residuals(what: str, k: int, mass: float, mean: float, scale: float, mean_step: float) -> None:
+    """Raise NumericalError unless a projection onto {V . p = c} meets its
+    constraints to float resolution.
+
+    ``mass`` is |sum p - 1| and ``mean`` is |V . p - c| over k atoms, each
+    held in its own units.  The mass is held to k times FLOOR_ULPS ulps of
+    1, the round-off of a k-term sum.  V . p is held to k + 2 times
+    FLOOR_ULPS ulps of ``scale``, max |V| (the sum, and the tilt's floor of
+    FLOOR_ULPS ulps of 1 in units of max |V|), plus 2 FLOOR_ULPS times
+    ``mean_step``, how far V . p moves over one float step of the root's
+    variable (zero for the exact walk): a root that closed its bracket sits
+    within one such step, and round-off blurs V . p over a few more.
+    """
+    if not (mass <= k * FLOOR_ULPS * math.ulp(1.0)
+            and mean <= (k + 2) * FLOOR_ULPS * math.ulp(scale) + 2 * FLOOR_ULPS * mean_step):
+        raise NumericalError(f"{what} is off by {mass:.3g} in mass and {mean:.3g} in V . p")
+
+
 @dataclass(frozen=True, eq=False)
 class TiltedDistribution:
     """Reference q tilted by exp(-lam * V), realizing the mean constraint.
@@ -274,9 +292,10 @@ def _tilt_multiplier(
     the same for v and 2^j v, and the first probe, the Newton step from
     t = 0, is finite for any finite v.  The mean decreases in t; the probe
     doubles until the sign changes.  Returns (lam, weights, log_partition,
-    report), reusing the state of the evaluation the root settles on; the
-    report's ``mean_step`` is how far V . p moves over one float step of t
-    there, in units of V.
+    report), reusing the state of the evaluation the root settles on.  The
+    answer is checked (``_check_residuals``) from that evaluation's residual,
+    so the check costs no extra pass over the weights; the weights are
+    divided by their own sum, so only V . p can be off.
     """
     s = float(np.abs(v).max())
     d, c_d = v / s, c / s
@@ -308,9 +327,8 @@ def _tilt_multiplier(
         raise NonConvergence(f"multiplier for target {c!r} overflows the float range")
     _, slope, w, log_z = seen[t]
     # one float step of t moves V . p by the variance under p times that step
-    mean_step = -slope * math.ulp(t) * s
-    report = {"bracket": (lo / s, hi / s), "expansions": expansions, **counts, "residual": abs(g) * s,
-              "mean_step": mean_step}
+    _check_residuals("kl projection", d.size, 0.0, abs(g) * s, s, -slope * math.ulp(t) * s)
+    report = {"bracket": (lo / s, hi / s), "expansions": expansions, **counts, "residual": abs(g) * s}
     return lam, w, log_z, report
 
 
@@ -520,13 +538,8 @@ def divergence_projection(
     generators find them exactly by an active-set walk.  Point targets must
     lie strictly inside the attainable range.  The roots raise
     NonConvergence only if they run out of steps.  Every answer's mass and
-    mean are checked, each in its own units, a NumericalError if either is
-    off.  The mass is held to k times ``_floor(1)``, the round-off of a
-    k-term sum.  V . p is held to k + 2 times ``_floor(V)`` (the sum, and
-    the tilt's floor of FLOOR_ULPS ulps of 1 in units of max |V|) plus 2
-    FLOOR_ULPS times how far V . p moves over one float step of the root's
-    variable (zero for the exact walk): a root that closed its bracket sits
-    within one such step, and round-off blurs V . p over a few more.
+    V . p are checked (``_check_residuals``), a NumericalError if either is
+    off.
     """
     v_full = as_potential(constraint.potential, q.alphabet)
     c, _ = resolve_target(q, v_full, constraint.target)
@@ -534,24 +547,19 @@ def divergence_projection(
         return FiniteDistribution(q.alphabet, q.weights)
 
     sup = q.support
-    v = v_full[sup]
-    qw = q.weights[sup]
-    if spec.generator == "kl":
-        _, p, _, report = _tilt_multiplier(np.log(qw), v, c)
-        mean_step = report["mean_step"]
-    elif spec.generator == "reverse_kl":
-        p, mean_step = _reverse_kl_projection(qw, v, c)
+    if spec.generator == "kl":  # the tilt checks its own answer
+        p = _tilt(q, v_full, c)[0].realized.weights[sup]
     else:
-        p, mean_step = _quadratic_projection(spec, qw, v, c), 0.0
-    total = float(p.sum())
-    mass, mean = abs(total - 1.0), abs(float(np.dot(p, v)) - c)
-    if not (mass <= p.size * _floor(1.0) and mean <= (p.size + 2) * _floor(v) + 2 * FLOOR_ULPS * mean_step):
-        raise NumericalError(
-            f"{spec.generator} projection is off by {mass:.3g} in mass and {mean:.3g} in V . p"
-        )
+        v, qw = v_full[sup], q.weights[sup]
+        if spec.generator == "reverse_kl":
+            p, mean_step = _reverse_kl_projection(qw, v, c)
+        else:
+            p, mean_step = _quadratic_projection(spec, qw, v, c), 0.0
+        mass, mean = abs(float(p.sum()) - 1.0), abs(float(np.dot(p, v)) - c)
+        _check_residuals(f"{spec.generator} projection", p.size, mass, mean, float(np.abs(v).max()), mean_step)
 
     weights = np.zeros(q.size)
-    weights[sup] = p / total
+    weights[sup] = p / p.sum()
     return FiniteDistribution(q.alphabet, weights)
 
 

@@ -205,6 +205,50 @@ class TestMain:
         assert cli.main(["meta", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
         capsys.readouterr()
 
+    def test_meta_out_of_reach_message_prints_plain_floats(self):
+        config = json.loads(json.dumps(next(c for c in VALID_CONFIGS if c["command"] == "meta")))
+        config["inputs"]["eta"] = 0.95
+        message = cli.validate(config)[0]["message"]
+        assert message == "eta 0.95 is out of reach of E[U] on [0.6, 0.9]"
+
+    @pytest.mark.parametrize("points, epsilon, code", [
+        (3, 0.0, 4), (9, 0.0, 4), (21, 0.0, 0),
+        (2001, 0.35999999999999976, 0),  # 2 ulps below the envelope variance at r = 0.8
+    ])
+    def test_corr_checks_its_quadrature_at_every_r(self, tmp_path, capsys, points, epsilon, code):
+        # 3 and 9 points once gave slopes 8.1e-13 and 0.86 for the true 1.0;
+        # every r must recover the conditional variance to QUADRATURE_ANCHOR_RTOL
+        config = {"command": "corr", "inputs": {"loss": {"kind": "quadratic"}, "r_grid": [0.0, 0.2, 0.4, 0.6, 0.8],
+                                                "grid_points": points, "epsilon": epsilon}}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main(["corr", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.err.startswith("GridTooCoarse")
+        else:
+            assert json.loads(captured.out)["slope"] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("target, expected", [
+        (0.25, None),  # the README instance
+        (0.5, {"bracket": [0, 0], "expansions": 0, "bisections": 0, "newton": 0, "residual": 0}),  # the mean of q
+    ])
+    def test_tilt_verbose_reports_solver_diagnostics(self, tmp_path, capsys, target, expected):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(tilt_config(target)), encoding="utf-8")
+        assert cli.main(["tilt", "--config", str(cfg), "--out", str(tmp_path / "o"), "--verbose"]) == 0
+        result = json.loads(capsys.readouterr().out)
+        diagnostics = result["diagnostics"]
+        assert list(diagnostics) == ["bracket", "expansions", "bisections", "newton", "residual"]
+        if expected is not None:
+            assert diagnostics == expected
+            return
+        lo, hi = diagnostics["bracket"]
+        assert lo <= result["lambda"] <= hi
+        assert all(isinstance(diagnostics[key], int) for key in ("expansions", "bisections", "newton"))
+        assert diagnostics["newton"] + diagnostics["bisections"] >= 1
+        assert diagnostics["residual"] <= 4 * math.ulp(1.0)
+
     def test_validate_only_reports_diagnostics(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(tilt_config(target=5.0)), encoding="utf-8")
@@ -514,6 +558,7 @@ class TestUnreadInputKeys:
             ("tilt", (), "tol"),
             ("sanov", (), "target_intervals"),
             ("meta", ("U",), "scale"),
+            ("meta", ("U",), "center"),  # the identity statistic reads no parameter
             ("corr", ("loss",), "delta"),  # quadratic loss takes no parameter
             ("corr", ("loss",), "spread"),
             ("bayes", ("loss",), "weights"),
@@ -533,6 +578,20 @@ class TestUnreadInputKeys:
         assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "ConfigInvalid" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("u, key", [
+        ({"kind": "identity", "table_xi": [0.6, 0.9], "table_u": [0.0, 1.0]}, "table_xi"),
+        ({"kind": "user_table", "table_xi": [0.6, 0.9], "table_u": [0.0, 1.0], "center": 0.75}, "center"),
+    ])
+    def test_meta_u_key_its_kind_does_not_read_is_a_validation_error(self, tmp_path, capsys, u, key):
+        config = json.loads(json.dumps(next(c for c in VALID_CONFIGS if c["command"] == "meta")))
+        config["inputs"]["U"] = u
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main(["meta", "--config", str(cfg), "--validate-only"]) == 2
+        assert key in json.loads(capsys.readouterr().out)["diagnostics"][0]["message"]
+        assert cli.main(["meta", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "ConfigInvalid" in capsys.readouterr().err
 
     def test_every_listed_key_is_read(self):
         # each valid config uses only listed keys, and the huber and quartic

@@ -7,9 +7,8 @@ from maxent_bayes.correlation import (
     conditional_loss_expansion,
     loss_correlation_curve,
     loss_function,
-    moment_envelope_check,
 )
-from maxent_bayes.errors import GridTooCoarse, UnsupportedLoss
+from maxent_bayes.errors import UnsupportedLoss
 
 
 class TestGaussianPairModel:
@@ -26,48 +25,12 @@ class TestGaussianPairModel:
         m = GaussianPairModel(sigma_y=2.0, r=0.5)
         assert m.conditional_mean(1.5) == pytest.approx(1.5, abs=1e-12)
 
-    def test_joint_mass_is_unit(self):
-        m = GaussianPairModel(sigma_y=1.0, r=0.6, grid_points=401)
-        assert m.joint_mass() == pytest.approx(1.0, abs=1e-6)
-
     def test_quadrature_variance_matches_closed_form(self):
         for r in (0.0, 0.3, 0.8):
             m = GaussianPairModel(sigma_y=1.3, r=r, epsilon=0.05)
             got = m.conditional_centered_moment(0.7, 2)
             want = m.conditional_variance
             assert abs(got - want) / want <= 1e-4
-
-
-class TestMomentEnvelope:
-    def test_standard_normal_second_moment(self):
-        report = moment_envelope_check(GaussianPairModel(sigma_y=1.0, r=0.0), p_grid=(2,))
-        assert report.lhs[0] == pytest.approx(1.0, abs=1e-6)
-        assert report.rhs[0] == 2.0
-        assert report.all_satisfied()
-
-    def test_fourth_moment(self):
-        report = moment_envelope_check(GaussianPairModel(sigma_y=1.0, r=0.0), p_grid=(4,))
-        assert report.lhs[0] == pytest.approx(3.0, abs=1e-6)
-        assert report.rhs[0] == 16.0
-        assert report.all_satisfied()
-
-    def test_degenerate_perfect_correlation(self):
-        report = moment_envelope_check(GaussianPairModel(sigma_y=1.0, r=1.0))
-        assert all(abs(v) <= 1e-12 for v in report.lhs)
-        assert report.all_satisfied()
-
-    def test_default_grid_covers_orders_up_to_eight(self):
-        report = moment_envelope_check(GaussianPairModel(sigma_y=1.0, r=0.4, epsilon=0.1))
-        assert report.p_grid == (2, 4, 6, 8)
-        assert report.all_satisfied()
-
-    def test_odd_orders_rejected(self):
-        with pytest.raises(ValueError):
-            moment_envelope_check(GaussianPairModel(sigma_y=1.0, r=0.0), p_grid=(3,))
-
-    def test_coarse_grid_raises(self):
-        with pytest.raises(GridTooCoarse):
-            moment_envelope_check(GaussianPairModel(sigma_y=1.0, r=0.0, grid_points=5))
 
 
 class TestConditionalLossExpansion:

@@ -16,7 +16,6 @@ from maxent_bayes import (
     kl_divergence,
     map_model,
     maxent_error_fit,
-    misfit_weight,
     run_meta_pipeline,
     simplex_grid,
     total_variation,
@@ -105,7 +104,6 @@ class TestMaxentErrorFit:
         fit = maxent_error_fit(ed, MetaConstraint(kind="centered_square", eta=eta))
         assert fit.lambda_eta > 0.0
         assert fit.variance() == pytest.approx(eta, abs=1e-9)
-        assert fit.provenance == "fitted"
 
     def test_centered_square_past_the_largest_variance_is_infeasible(self):
         # a law on [0, 1] has variance at most 1/4, so no centre is self-consistent
@@ -376,23 +374,6 @@ class TestTiltPolish:
                 map_model(BERN_HALF, None, V01, (0.6, 0.9), flat_meta(), lambda_eta=0.1, speed=speed)
 
 
-class TestMisfitWeight:
-    def test_zero_misfit(self):
-        nu = error_distribution_exact(BERN_HALF, V01, 4)
-        mu = dist(0.5, 0.5)  # expected loss 0.5 equals the nu mean
-        assert misfit_weight(mu, V01, nu, 2.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_zero_multiplier(self):
-        nu = error_distribution_exact(BERN_HALF, V01, 4)
-        assert misfit_weight(dist(0.1, 0.9), V01, nu, 0.0) == 1.0
-
-    def test_direct_evaluation(self):
-        nu = error_distribution_exact(BERN_HALF, V01, 4)  # mean 0.5
-        mu = dist(0.0, 1.0)  # expected loss 1.0, misfit 0.5
-        assert misfit_weight(mu, V01, nu, 1.0) == pytest.approx(math.exp(-0.25), abs=1e-12)
-        assert misfit_weight(mu, V01, nu, 1.0) == pytest.approx(0.778801, abs=1e-6)
-
-
 class TestLevelCoherence:
     def test_error_weights_approach_rate_function(self):
         n = 60
@@ -421,19 +402,6 @@ class TestMapConsistency:
     def test_widest_window_and_vanishing_multiplier_recover_base(self):
         result = map_model(BERN_HALF, None, V01, (0.0, 1.0), flat_meta(), lambda_eta=0.0)
         assert total_variation(result.model, BERN_HALF) <= 1e-6
-
-    def test_posterior_weights_normalize(self):
-        nu = error_distribution_exact(BERN_HALF, V01, 20)
-        grid = simplex_grid(2, 0.01)
-        total = 0.0
-        for row in grid:
-            mu = FiniteDistribution(BERN_HALF.alphabet, row)
-            total += (
-                math.exp(-kl_divergence(mu, BERN_HALF))
-                * misfit_weight(mu, V01, nu, 2.0)
-                * (1.0 / grid.shape[0])
-            )
-        assert math.isfinite(total) and total > 0.0
 
 
 class TestMetaPipeline:

@@ -1,9 +1,19 @@
 """Static checks on the library source."""
 
 import ast
+import inspect
 from pathlib import Path
 
-SOURCE = Path(__file__).resolve().parents[1] / "src" / "maxent_bayes"
+import maxent_bayes
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCE = ROOT / "src" / "maxent_bayes"
+
+# Public names kept although no command, script or acceptance criterion uses them.
+UNREACHED_BY_DESIGN = {
+    "contract_rate": "the contraction step of the Sanov extension; its tests check level coherence",
+    "shannon_entropy": "the oracle of the max-entropy property tests",
+}
 
 
 def test_library_code_has_no_assert_statements():
@@ -15,3 +25,33 @@ def test_library_code_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def identifiers(path: Path) -> set[str]:
+    """Every name, attribute and imported name that a file mentions."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_exported_name_is_reached():
+    # a public name must serve a command (a library module other than the
+    # package's export list), a script or an acceptance criterion; a
+    # definition alone is not a use
+    callers = [p for p in SOURCE.glob("*.py") if p.stem != "__init__"]
+    callers += sorted(ROOT.glob("scripts/*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+    used = set().union(*(identifiers(path) for path in callers))
+    unreached = [
+        name
+        for name in maxent_bayes.__all__
+        if not inspect.ismodule(getattr(maxent_bayes, name))
+        and name not in UNREACHED_BY_DESIGN
+        and name not in used
+    ]
+    assert unreached == []
