@@ -9,10 +9,11 @@ Commands: bayes, tilt, project, necessity, sanov, gibbs, rate, meta, corr.
 
 Every command validates its config before any computation starts (inputs
 per command, with defaults and domains: README.md, "Config inputs"; an
-input key the command does not read is an error, also inside the U and
-loss objects; every scalar input must be a finite real, and speed,
-sigma_y and model_grid_step also > 0; every count a JSON integer, not a
-bool or a float), writes its outputs plus a run manifest with
+input key the command does not read is an error, also inside the U,
+loss and measure objects; every real input, in a list or not, must be a
+finite JSON number, not a bool or a string, and speed, sigma_y and
+model_grid_step also > 0; every count a JSON integer, not a bool or a
+float), writes its outputs plus a run manifest with
 per-output checksums, and echoes the result JSON to stdout.  Exit codes by
 error family: validation 2, infeasible 3, numerical 4, resource 5.
 """
@@ -31,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .correlation import loss_correlation_curve, loss_function
+from .correlation import GaussianPairModel, loss_correlation_curve, loss_function
 from .errors import (
     ConfigInvalid,
     EmptyEvent,
@@ -74,20 +75,21 @@ THREADS_ENV_VAR = "MAXENT_BAYES_THREADS"
 FORMATS = ("csv", "json", "both")
 # The input keys each command reads; an object input maps to the keys it reads
 # (None for the corr loss: correlation.loss_function checks its keys per kind;
-# MetaConstraint checks which of the U keys its kind reads).
+# MetaConstraint checks which of the U keys its kind reads).  A measure is a
+# list of weights or an object with these keys:
+MEASURE = ("alphabet", "weights")
 INPUT_KEYS = {
-    "bayes": {"posterior": None, "loss": ("prediction_alphabet", "label_alphabet", "entries")},
-    "tilt": {"q": None, "potential": None, "target": None},
-    "project": {"P": None, "potential": None, "target": None, "target_interval": None},
-    "necessity": {"generator": None, "q": None, "potential": None, "target": None},
-    "sanov": {"P": None, "potential": None, "target": None, "target_interval": None,
+    "bayes": {"posterior": MEASURE, "loss": ("prediction_alphabet", "label_alphabet", "entries")},
+    "tilt": {"q": MEASURE, "potential": None, "target": None},
+    "project": {"P": MEASURE, "potential": None, "target": None, "target_interval": None},
+    "necessity": {"generator": None, "q": MEASURE, "potential": None, "target": None},
+    "sanov": {"P": MEASURE, "potential": None, "target": None, "target_interval": None,
               "n_grid": None, "method": None, "trials": None},
-    "gibbs": {"P": None, "potential": None, "Xi": None, "n_grid": None},
-    "rate": {"P": None, "potential": None, "points": None, "xi_grid": None},
-    "meta": {"P": None, "loss_row": None, "n": None, "Xi": None, "eta": None,
+    "gibbs": {"P": MEASURE, "potential": None, "Xi": None, "n_grid": None},
+    "rate": {"P": MEASURE, "potential": None, "points": None, "xi_grid": None},
+    "meta": {"P": MEASURE, "loss_row": None, "n": None, "Xi": None, "eta": None,
              "U": ("kind", "center", "table_xi", "table_u"), "model_grid_step": None, "speed": None},
-    "corr": {"loss": None, "r_grid": None, "sigma_y": None, "epsilon": None,
-             "x_value": None, "grid_points": None},
+    "corr": {"loss": None, "r_grid": None, "sigma_y": None, "epsilon": None},
 }
 COMMANDS = tuple(INPUT_KEYS)
 
@@ -147,11 +149,11 @@ def _check_keys(obj: dict, known, what: str) -> None:
 
 
 def _real(value, what: str, positive: bool = False) -> float:
-    """A scalar input: a finite real, and > 0 when ``positive``."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigInvalid(f"{what} must be a real number, got {value!r}") from exc
+    """A real input: a JSON number (not a bool or a string), finite, and > 0
+    when ``positive``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigInvalid(f"{what} must be a real number, got {value!r}")
+    x = float(value)  # an integer past the float range raises OverflowError: see prepare
     if not math.isfinite(x) or (positive and x <= 0.0):
         domain = "finite positive" if positive else "finite"
         raise ConfigInvalid(f"{what} must be a {domain} real, got {value!r}")
@@ -174,22 +176,25 @@ def _reals(values, what: str) -> tuple[float, ...]:
 def _as_distribution(obj, what: str) -> FiniteDistribution:
     try:
         if isinstance(obj, dict):
+            _reals(obj["weights"], f"{what} weights")
             return FiniteDistribution.from_dict(obj)
-        return FiniteDistribution.from_weights(obj)
+        return FiniteDistribution.from_weights(_reals(obj, f"{what} weights"))
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigInvalid(f"bad distribution for {what!r}: {exc}") from exc
 
 
 def _as_loss_matrix(obj) -> LossMatrix:
     try:
+        for row in obj["entries"]:
+            _reals(row, "loss entries row")
         return LossMatrix.from_dict(obj)
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigInvalid(f"bad loss matrix: {exc}") from exc
 
 
 def _as_potential_list(obj, k: int) -> np.ndarray:
-    v = np.asarray(obj, dtype=float)
-    if v.shape != (k,) or not np.all(np.isfinite(v)):
+    v = np.asarray(_reals(obj, "potential"))
+    if v.shape != (k,):
         raise ConfigInvalid(f"potential must be {k} finite reals")
     return v
 
@@ -483,28 +488,17 @@ def _prepare_corr(inputs: dict) -> RunPlan:
     loss_spec = _require(inputs, "loss")
     if not isinstance(loss_spec, dict) or "kind" not in loss_spec:
         raise ConfigInvalid('loss must be an object like {"kind": "quadratic"}')
-    loss = loss_function(loss_spec["kind"], **{k: v for k, v in loss_spec.items() if k != "kind"})
+    loss = loss_function(loss_spec["kind"], **{k: _real(v, k) for k, v in loss_spec.items() if k != "kind"})
     r_grid = _require(inputs, "r_grid")
     if not isinstance(r_grid, (list, tuple)) or len(r_grid) < 5:
         raise ConfigInvalid("r_grid must list at least 5 correlations")
     rs = _reals(r_grid, "r_grid")
     if any(not 0.0 <= r < 1.0 for r in rs):
         raise ConfigInvalid("correlations must lie in [0, 1)")
-    if epsilon < 0:
-        raise ConfigInvalid("epsilon must be non-negative")
-    max_r = max(rs)
-    if epsilon > sigma_y ** 2 * (1.0 - max_r ** 2) + 1e-15:
-        raise InfeasibleConstraint(
-            f"epsilon {epsilon!r} exceeds the envelope variance at r={max_r!r}"
-        )
-    x_value = _real(inputs.get("x_value", 0.0), "x_value")
-    grid_points = _count(inputs.get("grid_points", 2001), "grid_points", 3)
+    GaussianPairModel(sigma_y, max(rs), epsilon)  # checks epsilon where the envelope is tightest
 
     def execute(ctx: RunContext) -> dict:
-        curve = loss_correlation_curve(
-            loss, rs, sigma_y=sigma_y, epsilon=epsilon,
-            x_value=x_value, grid_points=grid_points,
-        )
+        curve = loss_correlation_curve(loss, rs, sigma_y=sigma_y, epsilon=epsilon)
         rows = list(zip(curve.r_grid, curve.expected_losses))
         payload = {
             "slope": curve.fit["slope"],

@@ -83,10 +83,6 @@ class NonConvergence(NumericalError):
         self.residual = residual
 
 
-class GridTooCoarse(NumericalError):
-    """Quadrature grid too coarse for the requested tolerance."""
-
-
 # ---------------------------------------------------------------------------
 # Resource family (exit 5): guards against blow-ups.
 # ---------------------------------------------------------------------------

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import EmptyEvent, EmptyFeasibleSet, InfeasibleConstraint, TableTooLarge
-from .ldp import TABLE_CAP, XI_BAND, _compositions, enumerate_types, in_window, table_size
+from .ldp import TABLE_CAP, XI_BAND, _compositions, _logsumexp, enumerate_types, in_window, table_size
 from .measures import Alphabet, FiniteDistribution, TIE_TOLERANCE, as_potential
 from .tilting import (
     ConstraintSpec,
@@ -47,23 +48,31 @@ U_PARAMETERS = {"identity": (), "centered_square": ("center",), "user_table": ("
 class ErrorDistribution:
     """Distribution of expected-loss values xi over a finite support.
 
+    ``log_mass`` holds the log of each support value's mass up to a common
+    shift, so a window far in the tail keeps its mass where the weights
+    themselves would underflow; ``weights`` normalizes it when first read.
     ``lambda_eta`` and ``center`` are populated on fitted instances so the
     downstream MAP search can reuse the solved multiplier and, for the
     centered-square statistic, the self-consistent centering point.
     """
 
     support: np.ndarray
-    weights: FiniteDistribution
+    log_mass: np.ndarray
     lambda_eta: float | None = None
     center: float | None = None
 
     def __post_init__(self):
         s = np.asarray(self.support, dtype=float)
-        if s.ndim != 1 or s.size != self.weights.size:
-            raise ValueError("support and weights must align")
+        if s.ndim != 1 or s.shape != np.shape(self.log_mass):
+            raise ValueError("support and log masses must align")
         if np.any(np.diff(s) <= 0):
             raise ValueError("support values must be strictly increasing")
         object.__setattr__(self, "support", s)
+
+    @cached_property
+    def weights(self) -> FiniteDistribution:
+        w = np.exp(self.log_mass - self.log_mass.max())
+        return FiniteDistribution(Alphabet(tuple(float(x) for x in self.support)), w / w.sum())
 
     def mean(self) -> float:
         return float(np.dot(self.support, self.weights.weights))
@@ -81,12 +90,10 @@ class ErrorDistribution:
     def restrict(self, lo: float, hi: float) -> "ErrorDistribution":
         """Condition on xi falling inside [lo, hi]."""
         mask = in_window(self.support, lo, hi)
-        if not np.any(mask & (self.weights.weights > 0)):
+        if not np.any(mask):
             raise EmptyEvent(f"no error-value mass inside [{lo!r}, {hi!r}]")
-        sub = self.support[mask]
-        w = self.weights.weights[mask]
-        dist = FiniteDistribution(Alphabet(tuple(float(x) for x in sub)), w / w.sum())
-        return ErrorDistribution(support=sub, weights=dist)
+        log_mass = self.log_mass[mask]
+        return ErrorDistribution(support=self.support[mask], log_mass=log_mass - _logsumexp(log_mass))
 
 
 @dataclass(frozen=True)
@@ -141,19 +148,25 @@ class MetaConstraint:
 def error_distribution_exact(
     P: FiniteDistribution, potential, n: int
 ) -> ErrorDistribution:
-    """Exact law of V . L_n: type classes grouped by expected-loss value."""
+    """Exact law of V . L_n: type classes grouped by expected-loss value.
+
+    The support holds the values of positive probability.  Each value's log
+    mass is a log-sum-exp over its group, shifted by the group's largest
+    log-probability, so no group's mass underflows.
+    """
     v = as_potential(potential, P.alphabet)
     table = enumerate_types(P, n)
-    xi = table.frequencies() @ v
+    drawn = np.isfinite(table.log_probs)  # no symbol of weight 0 in P
+    xi = (table.frequencies() @ v)[drawn]
     order = np.argsort(xi, kind="stable")
-    xi_sorted = xi[order]
-    probs_sorted = np.exp(table.log_probs[order])
-    starts = np.concatenate(([True], np.diff(xi_sorted) > XI_BAND))
+    xi, log_probs = xi[order], table.log_probs[drawn][order]
+    del order  # arrays over all type classes set the peak memory: free each when done
+    starts = np.concatenate(([True], np.diff(xi) > XI_BAND))
     group_ids = np.cumsum(starts) - 1
-    support = xi_sorted[np.flatnonzero(starts)]
-    weights = np.bincount(group_ids, weights=probs_sorted, minlength=support.size)
-    dist = FiniteDistribution(Alphabet(tuple(float(x) for x in support)), weights)
-    return ErrorDistribution(support=support, weights=dist)
+    heads = np.flatnonzero(starts)
+    shift = np.maximum.reduceat(log_probs, heads)
+    sums = np.bincount(group_ids, weights=np.exp(log_probs - shift[group_ids]))
+    return ErrorDistribution(support=xi[heads], log_mass=shift + np.log(sums))
 
 
 def maxent_error_fit(reference: ErrorDistribution, meta: MetaConstraint) -> ErrorDistribution:
@@ -164,9 +177,12 @@ def maxent_error_fit(reference: ErrorDistribution, meta: MetaConstraint) -> Erro
     """
     if meta.kind == "centered_square" and meta.center is None:
         meta = meta.with_center(_self_consistent_center(reference, meta.eta))
-    tilt = solve_tilt(reference.weights, meta.values(reference.support), meta.eta)
+    u = meta.values(reference.support)
+    tilt = solve_tilt(reference.weights, u, meta.eta)
+    # the multiplier applied to the log masses the solve saw: those whose weight is above underflow
+    log_mass = np.where(reference.weights.weights > 0, reference.log_mass - tilt.lam * u, -np.inf)
     return ErrorDistribution(
-        support=reference.support, weights=tilt.realized, lambda_eta=tilt.lam, center=meta.center
+        support=reference.support, log_mass=log_mass, lambda_eta=tilt.lam, center=meta.center
     )
 
 

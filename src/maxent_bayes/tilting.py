@@ -52,6 +52,11 @@ from .measures import (
 FLOOR_ULPS = 4
 # Safety net only: each root step either halves |f| or splits the bracket.
 ROOT_STEP_CAP = 200
+# The quadratic walk's unit of offsets of V, per unit of their spread: a
+# weight at the smallest subnormal times an offset, and the weighted mean
+# offset, stay normal floats, while k (2 * 2^256)^2 cannot overflow.  A power
+# of two, it changes no result that did not underflow.
+_OFFSETS_PER_SPREAD = 2.0 ** 256
 _FLOAT, _BITS = struct.Struct("<d"), struct.Struct("<q")
 
 
@@ -491,10 +496,11 @@ def _quadratic_projection(
     falling atom (d < dbar) reaches 0 first; then that atom is dropped and
     the walk goes on.  Only falling atoms leave, so dbar grows and a clamped
     atom never returns: at most k pieces, each in closed form.  Per piece, h
-    is taken relative to the anchor atom and d relative to the spread of V
-    on S, and p moves along the change per unit of mean, h (d - dbar) /
-    slope, rather than along b: that keeps every piece finite when q spans
-    hundreds of orders of magnitude, subnormal weights included.
+    is taken relative to the anchor atom and d in units of the spread of V
+    on S over _OFFSETS_PER_SPREAD, and p moves along the change per unit of
+    mean, h (d - dbar) / slope, rather than along b: that keeps every piece
+    finite when q spans hundreds of orders of magnitude, subnormal weights
+    included.
     """
     if float(np.dot(q, v)) > c:
         v, c = -v, -c
@@ -505,7 +511,7 @@ def _quadratic_projection(
         top = int(np.argmax(h[active]))
         w = h[active] / h[active][top]
         spread = float(vs.max() - vs.min()) or 1.0  # any scale for a single value
-        d = (vs - vs[top]) / spread
+        d = (vs - vs[top]) / spread * _OFFSETS_PER_SPREAD
         # 1 - q(S) is the clamped mass; round-off must not make base negative
         base = qs + w * (max(1.0 - float(qs.sum()), 0.0) / float(w.sum()))
         dbar = float(np.dot(w, d)) / float(w.sum())
@@ -514,7 +520,8 @@ def _quadratic_projection(
         # p moves by need * rate to meet c; move / slope stays finite where
         # the step need / slope overflows (h down in the subnormal range)
         rate = move / slope if slope > 0.0 else move
-        need = (c - vs[top]) / spread - float(np.dot(base, d))
+        # a Python float, so need * fall past the float range is inf, not a warning
+        need = float(c - vs[top]) / spread * _OFFSETS_PER_SPREAD - float(np.dot(base, d))
         # relative speed at which each atom falls; the fastest reaches 0 first
         # (a speed past the float range comes from a subnormal base: one at 0)
         with np.errstate(over="ignore"):

@@ -372,7 +372,6 @@ DETERMINISM_CONFIGS = [
             "epsilon": 0.0,
             "loss": {"kind": "quadratic"},
             "r_grid": [0.0, 0.2, 0.4, 0.6, 0.8],
-            "grid_points": 801,
         },
         "seed": 5,
     },

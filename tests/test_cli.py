@@ -211,23 +211,38 @@ class TestMain:
         message = cli.validate(config)[0]["message"]
         assert message == "eta 0.95 is out of reach of E[U] on [0.6, 0.9]"
 
-    @pytest.mark.parametrize("points, epsilon, code", [
-        (3, 0.0, 4), (9, 0.0, 4), (21, 0.0, 0),
-        (2001, 0.35999999999999976, 0),  # 2 ulps below the envelope variance at r = 0.8
+    @pytest.mark.parametrize("sigma_y, epsilon, code", [
+        (1e-10, 1e-15, 3),  # 2.8e5 times the envelope 3.6e-21 at r = 0.8
+        (1.0, 0.36, 0),  # 2 ulps above the envelope 0.3599999999999999
+        (1.0, 0.35999999999999976, 0),  # 2 ulps below it
+        (1.0, 0.3599999999999999 + 1e-15, 3),  # 18 ulps above it
     ])
-    def test_corr_checks_its_quadrature_at_every_r(self, tmp_path, capsys, points, epsilon, code):
-        # 3 and 9 points once gave slopes 8.1e-13 and 0.86 for the true 1.0;
-        # every r must recover the conditional variance to QUADRATURE_ANCHOR_RTOL
+    def test_corr_epsilon_is_held_to_the_envelope_at_its_own_scale(self, tmp_path, capsys, sigma_y, epsilon, code):
         config = {"command": "corr", "inputs": {"loss": {"kind": "quadratic"}, "r_grid": [0.0, 0.2, 0.4, 0.6, 0.8],
-                                                "grid_points": points, "epsilon": epsilon}}
+                                                "sigma_y": sigma_y, "epsilon": epsilon}}
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main(["corr", "--config", str(cfg), "--validate-only"]) == code
+        capsys.readouterr()
         assert cli.main(["corr", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
         captured = capsys.readouterr()
         if code:
-            assert captured.err.startswith("GridTooCoarse")
+            assert captured.err.startswith("InfeasibleConstraint")
         else:
             assert json.loads(captured.out)["slope"] == pytest.approx(1.0, abs=1e-9)
+            losses = [float(row.split(",")[1]) for row in (tmp_path / "o" / "correlation_curve.csv").read_text().split()[1:]]
+            assert min(losses) >= 0.0 and losses[-1] <= 2e-16
+
+    def test_meta_far_tail_window_keeps_its_mass(self, tmp_path, capsys):
+        # the window holds exp(-794.4) of the law, below the float range;
+        # brentq on the tilt of the exact restricted binomial law gives lambda_eta
+        inputs = {"P": [0.5, 0.5], "loss_row": [0, 1], "n": 1600, "Xi": [0.95, 1.0], "U": {"kind": "identity"},
+                  "eta": 0.97}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": "meta", "inputs": inputs}), encoding="utf-8")
+        assert cli.main(["meta", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result["lambda_eta"] == pytest.approx(-5561.750651962271, rel=1e-9)
 
     @pytest.mark.parametrize("target, expected", [
         (0.25, None),  # the README instance
@@ -419,7 +434,6 @@ VALID_CONFIGS = [
             "epsilon": 0.0,
             "loss": {"kind": "quadratic"},
             "r_grid": [0.0, 0.2, 0.4, 0.6, 0.8],
-            "grid_points": 401,
         },
     },
 ]
@@ -437,7 +451,7 @@ SCALAR_INPUTS = {
     "gibbs": ("Xi",),
     "rate": ("xi_grid",),
     "meta": ("eta", "Xi", "speed", "model_grid_step"),
-    "corr": ("sigma_y", "epsilon", "x_value"),
+    "corr": ("sigma_y", "epsilon"),
 }
 
 
@@ -520,7 +534,6 @@ class TestValidationCompleteness:
         [
             ("rate", "xi_grid", math.nan),
             ("rate", "xi_grid", math.inf),
-            ("corr", "x_value", math.nan),
             ("corr", "sigma_y", math.nan),
             ("corr", "epsilon", math.nan),
             ("tilt", "target", math.nan),
@@ -533,8 +546,10 @@ class TestValidationCompleteness:
             # an unread key, whatever its value
             ("tilt", "tol", math.nan),
             ("tilt", "tol", -1.0),
+            ("corr", "x_value", math.nan),
             ("corr", "grid_points", 2),
             ("corr", "grid_points", 3.7),
+            # a count that is not an integer
             ("sanov", "trials", 2500.9),
             ("rate", "points", 3.9),
             ("meta", "n", True),
@@ -551,6 +566,44 @@ class TestValidationCompleteness:
         assert "ConfigInvalid" in capsys.readouterr().err
 
 
+def with_input(command, key, value):
+    config = json.loads(json.dumps(next(c for c in VALID_CONFIGS if c["command"] == command)))
+    config["inputs"][key] = value
+    return config
+
+
+class TestJsonNumbers:
+    """A real input is a JSON number: a string or a bool fails validation, in a list or not."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            tilt_config("0.25"),
+            with_input("tilt", "potential", ["0", True]),
+            with_input("tilt", "q", ["0.5", "0.5"]),
+            with_input("project", "P", {"alphabet": [0, 1], "weights": ["0.4", 0.6]}),
+            with_input("project", "P", {"alphabet": [0, 1], "weights": [0.4, 0.6], "junk": 1}),
+            with_input("meta", "Xi", ["0.6", 0.9]),
+            with_input("meta", "eta", "0.7"),
+            with_input("meta", "loss_row", [0, True]),
+            with_input("bayes", "loss", {"prediction_alphabet": [0, 1], "label_alphabet": [0, 1],
+                                         "entries": [["0", True], [1, 0]]}),
+            with_input("corr", "loss", {"kind": "huber", "delta": "0.5"}),
+        ],
+        ids=["target", "potential", "q", "P-weights", "P-junk-key", "Xi", "eta", "loss_row", "loss-entries",
+             "huber-delta"],
+    )
+    def test_non_number_is_a_validation_error(self, tmp_path, capsys, config):
+        command = config["command"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main([command, "--config", str(cfg), "--validate-only"]) == 2
+        assert json.loads(capsys.readouterr().out)["diagnostics"][0]["error"] == "ConfigInvalid"
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "ConfigInvalid" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 class TestUnreadInputKeys:
     @pytest.mark.parametrize(
         "command, path, key",
@@ -562,6 +615,9 @@ class TestUnreadInputKeys:
             ("corr", ("loss",), "delta"),  # quadratic loss takes no parameter
             ("corr", ("loss",), "spread"),
             ("bayes", ("loss",), "weights"),
+            ("bayes", ("posterior",), "junk"),  # a measure object reads alphabet and weights
+            ("corr", (), "grid_points"),
+            ("corr", (), "x_value"),
         ],
     )
     def test_unread_key_is_a_validation_error(self, tmp_path, capsys, command, path, key):

@@ -1,6 +1,8 @@
 import math
 
+import numpy as np
 import pytest
+from scipy import integrate, stats
 
 from maxent_bayes.correlation import (
     GaussianPairModel,
@@ -8,7 +10,7 @@ from maxent_bayes.correlation import (
     loss_correlation_curve,
     loss_function,
 )
-from maxent_bayes.errors import UnsupportedLoss
+from maxent_bayes.errors import InfeasibleConstraint, UnsupportedLoss
 
 
 class TestGaussianPairModel:
@@ -18,19 +20,54 @@ class TestGaussianPairModel:
         assert m.conditional_variance == pytest.approx(3.0 - 0.25, abs=1e-12)
 
     def test_epsilon_cannot_exceed_envelope(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InfeasibleConstraint):
             GaussianPairModel(sigma_y=1.0, r=0.9, epsilon=0.5)
 
-    def test_conditional_mean_tracks_x(self):
-        m = GaussianPairModel(sigma_y=2.0, r=0.5)
-        assert m.conditional_mean(1.5) == pytest.approx(1.5, abs=1e-12)
 
-    def test_quadrature_variance_matches_closed_form(self):
-        for r in (0.0, 0.3, 0.8):
-            m = GaussianPairModel(sigma_y=1.3, r=r, epsilon=0.05)
-            got = m.conditional_centered_moment(0.7, 2)
-            want = m.conditional_variance
-            assert abs(got - want) / want <= 1e-4
+def gaussian_quad(loss, s, cuts=()):
+    """E[loss(t)] for t ~ N(0, s^2) by adaptive quadrature over t >= 0 (the
+    losses are even), split at the cuts where the integrand changes form."""
+    f = lambda t: loss(t) * stats.norm.pdf(t, scale=s)
+    ends = [0.0, *cuts, math.inf]
+    return 2.0 * sum(
+        integrate.quad(f, a, b, points=[x for x in (s, 10 * s) if x < b] if b < math.inf else None,
+                       epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        for a, b in zip(ends, ends[1:])
+    )
+
+
+class TestClosedForms:
+    """Each loss's conditional expectation against quadrature of its definition."""
+
+    @pytest.mark.parametrize("sigma, r", [(0.5, 0.0), (1.0, 0.6), (3.0, 0.3)])
+    @pytest.mark.parametrize("ratio", np.logspace(-3.0, 3.0, 13))
+    def test_huber_across_delta_over_s(self, sigma, r, ratio):
+        s = sigma * math.sqrt(1.0 - r * r)
+        d = ratio * s
+        huber = lambda t: 0.5 * t * t if t <= d else d * (t - 0.5 * d)
+        got = GaussianPairModel(sigma, r).conditional_expected_loss(loss_function("huber", delta=d))
+        assert got == pytest.approx(gaussian_quad(huber, s, (d,)), rel=1e-12)
+
+    @pytest.mark.parametrize("scale", (0.0, 1.0, 2.0))
+    @pytest.mark.parametrize("sigma, r", [(0.5, 0.0), (1.0, 0.6), (3.0, 0.3)])
+    def test_quartic_and_quadratic(self, scale, sigma, r):
+        s = sigma * math.sqrt(1.0 - r * r)
+        model = GaussianPairModel(sigma, r)
+        quartic = model.conditional_expected_loss(loss_function("quartic", scale=scale))
+        assert quartic == pytest.approx(gaussian_quad(lambda t: scale * t ** 4, s), rel=1e-12, abs=0.0)
+        quadratic = model.conditional_expected_loss(loss_function("quadratic"))
+        assert quadratic == pytest.approx(gaussian_quad(lambda t: t * t, s), rel=1e-12)
+
+    def test_point_mass_scales_the_gaussian_part(self):
+        model = GaussianPairModel(sigma_y=2.0, r=0.5, epsilon=0.75)  # a quarter of the envelope 3
+        s = math.sqrt(3.0)
+        huber = lambda t: 0.5 * t * t if t <= 0.7 else 0.7 * (t - 0.35)
+        got = model.conditional_expected_loss(loss_function("huber", delta=0.7))
+        assert got == pytest.approx(0.75 * gaussian_quad(huber, s, (0.7,)), rel=1e-12)
+
+    @pytest.mark.parametrize("kind, params", [("quadratic", {}), ("huber", {"delta": 0.5}), ("quartic", {"scale": 2.0})])
+    def test_perfect_correlation_leaves_no_loss(self, kind, params):
+        assert GaussianPairModel(sigma_y=1.5, r=1.0).conditional_expected_loss(loss_function(kind, **params)) == 0.0
 
 
 class TestConditionalLossExpansion:
@@ -48,7 +85,7 @@ class TestConditionalLossExpansion:
                 for eps_frac in (0.0, 0.5):
                     eps = eps_frac * sigma ** 2 * (1.0 - r ** 2)
                     model = GaussianPairModel(sigma_y=sigma, r=r, epsilon=eps)
-                    out = conditional_loss_expansion(model, loss_function("quadratic"), 0.3)
+                    out = conditional_loss_expansion(model, loss_function("quadratic"))
                     assert out.residual <= 1e-8
 
     def test_perfect_correlation_gives_zero_loss(self):

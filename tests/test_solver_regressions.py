@@ -188,6 +188,16 @@ class TestPinnedProjections:
         p = divergence_projection(DivergenceSpec("chi_squared"), qd, ConstraintSpec.point(v, c))
         assert p.weights == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("weight", (5e-324, 1e-320))
+    def test_chi_squared_with_two_weights_at_the_smallest_subnormal(self, weight):
+        # at 5e-324 the light atoms' pull on V . p, weight * (d - dbar) with
+        # d - dbar = -+0.5, once rounded to 0 and left p at q; feasibility
+        # forces p_1 = 0.3 - p_0 / 2 and p_2 = 0.7 - p_0 / 2, and both light
+        # atoms are cheapest at the largest p_0, 0.6
+        qd = FiniteDistribution(Alphabet.of_size(3), [1.0, weight, weight])
+        p = divergence_projection(DivergenceSpec("chi_squared"), qd, ConstraintSpec.point([0.5, 0.0, 1.0], 0.7))
+        assert p.weights == pytest.approx([0.6, 0.0, 0.4], abs=1e-15)
+
     @pytest.mark.parametrize(
         "gen, scale",
         [
