@@ -7,15 +7,10 @@ Usage:
 
 Commands: bayes, tilt, project, necessity, sanov, gibbs, rate, meta, corr.
 
-Every command validates its config before any computation starts (inputs
-per command, with defaults and domains: README.md, "Config inputs"; an
-input key the command does not read is an error, also inside the U,
-loss and measure objects; every real input, in a list or not, must be a
-finite JSON number, not a bool or a string, and speed, sigma_y and
-model_grid_step also > 0; every count a JSON integer, not a bool or a
-float), writes its outputs plus a run manifest with
-per-output checksums, and echoes the result JSON to stdout.  Exit codes by
-error family: validation 2, infeasible 3, numerical 4, resource 5.
+Every command validates its config before any computation starts (the
+rules: README.md, "Config inputs"), writes its outputs plus a run manifest
+with per-output checksums, and echoes the result JSON to stdout.  Exit
+codes by error family: validation 2, infeasible 3, numerical 4, resource 5.
 """
 
 from __future__ import annotations
@@ -25,36 +20,35 @@ import datetime
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from .correlation import GaussianPairModel, loss_correlation_curve, loss_function
+from .correlation import GaussianPairModel, correlation_grid, loss_correlation_curve, loss_function
 from .errors import (
     ConfigInvalid,
     EmptyEvent,
     InfeasibleConstraint,
     InfeasibleError,
     MaxentError,
-    TableTooLarge,
 )
 from .jsonio import canonical_config_hash, csv_text, dumps, sha256_text
 from .ldp import (
     SeededSampler,
-    TABLE_CAP,
+    check_table_size,
     error_rate_function,
     gibbs_conditioning,
     sanov_exact,
     sanov_monte_carlo,
-    table_size,
 )
 from .measures import (
     Alphabet,
     FiniteDistribution,
     LossMatrix,
+    as_potential,
     bayes_classifier,
     kl_divergence,
 )
@@ -73,23 +67,19 @@ from .tilting import (
 
 THREADS_ENV_VAR = "MAXENT_BAYES_THREADS"
 FORMATS = ("csv", "json", "both")
-# The input keys each command reads; an object input maps to the keys it reads
-# (None for the corr loss: correlation.loss_function checks its keys per kind;
-# MetaConstraint checks which of the U keys its kind reads).  A measure is a
-# list of weights or an object with these keys:
-MEASURE = ("alphabet", "weights")
+# The input keys each command reads.  The reader of an object input rejects
+# the keys it does not read: FiniteDistribution.from_dict, LossMatrix.from_dict,
+# MetaConstraint.from_dict and correlation.loss_function.
 INPUT_KEYS = {
-    "bayes": {"posterior": MEASURE, "loss": ("prediction_alphabet", "label_alphabet", "entries")},
-    "tilt": {"q": MEASURE, "potential": None, "target": None},
-    "project": {"P": MEASURE, "potential": None, "target": None, "target_interval": None},
-    "necessity": {"generator": None, "q": MEASURE, "potential": None, "target": None},
-    "sanov": {"P": MEASURE, "potential": None, "target": None, "target_interval": None,
-              "n_grid": None, "method": None, "trials": None},
-    "gibbs": {"P": MEASURE, "potential": None, "Xi": None, "n_grid": None},
-    "rate": {"P": MEASURE, "potential": None, "points": None, "xi_grid": None},
-    "meta": {"P": MEASURE, "loss_row": None, "n": None, "Xi": None, "eta": None,
-             "U": ("kind", "center", "table_xi", "table_u"), "model_grid_step": None, "speed": None},
-    "corr": {"loss": None, "r_grid": None, "sigma_y": None, "epsilon": None},
+    "bayes": ("posterior", "loss"),
+    "tilt": ("q", "potential", "target"),
+    "project": ("P", "potential", "target", "target_interval"),
+    "necessity": ("generator", "q", "potential", "target"),
+    "sanov": ("P", "potential", "target", "target_interval", "n_grid", "method", "trials"),
+    "gibbs": ("P", "potential", "Xi", "n_grid"),
+    "rate": ("P", "potential", "points", "xi_grid"),
+    "meta": ("P", "loss_row", "n", "Xi", "eta", "U", "model_grid_step", "speed"),
+    "corr": ("loss", "r_grid", "sigma_y", "epsilon"),
 }
 COMMANDS = tuple(INPUT_KEYS)
 
@@ -101,12 +91,18 @@ class RunContext:
     verbose: bool
 
 
+Execute = Callable[[RunContext], dict]
+
+
 @dataclass
 class RunPlan:
-    """A validated command, ready to execute."""
+    """A validated command with its resolved run settings, ready to execute."""
 
     command: str
-    execute: Callable[[RunContext], dict]
+    execute: Execute
+    fmt: str
+    seed: int
+    out_dir: Path
 
 
 @dataclass
@@ -115,22 +111,10 @@ class RunManifest:
     command: str
     artifact_version: str
     started_utc: str
+    finished_utc: str
     seed: int
     threads: int
     outputs: dict = field(default_factory=dict)
-    finished_utc: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "config_sha256": self.config_sha256,
-            "command": self.command,
-            "artifact_version": self.artifact_version,
-            "started_utc": self.started_utc,
-            "finished_utc": self.finished_utc,
-            "seed": self.seed,
-            "threads": self.threads,
-            "outputs": self.outputs,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -140,12 +124,6 @@ def _require(inputs: dict, key: str):
     if key not in inputs:
         raise ConfigInvalid(f"missing required input {key!r}")
     return inputs[key]
-
-
-def _check_keys(obj: dict, known, what: str) -> None:
-    unknown = sorted(set(obj) - set(known))
-    if unknown:
-        raise ConfigInvalid(f"{what} has keys the command does not read: {', '.join(map(str, unknown))}")
 
 
 def _real(value, what: str, positive: bool = False) -> float:
@@ -192,11 +170,8 @@ def _as_loss_matrix(obj) -> LossMatrix:
         raise ConfigInvalid(f"bad loss matrix: {exc}") from exc
 
 
-def _as_potential_list(obj, k: int) -> np.ndarray:
-    v = np.asarray(_reals(obj, "potential"))
-    if v.shape != (k,):
-        raise ConfigInvalid(f"potential must be {k} finite reals")
-    return v
+def _as_potential(obj, P: FiniteDistribution) -> np.ndarray:
+    return as_potential(_reals(obj, "potential"), P.alphabet)
 
 
 def _constraint_from(inputs: dict, v) -> ConstraintSpec:
@@ -234,16 +209,10 @@ def _n_grid_from(inputs: dict, key: str = "n_grid") -> list[int]:
     return [_count(n, f"{key} entry", 1) for n in grid]
 
 
-def _guard_table(k: int, n: int, what: str = "enumeration") -> None:
-    size = table_size(k, n)
-    if size > TABLE_CAP:
-        raise TableTooLarge(f"{what} for k={k}, n={n} needs {size} type classes (cap {TABLE_CAP})")
-
-
 # ---------------------------------------------------------------------------
 # Command preparation (static validation happens here)
 # ---------------------------------------------------------------------------
-def _prepare_bayes(inputs: dict) -> RunPlan:
+def _prepare_bayes(inputs: dict) -> Execute:
     posterior = _as_distribution(_require(inputs, "posterior"), "posterior")
     loss = _as_loss_matrix(_require(inputs, "loss"))
     if loss.label_alphabet.symbols != posterior.alphabet.symbols:
@@ -260,12 +229,12 @@ def _prepare_bayes(inputs: dict) -> RunPlan:
         }
         return {"json": payload}
 
-    return RunPlan("bayes", execute)
+    return execute
 
 
-def _prepare_tilt(inputs: dict) -> RunPlan:
+def _prepare_tilt(inputs: dict) -> Execute:
     q = _as_distribution(_require(inputs, "q"), "q")
-    v = _as_potential_list(_require(inputs, "potential"), q.size)
+    v = _as_potential(_require(inputs, "potential"), q)
     c = _real(_require(inputs, "target"), "target")
     resolve_target(q, v, c)
 
@@ -289,12 +258,12 @@ def _prepare_tilt(inputs: dict) -> RunPlan:
             }
         return {"json": payload}
 
-    return RunPlan("tilt", execute)
+    return execute
 
 
-def _prepare_project(inputs: dict) -> RunPlan:
+def _prepare_project(inputs: dict) -> Execute:
     P = _as_distribution(_require(inputs, "P"), "P")
-    v = _as_potential_list(_require(inputs, "potential"), P.size)
+    v = _as_potential(_require(inputs, "potential"), P)
     constraint = _constraint_from(inputs, v)
     resolve_target(P, v, constraint.target, boundary=True)
 
@@ -307,14 +276,14 @@ def _prepare_project(inputs: dict) -> RunPlan:
         }
         return {"json": payload}
 
-    return RunPlan("project", execute)
+    return execute
 
 
-def _prepare_necessity(inputs: dict) -> RunPlan:
+def _prepare_necessity(inputs: dict) -> Execute:
     generator = _require(inputs, "generator")
     spec = DivergenceSpec(str(generator))
     q = _as_distribution(_require(inputs, "q"), "q")
-    v = _as_potential_list(_require(inputs, "potential"), q.size)
+    v = _as_potential(_require(inputs, "potential"), q)
     c = _real(_require(inputs, "target"), "target")
     resolve_target(q, v, c)
     constraint = ConstraintSpec.point(v, c)
@@ -332,12 +301,12 @@ def _prepare_necessity(inputs: dict) -> RunPlan:
         }
         return {"json": payload}
 
-    return RunPlan("necessity", execute)
+    return execute
 
 
-def _prepare_sanov(inputs: dict) -> RunPlan:
+def _prepare_sanov(inputs: dict) -> Execute:
     P = _as_distribution(_require(inputs, "P"), "P")
-    v = _as_potential_list(_require(inputs, "potential"), P.size)
+    v = _as_potential(_require(inputs, "potential"), P)
     constraint = _constraint_from(inputs, v)
     n_grid = _n_grid_from(inputs)
     method = inputs.get("method", "exact")
@@ -346,7 +315,7 @@ def _prepare_sanov(inputs: dict) -> RunPlan:
     trials = _count(inputs.get("trials", 100_000), "trials", 1000)
     if method == "exact":
         for n in n_grid:
-            _guard_table(P.size, n)
+            check_table_size(P.size, n)
 
     def execute(ctx: RunContext) -> dict:
         if method == "exact":
@@ -374,16 +343,16 @@ def _prepare_sanov(inputs: dict) -> RunPlan:
             "csv": {"sanov_rates.csv": (("n", "log_prob", "method", "ci_lo", "ci_hi"), rows)},
         }
 
-    return RunPlan("sanov", execute)
+    return execute
 
 
-def _prepare_gibbs(inputs: dict) -> RunPlan:
+def _prepare_gibbs(inputs: dict) -> Execute:
     P = _as_distribution(_require(inputs, "P"), "P")
-    v = _as_potential_list(_require(inputs, "potential"), P.size)
+    v = _as_potential(_require(inputs, "potential"), P)
     lo, hi = _window_from(inputs, P, v)
     n_grid = _n_grid_from(inputs)
     for n in n_grid:
-        _guard_table(P.size, n)
+        check_table_size(P.size, n)
     constraint = ConstraintSpec.interval(v, lo, hi)
 
     def execute(ctx: RunContext) -> dict:
@@ -402,12 +371,12 @@ def _prepare_gibbs(inputs: dict) -> RunPlan:
         }
         return {"json": payload, "csv": {"gibbs_tv.csv": (("n", "tv_distance"), rows)}}
 
-    return RunPlan("gibbs", execute)
+    return execute
 
 
-def _prepare_rate(inputs: dict) -> RunPlan:
+def _prepare_rate(inputs: dict) -> Execute:
     P = _as_distribution(_require(inputs, "P"), "P")
-    v = _as_potential_list(_require(inputs, "potential"), P.size)
+    v = _as_potential(_require(inputs, "potential"), P)
     points = _count(inputs.get("points", 50), "points", 2)
     if "xi_grid" in inputs:
         xi_grid = list(_reals(inputs["xi_grid"], "xi_grid"))
@@ -426,26 +395,23 @@ def _prepare_rate(inputs: dict) -> RunPlan:
         }
         return {"json": payload, "csv": {"rate_function.csv": (("xi", "rate", "feasible"), rows)}}
 
-    return RunPlan("rate", execute)
+    return execute
 
 
-def _prepare_meta(inputs: dict) -> RunPlan:
+def _prepare_meta(inputs: dict) -> Execute:
     P = _as_distribution(_require(inputs, "P"), "P")
-    v = _as_potential_list(_require(inputs, "loss_row"), P.size)
+    v = _as_potential(_require(inputs, "loss_row"), P)
     n = _count(_require(inputs, "n"), "n", 1)
-    _guard_table(P.size, n)
+    check_table_size(P.size, n)
     lo, hi = _window_from(inputs, P, v)
     u_spec = _require(inputs, "U")
     if not isinstance(u_spec, dict) or "kind" not in u_spec:
         raise ConfigInvalid('U must be an object like {"kind": "centered_square"}')
+    spec = {**u_spec, **{key: _reals(u_spec[key], key) for key in ("table_xi", "table_u") if key in u_spec}}
+    if spec.get("center") is not None:
+        spec["center"] = _real(spec["center"], "center")
     try:
-        meta = MetaConstraint(
-            kind=u_spec["kind"],
-            eta=_real(_require(inputs, "eta"), "eta"),
-            center=None if u_spec.get("center") is None else _real(u_spec["center"], "center"),
-            table_xi=_reals(u_spec["table_xi"], "table_xi") if "table_xi" in u_spec else None,
-            table_u=_reals(u_spec["table_u"], "table_u") if "table_u" in u_spec else None,
-        )
+        meta = MetaConstraint.from_dict(spec, _real(_require(inputs, "eta"), "eta"))
     except ValueError as exc:
         raise ConfigInvalid(str(exc)) from exc
     # the bounds on E[U] that hold without the exact law of V . L_n: a law on
@@ -459,11 +425,8 @@ def _prepare_meta(inputs: dict) -> RunPlan:
         raise InfeasibleConstraint(f"eta {meta.eta!r} is out of reach of E[U] on [{a!r}, {b!r}]")
     step = inputs.get("model_grid_step")
     if step is not None:
-        step = _real(step, "model_grid_step", positive=True)
-        if abs(round(1.0 / step) * step - 1.0) > 1e-9:
-            raise ConfigInvalid(f"model_grid_step {step!r} must divide 1")
-    grid_step = model_grid_step(P.size, step)
-    _guard_table(P.size, round(1.0 / grid_step), f"model grid with step {grid_step!r}")
+        step = _real(step, "model_grid_step")
+    model_grid_step(P.size, step)
     speed = _real(inputs.get("speed", 1.0), "speed", positive=True)
 
     def execute(ctx: RunContext) -> dict:
@@ -479,23 +442,18 @@ def _prepare_meta(inputs: dict) -> RunPlan:
         }
         return {"json": payload}
 
-    return RunPlan("meta", execute)
+    return execute
 
 
-def _prepare_corr(inputs: dict) -> RunPlan:
-    sigma_y = _real(inputs.get("sigma_y", 1.0), "sigma_y", positive=True)
+def _prepare_corr(inputs: dict) -> Execute:
+    sigma_y = _real(inputs.get("sigma_y", 1.0), "sigma_y")
     epsilon = _real(inputs.get("epsilon", 0.0), "epsilon")
     loss_spec = _require(inputs, "loss")
     if not isinstance(loss_spec, dict) or "kind" not in loss_spec:
         raise ConfigInvalid('loss must be an object like {"kind": "quadratic"}')
     loss = loss_function(loss_spec["kind"], **{k: _real(v, k) for k, v in loss_spec.items() if k != "kind"})
-    r_grid = _require(inputs, "r_grid")
-    if not isinstance(r_grid, (list, tuple)) or len(r_grid) < 5:
-        raise ConfigInvalid("r_grid must list at least 5 correlations")
-    rs = _reals(r_grid, "r_grid")
-    if any(not 0.0 <= r < 1.0 for r in rs):
-        raise ConfigInvalid("correlations must lie in [0, 1)")
-    GaussianPairModel(sigma_y, max(rs), epsilon)  # checks epsilon where the envelope is tightest
+    rs = correlation_grid(_reals(_require(inputs, "r_grid"), "r_grid"))
+    GaussianPairModel(sigma_y, max(rs), epsilon)  # checks sigma_y, and epsilon where the envelope is tightest
 
     def execute(ctx: RunContext) -> dict:
         curve = loss_correlation_curve(loss, rs, sigma_y=sigma_y, epsilon=epsilon)
@@ -510,7 +468,7 @@ def _prepare_corr(inputs: dict) -> RunPlan:
             "csv": {"correlation_curve.csv": (("r", "expected_loss"), rows)},
         }
 
-    return RunPlan("corr", execute)
+    return execute
 
 
 _PREPARERS = {
@@ -528,8 +486,16 @@ _PREPARERS = {
 _FAMILIES = {2: "validation", 3: "infeasible", 4: "numerical", 5: "resource"}
 
 
-def prepare(config: dict, command: str | None = None) -> RunPlan:
-    """Parse and statically validate a config; raises MaxentError subclasses."""
+def prepare(
+    config: dict,
+    command: str | None = None,
+    fmt: str | None = None,
+    seed: int | None = None,
+    out_dir: str | Path | None = None,
+) -> RunPlan:
+    """Parse and statically validate a config and its run settings; raises
+    MaxentError subclasses.  ``fmt``, ``seed`` and ``out_dir``, when given,
+    override the config's ``format``, ``seed`` and ``output_dir``."""
     if not isinstance(config, dict):
         raise ConfigInvalid("config must be a JSON object")
     cmd = config.get("command", command)
@@ -544,24 +510,29 @@ def prepare(config: dict, command: str | None = None) -> RunPlan:
     inputs = config.get("inputs")
     if not isinstance(inputs, dict):
         raise ConfigInvalid("config must carry an inputs object")
-    _check_keys(inputs, INPUT_KEYS[cmd], "inputs")
-    for key, known in INPUT_KEYS[cmd].items():
-        if known and isinstance(inputs.get(key), dict):
-            _check_keys(inputs[key], known, key)
-    fmt = config.get("format", "both")
+    unread = sorted(set(inputs) - set(INPUT_KEYS[cmd]))
+    if unread:
+        raise ConfigInvalid(f"inputs has keys the command does not read: {', '.join(map(str, unread))}")
+    fmt = config.get("format", "both") if fmt is None else fmt
     if fmt not in FORMATS:
         raise ConfigInvalid(f"format must be one of {FORMATS}")
-    if _count(config.get("seed", 0), "seed", 0) >= 2 ** 64:
+    seed = config.get("seed", 0) if seed is None else seed
+    if _count(seed, "seed", 0) >= 2 ** 64:
         raise ConfigInvalid("seed must be a 64-bit non-negative integer")
-    out_dir = config.get("output_dir", ".")
-    if not isinstance(out_dir, str):
+    out_dir = config.get("output_dir", ".") if out_dir is None else out_dir
+    if not isinstance(out_dir, (str, os.PathLike)):
         raise ConfigInvalid("output_dir must be a path string")
     try:
-        return _PREPARERS[cmd](inputs)
+        execute = _PREPARERS[cmd](inputs)
     except MaxentError:
         raise
     except (TypeError, ValueError, KeyError, OverflowError) as exc:
         raise ConfigInvalid(f"bad inputs for {cmd!r}: {exc}") from exc
+    return RunPlan(cmd, execute, fmt, seed, Path(out_dir))
+
+
+def _diagnostic(exc: MaxentError) -> dict:
+    return {"family": _FAMILIES.get(exc.exit_code, "error"), "error": type(exc).__name__, "message": str(exc)}
 
 
 def validate(config: dict, command: str | None = None) -> list[dict]:
@@ -569,13 +540,7 @@ def validate(config: dict, command: str | None = None) -> list[dict]:
     try:
         prepare(config, command)
     except MaxentError as exc:
-        return [
-            {
-                "family": _FAMILIES.get(exc.exit_code, "error"),
-                "error": type(exc).__name__,
-                "message": str(exc),
-            }
-        ]
+        return [_diagnostic(exc)]
     return []
 
 
@@ -591,38 +556,33 @@ def run(
 ) -> RunManifest:
     """Execute a validated config, write outputs plus manifest, return the manifest."""
     stdout = stdout if stdout is not None else sys.stdout
-    plan = prepare(config, command)
-    fmt = fmt or config.get("format", "both")
-    if fmt not in FORMATS:
-        raise ConfigInvalid(f"format must be one of {FORMATS}")
-    seed = seed if seed is not None else config.get("seed", 0)
-    if seed < 0 or seed >= 2 ** 64:
-        raise ConfigInvalid("seed must be a 64-bit non-negative integer")
+    plan = prepare(config, command, fmt=fmt, seed=seed, out_dir=out_dir)
     threads = threads if threads is not None else _default_threads()
-    ctx = RunContext(seed=seed, threads=max(1, threads), verbose=verbose)
+    ctx = RunContext(seed=plan.seed, threads=max(1, threads), verbose=verbose)
     manifest = RunManifest(
         config_sha256=canonical_config_hash(config),
         command=plan.command,
         artifact_version=__version__,
         started_utc=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        seed=seed,
+        finished_utc="",
+        seed=plan.seed,
         threads=ctx.threads,
     )
 
     artifacts = plan.execute(ctx)
 
-    out = Path(out_dir if out_dir is not None else config.get("output_dir", "."))
+    out = plan.out_dir
     try:
         out.mkdir(parents=True, exist_ok=True)
         payload = artifacts.get("json")
         json_text = dumps(payload)
         stdout.write(json_text)
         has_csv = bool(artifacts.get("csv"))
-        if fmt in ("json", "both") or not has_csv:
+        if plan.fmt in ("json", "both") or not has_csv:
             path = out / f"{plan.command}_result.json"
             path.write_text(json_text, encoding="utf-8")
             manifest.outputs[path.name] = sha256_text(json_text)
-        if fmt in ("csv", "both"):
+        if plan.fmt in ("csv", "both"):
             for name, (header, rows) in artifacts.get("csv", {}).items():
                 text = csv_text(header, rows)
                 path = out / name
@@ -631,7 +591,7 @@ def run(
 
         manifest.finished_utc = datetime.datetime.now(datetime.timezone.utc).isoformat()
         manifest_path = out / "manifest.json"
-        manifest_path.write_text(dumps(manifest.to_dict()), encoding="utf-8")
+        manifest_path.write_text(dumps(asdict(manifest)), encoding="utf-8")
     except OSError as exc:
         raise ConfigInvalid(f"output directory {out} is not writable: {exc}") from exc
     return manifest
@@ -658,7 +618,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory (falls back to the config output_dir, then .)")
-        p.add_argument("--format", choices=FORMATS, default=None)
+        p.add_argument("--format", default=None, help="csv, json or both (falls back to the config format)")
         p.add_argument("--threads", type=int, default=None)
         p.add_argument("--verbose", action="store_true")
         p.add_argument(
@@ -683,22 +643,21 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigInvalid(f"malformed JSON config: {exc}") from exc
 
         if args.validate_only:
-            diagnostics = validate(config, args.command)
-            sys.stdout.write(dumps({"diagnostics": diagnostics}))
-            if diagnostics:
-                first = diagnostics[0]["family"]
-                code = {v: k for k, v in _FAMILIES.items()}.get(first, 2)
-                return code
+            try:
+                prepare(config, args.command, fmt=args.format, seed=args.seed, out_dir=args.out)
+            except MaxentError as exc:
+                sys.stdout.write(dumps({"diagnostics": [_diagnostic(exc)]}))
+                return exc.exit_code
+            sys.stdout.write(dumps({"diagnostics": []}))
             return 0
 
-        threads = args.threads if args.threads is not None else _default_threads()
         run(
             config,
             command=args.command,
             out_dir=args.out,
             fmt=args.format,
             seed=args.seed,
-            threads=threads,
+            threads=args.threads,
             verbose=args.verbose,
         )
         return 0

@@ -153,6 +153,16 @@ class LossCurve:
     fit: dict
 
 
+def correlation_grid(r_grid: Sequence[float]) -> list[float]:
+    """The correlations of a loss curve: at least 5, each in [0, 1)."""
+    rs = [float(r) for r in r_grid]
+    if len(rs) < 5:
+        raise ValueError("r_grid must list at least 5 correlations")
+    if any(not 0.0 <= r < 1.0 for r in rs):
+        raise ValueError("correlations must lie in [0, 1)")
+    return rs
+
+
 def loss_correlation_curve(
     loss: LossFunction,
     r_grid: Sequence[float],
@@ -164,11 +174,7 @@ def loss_correlation_curve(
     The slope estimates the curvature constant k*c and the intercept -k*eps.
     Losses must be non-increasing in r, or NumericalError is raised.
     """
-    rs = [float(r) for r in r_grid]
-    if len(rs) < 5:
-        raise ValueError("need at least 5 correlation values")
-    if any(not 0.0 <= r < 1.0 for r in rs):
-        raise ValueError("correlations must lie in [0, 1)")
+    rs = correlation_grid(r_grid)
     losses = [GaussianPairModel(sigma_y, r, epsilon).conditional_expected_loss(loss) for r in rs]
 
     order = np.argsort(rs)

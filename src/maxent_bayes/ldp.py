@@ -52,6 +52,14 @@ def table_size(k: int, n: int) -> int:
     return math.comb(n + k - 1, k - 1)
 
 
+def check_table_size(k: int, n: int, what: str = "enumeration") -> None:
+    """Raise TableTooLarge when ``what`` needs more than TABLE_CAP
+    compositions of n into k parts (type classes, or model-grid points)."""
+    size = table_size(k, n)
+    if size > TABLE_CAP:
+        raise TableTooLarge(f"{what} for k={k}, n={n} needs {size} type classes (cap {TABLE_CAP})")
+
+
 def _compositions(n: int, k: int) -> np.ndarray:
     """All count vectors of length k summing to n, in lexicographic order.
 
@@ -98,9 +106,7 @@ def enumerate_types(P: FiniteDistribution, n: int) -> TypeClassTable:
     if n < 1:
         raise ValueError("sample size must be positive")
     k = P.size
-    size = table_size(k, n)
-    if size > TABLE_CAP:
-        raise TableTooLarge(f"{size} type classes for k={k}, n={n} exceeds cap {TABLE_CAP}")
+    check_table_size(k, n)
     counts = _compositions(n, k)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_p = np.log(P.weights)
@@ -274,24 +280,23 @@ def sanov_monte_carlo(
     v = as_potential(constraint.potential, P.alphabet)
     lo, hi = _window(constraint)
 
-    def hits_for(n: int) -> int:
-        n_blocks = (trials + MC_BLOCK_SIZE - 1) // MC_BLOCK_SIZE
-        sizes = [min(MC_BLOCK_SIZE, trials - b * MC_BLOCK_SIZE) for b in range(n_blocks)]
+    n_blocks = (trials + MC_BLOCK_SIZE - 1) // MC_BLOCK_SIZE
+    sizes = [min(MC_BLOCK_SIZE, trials - b * MC_BLOCK_SIZE) for b in range(n_blocks)]
 
-        def block_hits(b: int) -> int:
-            counts = sampler.multinomial_block(n, b, sizes[b])
-            return int(np.count_nonzero(in_window(counts @ v / n, lo, hi)))
+    def block_hits(block: tuple[int, int]) -> int:
+        n, b = block
+        counts = sampler.multinomial_block(n, b, sizes[b])
+        return int(np.count_nonzero(in_window(counts @ v / n, lo, hi)))
 
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                per_block = list(pool.map(block_hits, range(n_blocks)))
-        else:
-            per_block = [block_hits(b) for b in range(n_blocks)]
-        return sum(per_block)
+    # one pool for every block of every n: each block's stream is keyed by
+    # (n, b), so the hit counts do not depend on the schedule
+    blocks = [(int(n), b) for n in n_grid for b in range(n_blocks)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        per_block = list(pool.map(block_hits, blocks))
 
     logs, ci_lo, ci_hi, variances, insufficient = [], [], [], [], []
-    for n in n_grid:
-        h = hits_for(int(n))
+    for i, n in enumerate(n_grid):
+        h = sum(per_block[i * n_blocks:(i + 1) * n_blocks])
         phat = h / trials
         w_lo, w_hi = _wilson_interval(h, trials)
         logs.append(math.log(phat) if h > 0 else -math.inf)

@@ -57,6 +57,13 @@ class Alphabet:
         return cls(tuple(range(k)))
 
 
+def _check_keys(d: dict, keys: tuple[str, ...], what: str) -> None:
+    """A serialized object reads exactly ``keys``: any other is a ValueError."""
+    unread = sorted(map(str, set(d) - set(keys)))
+    if unread:
+        raise ValueError(f"{what} reads {', '.join(keys)}, not {', '.join(unread)}")
+
+
 def _check_same_alphabet(a: Alphabet, b: Alphabet, what: str) -> None:
     if a.symbols != b.symbols:
         raise AlphabetMismatch(f"{what}: alphabets differ ({a.symbols} vs {b.symbols})")
@@ -115,6 +122,7 @@ class FiniteDistribution:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FiniteDistribution":
+        _check_keys(d, ("alphabet", "weights"), "a measure")
         return cls(Alphabet(d["alphabet"]), d["weights"])
 
 
@@ -142,6 +150,7 @@ class LossMatrix:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LossMatrix":
+        _check_keys(d, ("prediction_alphabet", "label_alphabet", "entries"), "a loss matrix")
         return cls(Alphabet(d["prediction_alphabet"]), Alphabet(d["label_alphabet"]), d["entries"])
 
 

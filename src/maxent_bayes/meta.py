@@ -8,9 +8,10 @@ over a simplex grid of candidate models: maximize
 
     - speed * KL(mu || P) - lambda_eta * U(V . mu) + ln Q(mu)
 
-over feasible grid points.  With a flat prior Q the optimum lies on the tilt
-curve of P (the least-KL model for each xi = V . mu), so the grid answer is
-refined to the best tilt inside the window: a 1-D root in the multiplier.
+over feasible grid points, Q the uniform prior on the grid.  The optimum
+lies on the tilt curve of P (the least-KL model for each xi = V . mu), so
+the grid answer is refined to the best tilt inside the window: a 1-D root in
+the multiplier.
 
 The centered-square statistic (xi - m)^2 centres on the mean of the fitted
 law: m is a bracketed root of h(m) - m on the range of the support, h(m) the
@@ -25,8 +26,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyEvent, EmptyFeasibleSet, InfeasibleConstraint, TableTooLarge
-from .ldp import TABLE_CAP, XI_BAND, _compositions, _logsumexp, enumerate_types, in_window, table_size
+from .errors import EmptyEvent, EmptyFeasibleSet, InfeasibleConstraint
+from .ldp import XI_BAND, _compositions, _logsumexp, check_table_size, enumerate_types, in_window
 from .measures import Alphabet, FiniteDistribution, TIE_TOLERANCE, as_potential
 from .tilting import (
     ConstraintSpec,
@@ -35,7 +36,7 @@ from .tilting import (
     _tilt_state,
     attainable_range,
     i_projection,
-    solve_tilt,
+    log_tilt,
 )
 
 DEFAULT_GRID_STEPS = {2: 0.001, 3: 0.02}
@@ -49,8 +50,9 @@ class ErrorDistribution:
     """Distribution of expected-loss values xi over a finite support.
 
     ``log_mass`` holds the log of each support value's mass up to a common
-    shift, so a window far in the tail keeps its mass where the weights
-    themselves would underflow; ``weights`` normalizes it when first read.
+    shift, finite at every support value, so a window far in the tail keeps
+    its mass where the weights themselves would underflow; the fits solve on
+    it, and ``weights`` normalizes it when first read.
     ``lambda_eta`` and ``center`` are populated on fitted instances so the
     downstream MAP search can reuse the solved multiplier and, for the
     centered-square statistic, the self-consistent centering point.
@@ -122,6 +124,17 @@ class MetaConstraint:
         if self.kind == "user_table" and (self.table_xi is None or self.table_u is None):
             raise ValueError("user_table statistic needs table_xi and table_u")
 
+    @classmethod
+    def from_dict(cls, spec: dict, eta: float) -> "MetaConstraint":
+        """The statistic ``{"kind": ..., <its parameters>}`` with target eta;
+        a key that is no parameter of the kind is a ValueError."""
+        unread = {key: value for key, value in spec.items() if key != "kind"}
+        params = {name: unread.pop(name) for name in ("center", "table_xi", "table_u") if name in unread}
+        meta = cls(spec["kind"], eta, **params)
+        if unread:
+            raise ValueError(f"statistic {meta.kind!r} takes no parameter {', '.join(map(str, sorted(unread)))}")
+        return meta
+
     def values(self, xi: np.ndarray) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
         if self.kind == "identity":
@@ -172,18 +185,15 @@ def error_distribution_exact(
 def maxent_error_fit(reference: ErrorDistribution, meta: MetaConstraint) -> ErrorDistribution:
     """Tilt the error distribution so that E[U] = eta.
 
-    The centered-square statistic without a given centre uses the
-    self-consistent one, the mean of the fitted law (see the module docstring).
+    The tilt solves on the log masses (``tilting.log_tilt``), so a support
+    value whose weight underflows still counts.  The centered-square
+    statistic without a given centre uses the self-consistent one, the mean
+    of the fitted law (see the module docstring).
     """
     if meta.kind == "centered_square" and meta.center is None:
         meta = meta.with_center(_self_consistent_center(reference, meta.eta))
-    u = meta.values(reference.support)
-    tilt = solve_tilt(reference.weights, u, meta.eta)
-    # the multiplier applied to the log masses the solve saw: those whose weight is above underflow
-    log_mass = np.where(reference.weights.weights > 0, reference.log_mass - tilt.lam * u, -np.inf)
-    return ErrorDistribution(
-        support=reference.support, log_mass=log_mass, lambda_eta=tilt.lam, center=meta.center
-    )
+    lam, log_mass = log_tilt(reference.log_mass, meta.values(reference.support), meta.eta)
+    return ErrorDistribution(support=reference.support, log_mass=log_mass, lambda_eta=lam, center=meta.center)
 
 
 def _self_consistent_center(reference: ErrorDistribution, eta: float) -> float:
@@ -197,9 +207,8 @@ def _self_consistent_center(reference: ErrorDistribution, eta: float) -> float:
     over the support, the largest variance of a law on it: there h - m only
     jumps from + to - at the midpoint, so that is an InfeasibleConstraint.
     """
-    ref = reference.weights
-    xi = reference.support
-    lo, hi = attainable_range(ref, xi)
+    xi, log_mass = reference.support, reference.log_mass
+    lo, hi = float(xi.min()), float(xi.max())
     if eta > ((hi - lo) / 2) ** 2:
         raise InfeasibleConstraint(
             f"eta {eta!r} exceeds the largest variance of a law on [{lo!r}, {hi!r}]: no self-consistent centre"
@@ -207,26 +216,28 @@ def _self_consistent_center(reference: ErrorDistribution, eta: float) -> float:
 
     def gap(m: float) -> tuple[float, None]:
         u = (xi - m) ** 2
-        u_lo, u_hi = attainable_range(ref, u)
-        tilt, _ = i_projection(ref, ConstraintSpec.point(u, min(max(eta, u_lo), u_hi)))
-        return float(np.dot(xi, tilt.realized.weights)) - m, None
+        log_w = log_tilt(log_mass, u, min(max(eta, float(u.min())), float(u.max())), boundary=True)[1]
+        w = np.exp(log_w - log_w.max())
+        return float(np.dot(xi, w)) / float(w.sum()) - m, None
 
     return _bracketed_root(gap, lo, hi, reference.mean(), _floor(xi))[0]
 
 
 def model_grid_step(k: int, grid_step: float | None = None) -> float:
-    """The MAP model grid step: ``grid_step`` if given, else the default for k."""
-    return grid_step if grid_step is not None else DEFAULT_GRID_STEPS.get(k, 0.05)
+    """The MAP model grid step: ``grid_step`` if given, else the default for
+    k.  It must be 1/m for an integer m >= 1, and the grid of C(m + k - 1,
+    k - 1) points must stay under the table cap (TableTooLarge)."""
+    step = grid_step if grid_step is not None else DEFAULT_GRID_STEPS.get(k, 0.05)
+    cells = round(1.0 / step) if step > 0.0 else 0
+    if cells < 1 or abs(cells * step - 1.0) > 1e-9:
+        raise ValueError(f"model_grid_step {step!r} must be positive and divide 1")
+    check_table_size(k, cells, f"model grid with step {step!r}")
+    return step
 
 
-def simplex_grid(k: int, step: float) -> np.ndarray:
-    """Uniform mesh over the k-simplex with the given step (must divide 1)."""
-    cells = round(1.0 / step)
-    if abs(cells * step - 1.0) > 1e-9:
-        raise ValueError(f"grid step {step!r} must divide 1")
-    size = table_size(k, cells)
-    if size > TABLE_CAP:
-        raise TableTooLarge(f"model grid of {size} points exceeds cap {TABLE_CAP}")
+def simplex_grid(k: int, step: float | None) -> np.ndarray:
+    """Uniform mesh over the k-simplex with the step ``model_grid_step`` resolves."""
+    cells = round(1.0 / model_grid_step(k, step))
     return _compositions(cells, k) / cells
 
 
@@ -244,20 +255,6 @@ def _grid_kl(grid: np.ndarray, p: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(grid > 0, grid * np.log(grid / p[None, :]), 0.0)
     return terms.sum(axis=1)
-
-
-def _log_prior_values(
-    prior, grid: np.ndarray, feasible: np.ndarray
-) -> tuple[np.ndarray, bool]:
-    """Log-prior per feasible grid point; bool says whether it is flat."""
-    n_feasible = int(np.count_nonzero(feasible))
-    if prior is None:
-        return np.full(n_feasible, -math.log(grid.shape[0])), True
-    w = np.asarray(prior, dtype=float)
-    if w.shape != (grid.shape[0],):
-        raise ValueError(f"grid prior must have length {grid.shape[0]}")
-    with np.errstate(divide="ignore"):
-        return np.log(w[feasible]), False
 
 
 def _best_model(
@@ -293,7 +290,6 @@ def _best_model(
 
 def map_model(
     P: FiniteDistribution,
-    model_prior,
     potential,
     xi_window: tuple[float, float],
     meta: MetaConstraint,
@@ -303,10 +299,10 @@ def map_model(
 ) -> MapModelResult:
     """MAP search for the most probable model given an expected-loss window.
 
-    The grid argmax is exhaustive.  With a flat prior and a differentiable
-    statistic the best point on the tilt curve of P inside the window (see
-    ``_polish_map``) replaces it when it has a strictly larger objective;
-    ``method`` then reads "tilt" instead of "grid".
+    The grid argmax, under the uniform grid prior, is exhaustive.  With a
+    differentiable statistic the best point on the tilt curve of P inside
+    the window (see ``_polish_map``) replaces it when it has a strictly
+    larger objective; ``method`` then reads "tilt" instead of "grid".
     """
     if not (math.isfinite(speed) and speed > 0.0):
         raise ValueError(f"speed must be finite and positive, got {speed!r}")
@@ -314,18 +310,17 @@ def map_model(
     lo, hi = float(xi_window[0]), float(xi_window[1])
     if lo > hi:
         raise ValueError("window must satisfy lo <= hi")
-    k = P.size
-    grid = simplex_grid(k, model_grid_step(k, grid_step))
+    grid = simplex_grid(P.size, grid_step)
 
     xi_vals = grid @ v
     feasible = in_window(xi_vals, lo, hi)
     if not np.any(feasible):
         raise EmptyFeasibleSet(f"no grid model has expected loss in [{lo!r}, {hi!r}]")
 
-    log_q, flat_prior = _log_prior_values(model_prior, grid, feasible)
+    log_q = np.full(np.count_nonzero(feasible), -math.log(grid.shape[0]))
     result = _best_model(P, grid[feasible], xi_vals[feasible], log_q, meta, lambda_eta, speed, "grid")
 
-    if flat_prior and meta.kind != "user_table":
+    if meta.kind != "user_table":
         polished = _polish_map(P, v, (lo, hi), meta, lambda_eta, speed, float(log_q[0]))
         if polished is not None and polished.objective > result.objective + 1e-15:
             result = polished
@@ -395,7 +390,6 @@ def run_meta_pipeline(
     n: int,
     xi_window: tuple[float, float],
     meta: MetaConstraint,
-    model_prior=None,
     speed: float = 1.0,
     grid_step: float | None = None,
 ) -> MetaPipelineResult:
@@ -406,7 +400,6 @@ def run_meta_pipeline(
     resolved = meta.with_center(fitted.center) if meta.kind == "centered_square" else meta
     result = map_model(
         P,
-        model_prior,
         potential,
         xi_window,
         resolved,

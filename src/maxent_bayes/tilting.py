@@ -155,27 +155,33 @@ def attainable_range(q: FiniteDistribution, v: np.ndarray) -> tuple[float, float
 
 
 def resolve_target(
-    q: FiniteDistribution,
+    q: FiniteDistribution | np.ndarray,
     v: np.ndarray,
     target: float | tuple[float, float],
     boundary: bool = False,
 ) -> tuple[float | None, str | None]:
     """Decide whether reweighting q can meet a point or window mean target.
 
-    Returns ``(c, end)``.  ``c`` is None when q itself meets the target (a
-    window holding the mean of q, a point equal to it, or a potential
-    constant on the support within its float resolution of the point,
-    ``_floor``); otherwise it is
-    the point itself, or the window endpoint nearer the mean of q.  ``end``
-    is "min" or "max" when c is that end of the attainable range.
+    ``q`` is a FiniteDistribution, or log weights (any common shift, -inf
+    off the support: a law whose mass may underflow).  Returns ``(c, end)``.
+    ``c`` is None when q itself meets the target (a window holding the mean
+    of q, a point equal to it, or a potential constant on the support within
+    its float resolution of the point, ``_floor``); otherwise it is the
+    point itself, or the window endpoint nearer the mean of q.  ``end`` is
+    "min" or "max" when c is that end of the attainable range.
 
     Raises DegeneratePotential when V is constant on the support but another
     value is asked, and InfeasibleConstraint when the target misses the
     attainable range, or meets only an end of it while ``boundary`` is
     False (only the relative-entropy projection has a limit there).
     """
-    v_lo, v_hi = attainable_range(q, v)
-    mean = float(np.dot(q.weights, v))
+    if isinstance(q, FiniteDistribution):
+        v_sup, weights = v[q.support], q.weights
+    else:
+        weights = np.exp(q - q.max())
+        v_sup, weights = v[np.isfinite(q)], weights / weights.sum()
+    v_lo, v_hi = float(v_sup.min()), float(v_sup.max())
+    mean = float(np.dot(weights, v))
     if isinstance(target, (tuple, list)):
         lo, hi = target
         if lo > v_hi or hi < v_lo:
@@ -335,6 +341,24 @@ def _tilt_multiplier(
     _check_residuals("kl projection", d.size, 0.0, abs(g) * s, s, -slope * math.ulp(t) * s)
     report = {"bracket": (lo / s, hi / s), "expansions": expansions, **counts, "residual": abs(g) * s}
     return lam, w, log_z, report
+
+
+def log_tilt(log_w: np.ndarray, v: np.ndarray, c: float, boundary: bool = False) -> tuple[float, np.ndarray]:
+    """Tilt of the law with log weights ``log_w`` (as for ``resolve_target``)
+    onto V . p = c: returns (lam, log_w - lam V).
+
+    For laws whose mass spans more than the float range: the solve and its
+    answer stay in the log domain.  With ``boundary``, an end of the
+    attainable range gives lam = +/-inf and the law conditioned on V = c.
+    """
+    c, end = resolve_target(log_w, v, c, boundary)
+    if c is None:
+        return 0.0, log_w
+    if end:
+        return (-math.inf if end == "max" else math.inf), np.where(v == c, log_w, -np.inf)
+    sup = np.isfinite(log_w)
+    lam = _tilt_multiplier(log_w[sup], v[sup], c)[0]
+    return lam, log_w - lam * v
 
 
 def _identity_tilt(q: FiniteDistribution, v: np.ndarray) -> TiltedDistribution:

@@ -274,7 +274,7 @@ def test_criterion_8_meta_inference():
 
     # flat statistic, full window, uniform prior: the base measure exactly
     flat = map_model(
-        BERN_HALF, None, V01, (0.0, 1.0), MetaConstraint(kind="identity", eta=0.5), lambda_eta=0.0
+        BERN_HALF, V01, (0.0, 1.0), MetaConstraint(kind="identity", eta=0.5), lambda_eta=0.0
     )
     exact_base = bool(np.array_equal(flat.model.weights, BERN_HALF.weights))
 

@@ -3,7 +3,9 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
+from scipy import optimize
 
 from maxent_bayes import cli
 from maxent_bayes.errors import MaxentError
@@ -243,6 +245,51 @@ class TestMain:
         assert cli.main(["meta", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         result = json.loads(capsys.readouterr().out)
         assert result["lambda_eta"] == pytest.approx(-5561.750651962271, rel=1e-9)
+
+    @pytest.mark.parametrize("kind, eta", [
+        ("identity", 0.97),  # above 0.93875, the last value whose weight is above underflow
+        ("centered_square", 0.05),  # above 0.2195^2, the largest variance on [0.5, 0.93875]
+        ("centered_square", 0.01),  # the centre search meets tilts whose linear KL overflows
+    ])
+    def test_meta_fit_keeps_support_values_whose_weight_underflows(self, tmp_path, capsys, kind, eta):
+        # the window's log masses span about 1100 nats, so the weights of its far
+        # values underflow; the fit must still reach them, and print no warning
+        inputs = {"P": [0.5, 0.5], "loss_row": [0, 1], "n": 1600, "Xi": [0.5, 1.0], "U": {"kind": kind},
+                  "eta": eta}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": "meta", "inputs": inputs}), encoding="utf-8")
+        assert cli.main(["meta", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        result = json.loads(captured.out)
+        # the exact restricted law: a fair coin's successes j in [800, 1600] of 1600
+        j = np.arange(800, 1601)
+        xi = j / 1600
+        log_p = np.array([math.lgamma(1601) - math.lgamma(i + 1) - math.lgamma(1601 - i) for i in j])
+
+        def fitted(lam, u):
+            a = log_p - lam * u
+            w = np.exp(a - a.max())
+            return w / w.sum()
+
+        if kind == "identity":
+            lam = optimize.brentq(lambda lam: float(fitted(lam, xi) @ xi) - eta, -1e5, 1e5, xtol=1e-12)
+            assert result["lambda_eta"] == pytest.approx(lam, rel=1e-9)
+        else:
+            u = (xi - result["center"]) ** 2
+            w = fitted(result["lambda_eta"], u)
+            assert abs(float(w @ u) - eta) <= 1e-8
+            assert abs(float(w @ xi) - result["center"]) <= 1e-8
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_outside_64_bits_fails_validation_as_the_run_does(self, tmp_path, capsys, seed):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(tilt_config()), encoding="utf-8")
+        assert cli.main(["tilt", "--config", str(cfg), "--seed", seed, "--validate-only"]) == 2
+        assert json.loads(capsys.readouterr().out)["diagnostics"][0]["error"] == "ConfigInvalid"
+        assert cli.main(["tilt", "--config", str(cfg), "--seed", seed, "--out", str(tmp_path / "o")]) == 2
+        assert "ConfigInvalid" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("target, expected", [
         (0.25, None),  # the README instance

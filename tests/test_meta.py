@@ -171,18 +171,18 @@ def flat_meta(eta=0.5):
 
 class TestMapModel:
     def test_flat_statistic_full_window_returns_base_exactly(self):
-        result = map_model(BERN_HALF, None, V01, (0.0, 1.0), flat_meta(), lambda_eta=0.0)
+        result = map_model(BERN_HALF, V01, (0.0, 1.0), flat_meta(), lambda_eta=0.0)
         assert np.array_equal(result.model.weights, BERN_HALF.weights)
         assert result.method == "grid"
         assert result.components["kl_term"] == 0.0
 
     def test_point_window_at_typical_value(self):
-        result = map_model(BERN_HALF, None, V01, (0.5, 0.5), flat_meta(), lambda_eta=0.0)
+        result = map_model(BERN_HALF, V01, (0.5, 0.5), flat_meta(), lambda_eta=0.0)
         assert np.array_equal(result.model.weights, BERN_HALF.weights)
 
     def test_objective_decomposition(self):
         meta = MetaConstraint(kind="centered_square", eta=0.01, center=0.7)
-        result = map_model(BERN_HALF, None, V01, (0.6, 0.9), meta, lambda_eta=3.0)
+        result = map_model(BERN_HALF, V01, (0.6, 0.9), meta, lambda_eta=3.0)
         recomposed = (
             -result.components["kl_term"]
             - result.components["meta_term"]
@@ -193,7 +193,7 @@ class TestMapModel:
     def test_matches_exhaustive_grid_oracle(self):
         meta = MetaConstraint(kind="centered_square", eta=0.01, center=0.7)
         lam = 3.0
-        result = map_model(BERN_HALF, None, V01, (0.6, 0.9), meta, lambda_eta=lam)
+        result = map_model(BERN_HALF, V01, (0.6, 0.9), meta, lambda_eta=lam)
         # independent brute force over the same mesh
         xs = np.linspace(0.0, 1.0, 1001)
         best_x, best_obj = None, -math.inf
@@ -211,22 +211,12 @@ class TestMapModel:
 
     def test_window_filter_raises_when_empty(self):
         with pytest.raises(EmptyFeasibleSet):
-            map_model(BERN_HALF, None, V01, (1.5, 2.0), flat_meta(), lambda_eta=0.0)
-
-    def test_grid_prior_disables_polish_and_reweights(self):
-        grid = simplex_grid(2, 0.5)  # [0,1], [0.5,0.5], [1,0]
-        prior = np.array([0.01, 0.01, 0.98])
-        result = map_model(
-            BERN_HALF, prior, V01, (0.0, 1.0), flat_meta(), lambda_eta=0.0, grid_step=0.5
-        )
-        # strong prior mass on the point mass at symbol 0 beats the KL pull
-        assert result.method == "grid"
-        assert result.model.weights == pytest.approx([1.0, 0.0], abs=1e-12)
+            map_model(BERN_HALF, V01, (1.5, 2.0), flat_meta(), lambda_eta=0.0)
 
     def test_speed_parameter_scales_kl_term(self):
         meta = MetaConstraint(kind="identity", eta=0.5)
-        slow = map_model(BERN_HALF, None, V01, (0.6, 0.9), meta, lambda_eta=0.1, speed=1.0)
-        fast = map_model(BERN_HALF, None, V01, (0.6, 0.9), meta, lambda_eta=0.1, speed=60.0)
+        slow = map_model(BERN_HALF, V01, (0.6, 0.9), meta, lambda_eta=0.1, speed=1.0)
+        fast = map_model(BERN_HALF, V01, (0.6, 0.9), meta, lambda_eta=0.1, speed=60.0)
         # a faster speed penalizes KL harder, pulling the argmax toward the window edge nearest P
         assert fast.components["kl_term"] / 60.0 <= slow.components["kl_term"] + 1e-12
 
@@ -304,7 +294,7 @@ class TestTiltPolish:
         P = dist(0.186613, 0.382311, 0.431076)
         meta = MetaConstraint(kind="identity", eta=1.959639259924845)
         result = map_model(
-            P, None, [2.0, 1.0, 0.0], (1.822, 2.0), meta,
+            P, [2.0, 1.0, 0.0], (1.822, 2.0), meta,
             lambda_eta=-117.70323035796122, speed=100.0, grid_step=0.02,
         )
         assert result.method == "tilt"
@@ -333,7 +323,7 @@ class TestTiltPolish:
         else:
             expected = tilt_onto(p, v, window[0] if place == "below" else window[1])
         result = map_model(
-            FiniteDistribution.from_weights(list(p)), None, v, window,
+            FiniteDistribution.from_weights(list(p)), v, window,
             MetaConstraint(kind="identity", eta=0.0), lambda_eta=lam, speed=speed,
         )
         assert np.abs(result.model.weights - expected).sum() / 2 <= 1e-9
@@ -343,7 +333,7 @@ class TestTiltPolish:
         p, v, window, meta, lam, speed = instance
         step = 0.02
         result = map_model(
-            FiniteDistribution.from_weights(list(p)), None, v, window, meta,
+            FiniteDistribution.from_weights(list(p)), v, window, meta,
             lambda_eta=lam, speed=speed, grid_step=step,
         )
         log_q = -math.log(simplex_grid(3, step).shape[0])
@@ -357,7 +347,7 @@ class TestTiltPolish:
         P = dist(0.5, 0.5, 0.0)
         v = [0.0, 1.0, 2.0]
         meta = MetaConstraint(kind="identity", eta=0.0)
-        result = map_model(P, None, v, (0.61, 0.9), meta, lambda_eta=1.0, grid_step=0.02)
+        result = map_model(P, v, (0.61, 0.9), meta, lambda_eta=1.0, grid_step=0.02)
         assert result.method == "tilt"
         assert result.model.weights == pytest.approx([0.39, 0.61, 0.0], abs=1e-12)
         grid = simplex_grid(3, 0.02)
@@ -371,7 +361,7 @@ class TestTiltPolish:
     def test_speed_must_be_finite_and_positive(self):
         for speed in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError):
-                map_model(BERN_HALF, None, V01, (0.6, 0.9), flat_meta(), lambda_eta=0.1, speed=speed)
+                map_model(BERN_HALF, V01, (0.6, 0.9), flat_meta(), lambda_eta=0.1, speed=speed)
 
 
 class TestLevelCoherence:
@@ -400,7 +390,7 @@ class TestLevelCoherence:
 
 class TestMapConsistency:
     def test_widest_window_and_vanishing_multiplier_recover_base(self):
-        result = map_model(BERN_HALF, None, V01, (0.0, 1.0), flat_meta(), lambda_eta=0.0)
+        result = map_model(BERN_HALF, V01, (0.0, 1.0), flat_meta(), lambda_eta=0.0)
         assert total_variation(result.model, BERN_HALF) <= 1e-6
 
 

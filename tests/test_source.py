@@ -1,6 +1,7 @@
 """Static checks on the library source."""
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
@@ -55,3 +56,21 @@ def test_every_exported_name_is_reached():
         and name not in used
     ]
     assert unreached == []
+
+
+def test_every_traced_benchmark_target_exists():
+    # bench/spans.py wraps these by name; a rename would drop them from the trace
+    tree = ast.parse((ROOT / "bench" / "spans.py").read_text(encoding="utf-8"))
+    targets = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                   and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets))
+    names = [(entry.elts[0].value, entry.elts[1].value) for entry in targets.elts]
+    names.append(("ldp", "SeededSampler.multinomial_block"))
+    assert len(names) > 10
+    missing = []
+    for module, path in names:
+        obj = importlib.import_module(f"maxent_bayes.{module}")
+        for attr in path.split("."):
+            obj = getattr(obj, attr, None)
+        if not callable(obj):
+            missing.append(f"{module}.{path}")
+    assert missing == []
