@@ -39,20 +39,20 @@ from .jsonio import canonical_config_hash, csv_text, dumps, sha256_text
 from .ldp import (
     SeededSampler,
     check_table_size,
+    check_trials,
     error_rate_function,
     gibbs_conditioning,
     sanov_exact,
     sanov_monte_carlo,
 )
 from .measures import (
-    Alphabet,
     FiniteDistribution,
     LossMatrix,
     as_potential,
     bayes_classifier,
     kl_divergence,
 )
-from .meta import MetaConstraint, model_grid_step, run_meta_pipeline
+from .meta import MetaConstraint, check_speed, model_grid_step, run_meta_pipeline
 from .tilting import (
     ConstraintSpec,
     DivergenceSpec,
@@ -126,19 +126,17 @@ def _require(inputs: dict, key: str):
     return inputs[key]
 
 
-def _real(value, what: str, positive: bool = False) -> float:
-    """A real input: a JSON number (not a bool or a string), finite, and > 0
-    when ``positive``."""
+def _real(value, what: str) -> float:
+    """A real input: a JSON number (not a bool or a string), finite."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigInvalid(f"{what} must be a real number, got {value!r}")
     x = float(value)  # an integer past the float range raises OverflowError: see prepare
-    if not math.isfinite(x) or (positive and x <= 0.0):
-        domain = "finite positive" if positive else "finite"
-        raise ConfigInvalid(f"{what} must be a {domain} real, got {value!r}")
+    if not math.isfinite(x):
+        raise ConfigInvalid(f"{what} must be a finite real, got {value!r}")
     return x
 
 
-def _count(value, what: str, least: int) -> int:
+def _count(value, what: str, least: int = 0) -> int:
     """A count input: a JSON integer (not a bool or a float) >= ``least``."""
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise ConfigInvalid(f"{what} must be an integer >= {least}, got {value!r}")
@@ -312,7 +310,7 @@ def _prepare_sanov(inputs: dict) -> Execute:
     method = inputs.get("method", "exact")
     if method not in ("exact", "monte-carlo"):
         raise ConfigInvalid(f"method must be exact or monte-carlo, got {method!r}")
-    trials = _count(inputs.get("trials", 100_000), "trials", 1000)
+    trials = check_trials(_count(inputs.get("trials", 100_000), "trials"))
     if method == "exact":
         for n in n_grid:
             check_table_size(P.size, n)
@@ -427,7 +425,7 @@ def _prepare_meta(inputs: dict) -> Execute:
     if step is not None:
         step = _real(step, "model_grid_step")
     model_grid_step(P.size, step)
-    speed = _real(inputs.get("speed", 1.0), "speed", positive=True)
+    speed = check_speed(_real(inputs.get("speed", 1.0), "speed"))
 
     def execute(ctx: RunContext) -> dict:
         result = run_meta_pipeline(P, v, n, (lo, hi), meta, speed=speed, grid_step=step)

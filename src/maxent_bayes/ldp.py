@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import EmptyEvent, EmptyPreimage, InfeasibleError, NumericalError, TableTooLarge
 from .measures import FiniteDistribution, as_potential, total_variation
-from .tilting import ConstraintSpec, TiltedDistribution, i_projection
+from .tilting import ConstraintSpec, TiltedDistribution, _project_points, i_projection
 
 TABLE_CAP = 10_000_000
 # The one band around expected-loss windows and values: a rational type mean
@@ -58,6 +58,13 @@ def check_table_size(k: int, n: int, what: str = "enumeration") -> None:
     size = table_size(k, n)
     if size > TABLE_CAP:
         raise TableTooLarge(f"{what} for k={k}, n={n} needs {size} type classes (cap {TABLE_CAP})")
+
+
+def check_trials(trials: int) -> int:
+    """Monte Carlo trials per sample size, which must be at least 1000 (ValueError)."""
+    if trials < 1000:
+        raise ValueError(f"need at least 1000 trials per sample size, got {trials!r}")
+    return trials
 
 
 def _compositions(n: int, k: int) -> np.ndarray:
@@ -274,8 +281,7 @@ def sanov_monte_carlo(
     each point by the inverse delta-method variance of log p-hat.  Sample
     sizes with fewer than 10 hits are flagged and excluded from the fit.
     """
-    if trials < 1000:
-        raise ValueError("need at least 1000 trials per sample size")
+    check_trials(trials)
     P = sampler.base
     v = as_potential(constraint.potential, P.alphabet)
     lo, hi = _window(constraint)
@@ -387,17 +393,20 @@ def error_rate_function(
 
     Grid points outside the attainable range are reported infeasible with
     rate +inf (the empty-set infimum); boundary points resolve to the
-    conditioning of P on the extreme set of the potential.
+    conditioning of P on the extreme set of the potential.  The whole grid is
+    one batch of projections (``tilting._project_points``), and each rate is
+    the relative entropy of its row.
     """
     v = as_potential(potential, P.alphabet)
-    points: list[RatePoint] = []
-    for xi in xi_grid:
-        try:
-            _, rate = i_projection(P, ConstraintSpec.point(v, float(xi)))
-            points.append(RatePoint(xi=float(xi), rate=rate, feasible=True))
-        except InfeasibleError:
-            points.append(RatePoint(xi=float(xi), rate=math.inf, feasible=False))
-    return points
+    xi = np.asarray(xi_grid, dtype=float)
+    _, mus, end = _project_points(P, v, xi)
+    feasible = end != "out"
+    # log mu - log P, not log(mu / P): the ratio overflows where P is subnormal
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(mus > 0.0, mus * (np.log(mus) - np.log(P.weights)), 0.0)
+    # Gibbs' inequality: clamp the tiny negative round-off of D(P || P)
+    rates = np.where(feasible, np.maximum(terms.sum(axis=1), 0.0), math.inf)
+    return [RatePoint(xi=float(x), rate=float(r), feasible=bool(f)) for x, r, f in zip(xi, rates, feasible)]
 
 
 class ContractedRate:

@@ -29,15 +29,7 @@ import numpy as np
 from .errors import EmptyEvent, EmptyFeasibleSet, InfeasibleConstraint
 from .ldp import XI_BAND, _compositions, _logsumexp, check_table_size, enumerate_types, in_window
 from .measures import Alphabet, FiniteDistribution, TIE_TOLERANCE, as_potential
-from .tilting import (
-    ConstraintSpec,
-    _bracketed_root,
-    _floor,
-    _tilt_state,
-    attainable_range,
-    i_projection,
-    log_tilt,
-)
+from .tilting import _bracketed_root, _floor, _project_points, _tilt_state, attainable_range, log_tilt
 
 DEFAULT_GRID_STEPS = {2: 0.001, 3: 0.02}
 
@@ -214,13 +206,13 @@ def _self_consistent_center(reference: ErrorDistribution, eta: float) -> float:
             f"eta {eta!r} exceeds the largest variance of a law on [{lo!r}, {hi!r}]: no self-consistent centre"
         )
 
-    def gap(m: float) -> tuple[float, None]:
+    def gap(m: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, None]:
         u = (xi - m) ** 2
         log_w = log_tilt(log_mass, u, min(max(eta, float(u.min())), float(u.max())), boundary=True)[1]
         w = np.exp(log_w - log_w.max())
         return float(np.dot(xi, w)) / float(w.sum()) - m, None
 
-    return _bracketed_root(gap, lo, hi, reference.mean(), _floor(xi))[0]
+    return float(_bracketed_root(gap, lo, hi, reference.mean(), _floor(xi))[0][0])
 
 
 def model_grid_step(k: int, grid_step: float | None = None) -> float:
@@ -233,6 +225,13 @@ def model_grid_step(k: int, grid_step: float | None = None) -> float:
         raise ValueError(f"model_grid_step {step!r} must be positive and divide 1")
     check_table_size(k, cells, f"model grid with step {step!r}")
     return step
+
+
+def check_speed(speed: float) -> float:
+    """The MAP speed, which must be finite and positive (ValueError)."""
+    if not (math.isfinite(speed) and speed > 0.0):
+        raise ValueError(f"speed must be finite and positive, got {speed!r}")
+    return speed
 
 
 def simplex_grid(k: int, step: float | None) -> np.ndarray:
@@ -304,8 +303,7 @@ def map_model(
     the window (see ``_polish_map``) replaces it when it has a strictly
     larger objective; ``method`` then reads "tilt" instead of "grid".
     """
-    if not (math.isfinite(speed) and speed > 0.0):
-        raise ValueError(f"speed must be finite and positive, got {speed!r}")
+    check_speed(speed)
     v = as_potential(potential, P.alphabet)
     lo, hi = float(xi_window[0]), float(xi_window[1])
     if lo > hi:
@@ -349,21 +347,21 @@ def _polish_map(
     """
     lo, hi = window
     v_lo, v_hi = attainable_range(P, v)
-    ends = [i_projection(P, ConstraintSpec.point(v, c))[0] for c in np.clip(window, v_lo, v_hi)]
-    candidates = [end.realized.weights for end in ends]
+    end_lams, end_mus, _ = _project_points(P, v, np.clip(window, v_lo, v_hi))
+    candidates = list(end_mus)
     with np.errstate(divide="ignore"):
         log_p = np.log(P.weights)
 
-    def gap(lam: float) -> tuple[float, None]:
-        xi = float(_tilt_state(log_p, v, lam)[0] @ v)
+    def gap(lam: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, None]:
+        xi = _tilt_state(log_p, v, lam)[0] @ v
         return lambda_eta * meta.derivative(xi) - speed * lam, None
 
     reach = sorted(lambda_eta * meta.derivative(x) / speed for x in (v_lo, v_hi))
-    lam_lo, lam_hi = max(reach[0], ends[1].lam), min(reach[1], ends[0].lam)
+    lam_lo, lam_hi = max(reach[0], end_lams[1]), min(reach[1], end_lams[0])
     if lam_lo <= lam_hi:
         floor = _floor(speed * np.array([lam_lo, lam_hi]))  # both terms of gap lie in that range
         lam = _bracketed_root(gap, lam_lo, lam_hi, 0.5 * (lam_lo + lam_hi), floor)[0]
-        candidates.append(_tilt_state(log_p, v, lam)[0])
+        candidates.append(_tilt_state(log_p, v, lam)[0][0])
 
     mus = np.array(candidates)
     xi = mus @ v

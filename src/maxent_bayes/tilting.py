@@ -15,20 +15,22 @@ constraint multipliers:
   exact in at most k closed-form steps of an active-set walk in b.
 
 The 1-D roots share one safeguarded bracketed root finder, the only
-iterative solve in the package.  No solver has a tolerance knob: each root
-stops at a floor of a few ulps of the largest value its function is made of
-(max |V| on the support for the tilt), or when its bracket closes on
-adjacent floats, so every projection is the same for V and 2^j V while both
-are normal floats (the multiplier scales by 2^-j).  Partition-function
-arithmetic is in the log domain with max-subtraction, so large multipliers
-neither overflow nor underflow.  ``resolve_target`` is the one place that
+iterative solve in the package.  One loop of it solves an array of
+independent roots, each with its own bracket, its own floor and its own step
+cap, so a whole grid of tilt targets is one solve and a single root is a
+batch of one.  No solver has a tolerance knob: each root stops at a floor of
+a few ulps of the largest value its function is made of (max |V| on the
+support for the tilt), or when its bracket closes on adjacent floats, so
+every projection is the same for V and 2^j V while both are normal floats
+(the multiplier scales by 2^-j).  Partition-function arithmetic is in the
+log domain with max-subtraction, so large multipliers neither overflow nor
+underflow.  ``resolve_target`` is the one place that
 decides whether a point or window target is reachable.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from typing import Callable
 
@@ -57,7 +59,6 @@ ROOT_STEP_CAP = 200
 # offset, stay normal floats, while k (2 * 2^256)^2 cannot overflow.  A power
 # of two, it changes no result that did not underflow.
 _OFFSETS_PER_SPREAD = 2.0 ** 256
-_FLOAT, _BITS = struct.Struct("<d"), struct.Struct("<q")
 
 
 def _floor(values) -> float:
@@ -70,17 +71,21 @@ def _check_residuals(what: str, k: int, mass: float, mean: float, scale: float, 
     constraints to float resolution.
 
     ``mass`` is |sum p - 1| and ``mean`` is |V . p - c| over k atoms, each
-    held in its own units.  The mass is held to k times FLOOR_ULPS ulps of
-    1, the round-off of a k-term sum.  V . p is held to k + 2 times
-    FLOOR_ULPS ulps of ``scale``, max |V| (the sum, and the tilt's floor of
-    FLOOR_ULPS ulps of 1 in units of max |V|), plus 2 FLOOR_ULPS times
-    ``mean_step``, how far V . p moves over one float step of the root's
-    variable (zero for the exact walk): a root that closed its bracket sits
-    within one such step, and round-off blurs V . p over a few more.
+    held in its own units; ``mean`` and ``mean_step`` may hold one entry per
+    target, and every target is checked.  The mass is held to k times
+    FLOOR_ULPS ulps of 1, the round-off of a k-term sum.  V . p is held to
+    k + 2 times FLOOR_ULPS ulps of ``scale``, max |V| (the sum, and the
+    tilt's floor of FLOOR_ULPS ulps of 1 in units of max |V|), plus 2
+    FLOOR_ULPS times ``mean_step``, how far V . p moves over one float step
+    of the root's variable (zero for the exact walk): a root that closed its
+    bracket sits within one such step, and round-off blurs V . p over a few
+    more.
     """
-    if not (mass <= k * FLOOR_ULPS * math.ulp(1.0)
-            and mean <= (k + 2) * FLOOR_ULPS * math.ulp(scale) + 2 * FLOOR_ULPS * mean_step):
-        raise NumericalError(f"{what} is off by {mass:.3g} in mass and {mean:.3g} in V . p")
+    ok = (mass <= k * FLOOR_ULPS * math.ulp(1.0)) & (
+        mean <= (k + 2) * FLOOR_ULPS * math.ulp(scale) + 2 * FLOOR_ULPS * mean_step
+    )
+    if not np.all(ok):
+        raise NumericalError(f"{what} is off by {np.max(mass):.3g} in mass and {np.max(mean):.3g} in V . p")
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,9 +162,9 @@ def attainable_range(q: FiniteDistribution, v: np.ndarray) -> tuple[float, float
 def resolve_target(
     q: FiniteDistribution | np.ndarray,
     v: np.ndarray,
-    target: float | tuple[float, float],
+    target: float | tuple[float, float] | np.ndarray,
     boundary: bool = False,
-) -> tuple[float | None, str | None]:
+) -> tuple[float | np.ndarray | None, str | np.ndarray | None]:
     """Decide whether reweighting q can meet a point or window mean target.
 
     ``q`` is a FiniteDistribution, or log weights (any common shift, -inf
@@ -174,6 +179,11 @@ def resolve_target(
     value is asked, and InfeasibleConstraint when the target misses the
     attainable range, or meets only an end of it while ``boundary`` is
     False (only the relative-entropy projection has a limit there).
+
+    ``target`` may also be an array of points.  Then nothing is raised: the
+    result is the array and, per point, ``end`` as above ("" for None),
+    "mean" where q meets the point, or "out" where a single point would
+    raise.
     """
     if isinstance(q, FiniteDistribution):
         v_sup, weights = v[q.support], q.weights
@@ -190,21 +200,26 @@ def resolve_target(
             )
         if lo <= mean <= hi:
             return None, None
-        c = min(max(lo if mean < lo else hi, v_lo), v_hi)
-    else:
-        c = float(target)
+        target = min(max(lo if mean < lo else hi, v_lo), v_hi)
+    c = np.asarray(target, dtype=float)
     if v_lo == v_hi:
-        if abs(c - v_lo) <= _floor(v_lo):
-            return None, None
+        end = np.where(np.abs(c - v_lo) <= _floor(v_lo), "mean", "out")
+    else:
+        end = np.where((v_lo < c) & (c < v_hi), "", "out")
+        if boundary:
+            end = np.where(c == v_lo, "min", np.where(c == v_hi, "max", end))
+        end = np.where(c == mean, "mean", end)
+    if c.ndim:
+        return c, end
+    c, end = float(c), str(end)
+    if end == "mean":
+        return None, None
+    if end != "out":
+        return c, end or None
+    if v_lo == v_hi:
         raise DegeneratePotential(
             f"potential is constant ({v_lo!r}) on the support but target is {c!r}"
         )
-    if c == mean:
-        return None, None
-    if v_lo < c < v_hi:
-        return c, None
-    if boundary and v_lo <= c <= v_hi:
-        return c, "min" if c == v_lo else "max"
     raise InfeasibleConstraint(
         f"target {c!r} outside the attainable "
         + (f"range [{v_lo!r}, {v_hi!r}]" if boundary else f"open interval ({v_lo!r}, {v_hi!r})")
@@ -214,132 +229,186 @@ def resolve_target(
 # ---------------------------------------------------------------------------
 # Safeguarded bracketed root
 # ---------------------------------------------------------------------------
-def _split(lo: float, hi: float) -> float:
-    """Bisection point of (lo, hi) in the order of floats: 0 when they straddle
-    it, else the midpoint of their bit patterns.  That is the arithmetic
-    midpoint within a binade and the geometric one across binades, so any
-    bracket closes on adjacent floats within about 64 splits."""
-    if lo < 0.0 < hi:
-        return 0.0
-    a, b = (_BITS.unpack(_FLOAT.pack(abs(x)))[0] for x in (lo, hi))
-    return math.copysign(_FLOAT.unpack(_BITS.pack((a + b) // 2))[0], lo + hi)
+def _split(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Bisection points of the brackets (lo, hi) in the order of floats: 0
+    where they straddle it, else the midpoint of their int64 bit patterns.
+    That is the arithmetic midpoint within a binade and the geometric one
+    across binades, so any bracket closes on adjacent floats within about 64
+    splits."""
+    # bit patterns of non-negative floats lie below 2^63, so their sum fits in 64 unsigned bits
+    mid = ((np.abs(lo).view(np.uint64) + np.abs(hi).view(np.uint64)) >> np.uint64(1)).view(float)
+    with np.errstate(over="ignore"):  # only the sign of lo + hi is read
+        mid = np.copysign(mid, lo + hi)
+    return np.where((lo < 0.0) & (hi > 0.0), 0.0, mid)
 
 
 def _bracketed_root(
-    f: Callable[[float], tuple[float, float | None]],
-    lo: float,
-    hi: float,
-    x: float,
-    floor: float,
-) -> tuple[float, float, dict]:
-    """Root of a function that is positive left of it and negative right of
-    it on the open bracket (lo, hi), from x.
+    f: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray | None]],
+    lo,
+    hi,
+    x,
+    floor,
+) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Roots of an array of independent functions, each positive left of its
+    root and negative right of it on its open bracket (lo, hi), from x.
 
-    ``f(x)`` returns ``(value, slope)``; with ``slope`` None a secant through
-    the last two points stands in for the derivative.  The Newton (or
-    secant) step is taken when it lands strictly inside the bracket and the
-    last step at least halved |f|; otherwise the bracket is split
-    (``_split``).  Stops when |f| <= floor (the float resolution of f, which
-    the caller derives from its inputs) or when the bracket closes on
-    adjacent floats, and returns (x, f(x), counts) for x the last point on
-    either side of the root with the smaller |f|.  A Newton step below float
-    resolution is still evaluated: where f bends sharply it can be far from
-    the root.  Raises NonConvergence only if ROOT_STEP_CAP steps run out
+    One loop solves them all.  Each root keeps its own bracket, its own
+    floor and its own ROOT_STEP_CAP, and stops when it is done, so its answer
+    does not depend on the rest of the batch; scalar arguments are a batch of
+    one.  ``f(x, rows)`` returns ``(values, slopes)`` of the functions
+    numbered ``rows`` at x; with ``slopes`` None a secant through the last
+    two points stands in for the derivative.  The Newton (or secant) step is
+    taken when it lands strictly inside the bracket and the last step at
+    least halved |f|; otherwise the bracket is split (``_split``).  A root is
+    done when |f| <= floor (the float resolution of f, which the caller
+    derives from its inputs), or when its bracket closes on adjacent floats:
+    then it is the last point on either side of the root with the smaller
+    |f|.  A Newton step below float resolution is still evaluated: where f
+    bends sharply it can be far from the root.  Returns arrays (x, f(x),
+    counts), counts holding each root's "newton" and "bisections" steps.
+    Raises NonConvergence only if a root runs out of ROOT_STEP_CAP steps
     first.
     """
-    ends = {}
-    prev = None
-    newton = bisections = 0
-    for _ in range(ROOT_STEP_CAP):
-        fx, slope = f(x)
-        if abs(fx) <= floor:
-            return x, fx, {"newton": newton, "bisections": bisections}
-        if fx > 0.0:
-            lo = x
-        else:
-            hi = x
-        ends[fx > 0.0] = (x, fx)
-        if slope is None and prev is not None and math.isfinite(fx):
-            slope = (fx - prev[1]) / (x - prev[0])
-        fast = prev is None or abs(fx) <= 0.5 * abs(prev[1])
-        prev = (x, fx)
-        step = x - fx / slope if fast and slope is not None and -math.inf < slope < 0.0 else math.nan
-        if lo < step < hi:
-            x = step
-            newton += 1
-        else:
-            x = _split(lo, hi)
-            bisections += 1
-            if not lo < x < hi:
+    x = np.array(x, dtype=float, ndmin=1)
+    lo, hi, floor = (np.full(x.shape, a, dtype=float) for a in (lo, hi, floor))
+    root_x, root_f = np.empty(x.size), np.empty(x.size)
+    newton, bisections = np.zeros(x.size, dtype=int), np.zeros(x.size, dtype=int)
+    # The running roots, by number.  f_lo and f_hi are f at the bracket ends
+    # (inf until evaluated there): the ends are the last points on each side
+    # of the root.  "first" is whether f > 0 at the first point (that side
+    # wins ties of |f|), "prev" the last point evaluated.  Each step of a
+    # root is a Newton step or a bisection, so only the first are counted.
+    live = {"row": np.arange(x.size), "x": x, "lo": lo, "hi": hi, "f_lo": np.full(x.size, np.inf),
+            "f_hi": np.full(x.size, np.inf), "floor": floor, "first": np.zeros(x.size, dtype=bool),
+            "prev_x": np.empty(x.size), "prev_f": np.empty(x.size), "newton": np.zeros(x.size, dtype=int)}
+
+    def finish(out: np.ndarray, at_x: np.ndarray, at_f: np.ndarray, steps: int) -> np.ndarray:
+        """Record the roots flagged in ``out``, after ``steps`` steps, and drop them from ``live``."""
+        rows, keep = live["row"][out], ~out
+        root_x[rows], root_f[rows] = at_x[out], at_f[out]
+        newton[rows] = live["newton"][out]
+        bisections[rows] = steps - newton[rows]
+        if keep.any():
+            live.update({key: value[keep] for key, value in live.items()})
+        else:  # nothing left to carry
+            live["row"] = rows[:0]
+        return keep
+
+    for step in range(ROOT_STEP_CAP):
+        if not live["row"].size:
+            break
+        fx, slope = f(live["x"], live["row"])
+        size = np.abs(fx)
+        done = size <= live["floor"]
+        if done.any():
+            keep = finish(done, live["x"], fx, step)
+            fx, size, slope = fx[keep], size[keep], None if slope is None else slope[keep]
+            if not live["row"].size:
                 break
-    else:
-        best = min(abs(fx) for _, fx in ends.values())
+        x, prev_f = live["x"], live["prev_f"]
+        above = fx > 0.0
+        lo, hi = np.where(above, x, live["lo"]), np.where(above, live["hi"], x)
+        if step == 0:
+            live["first"] = above
+        with np.errstate(all="ignore"):
+            if slope is None:
+                slope = (fx - prev_f) / (x - live["prev_x"]) if step else np.full(x.size, np.nan)
+                slope[~np.isfinite(fx)] = np.nan
+            fast = size <= 0.5 * np.abs(prev_f) if step else True
+            newt = x - fx / slope
+        # a step of slope -inf lands on x, an end of the bracket, and is not taken
+        take = fast & (slope < 0.0) & (lo < newt) & (newt < hi)
+        live.update(x=newt, lo=lo, hi=hi, f_lo=np.where(above, fx, live["f_lo"]),
+                    f_hi=np.where(above, live["f_hi"], fx), prev_x=x, prev_f=fx, newton=live["newton"] + take)
+        if take.all():  # every step lands inside its bracket
+            continue
+        live["x"] = x_next = np.where(take, newt, _split(lo, hi))
+        closed = ~((lo < x_next) & (x_next < hi))
+        if closed.any():
+            f_lo, f_hi = live["f_lo"], live["f_hi"]
+            near_lo = np.where(np.abs(f_lo) == np.abs(f_hi), live["first"], np.abs(f_lo) < np.abs(f_hi))
+            finish(closed, np.where(near_lo, lo, hi), np.where(near_lo, f_lo, f_hi), step + 1)
+    if live["row"].size:
+        best = float(min(abs(live["f_lo"][0]), abs(live["f_hi"][0])))
         raise NonConvergence(
-            f"root stalled at residual {best:.3g} > {floor:.3g} after {ROOT_STEP_CAP} steps", residual=best
+            f"root stalled at residual {best:.3g} > {live['floor'][0]:.3g} after {ROOT_STEP_CAP} steps",
+            residual=best,
         )
-    x, fx = min(ends.values(), key=lambda end: abs(end[1]))
-    return x, fx, {"newton": newton, "bisections": bisections}
+    return root_x, root_f, {"newton": newton, "bisections": bisections}
 
 
 # ---------------------------------------------------------------------------
 # Relative entropy: the exponential tilt
 # ---------------------------------------------------------------------------
-def _tilt_state(log_w: np.ndarray, v: np.ndarray, lam: float):
-    """Normalized weights and log-partition of log_w - lam * v."""
-    a = log_w - lam * v
-    m = a.max()
-    w = np.exp(a - m)
-    z = w.sum()
-    return w / z, m + math.log(z)
+def _tilt_state(log_w: np.ndarray, v: np.ndarray, lam: np.ndarray):
+    """Normalized weights and log-partitions of log_w - lam_i v, one row per lam_i."""
+    a = log_w - np.multiply.outer(lam, v)
+    m = np.maximum.reduce(a, axis=1)
+    w = np.exp(a - m[:, None])
+    z = np.add.reduce(w, axis=1)
+    return w / z[:, None], m + np.log(z)
 
 
 def _tilt_multiplier(
-    log_w: np.ndarray, v: np.ndarray, c: float
-) -> tuple[float, np.ndarray, float, dict]:
-    """Find lam with sum_i softmax(log_w - lam v)_i v_i = c.
+    log_w: np.ndarray, v: np.ndarray, c: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+    """Find lam_i with sum_j softmax(log_w - lam_i v)_j v_j = c_i for each
+    target c_i.
 
-    Assumes min(v) < c < max(v).  The solve runs in t = lam s on d = v / s,
+    Assumes min(v) < c_i < max(v).  The solve runs in t = lam s on d = v / s,
     s = max |v| (the spread of v may overflow; s may not), so each step is
-    the same for v and 2^j v, and the first probe, the Newton step from
-    t = 0, is finite for any finite v.  The mean decreases in t; the probe
-    doubles until the sign changes.  Returns (lam, weights, log_partition,
-    report), reusing the state of the evaluation the root settles on.  The
-    answer is checked (``_check_residuals``) from that evaluation's residual,
-    so the check costs no extra pass over the weights; the weights are
-    divided by their own sum, so only V . p can be off.
+    the same for v and 2^j v, and each target's first probe, the Newton step
+    from t = 0, is finite for any finite v.  The mean decreases in t; each
+    probe doubles until the sign changes, and one ``_bracketed_root`` call
+    then solves every target on the (targets, k) matrix of log weights.
+    Returns (lam, weights, log_partition, report), one entry (weights: one
+    row) per target, from the evaluation each root settles on.  Every answer
+    is checked (``_check_residuals``) from that evaluation's residual; the
+    weights are divided by their own sum, so only V . p can be off.
     """
     s = float(np.abs(v).max())
     d, c_d = v / s, c / s
-    seen = {}
 
-    def gap(t: float) -> tuple[float, float]:
-        if t not in seen:
-            w, log_z = _tilt_state(log_w, d, t)
-            m = float(np.dot(w, d))
-            seen[t] = (m - c_d, -float(np.dot(w, (d - m) ** 2)), w, log_z)
-        return seen[t][:2]
+    def evaluate(t: np.ndarray):
+        w, log_z = _tilt_state(log_w, d, t)
+        m = np.add.reduce(w * d, axis=1)
+        return m, -np.add.reduce(w * (d - m[:, None]) ** 2, axis=1), w, log_z
 
-    g0, slope0 = gap(0.0)
-    sign = math.copysign(1.0, g0)
-    near, far, expansions = 0.0, -g0 / slope0, 0
-    if not math.isfinite(far):  # the variance under q underflows (subnormal weights)
-        far = sign
-    while gap(far)[0] * sign > 0.0:
-        near, far = far, 2.0 * far
-        expansions += 1
-        if not math.isfinite(far):
-            raise NonConvergence(f"multiplier for target {c!r} overflows the float range")
-    lo, hi = sorted((near, far))
-    start = min(near, far, key=lambda t: abs(gap(t)[0]))
+    def gap(t: np.ndarray, rows: np.ndarray):
+        m, slope = evaluate(t)[:2]
+        return m - c_d[rows], slope
+
+    # the probe starts from the mean and variance of the law itself
+    mean0, slope0 = evaluate(np.zeros(1))[:2]
+    g0 = mean0 - c_d
+    sign = np.copysign(1.0, g0)
+    with np.errstate(divide="ignore", over="ignore"):
+        far = -g0 / slope0
+    far = np.where(np.isfinite(far), far, sign)  # the variance under q underflows (subnormal weights)
+    near, g_near, g_far = np.zeros(c_d.size), g0, np.empty(c_d.size)
+    expansions = np.zeros(c_d.size, dtype=int)
+    grow = np.arange(c_d.size)
+    while grow.size:
+        g_far[grow] = gap(far[grow], grow)[0]
+        grow = grow[g_far[grow] * sign[grow] > 0.0]
+        near[grow], g_near[grow] = far[grow], g_far[grow]
+        with np.errstate(over="ignore"):
+            far[grow] *= 2.0
+        expansions[grow] += 1
+        if not np.isfinite(far[grow]).all():
+            raise NonConvergence(f"multiplier for target {float(c[grow][0])!r} overflows the float range")
+    lo, hi = np.minimum(near, far), np.maximum(near, far)
+    start = np.where(np.abs(g_far) < np.abs(g_near), far, near)
 
     t, g, counts = _bracketed_root(gap, lo, hi, start, _floor(1.0))
-    lam = t / s
-    if not math.isfinite(lam):
-        raise NonConvergence(f"multiplier for target {c!r} overflows the float range")
-    _, slope, w, log_z = seen[t]
+    with np.errstate(over="ignore"):  # past the float range a multiplier or bracket end is inf
+        lam, bracket = t / s, (lo / s, hi / s)
+    if not np.isfinite(lam).all():
+        raise NonConvergence(f"multiplier for target {float(c[~np.isfinite(lam)][0])!r} overflows the float range")
+    _, slope, w, log_z = evaluate(t)
     # one float step of t moves V . p by the variance under p times that step
-    _check_residuals("kl projection", d.size, 0.0, abs(g) * s, s, -slope * math.ulp(t) * s)
-    report = {"bracket": (lo / s, hi / s), "expansions": expansions, **counts, "residual": abs(g) * s}
+    _check_residuals("kl projection", d.size, 0.0, np.abs(g) * s, s, -slope * np.spacing(np.abs(t)) * s)
+    report = {"bracket": bracket, "expansions": expansions, **counts, "residual": np.abs(g) * s}
     return lam, w, log_z, report
 
 
@@ -357,7 +426,7 @@ def log_tilt(log_w: np.ndarray, v: np.ndarray, c: float, boundary: bool = False)
     if end:
         return (-math.inf if end == "max" else math.inf), np.where(v == c, log_w, -np.inf)
     sup = np.isfinite(log_w)
-    lam = _tilt_multiplier(log_w[sup], v[sup], c)[0]
+    lam = float(_tilt_multiplier(log_w[sup], v[sup], np.array([c]))[0][0])
     return lam, log_w - lam * v
 
 
@@ -374,14 +443,15 @@ def _identity_tilt(q: FiniteDistribution, v: np.ndarray) -> TiltedDistribution:
 def _tilt(q: FiniteDistribution, v: np.ndarray, c: float) -> tuple[TiltedDistribution, dict]:
     """Tilt of q onto an interior target c (already resolved)."""
     sup = q.support
-    lam, w_sup, log_z, report = _tilt_multiplier(np.log(q.weights[sup]), v[sup], c)
+    lam, w_sup, log_z, report = _tilt_multiplier(np.log(q.weights[sup]), v[sup], np.array([c]))
     weights = np.zeros(q.size)
-    weights[sup] = w_sup
+    weights[sup] = w_sup[0]
     realized = FiniteDistribution(q.alphabet, weights)
     tilt = TiltedDistribution(
-        reference=q, potential=v, lam=lam, realized=realized, log_partition=log_z
+        reference=q, potential=v, lam=float(lam[0]), realized=realized, log_partition=float(log_z[0])
     )
-    return tilt, report
+    lo, hi = report.pop("bracket")
+    return tilt, {"bracket": (float(lo[0]), float(hi[0])), **{key: value[0].item() for key, value in report.items()}}
 
 
 def solve_tilt_with_report(
@@ -436,6 +506,30 @@ def i_projection(
     return tilt, kl_divergence(tilt.realized, P)
 
 
+def _project_points(P: FiniteDistribution, v: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``i_projection`` of P onto V . p = c_i for an array of point targets.
+
+    Returns (lam, weights, end): ``end`` per target from ``resolve_target``;
+    the rows of ``weights`` are the projections (NaN where end is "out"),
+    and every interior target is one row of a single ``_tilt_multiplier``
+    solve.
+    """
+    c, end = resolve_target(P, v, c, boundary=True)
+    out = end == "out"
+    lam, weights = np.where(out, np.nan, 0.0), np.where(out[:, None], np.nan, P.weights)
+    for side in ("min", "max"):
+        at = end == side
+        if at.any():
+            tilt = _boundary_projection(P, v, float(c[at][0]), side)
+            lam[at], weights[at] = tilt.lam, tilt.realized.weights
+    inner = np.flatnonzero(end == "")
+    if inner.size:
+        sup = P.support
+        lam[inner], w_sup = _tilt_multiplier(np.log(P.weights[sup]), v[sup], c[inner])[:2]
+        weights[np.ix_(inner, sup)] = w_sup
+    return lam, weights, end
+
+
 # ---------------------------------------------------------------------------
 # General-divergence projections
 # ---------------------------------------------------------------------------
@@ -485,15 +579,15 @@ def _reverse_kl_projection(q: np.ndarray, v: np.ndarray, c: float) -> tuple[np.n
     def denominators(sigma: float) -> np.ndarray:
         return (1.0 - sigma) * e + sigma
 
-    def gap(sigma: float) -> tuple[float, float]:
+    def gap(sigma: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # the slope, sum q t (1 + sigma t / w), has 1 + sigma t / w = e / s,
         # which is 0 at the pole atom; only a subnormal sigma overflows t there
-        s = denominators(sigma)
+        s = denominators(sigma[:, None])
         with np.errstate(over="ignore", invalid="ignore"):
             t = d / s
-            return -sign * sigma * float(np.dot(q, t)), -sign * float(np.dot(q, t * e / s))
+            return -sign * sigma * (t @ q), -sign * ((t * e / s) @ q)
 
-    sigma, _, _ = _bracketed_root(gap, 0.0, 1.0, 1.0, 0.0)
+    sigma = float(_bracketed_root(gap, 0.0, 1.0, 1.0, 0.0)[0][0])
     s = denominators(sigma)
     p = q / s
     p /= p.sum()

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from maxent_bayes import cli
+from maxent_bayes import cli, ldp
+from maxent_bayes import meta as meta_module
 from maxent_bayes.errors import MaxentError
 from maxent_bayes.jsonio import csv_text, dumps, format_float, sha256_text
 
@@ -611,6 +612,33 @@ class TestValidationCompleteness:
         assert json.loads(capsys.readouterr().out)["diagnostics"][0]["error"] == "ConfigInvalid"
         assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "ConfigInvalid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [("meta", "speed", 0.0), ("meta", "speed", -1.0), ("meta", "speed", math.nan), ("sanov", "trials", 999)],
+    )
+    def test_speed_and_trials_are_checked_once_at_validation(self, tmp_path, capsys, monkeypatch, command, key, value):
+        # the rules live in meta.check_speed and ldp.check_trials; the run
+        # fails at validation, before any computation starts
+        base = next(c for c in VALID_CONFIGS if c["command"] == command)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(with_scalar(base, key, value)), encoding="utf-8")
+        assert cli.main([command, "--config", str(cfg), "--validate-only"]) == 2
+        assert json.loads(capsys.readouterr().out)["diagnostics"][0]["error"] == "ConfigInvalid"
+        monkeypatch.setattr(cli, "run_meta_pipeline", None)
+        monkeypatch.setattr(cli, "sanov_exact", None)
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "ConfigInvalid" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_speed_and_trials_rules_are_library_checks(self):
+        for speed in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="speed"):
+                meta_module.check_speed(speed)
+        assert meta_module.check_speed(0.5) == 0.5
+        with pytest.raises(ValueError, match="1000 trials"):
+            ldp.check_trials(999)
+        assert ldp.check_trials(1000) == 1000
 
 
 def with_input(command, key, value):

@@ -275,8 +275,8 @@ def shift_root(monkeypatch, move):
 
     def root(f, lo, hi, x, floor):
         x, _, counts = real(f, lo, hi, x, floor)
-        x = move(x)
-        return x, f(x)[0], counts
+        x = np.array([move(float(t)) for t in x])
+        return x, f(x, np.arange(x.size))[0], counts
 
     monkeypatch.setattr(tilting, "_bracketed_root", root)
 
@@ -465,6 +465,93 @@ class TestPinnedRatePoint:
         assert point.feasible
         assert point.rate == pytest.approx(-best.fun, abs=1e-8)
         assert point.rate == pytest.approx(0.392, abs=1e-3)
+
+
+def legendre_rate(p, v, xi):
+    """I(xi) = max_lam -log sum_i p_i exp(-lam (v_i - xi)), lam by brentq on the mean."""
+    sup = p > 0.0
+    log_p, v = np.log(p[sup]), v[sup]
+    mean = lambda lam: float(special.softmax(log_p - lam * v) @ v) - xi
+    reach = 1.0
+    while mean(-reach) <= 0.0 or mean(reach) >= 0.0:
+        reach *= 2.0
+    lam = optimize.brentq(mean, -reach, reach, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+    return -float(special.logsumexp(log_p - lam * (v - xi)))
+
+
+def random_rate_instance(k):
+    rng = np.random.default_rng(k)
+    return FiniteDistribution.from_weights(rng.dirichlet(np.ones(k))), rng.uniform(0.0, 3.0, k)
+
+
+class TestBatchedRateGrid:
+    """A rate grid is one batch of tilt roots, and each point is solved on its own."""
+
+    @pytest.mark.parametrize("k", (3, 10))
+    def test_each_rate_is_the_rate_of_its_point_alone(self, k):
+        P, v = random_rate_instance(k)
+        grid = np.random.default_rng(0).permutation(np.linspace(v.min() - 0.1, v.max() + 0.1, 2000))
+        batch = error_rate_function(P, v, grid)
+        alone = [error_rate_function(P, v, [xi])[0] for xi in grid]
+        assert [(p.rate, p.feasible) for p in batch] == [(p.rate, p.feasible) for p in alone]
+
+    @pytest.mark.parametrize("k", (3, 10))
+    def test_rates_match_the_legendre_dual(self, k):
+        P, v = random_rate_instance(k)
+        grid = v.min() + np.linspace(0.005, 0.995, 199) * np.ptp(v)
+        for point in error_rate_function(P, v, grid):
+            expected = legendre_rate(P.weights, v, point.xi)
+            assert point.feasible
+            assert abs(point.rate - expected) <= 1e-12 * (1.0 + expected), point.xi
+
+    def test_a_grid_is_one_root_solve(self, monkeypatch):
+        calls = []
+        real = tilting._bracketed_root
+
+        def counting(f, lo, hi, x, floor):
+            calls.append(np.size(x))
+            return real(f, lo, hi, x, floor)
+
+        monkeypatch.setattr(tilting, "_bracketed_root", counting)
+        P, v = random_rate_instance(3)
+        points = error_rate_function(P, v, np.linspace(v.min(), v.max(), 2000))
+        # the two ends of the range are the conditioning of P, in closed form
+        assert calls == [1998]
+        assert all(p.feasible and math.isfinite(p.rate) for p in points)
+
+
+class TestPinnedRateGrid:
+    """Flags and rates at the edge cases of a grid, pinned from one solve per point."""
+
+    def test_infeasible_points_range_ends_mean_and_subnormal_weights(self):
+        # the lightest atoms, 1e-310 and 5e-324, hold the ends of the range of V
+        P = FiniteDistribution(Alphabet.of_size(4), [0.55, 1e-310, 0.45, 5e-324])
+        v = np.array([0.25, -1.5, 2.0, 3.0])
+        mean = float(np.dot(P.weights, v))
+        grid = [-2.0, -1.5, -1.4999999, -0.75, 0.3, mean, 1.9, 2.999, 3.0, 3.5]
+        points = error_rate_function(P, v, grid)
+        assert [p.feasible for p in points] == [False] + [True] * 8 + [False]
+        rates = [p.rate for p in points]
+        assert rates[0] == rates[-1] == math.inf
+        assert rates[5] == 0.0
+        assert rates[4] == pytest.approx(0.473829754477968, rel=1e-12)
+        assert rates[6] == pytest.approx(0.5680082775451991, rel=1e-12)
+        # the range ends condition P on one atom: the rate is -log of its weight
+        assert rates[1] == pytest.approx(-math.log(1e-310), rel=1e-12)
+        assert rates[8] == pytest.approx(-math.log(5e-324), rel=1e-12)
+        # next to them the tilt moves almost all mass onto the light atom, so
+        # mu / P overflows: the rate must stay finite
+        for i in (2, 3, 7):
+            assert rates[i] == pytest.approx(legendre_rate(P.weights, v, grid[i]), rel=1e-12)
+
+    def test_potential_constant_on_the_support(self):
+        # V is 1 wherever P has mass; a point within the float resolution of 1 is met by P
+        P = FiniteDistribution.from_weights([0.5, 0.5, 0.0])
+        grid = [0.5, 1.0, 1.0 + 2.0 ** -50, 1.0 + 2.0 ** -49, 5.0]
+        points = error_rate_function(P, [1.0, 1.0, 5.0], grid)
+        assert [(p.rate, p.feasible) for p in points] == [
+            (math.inf, False), (0.0, True), (0.0, True), (math.inf, False), (math.inf, False)
+        ]
 
 
 def exact_law(p, ints, n):

@@ -3,6 +3,9 @@
 import ast
 import importlib
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import maxent_bayes
@@ -74,3 +77,36 @@ def test_every_traced_benchmark_target_exists():
         if not callable(obj):
             missing.append(f"{module}.{path}")
     assert missing == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.stem == "__init__":  # the package imports names to export them
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]: node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert found == []
+
+
+def test_importing_the_cli_loads_only_the_standard_library_and_numpy():
+    # the set-up of every run imports the cli: scipy and other test-only
+    # packages must stay off that path.  Modules the interpreter loads before
+    # any import (site hooks) are not counted.
+    code = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(SOURCE.parent)!r})\n"
+        "before = set(sys.modules)\n"
+        "import maxent_bayes.cli\n"
+        "print(json.dumps(sorted({name.split('.')[0] for name in set(sys.modules) - before})))\n"
+    )
+    loaded = json.loads(subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout)
+    assert "maxent_bayes" in loaded and "numpy" in loaded
+    assert [name for name in loaded if name not in sys.stdlib_module_names | {"numpy", "maxent_bayes"}] == []
