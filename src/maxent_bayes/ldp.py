@@ -23,8 +23,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import EmptyEvent, EmptyPreimage, InfeasibleError, NumericalError, TableTooLarge
-from .measures import FiniteDistribution, as_potential, total_variation
-from .tilting import ConstraintSpec, TiltedDistribution, _project_points, i_projection
+from .measures import FiniteDistribution, as_potential, relative_entropy, total_variation
+from .tilting import ConstraintSpec, TiltedDistribution, _project, i_projection
 
 TABLE_CAP = 10_000_000
 # The one band around expected-loss windows and values: a rational type mean
@@ -394,18 +394,14 @@ def error_rate_function(
     Grid points outside the attainable range are reported infeasible with
     rate +inf (the empty-set infimum); boundary points resolve to the
     conditioning of P on the extreme set of the potential.  The whole grid is
-    one batch of projections (``tilting._project_points``), and each rate is
-    the relative entropy of its row.
+    one batch of projections (``tilting._project``), and each rate is the
+    relative entropy of its row (``measures.relative_entropy``).
     """
     v = as_potential(potential, P.alphabet)
     xi = np.asarray(xi_grid, dtype=float)
-    _, mus, end = _project_points(P, v, xi)
+    _, mus, _, end, _ = _project(P, v, xi, boundary=True)
     feasible = end != "out"
-    # log mu - log P, not log(mu / P): the ratio overflows where P is subnormal
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(mus > 0.0, mus * (np.log(mus) - np.log(P.weights)), 0.0)
-    # Gibbs' inequality: clamp the tiny negative round-off of D(P || P)
-    rates = np.where(feasible, np.maximum(terms.sum(axis=1), 0.0), math.inf)
+    rates = np.where(feasible, relative_entropy(mus, P.weights), math.inf)
     return [RatePoint(xi=float(x), rate=float(r), feasible=bool(f)) for x, r, f in zip(xi, rates, feasible)]
 
 

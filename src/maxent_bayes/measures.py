@@ -175,8 +175,21 @@ def as_potential(potential, alphabet: Alphabet) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Information functionals
 # ---------------------------------------------------------------------------
+def relative_entropy(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """sum_i p_i (ln p_i - ln q_i) over p_i > 0, in nats: one value for a
+    weight vector p, one per row for a matrix of them (rows of NaN give 0).
+
+    The log difference, not ln(p_i / q_i): the ratio overflows where q_i is
+    subnormal.  Where q_i = 0 < p_i the value is +inf.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0.0, p * (np.log(p) - np.log(q)), 0.0)
+    # Gibbs' inequality: clamp the tiny negative round-off of D(p || p)
+    return np.maximum(terms.sum(axis=-1), 0.0)
+
+
 def kl_divergence(p: FiniteDistribution, q: FiniteDistribution) -> float:
-    """Relative entropy sum_i p_i ln(p_i / q_i) in nats.
+    """Relative entropy D(p || q) in nats (``relative_entropy``).
 
     Requires absolute continuity: support(p) must be contained in support(q).
     """
@@ -188,9 +201,7 @@ def kl_divergence(p: FiniteDistribution, q: FiniteDistribution) -> float:
         raise AbsoluteContinuityViolation(
             f"p has mass {pw[bad]!r} at index {bad} where q has none"
         )
-    val = float(np.sum(pw[sup] * np.log(pw[sup] / qw[sup])))
-    # Gibbs' inequality: clamp the tiny negative round-off of D(p||p).
-    return max(val, 0.0)
+    return float(relative_entropy(pw, qw))
 
 
 def shannon_entropy(p: FiniteDistribution) -> float:

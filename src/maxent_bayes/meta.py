@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import EmptyEvent, EmptyFeasibleSet, InfeasibleConstraint
 from .ldp import XI_BAND, _compositions, _logsumexp, check_table_size, enumerate_types, in_window
-from .measures import Alphabet, FiniteDistribution, TIE_TOLERANCE, as_potential
-from .tilting import _bracketed_root, _floor, _project_points, _tilt_state, attainable_range, log_tilt
+from .measures import Alphabet, FiniteDistribution, TIE_TOLERANCE, as_potential, relative_entropy
+from .tilting import _bracketed_root, _floor, _project, _tilt_state, attainable_range
 
 DEFAULT_GRID_STEPS = {2: 0.001, 3: 0.02}
 
@@ -177,15 +177,16 @@ def error_distribution_exact(
 def maxent_error_fit(reference: ErrorDistribution, meta: MetaConstraint) -> ErrorDistribution:
     """Tilt the error distribution so that E[U] = eta.
 
-    The tilt solves on the log masses (``tilting.log_tilt``), so a support
-    value whose weight underflows still counts.  The centered-square
-    statistic without a given centre uses the self-consistent one, the mean
-    of the fitted law (see the module docstring).
+    The tilt solves on the log masses (``tilting._project`` of log
+    weights), so a support value whose weight underflows still counts.  The
+    centered-square statistic without a given centre uses the self-consistent
+    one, the mean of the fitted law (see the module docstring).
     """
     if meta.kind == "centered_square" and meta.center is None:
         meta = meta.with_center(_self_consistent_center(reference, meta.eta))
-    lam, log_mass = log_tilt(reference.log_mass, meta.values(reference.support), meta.eta)
-    return ErrorDistribution(support=reference.support, log_mass=log_mass, lambda_eta=lam, center=meta.center)
+    lam, log_mass = _project(reference.log_mass, meta.values(reference.support), meta.eta)[:2]
+    return ErrorDistribution(support=reference.support, log_mass=log_mass[0], lambda_eta=float(lam[0]),
+                             center=meta.center)
 
 
 def _self_consistent_center(reference: ErrorDistribution, eta: float) -> float:
@@ -208,7 +209,7 @@ def _self_consistent_center(reference: ErrorDistribution, eta: float) -> float:
 
     def gap(m: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, None]:
         u = (xi - m) ** 2
-        log_w = log_tilt(log_mass, u, min(max(eta, float(u.min())), float(u.max())), boundary=True)[1]
+        log_w = _project(log_mass, u, min(max(eta, float(u.min())), float(u.max())), boundary=True)[1][0]
         w = np.exp(log_w - log_w.max())
         return float(np.dot(xi, w)) / float(w.sum()) - m, None
 
@@ -250,12 +251,6 @@ class MapModelResult:
     method: str
 
 
-def _grid_kl(grid: np.ndarray, p: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(grid > 0, grid * np.log(grid / p[None, :]), 0.0)
-    return terms.sum(axis=1)
-
-
 def _best_model(
     P: FiniteDistribution,
     models: np.ndarray,
@@ -267,7 +262,7 @@ def _best_model(
     method: str,
 ) -> MapModelResult:
     """Argmax of the MAP objective over the rows of ``models`` (first of ties)."""
-    kl_terms = speed * _grid_kl(models, P.weights)
+    kl_terms = speed * relative_entropy(models, P.weights)
     u_terms = lambda_eta * meta.values(xi)
     objective = -kl_terms - u_terms + log_q
     best_val = float(np.max(objective))
@@ -347,7 +342,7 @@ def _polish_map(
     """
     lo, hi = window
     v_lo, v_hi = attainable_range(P, v)
-    end_lams, end_mus, _ = _project_points(P, v, np.clip(window, v_lo, v_hi))
+    end_lams, end_mus = _project(P, v, np.clip(window, v_lo, v_hi), boundary=True)[:2]
     candidates = list(end_mus)
     with np.errstate(divide="ignore"):
         log_p = np.log(P.weights)

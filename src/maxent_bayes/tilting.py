@@ -24,8 +24,16 @@ support for the tilt), or when its bracket closes on adjacent floats, so
 every projection is the same for V and 2^j V while both are normal floats
 (the multiplier scales by 2^-j).  Partition-function arithmetic is in the
 log domain with max-subtraction, so large multipliers neither overflow nor
-underflow.  ``resolve_target`` is the one place that
-decides whether a point or window target is reachable.
+underflow.  ``resolve_target`` is the one place that decides whether a point
+or window target is reachable.
+
+Every relative-entropy projection is a row of one core, ``_project``: one
+``resolve_target`` call classifies its targets, a range end conditions q on
+V = c, and one ``_tilt_multiplier`` solve takes every interior target, on a
+law's weights or on its log weights (mass that underflows).  ``solve_tilt``,
+``solve_tilt_with_report``, ``i_projection`` and the relative-entropy branch
+of ``divergence_projection`` are one-row calls; the rate grid and the
+``meta`` fits call it directly.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ from .errors import (
 from .measures import (
     FiniteDistribution,
     as_potential,
-    kl_divergence,
+    relative_entropy,
     total_variation,
 )
 
@@ -164,26 +172,24 @@ def resolve_target(
     v: np.ndarray,
     target: float | tuple[float, float] | np.ndarray,
     boundary: bool = False,
-) -> tuple[float | np.ndarray | None, str | np.ndarray | None]:
-    """Decide whether reweighting q can meet a point or window mean target.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decide whether reweighting q can meet point or window mean targets.
 
     ``q`` is a FiniteDistribution, or log weights (any common shift, -inf
-    off the support: a law whose mass may underflow).  Returns ``(c, end)``.
-    ``c`` is None when q itself meets the target (a window holding the mean
-    of q, a point equal to it, or a potential constant on the support within
-    its float resolution of the point, ``_floor``); otherwise it is the
-    point itself, or the window endpoint nearer the mean of q.  ``end`` is
-    "min" or "max" when c is that end of the attainable range.
+    off the support: a law whose mass may underflow).  ``target`` is a
+    point, an array of points, or a window, which stands for the mean of q
+    when it holds it and otherwise for its endpoint nearer that mean.
+    Returns ``(c, end)``, arrays with one entry per point: ``end`` is "mean"
+    where q itself meets the point (it is the mean of q, or V is constant on
+    the support within its float resolution of it, ``_floor``), "min" or
+    "max" where it is that end of the attainable range and ``boundary``
+    holds (only the relative-entropy projection has a limit there), "" where
+    it is strictly inside the range, and "out" otherwise.
 
-    Raises DegeneratePotential when V is constant on the support but another
-    value is asked, and InfeasibleConstraint when the target misses the
-    attainable range, or meets only an end of it while ``boundary`` is
-    False (only the relative-entropy projection has a limit there).
-
-    ``target`` may also be an array of points.  Then nothing is raised: the
-    result is the array and, per point, ``end`` as above ("" for None),
-    "mean" where q meets the point, or "out" where a single point would
-    raise.
+    A single point or window that is "out" raises instead:
+    DegeneratePotential when V is constant on the support but another value
+    is asked, InfeasibleConstraint when the target misses the attainable
+    range or meets only an end of it while ``boundary`` is False.
     """
     if isinstance(q, FiniteDistribution):
         v_sup, weights = v[q.support], q.weights
@@ -198,9 +204,7 @@ def resolve_target(
             raise InfeasibleConstraint(
                 f"window [{lo!r}, {hi!r}] misses the attainable range [{v_lo!r}, {v_hi!r}]"
             )
-        if lo <= mean <= hi:
-            return None, None
-        target = min(max(lo if mean < lo else hi, v_lo), v_hi)
+        target = mean if lo <= mean <= hi else min(max(lo if mean < lo else hi, v_lo), v_hi)
     c = np.asarray(target, dtype=float)
     if v_lo == v_hi:
         end = np.where(np.abs(c - v_lo) <= _floor(v_lo), "mean", "out")
@@ -208,20 +212,15 @@ def resolve_target(
         end = np.where((v_lo < c) & (c < v_hi), "", "out")
         if boundary:
             end = np.where(c == v_lo, "min", np.where(c == v_hi, "max", end))
-        end = np.where(c == mean, "mean", end)
-    if c.ndim:
-        return c, end
-    c, end = float(c), str(end)
-    if end == "mean":
-        return None, None
-    if end != "out":
-        return c, end or None
+    end = np.where(c == mean, "mean", end)
+    if c.ndim or end != "out":
+        return np.atleast_1d(c), np.atleast_1d(end)
     if v_lo == v_hi:
         raise DegeneratePotential(
-            f"potential is constant ({v_lo!r}) on the support but target is {c!r}"
+            f"potential is constant ({v_lo!r}) on the support but target is {float(c)!r}"
         )
     raise InfeasibleConstraint(
-        f"target {c!r} outside the attainable "
+        f"target {float(c)!r} outside the attainable "
         + (f"range [{v_lo!r}, {v_hi!r}]" if boundary else f"open interval ({v_lo!r}, {v_hi!r})")
     )
 
@@ -361,10 +360,11 @@ def _tilt_multiplier(
     from t = 0, is finite for any finite v.  The mean decreases in t; each
     probe doubles until the sign changes, and one ``_bracketed_root`` call
     then solves every target on the (targets, k) matrix of log weights.
-    Returns (lam, weights, log_partition, report), one entry (weights: one
-    row) per target, from the evaluation each root settles on.  Every answer
-    is checked (``_check_residuals``) from that evaluation's residual; the
-    weights are divided by their own sum, so only V . p can be off.
+    Returns (lam, weights, log_partition, report), one entry (weights and
+    the report's bracket: one row) per target, from the evaluation each root
+    settles on.  Every answer is checked (``_check_residuals``) from that
+    evaluation's residual; the weights are divided by their own sum, so only
+    V . p can be off.
     """
     s = float(np.abs(v).max())
     d, c_d = v / s, c / s
@@ -402,7 +402,7 @@ def _tilt_multiplier(
 
     t, g, counts = _bracketed_root(gap, lo, hi, start, _floor(1.0))
     with np.errstate(over="ignore"):  # past the float range a multiplier or bracket end is inf
-        lam, bracket = t / s, (lo / s, hi / s)
+        lam, bracket = t / s, np.column_stack((lo, hi)) / s
     if not np.isfinite(lam).all():
         raise NonConvergence(f"multiplier for target {float(c[~np.isfinite(lam)][0])!r} overflows the float range")
     _, slope, w, log_z = evaluate(t)
@@ -412,46 +412,58 @@ def _tilt_multiplier(
     return lam, w, log_z, report
 
 
-def log_tilt(log_w: np.ndarray, v: np.ndarray, c: float, boundary: bool = False) -> tuple[float, np.ndarray]:
-    """Tilt of the law with log weights ``log_w`` (as for ``resolve_target``)
-    onto V . p = c: returns (lam, log_w - lam V).
+def _project(
+    q: FiniteDistribution | np.ndarray, v: np.ndarray, target, boundary: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict]:
+    """Relative-entropy projections of q onto V . p = c, one per point target.
 
-    For laws whose mass spans more than the float range: the solve and its
-    answer stay in the log domain.  With ``boundary``, an end of the
-    attainable range gives lam = +/-inf and the law conditioned on V = c.
+    ``q``, ``target`` and ``boundary`` are as for ``resolve_target``, which
+    classifies every target once (a single point or window out of reach
+    raises there).  Returns (lam, rows, log_partition, end, report), one
+    entry (rows: one row) per point, ``end`` from ``resolve_target``.  Where
+    q meets the point the row is q itself (lam 0); at an end of the range it
+    is q conditioned on V = c (lam +/-inf, log-partition NaN); out of reach
+    it is NaN; every interior point is one row of a single
+    ``_tilt_multiplier`` solve, and its entries of ``report`` are that
+    solve's (zero elsewhere).  A FiniteDistribution gives rows of weights;
+    log weights give rows of log weights, log q - lam V up to a common
+    shift, so mass that underflows still counts.
     """
-    c, end = resolve_target(log_w, v, c, boundary)
-    if c is None:
-        return 0.0, log_w
-    if end:
-        return (-math.inf if end == "max" else math.inf), np.where(v == c, log_w, -np.inf)
-    sup = np.isfinite(log_w)
-    lam = float(_tilt_multiplier(log_w[sup], v[sup], np.array([c]))[0][0])
-    return lam, log_w - lam * v
+    c, end = resolve_target(q, v, target, boundary)
+    linear = isinstance(q, FiniteDistribution)
+    base, empty = (q.weights, 0.0) if linear else (q, -np.inf)
+    out = end == "out"
+    lam, log_z = np.where(out, np.nan, 0.0), np.where(out, np.nan, 0.0)
+    rows = np.where(out[:, None], np.nan, base)
+    zero = np.zeros(c.size)
+    report = {"bracket": np.zeros((c.size, 2)), "expansions": zero.astype(int), "newton": zero.astype(int),
+              "bisections": zero.astype(int), "residual": zero}
+    for side, limit in (("min", math.inf), ("max", -math.inf)):
+        at = end == side
+        if at.any():
+            row = np.where(v == c[at][0], base, empty)
+            lam[at], log_z[at], rows[at] = limit, np.nan, row / row.sum() if linear else row
+    inner = np.flatnonzero(end == "")
+    if inner.size:
+        sup = q.support if linear else np.flatnonzero(np.isfinite(q))
+        log_w = np.log(q.weights[sup]) if linear else q[sup]
+        lam[inner], w, log_z[inner], solved = _tilt_multiplier(log_w, v[sup], c[inner])
+        if linear:
+            rows[inner] = 0.0  # off the support
+            rows[np.ix_(inner, sup)] = w
+        else:
+            rows[inner] = q - lam[inner, None] * v
+        for key, value in solved.items():
+            report[key][inner] = value
+    return lam, rows, log_z, end, report
 
 
-def _identity_tilt(q: FiniteDistribution, v: np.ndarray) -> TiltedDistribution:
-    return TiltedDistribution(
-        reference=q,
-        potential=v,
-        lam=0.0,
-        realized=FiniteDistribution(q.alphabet, q.weights),
-        log_partition=0.0,
-    )
-
-
-def _tilt(q: FiniteDistribution, v: np.ndarray, c: float) -> tuple[TiltedDistribution, dict]:
-    """Tilt of q onto an interior target c (already resolved)."""
-    sup = q.support
-    lam, w_sup, log_z, report = _tilt_multiplier(np.log(q.weights[sup]), v[sup], np.array([c]))
-    weights = np.zeros(q.size)
-    weights[sup] = w_sup[0]
-    realized = FiniteDistribution(q.alphabet, weights)
-    tilt = TiltedDistribution(
-        reference=q, potential=v, lam=float(lam[0]), realized=realized, log_partition=float(log_z[0])
-    )
-    lo, hi = report.pop("bracket")
-    return tilt, {"bracket": (float(lo[0]), float(hi[0])), **{key: value[0].item() for key, value in report.items()}}
+def _as_tilt(q: FiniteDistribution, v: np.ndarray, lam: np.ndarray, rows: np.ndarray,
+             log_z: np.ndarray) -> TiltedDistribution:
+    """The TiltedDistribution of the first row of a ``_project`` of q."""
+    log_partition = float(log_z[0]) if math.isfinite(lam[0]) else None
+    return TiltedDistribution(reference=q, potential=v, lam=float(lam[0]),
+                              realized=FiniteDistribution(q.alphabet, rows[0]), log_partition=log_partition)
 
 
 def solve_tilt_with_report(
@@ -459,11 +471,8 @@ def solve_tilt_with_report(
 ) -> tuple[TiltedDistribution, dict]:
     """solve_tilt, also returning solver diagnostics for verbose output."""
     v = as_potential(potential, q.alphabet)
-    target, _ = resolve_target(q, v, float(c))
-    if target is None:
-        trivial = {"bracket": (0.0, 0.0), "expansions": 0, "bisections": 0, "newton": 0, "residual": 0.0}
-        return _identity_tilt(q, v), trivial
-    return _tilt(q, v, target)
+    lam, rows, log_z, _, report = _project(q, v, float(c))
+    return _as_tilt(q, v, lam, rows, log_z), {key: value[0].tolist() for key, value in report.items()}
 
 
 def solve_tilt(q: FiniteDistribution, potential, c: float) -> TiltedDistribution:
@@ -474,18 +483,6 @@ def solve_tilt(q: FiniteDistribution, potential, c: float) -> TiltedDistribution
     measure is the relative-entropy projection of q onto the constraint set.
     """
     return solve_tilt_with_report(q, potential, c)[0]
-
-
-def _boundary_projection(
-    q: FiniteDistribution, v: np.ndarray, c: float, end: str
-) -> TiltedDistribution:
-    """Conditioning of q on {V = c}, c an end of the range: the lam -> +/-inf limit."""
-    weights = np.where(v == c, q.weights, 0.0)
-    realized = FiniteDistribution(q.alphabet, weights / weights.sum())
-    lam = -math.inf if end == "max" else math.inf
-    return TiltedDistribution(
-        reference=q, potential=v, lam=lam, realized=realized, log_partition=None
-    )
 
 
 def i_projection(
@@ -499,35 +496,8 @@ def i_projection(
     inside the window, otherwise to the window endpoint nearer that mean.
     """
     v = as_potential(constraint.potential, P.alphabet)
-    c, end = resolve_target(P, v, constraint.target, boundary=True)
-    if c is None:
-        return _identity_tilt(P, v), 0.0
-    tilt = _boundary_projection(P, v, c, end) if end else _tilt(P, v, c)[0]
-    return tilt, kl_divergence(tilt.realized, P)
-
-
-def _project_points(P: FiniteDistribution, v: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``i_projection`` of P onto V . p = c_i for an array of point targets.
-
-    Returns (lam, weights, end): ``end`` per target from ``resolve_target``;
-    the rows of ``weights`` are the projections (NaN where end is "out"),
-    and every interior target is one row of a single ``_tilt_multiplier``
-    solve.
-    """
-    c, end = resolve_target(P, v, c, boundary=True)
-    out = end == "out"
-    lam, weights = np.where(out, np.nan, 0.0), np.where(out[:, None], np.nan, P.weights)
-    for side in ("min", "max"):
-        at = end == side
-        if at.any():
-            tilt = _boundary_projection(P, v, float(c[at][0]), side)
-            lam[at], weights[at] = tilt.lam, tilt.realized.weights
-    inner = np.flatnonzero(end == "")
-    if inner.size:
-        sup = P.support
-        lam[inner], w_sup = _tilt_multiplier(np.log(P.weights[sup]), v[sup], c[inner])[:2]
-        weights[np.ix_(inner, sup)] = w_sup
-    return lam, weights, end
+    lam, rows, log_z, _, _ = _project(P, v, constraint.target, boundary=True)
+    return _as_tilt(P, v, lam, rows, log_z), float(relative_entropy(rows, P.weights)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +505,7 @@ def _project_points(P: FiniteDistribution, v: np.ndarray, c: np.ndarray) -> tupl
 # ---------------------------------------------------------------------------
 # Gradient in p of each generator G(p, q); relative entropy needs p > 0 where q > 0.
 _GRADIENTS = {
-    "kl": lambda p, q: np.log(p / q) + 1.0,
+    "kl": lambda p, q: np.log(p) - np.log(q) + 1.0,
     "reverse_kl": lambda p, q: -q / p,
     "squared_euclidean": lambda p, q: p - q,
     "chi_squared": lambda p, q: 2.0 * (p - q) / q,
@@ -667,13 +637,14 @@ def divergence_projection(
     off.
     """
     v_full = as_potential(constraint.potential, q.alphabet)
-    c, _ = resolve_target(q, v_full, constraint.target)
-    if c is None:
+    c, end = resolve_target(q, v_full, constraint.target)
+    if end[0] == "mean":
         return FiniteDistribution(q.alphabet, q.weights)
+    c = float(c[0])
 
     sup = q.support
     if spec.generator == "kl":  # the tilt checks its own answer
-        p = _tilt(q, v_full, c)[0].realized.weights[sup]
+        p = _project(q, v_full, c)[1][0, sup]
     else:
         v, qw = v_full[sup], q.weights[sup]
         if spec.generator == "reverse_kl":

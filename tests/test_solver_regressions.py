@@ -8,7 +8,9 @@ form, the Legendre dual, brentq, or brute force over the exact law or over
 active sets in rational arithmetic.
 """
 
+import io
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -24,14 +26,16 @@ from maxent_bayes import (
     DivergenceSpec,
     FiniteDistribution,
     MetaConstraint,
+    cli,
     divergence_projection,
     error_rate_function,
     i_projection,
     run_meta_pipeline,
     solve_tilt,
+    stationarity_residual,
     tilting,
 )
-from maxent_bayes.errors import NumericalError
+from maxent_bayes.errors import InfeasibleConstraint, NumericalError
 
 NON_KL = ("reverse_kl", "squared_euclidean", "chi_squared")
 
@@ -494,6 +498,15 @@ class TestBatchedRateGrid:
         batch = error_rate_function(P, v, grid)
         alone = [error_rate_function(P, v, [xi])[0] for xi in grid]
         assert [(p.rate, p.feasible) for p in batch] == [(p.rate, p.feasible) for p in alone]
+        # i_projection of a point is that point's row of the grid's projection
+        lams = tilting._project(P, v, grid, boundary=True)[0]
+        for point, lam in zip(batch, lams):
+            if not point.feasible:
+                with pytest.raises(InfeasibleConstraint):
+                    i_projection(P, ConstraintSpec.point(v, point.xi))
+                continue
+            tilt, rate = i_projection(P, ConstraintSpec.point(v, point.xi))
+            assert (tilt.lam, rate) == (lam, point.rate)
 
     @pytest.mark.parametrize("k", (3, 10))
     def test_rates_match_the_legendre_dual(self, k):
@@ -552,6 +565,59 @@ class TestPinnedRateGrid:
         assert [(p.rate, p.feasible) for p in points] == [
             (math.inf, False), (0.0, True), (0.0, True), (math.inf, False), (math.inf, False)
         ]
+
+
+def log_partition(log_q, v, lam):
+    return float(special.logsumexp(log_q - lam * v))
+
+
+class TestSubnormalRelativeEntropy:
+    """Relative entropy next to subnormal reference weights: log p - log q
+    stays finite where the ratio p / q overflows."""
+
+    # the lightest atoms, 1e-310 and 5e-324, hold the ends of the range of V
+    Q, V = [0.55, 1e-310, 0.45, 5e-324], np.array([0.25, -1.5, 2.0, 3.0])
+
+    @pytest.mark.parametrize("command, reference", [("tilt", "q"), ("project", "P")])
+    def test_tilt_and_project_rates_are_the_legendre_dual(self, tmp_path, command, reference):
+        # the tilt moves almost all mass onto the atom of weight 1e-310
+        config = {"command": command, "inputs": {reference: self.Q, "potential": list(self.V), "target": -0.75}}
+        buf = io.StringIO()
+        cli.run(config, out_dir=tmp_path, stdout=buf)
+        out = json.loads(buf.getvalue())
+        lam = out["lambda"]
+        dual = 0.75 * lam - log_partition(np.log(self.Q), self.V, lam)
+        assert out["rate"] == pytest.approx(dual, rel=1e-9)
+        assert out["rate"] == pytest.approx(407.4598, rel=1e-7)
+
+    def test_kl_stationarity_residual_vanishes(self):
+        q = FiniteDistribution(Alphabet.of_size(4), self.Q)
+        tilt = solve_tilt(q, self.V, -0.75)
+        # the KL gradient from log differences on the support of the tilt
+        # (the atom of weight 5e-324 underflows there): affine in V
+        sup = tilt.realized.weights > 0.0
+        gradient = np.log(tilt.realized.weights[sup]) - np.log(q.weights[sup]) + 1.0
+        assert stationarity_residual(DivergenceSpec("kl"), tilt) <= 1e-12 * np.abs(gradient).max()
+
+    def test_window_projection_rate_is_the_legendre_dual(self):
+        P = FiniteDistribution(Alphabet.of_size(3), [0.5, 1e-310, 0.5])
+        v = np.array([0.0, 2.0, 1.0])
+        tilt, rate = i_projection(P, ConstraintSpec.interval(v, 1.5, 2.0))
+        dual = -1.5 * tilt.lam - log_partition(np.log(P.weights), v, tilt.lam)
+        # brute force: sum p (log p - log q) in exactly rounded summation
+        brute = math.fsum(p * (math.log(p) - math.log(w)) for p, w in zip(tilt.realized.weights, P.weights) if p > 0.0)
+        assert rate == pytest.approx(dual, rel=1e-9)
+        assert rate == pytest.approx(brute, rel=1e-12)
+        assert rate == pytest.approx(356.5541, rel=1e-7)
+
+    def test_meta_with_a_subnormal_atom_runs(self, tmp_path):
+        # every model in the window puts mass on the atom of weight 1e-310;
+        # its grid KL once overflowed to a false EmptyFeasibleSet
+        config = {"command": "meta", "inputs": {"P": [0.5, 1e-310, 0.5], "loss_row": [0.0, 2.0, 1.0], "n": 4,
+                                                "Xi": [1.5, 2.0], "U": {"kind": "identity"}, "eta": 1.6}}
+        path = tmp_path / "meta.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main(["meta", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
 def exact_law(p, ints, n):
@@ -616,6 +682,14 @@ class TestPinnedMeta:
             assert float(fitted @ xi) == pytest.approx(center, abs=1e-8)
         best = grid_maximum(p, v, window, kind, lam, center, step)
         assert out.map_result.objective >= best - 1e-9
+        # where no weight of the restricted law underflows, the fit on its log
+        # masses is the I-projection of its weights
+        law = out.restricted.weights
+        if law.weights.min() >= np.finfo(float).tiny:
+            u = MetaConstraint(kind, eta, center=center).values(out.restricted.support)
+            tilt, _ = i_projection(law, ConstraintSpec.point(u, eta))
+            assert np.abs(out.fitted.weights.weights - tilt.realized.weights).max() <= 1e-12
+            assert lam == pytest.approx(tilt.lam, rel=1e-12)
 
 
 @st.composite

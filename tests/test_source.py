@@ -31,6 +31,32 @@ def test_library_code_has_no_assert_statements():
     assert found == []
 
 
+def calls(name: str) -> list[tuple[str, ast.Call]]:
+    """Every call in the library of a function or method called ``name``, with its place."""
+    return [
+        (f"{path.name}:{node.lineno}", node)
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and (node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)) == name
+    ]
+
+
+def test_no_log_of_a_ratio():
+    # log(p / q) overflows where q is subnormal; relative entropy takes
+    # log p - log q (measures.relative_entropy)
+    found = [place for place, node in calls("log")
+             if node.args and isinstance(node.args[0], ast.BinOp) and isinstance(node.args[0].op, ast.Div)]
+    assert found == []
+
+
+def test_one_relative_entropy_projection_solve():
+    # every tilt, I-projection, rate grid and meta fit solves its multipliers
+    # through tilting._project, the one caller of the multiplier root
+    places = [place for place, _ in calls("_tilt_multiplier")]
+    assert len(places) == 1 and places[0].startswith("tilting.py:"), places
+
+
 def identifiers(path: Path) -> set[str]:
     """Every name, attribute and imported name that a file mentions."""
     names = set()
