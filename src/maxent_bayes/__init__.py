@@ -4,8 +4,8 @@ Library layout:
 
 * ``measures``     finite distributions, losses, Bayes decisions
 * ``tilting``      exponential tilts, I-projection, general-divergence projections
-* ``ldp``          exact type-class tables, decay-rate estimates, conditioning
-* ``meta``         distributions of expected-loss values and MAP model search
+* ``ldp``          the exact law of V . L_n, decay-rate estimates, conditioning
+* ``meta``         fits of expected-loss distributions and MAP model search
 * ``correlation``  Gaussian-pair conditional-loss expansion and loss-correlation curves
 * ``cli``          the ``maxent-bayes`` command-line harness
 """
@@ -35,22 +35,22 @@ from .tilting import (
 )
 from .ldp import (
     ConditioningResult,
+    ErrorDistribution,
     RateEstimate,
     RatePoint,
     SeededSampler,
     TypeClassTable,
     contract_rate,
     enumerate_types,
+    error_distribution_exact,
     error_rate_function,
     gibbs_conditioning,
     sanov_exact,
     sanov_monte_carlo,
 )
 from .meta import (
-    ErrorDistribution,
     MapModelResult,
     MetaConstraint,
-    error_distribution_exact,
     maxent_error_fit,
     map_model,
     run_meta_pipeline,

@@ -1,11 +1,15 @@
 """Exact and Monte Carlo decay-rate measurements for empirical measures.
 
-Everything here runs at desk scale: the full law of the empirical measure of
-n i.i.d. draws is enumerated type class by type class (a composition of n
-into k parts has exactly multinomial probability), so decay rates, convexity
-and conditioning claims can be checked against exact numbers rather than
-simulations alone.  Sample sizes are kept honest by a hard cap on the
-enumeration size.
+Everything here runs at desk scale.  The exact claims all read one law, that
+of the expected loss xi = V . L_n of n i.i.d. draws (``error_distribution_exact``:
+the type classes, compositions of n over the symbols of positive weight,
+grouped by xi).  A window's Sanov probability is its mass under that law, and
+the conditional mean given the window reads the law at n - 1 by
+exchangeability, the p_j-weighted sum of the numerators being the denominator:
+
+    E[L_n | W]_j = p_j P(((n - 1) xi_{n-1} + v_j) / n in W) / P(xi_n in W).
+
+Sample sizes are kept honest by a hard cap on the enumeration size.
 
 Decay rates are always estimated by regressing log P_n on n across a grid of
 sample sizes: the polynomial prefactor of the exact probability contributes
@@ -18,12 +22,13 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import EmptyEvent, EmptyPreimage, InfeasibleError, NumericalError, TableTooLarge
-from .measures import FiniteDistribution, as_potential, relative_entropy, total_variation
+from .measures import Alphabet, FiniteDistribution, as_potential, relative_entropy, total_variation
 from .tilting import ConstraintSpec, TiltedDistribution, _project, i_projection
 
 TABLE_CAP = 10_000_000
@@ -42,8 +47,8 @@ _STREAM_SANOV = 0
 
 
 def _logsumexp(a: np.ndarray) -> float:
-    """log(sum(exp(a))) with max-subtraction; -inf for an all -inf array."""
-    m = float(np.max(a))
+    """log(sum(exp(a))) with max-subtraction; -inf for an empty or all -inf array."""
+    m = float(np.max(a, initial=-math.inf))
     return m if math.isinf(m) else m + math.log(float(np.sum(np.exp(a - m))))
 
 
@@ -90,7 +95,8 @@ def in_window(x, lo: float, hi: float):
 
 @dataclass(frozen=True, eq=False)
 class TypeClassTable:
-    """Exhaustive table of type classes with exact multinomial log-probabilities."""
+    """Exhaustive table of type classes with exact multinomial log-probabilities;
+    ``counts`` has one column per symbol of positive weight in ``base``."""
 
     base: FiniteDistribution
     n: int
@@ -101,9 +107,6 @@ class TypeClassTable:
     def size(self) -> int:
         return self.counts.shape[0]
 
-    def frequencies(self) -> np.ndarray:
-        return self.counts / self.n
-
     def total_log_mass(self) -> float:
         return _logsumexp(self.log_probs)
 
@@ -112,19 +115,91 @@ def enumerate_types(P: FiniteDistribution, n: int) -> TypeClassTable:
     """Build the exact finite-n law of the empirical measure of P^n."""
     if n < 1:
         raise ValueError("sample size must be positive")
-    k = P.size
-    check_table_size(k, n)
-    counts = _compositions(n, k)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_p = np.log(P.weights)
-        terms = np.where(counts > 0, counts * log_p[None, :], 0.0)
+    check_table_size(P.size, n)
+    drawn = P.weights > 0
+    counts = _compositions(n, int(np.count_nonzero(drawn)))
     log_factorial = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
-    log_probs = log_factorial[n] - log_factorial[counts].sum(axis=1) + terms.sum(axis=1)
+    log_probs = log_factorial[n] - log_factorial[counts].sum(axis=1) + counts @ np.log(P.weights[drawn])
     table = TypeClassTable(base=P, n=n, counts=counts, log_probs=log_probs)
     log_mass = table.total_log_mass()
     if not abs(log_mass) <= 1e-9:
         raise NumericalError(f"type-class probabilities sum to exp({log_mass:.3g}), not 1")
     return table
+
+
+@dataclass(frozen=True, eq=False)
+class ErrorDistribution:
+    """Distribution of expected-loss values xi over a finite support.
+
+    ``log_mass`` holds the log of each support value's mass up to a common
+    shift (none for the exact law), finite at every support value, so a
+    window far in the tail keeps its mass where the weights themselves would
+    underflow; the fits solve on it, and ``weights`` normalizes it when first
+    read.  ``lambda_eta`` and ``center`` are populated on fitted instances so
+    the downstream MAP search can reuse the solved multiplier and, for the
+    centered-square statistic, the self-consistent centering point.
+    """
+
+    support: np.ndarray
+    log_mass: np.ndarray
+    lambda_eta: float | None = None
+    center: float | None = None
+
+    def __post_init__(self):
+        s = np.asarray(self.support, dtype=float)
+        if s.ndim != 1 or s.shape != np.shape(self.log_mass):
+            raise ValueError("support and log masses must align")
+        if np.any(np.diff(s) <= 0):
+            raise ValueError("support values must be strictly increasing")
+        object.__setattr__(self, "support", s)
+
+    @cached_property
+    def weights(self) -> FiniteDistribution:
+        w = np.exp(self.log_mass - self.log_mass.max())
+        return FiniteDistribution(Alphabet(tuple(float(x) for x in self.support)), w / w.sum())
+
+    def mean(self) -> float:
+        return float(np.dot(self.support, self.weights.weights))
+
+    def variance(self) -> float:
+        m = self.mean()
+        return float(np.dot((self.support - m) ** 2, self.weights.weights))
+
+    def weight_at(self, xi: float) -> float:
+        idx = np.flatnonzero(np.abs(self.support - xi) <= XI_BAND)
+        if idx.size == 0:
+            raise KeyError(f"{xi!r} is not a support point")
+        return float(self.weights.weights[idx[0]])
+
+    def restrict(self, lo: float, hi: float) -> "ErrorDistribution":
+        """Condition on xi falling inside [lo, hi]."""
+        mask = in_window(self.support, lo, hi)
+        if not np.any(mask):
+            raise EmptyEvent(f"no error-value mass inside [{lo!r}, {hi!r}]")
+        log_mass = self.log_mass[mask]
+        return ErrorDistribution(support=self.support[mask], log_mass=log_mass - _logsumexp(log_mass))
+
+
+def error_distribution_exact(P: FiniteDistribution, potential, n: int) -> ErrorDistribution:
+    """Exact law of V . L_n: type classes grouped by expected-loss value.
+
+    The support holds the values of positive probability (values within
+    XI_BAND of their neighbour count as one).  Each value's log mass is a
+    log-sum-exp over its group, shifted by the group's largest
+    log-probability, so no group's mass underflows.
+    """
+    v = as_potential(potential, P.alphabet)
+    table = enumerate_types(P, n)
+    xi = (table.counts / n) @ v[P.weights > 0]
+    order = np.argsort(xi, kind="stable")
+    xi, log_probs = xi[order], table.log_probs[order]
+    del table, order  # arrays over all type classes set the peak memory: free each when done
+    starts = np.concatenate(([True], np.diff(xi) > XI_BAND))
+    group_ids = np.cumsum(starts) - 1
+    heads = np.flatnonzero(starts)
+    shift = np.maximum.reduceat(log_probs, heads)
+    sums = np.bincount(group_ids, weights=np.exp(log_probs - shift[group_ids]))
+    return ErrorDistribution(support=xi[heads], log_mass=shift + np.log(sums))
 
 
 def _window(constraint: ConstraintSpec) -> tuple[float, float]:
@@ -133,10 +208,6 @@ def _window(constraint: ConstraintSpec) -> tuple[float, float]:
     else:
         lo = hi = float(constraint.target)
     return lo, hi
-
-
-def _event_mask(table: TypeClassTable, v: np.ndarray, constraint: ConstraintSpec) -> np.ndarray:
-    return in_window(table.frequencies() @ v, *_window(constraint))
 
 
 @dataclass(frozen=True)
@@ -201,23 +272,20 @@ def _analytic_rate(P: FiniteDistribution, constraint: ConstraintSpec) -> float:
 def sanov_exact(
     P: FiniteDistribution, constraint: ConstraintSpec, n_grid: Sequence[int]
 ) -> RateEstimate:
-    """Exact decay rate of P^n(V . L_n in window) by full type enumeration.
+    """Exact decay rate of P^n(V . L_n in window): the mass of the window
+    under the exact law of V . L_n at each n.
 
     Sample sizes whose event is empty (parity infeasibility) are reported
     and excluded from the regression.
     """
     v = as_potential(constraint.potential, P.alphabet)
+    lo, hi = _window(constraint)
     logs, empties = [], []
     for n in n_grid:
-        table = enumerate_types(P, int(n))
-        mask = _event_mask(table, v, constraint)
-        selected = table.log_probs[mask]
-        selected = selected[np.isfinite(selected)]
-        if selected.size == 0:
+        law = error_distribution_exact(P, v, int(n))
+        logs.append(_logsumexp(law.log_mass[in_window(law.support, lo, hi)]))
+        if math.isinf(logs[-1]):
             empties.append(int(n))
-            logs.append(-math.inf)
-        else:
-            logs.append(_logsumexp(selected))
     analytic_rate = _analytic_rate(P, constraint)
     ns = np.asarray([n for n, lp in zip(n_grid, logs) if math.isfinite(lp)], dtype=float)
     ys = np.asarray([lp for lp in logs if math.isfinite(lp)])
@@ -351,22 +419,24 @@ def gibbs_conditioning(
 ) -> ConditioningResult:
     """Exact E[L_n | V . L_n in window] versus the minimum-KL tilt.
 
-    The conditional mean is computed from the full type table, the
+    The conditional mean reads the exact law of V . L_{n-1} (the point mass
+    at 0 for n = 1) by exchangeability, see the module docstring; the
     prediction is the projection of P onto the dominating point of the
     window (interior mean, else nearer endpoint).
     """
     v = as_potential(constraint.potential, P.alphabet)
-    table = enumerate_types(P, n)
-    mask = _event_mask(table, v, constraint)
-    log_sel = table.log_probs[mask]
-    finite = np.isfinite(log_sel)
-    if not np.any(finite):
-        raise EmptyEvent(f"no type class of n={n} satisfies {_describe(constraint)}")
-    log_sel = log_sel[finite]
-    freqs = table.frequencies()[mask][finite]
-    weights = np.exp(log_sel - _logsumexp(log_sel))
-    mean = FiniteDistribution(P.alphabet, weights @ freqs)
     lo, hi = _window(constraint)
+    law = ErrorDistribution(np.zeros(1), np.zeros(1)) if n == 1 else error_distribution_exact(P, v, n - 1)
+    drawn = np.flatnonzero(P.weights > 0)
+    # row j: is ((n - 1) xi_{n-1} + v_j) / n, the value after one more draw of j, inside?
+    inside = in_window(((n - 1) * law.support + v[drawn, None]) / n, lo, hi)
+    log_joint = np.log(P.weights[drawn]) + np.array([_logsumexp(law.log_mass[row]) for row in inside])
+    log_event = _logsumexp(log_joint)
+    if math.isinf(log_event):
+        raise EmptyEvent(f"no type class of n={n} satisfies {_describe(constraint)}")
+    weights = np.zeros(P.size)
+    weights[drawn] = np.exp(log_joint - log_event)
+    mean = FiniteDistribution(P.alphabet, weights)
     predicted, _ = i_projection(P, ConstraintSpec.interval(v, lo, hi))
     return ConditioningResult(
         window=(lo, hi),

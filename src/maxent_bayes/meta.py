@@ -1,7 +1,8 @@
 """Two-level inference: distributions over expected-loss values.
 
 The first level treats the expected loss of an empirical measure as a random
-variable and computes its exact finite-n law from the type-class table.  The
+variable: its exact finite-n law is ``ldp.error_distribution_exact``, the one
+exact law of V . L_n that the Sanov and Gibbs measurements also read.  The
 second level tilts that law to match a summary statistic (a mean, a variance,
 or a user-supplied statistic), and the two levels combine in a MAP search
 over a simplex grid of candidate models: maximize
@@ -22,72 +23,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyEvent, EmptyFeasibleSet, InfeasibleConstraint
-from .ldp import XI_BAND, _compositions, _logsumexp, check_table_size, enumerate_types, in_window
-from .measures import Alphabet, FiniteDistribution, TIE_TOLERANCE, as_potential, relative_entropy
+from .errors import EmptyFeasibleSet, InfeasibleConstraint
+from .ldp import ErrorDistribution, _compositions, check_table_size, error_distribution_exact, in_window
+from .measures import FiniteDistribution, TIE_TOLERANCE, as_potential, relative_entropy
 from .tilting import _bracketed_root, _floor, _project, _tilt_state, attainable_range
 
 DEFAULT_GRID_STEPS = {2: 0.001, 3: 0.02}
 
 # Each statistic kind and the parameters it reads; setting any other is an error.
 U_PARAMETERS = {"identity": (), "centered_square": ("center",), "user_table": ("table_xi", "table_u")}
-
-
-@dataclass(frozen=True, eq=False)
-class ErrorDistribution:
-    """Distribution of expected-loss values xi over a finite support.
-
-    ``log_mass`` holds the log of each support value's mass up to a common
-    shift, finite at every support value, so a window far in the tail keeps
-    its mass where the weights themselves would underflow; the fits solve on
-    it, and ``weights`` normalizes it when first read.
-    ``lambda_eta`` and ``center`` are populated on fitted instances so the
-    downstream MAP search can reuse the solved multiplier and, for the
-    centered-square statistic, the self-consistent centering point.
-    """
-
-    support: np.ndarray
-    log_mass: np.ndarray
-    lambda_eta: float | None = None
-    center: float | None = None
-
-    def __post_init__(self):
-        s = np.asarray(self.support, dtype=float)
-        if s.ndim != 1 or s.shape != np.shape(self.log_mass):
-            raise ValueError("support and log masses must align")
-        if np.any(np.diff(s) <= 0):
-            raise ValueError("support values must be strictly increasing")
-        object.__setattr__(self, "support", s)
-
-    @cached_property
-    def weights(self) -> FiniteDistribution:
-        w = np.exp(self.log_mass - self.log_mass.max())
-        return FiniteDistribution(Alphabet(tuple(float(x) for x in self.support)), w / w.sum())
-
-    def mean(self) -> float:
-        return float(np.dot(self.support, self.weights.weights))
-
-    def variance(self) -> float:
-        m = self.mean()
-        return float(np.dot((self.support - m) ** 2, self.weights.weights))
-
-    def weight_at(self, xi: float) -> float:
-        idx = np.flatnonzero(np.abs(self.support - xi) <= XI_BAND)
-        if idx.size == 0:
-            raise KeyError(f"{xi!r} is not a support point")
-        return float(self.weights.weights[idx[0]])
-
-    def restrict(self, lo: float, hi: float) -> "ErrorDistribution":
-        """Condition on xi falling inside [lo, hi]."""
-        mask = in_window(self.support, lo, hi)
-        if not np.any(mask):
-            raise EmptyEvent(f"no error-value mass inside [{lo!r}, {hi!r}]")
-        log_mass = self.log_mass[mask]
-        return ErrorDistribution(support=self.support[mask], log_mass=log_mass - _logsumexp(log_mass))
 
 
 @dataclass(frozen=True)
@@ -148,30 +95,6 @@ class MetaConstraint:
 
     def with_center(self, center: float) -> "MetaConstraint":
         return replace(self, center=center)
-
-
-def error_distribution_exact(
-    P: FiniteDistribution, potential, n: int
-) -> ErrorDistribution:
-    """Exact law of V . L_n: type classes grouped by expected-loss value.
-
-    The support holds the values of positive probability.  Each value's log
-    mass is a log-sum-exp over its group, shifted by the group's largest
-    log-probability, so no group's mass underflows.
-    """
-    v = as_potential(potential, P.alphabet)
-    table = enumerate_types(P, n)
-    drawn = np.isfinite(table.log_probs)  # no symbol of weight 0 in P
-    xi = (table.frequencies() @ v)[drawn]
-    order = np.argsort(xi, kind="stable")
-    xi, log_probs = xi[order], table.log_probs[drawn][order]
-    del order  # arrays over all type classes set the peak memory: free each when done
-    starts = np.concatenate(([True], np.diff(xi) > XI_BAND))
-    group_ids = np.cumsum(starts) - 1
-    heads = np.flatnonzero(starts)
-    shift = np.maximum.reduceat(log_probs, heads)
-    sums = np.bincount(group_ids, weights=np.exp(log_probs - shift[group_ids]))
-    return ErrorDistribution(support=xi[heads], log_mass=shift + np.log(sums))
 
 
 def maxent_error_fit(reference: ErrorDistribution, meta: MetaConstraint) -> ErrorDistribution:

@@ -550,12 +550,13 @@ def _reverse_kl_projection(q: np.ndarray, v: np.ndarray, c: float) -> tuple[np.n
         return (1.0 - sigma) * e + sigma
 
     def gap(sigma: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # the slope, sum q t (1 + sigma t / w), has 1 + sigma t / w = e / s,
-        # which is 0 at the pole atom; only a subnormal sigma overflows t there
+        # the value scales d by sigma / s, in [0, 1] as s >= sigma, so it stays
+        # finite; the slope, sum q t (1 + sigma t / w), has 1 + sigma t / w =
+        # e / s, which is 0 at the pole atom; a subnormal sigma overflows t there
         s = denominators(sigma[:, None])
         with np.errstate(over="ignore", invalid="ignore"):
             t = d / s
-            return -sign * sigma * (t @ q), -sign * ((t * e / s) @ q)
+            return -sign * ((d * (sigma[:, None] / s)) @ q), -sign * ((t * e / s) @ q)
 
     sigma = float(_bracketed_root(gap, 0.0, 1.0, 1.0, 0.0)[0][0])
     s = denominators(sigma)

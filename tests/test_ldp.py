@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from maxent_bayes import (
     SeededSampler,
     contract_rate,
     enumerate_types,
+    error_distribution_exact,
     error_rate_function,
     gibbs_conditioning,
     sanov_exact,
@@ -179,6 +181,76 @@ class TestGibbsConditioning:
     def test_empty_event(self):
         with pytest.raises(EmptyEvent):
             gibbs_conditioning(BERN_HALF, ConstraintSpec.interval(V01, 0.5, 0.5), 3)
+
+
+def every_sequence(weights, v, n):
+    """Each of the k^n draw sequences of length n: its probability, its value
+    of V . L_n and its empirical measure (no type classes, no factorials)."""
+    k = len(weights)
+    seqs = list(itertools.product(range(k), repeat=n))
+    probs = np.array([math.prod(weights[x] for x in seq) for seq in seqs])
+    xi = np.array([math.fsum(v[x] for x in seq) / n for seq in seqs])
+    freqs = np.array([np.bincount(seq, minlength=k) for seq in seqs]) / n
+    return probs, xi, freqs
+
+
+ORACLE_NS = range(1, 8)
+# P, V and the window [lo, hi]; a point window is a point target
+ORACLE_CASES = {
+    "zero-weight-symbol": ([0.3, 0.0, 0.7], [0.0, 1.0, 2.0], (0.9, 1.5)),
+    "irrational-potential": ([0.2, 0.3, 0.5], [0.0, 1.0, math.sqrt(2.0)], (0.3, 0.8)),
+    "irrational-point": ([0.25, 0.25, 0.5], [-1.0, 0.5, math.pi], (0.5, 0.5)),
+    "parity-empty-point": ([0.5, 0.5], [0.0, 1.0], (0.5, 0.5)),
+}
+
+
+def oracle_constraint(v, window):
+    lo, hi = window
+    return ConstraintSpec.point(v, lo) if lo == hi else ConstraintSpec.interval(v, lo, hi)
+
+
+@pytest.mark.parametrize("weights, v, window", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+class TestBruteForceOracle:
+    """The three readers of the exact law of V . L_n against a sum over every
+    draw sequence, n = 1..7."""
+
+    def test_sanov_log_probs(self, weights, v, window):
+        est = sanov_exact(dist(*weights), oracle_constraint(v, window), ORACLE_NS)
+        for n, log_prob in zip(ORACLE_NS, est.log_probs):
+            probs, xi, _ = every_sequence(weights, v, n)
+            mass = math.fsum(probs[ldp_mod.in_window(xi, *window)])
+            if mass == 0.0:
+                assert log_prob == -math.inf and n in est.empty_event_ns
+            else:
+                assert abs(log_prob - math.log(mass)) <= 1e-12
+                assert n not in est.empty_event_ns
+
+    def test_gibbs_means(self, weights, v, window):
+        for n in ORACLE_NS:
+            probs, xi, freqs = every_sequence(weights, v, n)
+            inside = ldp_mod.in_window(xi, *window)
+            if not np.any(probs[inside] > 0.0):
+                with pytest.raises(EmptyEvent):
+                    gibbs_conditioning(dist(*weights), oracle_constraint(v, window), n)
+                continue
+            expected = probs[inside] @ freqs[inside] / math.fsum(probs[inside])
+            mean = gibbs_conditioning(dist(*weights), oracle_constraint(v, window), n).conditioned_mean_measure
+            assert np.abs(mean.weights - expected).max() <= 1e-12
+
+    def test_error_distribution_masses(self, weights, v, window):
+        for n in ORACLE_NS:
+            probs, xi, _ = every_sequence(weights, v, n)
+            drawn = probs > 0.0
+            probs, xi = probs[drawn], xi[drawn]
+            order = np.argsort(xi, kind="stable")
+            probs, xi = probs[order], xi[order]
+            # the values of V . L_n lie far more than 1e-9 apart
+            groups = np.split(np.arange(xi.size), np.flatnonzero(np.diff(xi) > 1e-9) + 1)
+            law = error_distribution_exact(dist(*weights), v, n)
+            assert law.support.size == len(groups)
+            assert np.abs(law.support - xi[[g[0] for g in groups]]).max() <= 1e-12
+            masses = np.array([math.fsum(probs[g]) for g in groups])
+            assert np.abs(np.exp(law.log_mass) - masses).max() <= 1e-12
 
 
 class TestErrorRateFunction:

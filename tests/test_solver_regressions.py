@@ -610,6 +610,18 @@ class TestSubnormalRelativeEntropy:
         assert rate == pytest.approx(brute, rel=1e-12)
         assert rate == pytest.approx(356.5541, rel=1e-7)
 
+    def test_reverse_kl_projection_is_the_pole_limit(self):
+        # the sigma root crowds the pole of the atom of weight 1e-310 at min V;
+        # in the limit beta = 1 / (c - min V) every other atom holds
+        # q / (1 + beta (v - c)) and the pole atom holds the rest
+        c, q = -0.75, np.array(self.Q)
+        p = project("reverse_kl", q, self.V, c)
+        rest = np.arange(q.size) != int(np.argmin(self.V))
+        expected = np.zeros(q.size)
+        expected[rest] = q[rest] / (1.0 + (self.V[rest] - c) / (c - self.V.min()))
+        expected[~rest] = 1.0 - expected.sum()
+        assert np.abs(p - expected).max() <= 1e-12
+
     def test_meta_with_a_subnormal_atom_runs(self, tmp_path):
         # every model in the window puts mass on the atom of weight 1e-310;
         # its grid KL once overflowed to a false EmptyFeasibleSet

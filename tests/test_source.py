@@ -57,6 +57,18 @@ def test_one_relative_entropy_projection_solve():
     assert len(places) == 1 and places[0].startswith("tilting.py:"), places
 
 
+def test_one_caller_of_the_type_enumeration():
+    # the Sanov probability, the Gibbs conditional mean and the meta law all
+    # read ldp.error_distribution_exact, the one exact law of V . L_n
+    places = [place for place, _ in calls("enumerate_types")]
+    assert len(places) == 1 and places[0].startswith("ldp.py:"), places
+    tree = ast.parse((SOURCE / "ldp.py").read_text(encoding="utf-8"))
+    owners = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+              and any(isinstance(call, ast.Call) and getattr(call.func, "id", None) == "enumerate_types"
+                      for call in ast.walk(node))]
+    assert owners == ["error_distribution_exact"]
+
+
 def identifiers(path: Path) -> set[str]:
     """Every name, attribute and imported name that a file mentions."""
     names = set()
@@ -103,6 +115,38 @@ def test_every_traced_benchmark_target_exists():
         if not callable(obj):
             missing.append(f"{module}.{path}")
     assert missing == []
+
+
+def test_trace_hooks_read_the_exact_law():
+    # bench/spans.py counts the rows of enumerate_types and the support of
+    # error_distribution_exact; run one tiny sanov, gibbs and meta op traced,
+    # in a subprocess so that the wrappers stay out of this one
+    configs = [
+        {"command": "sanov", "inputs": {"P": [0.5, 0.5], "potential": [0, 1], "target_interval": [0.7, 1.0],
+                                        "n_grid": [10, 20], "method": "exact"}},
+        {"command": "gibbs", "inputs": {"P": [0.5, 0.5], "potential": [0, 1], "Xi": [0.7, 0.8], "n_grid": [10]}},
+        {"command": "meta", "inputs": {"P": [0.5, 0.5], "loss_row": [0, 1], "n": 16, "Xi": [0.6, 0.9],
+                                       "U": {"kind": "identity"}, "eta": 0.7, "model_grid_step": 0.01}},
+    ]
+    code = (
+        "import io, json, sys, tempfile\n"
+        f"sys.path[:0] = [{str(SOURCE.parent)!r}, {str(ROOT / 'bench')!r}]\n"
+        "from maxent_bayes import cli\n"
+        "import spans\n"
+        "tracer = spans.Tracer()\n"
+        "missing = spans.install(tracer)\n"
+        f"for config in json.loads({json.dumps(configs)!r}):\n"
+        "    with tempfile.TemporaryDirectory() as out:\n"
+        "        cli.run(config, out_dir=out, stdout=io.StringIO())\n"
+        "print(json.dumps({'missing': missing, 'counts': dict(tracer.counts)}))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    out = json.loads(run.stdout.splitlines()[-1])
+    counts = out["counts"]
+    assert out["missing"] == []
+    for name in ("ldp.enumerate_types.types", "ldp.enumerate_types.bytes", "meta.error_distribution_exact.support"):
+        assert counts.get(name, 0) > 0, name
+    assert [name for name in counts if name.endswith(".failed")] == []
 
 
 def test_no_module_imports_a_name_it_never_uses():
