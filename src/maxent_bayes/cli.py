@@ -38,7 +38,7 @@ from .errors import (
 from .jsonio import canonical_config_hash, csv_text, dumps, sha256_text
 from .ldp import (
     SeededSampler,
-    check_table_size,
+    check_exact_law,
     check_trials,
     error_rate_function,
     gibbs_conditioning,
@@ -313,7 +313,7 @@ def _prepare_sanov(inputs: dict) -> Execute:
     trials = check_trials(_count(inputs.get("trials", 100_000), "trials"))
     if method == "exact":
         for n in n_grid:
-            check_table_size(P.size, n)
+            check_exact_law(P, v, n)
 
     def execute(ctx: RunContext) -> dict:
         if method == "exact":
@@ -350,7 +350,8 @@ def _prepare_gibbs(inputs: dict) -> Execute:
     lo, hi = _window_from(inputs, P, v)
     n_grid = _n_grid_from(inputs)
     for n in n_grid:
-        check_table_size(P.size, n)
+        if n > 1:  # gibbs_conditioning reads the law at n - 1
+            check_exact_law(P, v, n - 1)
     constraint = ConstraintSpec.interval(v, lo, hi)
 
     def execute(ctx: RunContext) -> dict:
@@ -400,7 +401,7 @@ def _prepare_meta(inputs: dict) -> Execute:
     P = _as_distribution(_require(inputs, "P"), "P")
     v = _as_potential(_require(inputs, "loss_row"), P)
     n = _count(_require(inputs, "n"), "n", 1)
-    check_table_size(P.size, n)
+    check_exact_law(P, v, n)
     lo, hi = _window_from(inputs, P, v)
     u_spec = _require(inputs, "U")
     if not isinstance(u_spec, dict) or "kind" not in u_spec:

@@ -1,15 +1,28 @@
 """Exact and Monte Carlo decay-rate measurements for empirical measures.
 
 Everything here runs at desk scale.  The exact claims all read one law, that
-of the expected loss xi = V . L_n of n i.i.d. draws (``error_distribution_exact``:
-the type classes, compositions of n over the symbols of positive weight,
-grouped by xi).  A window's Sanov probability is its mass under that law, and
-the conditional mean given the window reads the law at n - 1 by
-exchangeability, the p_j-weighted sum of the numerators being the denominator:
+of the expected loss xi = V . L_n of n i.i.d. draws (``error_distribution_exact``),
+after P is pushed forward onto the k distinct values of V on its support.
+Two exact methods compute it:
+
+- the type enumeration: every composition of n over the k values, grouped by
+  xi, C(n + k - 1, k - 1) terms;
+- on a lattice, values a + h m_j with integer m_j of span R = max m, the law
+  of the lattice sum S_n = sum m_{X_i}, one log-domain convolution per draw,
+  k sum_{i<=n} (R i + 1) terms.
+
+The method with fewer terms runs, a rule on the input's size: the recursion
+wins once k >= 4 and n is large against R (at k = 4, n above about 11 R),
+the enumeration for k <= 3 and for an irrational V (its lattice step is
+round-off, so R is huge).  A window's Sanov probability is its mass under
+the law, and the conditional mean given the window reads the law at n - 1 by
+exchangeability, the p_j-weighted sum of the numerators being the
+denominator:
 
     E[L_n | W]_j = p_j P(((n - 1) xi_{n-1} + v_j) / n in W) / P(xi_n in W).
 
-Sample sizes are kept honest by a hard cap on the enumeration size.
+Sample sizes are kept honest by a hard cap on the terms of the method that
+runs (``check_exact_law``).
 
 Decay rates are always estimated by regressing log P_n on n across a grid of
 sample sizes: the polynomial prefactor of the exact probability contributes
@@ -35,6 +48,9 @@ TABLE_CAP = 10_000_000
 # The one band around expected-loss windows and values: a rational type mean
 # j/n counts as inside a float window, and two values xi as equal, within it.
 XI_BAND = 1e-12
+# A value of V lies on a lattice when it is within this many ulps of max |V|
+# of a lattice point.
+LATTICE_ULPS = 4
 # Monte Carlo trials per sampling block.  Each block draws from its own
 # stream, keyed by its index, so this size fixes every Monte Carlo output.
 MC_BLOCK_SIZE = 65536
@@ -180,20 +196,104 @@ class ErrorDistribution:
         return ErrorDistribution(support=self.support[mask], log_mass=log_mass - _logsumexp(log_mass))
 
 
+def _lattice(values: np.ndarray) -> tuple[float, float, np.ndarray] | None:
+    """(a, h, m) with each value a + h m_j to within LATTICE_ULPS ulps of
+    max |V|, h > 0 and the m_j >= 0 integers of gcd 1; None when the values
+    all agree (one type class) or some value is off that lattice.
+
+    h is a float Euclid over the differences from the least value (fmod is
+    exact, so only the noise in V enters), then the largest difference over
+    its integer.  An irrational V leaves h near round-off and max m huge.
+    """
+    a = float(values.min())
+    d = values - a
+    tol = LATTICE_ULPS * float(np.spacing(np.abs(values).max()))
+    h = 0.0
+    for r in d.tolist():
+        while r > tol:
+            h, r = r, math.fmod(h, r)
+    if h == 0.0:
+        return None
+    m = np.rint(d / h).astype(np.int64)
+    h = float(d.max()) / int(m.max())
+    return (a, h, m) if np.abs(d - m * h).max() <= tol else None
+
+
+def _lattice_law(log_weights: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
+    """log P(S_n = s) for s = 0..n max(m), S_n the sum of n i.i.d. draws of
+    m_j with log-probability log_weights[j]; -inf where s is unreachable.
+
+    One log-domain convolution per draw:
+    log P_i(s) = logsumexp_j [log p_j + log P_{i-1}(s - m_j)].
+    """
+    span = int(m.max())
+    log_p = np.zeros(1)
+    for _ in range(n):
+        nxt = np.full(log_p.size + span, -math.inf)
+        for lw, shift in zip(log_weights.tolist(), m.tolist()):
+            part = nxt[shift:shift + log_p.size]
+            np.logaddexp(part, log_p + lw, out=part)
+        log_p = nxt
+    log_mass = _logsumexp(log_p)
+    if not abs(log_mass) <= 1e-9:
+        raise NumericalError(f"lattice-sum probabilities sum to exp({log_mass:.3g}), not 1")
+    return log_p
+
+
+def check_exact_law(
+    P: FiniteDistribution, potential, n: int
+) -> tuple[np.ndarray, np.ndarray, tuple[float, float, np.ndarray] | None]:
+    """Push P forward onto the distinct values of V on its support, in order
+    of first occurrence, and pick the method of ``error_distribution_exact``
+    with fewer terms (module docstring); TableTooLarge when its count passes
+    TABLE_CAP.  Returns (values, weights, lattice), lattice (a, h, m) when
+    the lattice recursion runs, else None.
+    """
+    if n < 1:
+        raise ValueError("sample size must be positive")
+    v = as_potential(potential, P.alphabet)
+    drawn = P.weights > 0
+    values, first, inverse = np.unique(v[drawn], return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    weights = np.bincount(np.argsort(order)[inverse], weights=P.weights[drawn])
+    values = values[order]
+    k = values.size
+    lattice = _lattice(values)
+    recursion = math.inf if lattice is None else k * (int(lattice[2].max()) * n * (n + 1) // 2 + n)
+    enumeration = table_size(k, n)
+    if recursion < enumeration:
+        method, terms = "lattice recursion", recursion
+    else:
+        method, terms, lattice = "type enumeration", enumeration, None
+    if terms > TABLE_CAP:
+        raise TableTooLarge(f"{method} for k={k} distinct values, n={n} sums {terms} terms (cap {TABLE_CAP})")
+    return values, weights, lattice
+
+
 def error_distribution_exact(P: FiniteDistribution, potential, n: int) -> ErrorDistribution:
-    """Exact law of V . L_n: type classes grouped by expected-loss value.
+    """Exact law of V . L_n, by whichever of two methods sums fewer terms
+    (``check_exact_law``): on a lattice a + h m, the law of the lattice sum
+    S_n = sum m_{X_i} at support a + h s / n (``_lattice_law``); else the
+    type classes of the distinct values of V, each at xi = (counts / n) . V.
 
     The support holds the values of positive probability (values within
     XI_BAND of their neighbour count as one).  Each value's log mass is a
     log-sum-exp over its group, shifted by the group's largest
     log-probability, so no group's mass underflows.
     """
-    v = as_potential(potential, P.alphabet)
-    table = enumerate_types(P, n)
-    xi = (table.counts / n) @ v[P.weights > 0]
+    values, weights, lattice = check_exact_law(P, potential, n)
+    if lattice is not None:
+        a, h, m = lattice
+        log_probs = _lattice_law(np.log(weights), m, n)
+        s = np.flatnonzero(log_probs > -math.inf)
+        xi, log_probs = a + h * s / n, log_probs[s]
+    else:
+        table = enumerate_types(FiniteDistribution(Alphabet.of_size(values.size), weights), n)
+        xi, log_probs = (table.counts / n) @ values, table.log_probs
+        del table  # arrays over all type classes set the peak memory: free each when done
     order = np.argsort(xi, kind="stable")
-    xi, log_probs = xi[order], table.log_probs[order]
-    del table, order  # arrays over all type classes set the peak memory: free each when done
+    xi, log_probs = xi[order], log_probs[order]
+    del order
     starts = np.concatenate(([True], np.diff(xi) > XI_BAND))
     group_ids = np.cumsum(starts) - 1
     heads = np.flatnonzero(starts)

@@ -36,20 +36,27 @@ class TestValidate:
         assert diags[0]["error"] == "InfeasibleConstraint"
 
     def test_enumeration_guard_reports_computed_size(self):
-        config = {
-            "command": "sanov",
-            "inputs": {
-                "P": [0.25, 0.25, 0.25, 0.25],
-                "potential": [0, 1, 2, 3],
-                "target_interval": [2.0, 3.0],
-                "n_grid": [500],
-                "method": "exact",
-            },
-        }
-        diags = cli.validate(config)
-        assert len(diags) == 1
-        assert diags[0]["family"] == "resource"
-        assert str(math.comb(503, 3)) in diags[0]["message"]
+        cases = [
+            # an irrational potential has no lattice: C(503, 3) type classes
+            ([0, 1, math.sqrt(2.0), 3], 500, "type enumeration", math.comb(503, 3)),
+            # span 3 on a lattice: 4 * sum_{i <= 2000} (3 i + 1) recursion terms
+            ([0, 1, 2, 3], 2000, "lattice recursion", 4 * (3 * 2000 * 2001 // 2 + 2000)),
+        ]
+        for potential, n, method, terms in cases:
+            config = {
+                "command": "sanov",
+                "inputs": {
+                    "P": [0.25, 0.25, 0.25, 0.25],
+                    "potential": potential,
+                    "target_interval": [2.0, 3.0],
+                    "n_grid": [n],
+                    "method": "exact",
+                },
+            }
+            diags = cli.validate(config)
+            assert len(diags) == 1
+            assert diags[0]["family"] == "resource"
+            assert method in diags[0]["message"] and str(terms) in diags[0]["message"]
 
     def test_unknown_command(self):
         assert cli.validate({"command": "nope", "inputs": {}})[0]["family"] == "validation"
@@ -165,19 +172,37 @@ class TestMain:
         capsys.readouterr()
 
     def test_resource_guard_exits_5(self, tmp_path, capsys):
+        # gibbs reads the law at n - 1 = 499 and 1999: an irrational potential
+        # needs C(501, 3) type classes, a lattice of span 3 at 1999 draws
+        # 2.4e7 recursion terms; both are over the cap of 1e7
+        for potential, n in (([0, 1, math.sqrt(2.0), 3], 500), ([0, 1, 2, 3], 2000)):
+            config = {
+                "command": "gibbs",
+                "inputs": {
+                    "P": [0.25, 0.25, 0.25, 0.25],
+                    "potential": potential,
+                    "Xi": [2.0, 3.0],
+                    "n_grid": [n],
+                },
+            }
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config), encoding="utf-8")
+            assert cli.main(["gibbs", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 5
+            capsys.readouterr()
+
+    def test_lattice_law_past_the_type_table_cap_runs(self, tmp_path, capsys):
+        # C(502, 3) type classes at n - 1 = 499 pass the cap; the lattice
+        # recursion needs 1.5e6 terms
         config = {
             "command": "gibbs",
-            "inputs": {
-                "P": [0.25, 0.25, 0.25, 0.25],
-                "potential": [0, 1, 2, 3],
-                "Xi": [2.0, 3.0],
-                "n_grid": [500],
-            },
+            "inputs": {"P": [0.25, 0.25, 0.25, 0.25], "potential": [0, 1, 2, 3], "Xi": [2.0, 3.0], "n_grid": [500]},
         }
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config), encoding="utf-8")
-        assert cli.main(["gibbs", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 5
+        assert cli.main(["gibbs", "--config", str(cfg), "--validate-only"]) == 0
         capsys.readouterr()
+        assert cli.main(["gibbs", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert json.loads(capsys.readouterr().out)["tv_by_n"]["500"] < 0.01
 
     @pytest.mark.parametrize("k, step", [(4, 0.001), (10, None)])
     def test_meta_model_grid_guard_exits_5(self, tmp_path, capsys, k, step):

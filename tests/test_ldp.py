@@ -201,6 +201,14 @@ ORACLE_CASES = {
     "irrational-potential": ([0.2, 0.3, 0.5], [0.0, 1.0, math.sqrt(2.0)], (0.3, 0.8)),
     "irrational-point": ([0.25, 0.25, 0.5], [-1.0, 0.5, math.pi], (0.5, 0.5)),
     "parity-empty-point": ([0.5, 0.5], [0.0, 1.0], (0.5, 0.5)),
+    "repeated-value": ([0.2, 0.3, 0.5], [0.0, 1.0, 1.0], (0.5, 0.8)),
+}
+# Cases on a lattice a + h m, read through the lattice recursion
+LATTICE_CASES = {
+    "offset-tenth-step": ([0.2, 0.3, 0.5], [0.3, 0.4, 0.6], (0.45, 0.5)),  # a = 0.3, h = 0.1, m = 0, 1, 3
+    "gcd-2-parity-empty": ([0.25, 0.25, 0.5], [0.0, 2.0, 6.0], (3.0, 3.0)),  # xi = 3 needs n even
+    "zero-weight-off-lattice": ([0.3, 0.0, 0.7], [0.0, math.pi, 2.0], (0.9, 1.5)),
+    "repeated-value": ([0.2, 0.3, 0.5], [0.0, 1.0, 1.0], (0.5, 0.8)),
 }
 
 
@@ -209,8 +217,7 @@ def oracle_constraint(v, window):
     return ConstraintSpec.point(v, lo) if lo == hi else ConstraintSpec.interval(v, lo, hi)
 
 
-@pytest.mark.parametrize("weights, v, window", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
-class TestBruteForceOracle:
+class ExactLawReaders:
     """The three readers of the exact law of V . L_n against a sum over every
     draw sequence, n = 1..7."""
 
@@ -251,6 +258,107 @@ class TestBruteForceOracle:
             assert np.abs(law.support - xi[[g[0] for g in groups]]).max() <= 1e-12
             masses = np.array([math.fsum(probs[g]) for g in groups])
             assert np.abs(np.exp(law.log_mass) - masses).max() <= 1e-12
+
+
+@pytest.mark.parametrize("weights, v, window", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+class TestBruteForceOracle(ExactLawReaders):
+    pass
+
+
+@pytest.mark.parametrize("weights, v, window", LATTICE_CASES.values(), ids=LATTICE_CASES.keys())
+class TestLatticeRecursionOracle(ExactLawReaders):
+    @pytest.fixture(autouse=True)
+    def recursion_only(self, monkeypatch):
+        # a type table at the cap leaves the recursion the cheaper method
+        monkeypatch.setattr(ldp_mod, "table_size", lambda k, n: ldp_mod.TABLE_CAP)
+        monkeypatch.setattr(ldp_mod, "enumerate_types", lambda P, n: pytest.fail("enumerated the types"))
+
+
+def count_enumerations(monkeypatch) -> list[int]:
+    """The size of each type table that enumerate_types builds from now on."""
+    sizes = []
+    full = ldp_mod.enumerate_types
+
+    def counted(P, n):
+        table = full(P, n)
+        sizes.append(table.size)
+        return table
+
+    monkeypatch.setattr(ldp_mod, "enumerate_types", counted)
+    return sizes
+
+
+class TestLatticeRecursion:
+    def test_kernel_against_every_sequence(self):
+        weights, m = [0.2, 0.5, 0.3], [0, 3, 1]
+        for n in ORACLE_NS:
+            probs, mean, _ = every_sequence(weights, m, n)
+            expected = np.bincount(np.rint(mean * n).astype(int), weights=probs, minlength=3 * n + 1)
+            log_p = ldp_mod._lattice_law(np.log(weights), np.array(m), n)
+            assert np.array_equal(np.isneginf(log_p), expected == 0.0)
+            assert np.abs(np.exp(log_p) - expected).max() <= 1e-12
+
+    def test_matches_the_enumerated_law(self, rng, monkeypatch):
+        # seeded lattice instances, n up to 300 where the type table stays
+        # under 1e6 rows (the suite's memory, well inside the cap)
+        for k in range(2, 7):
+            top = max(n for n in range(1, 301) if table_size(k, n) <= 10 ** 6)
+            for n in (top, int(rng.integers(1, top)), int(rng.integers(1, top))):
+                P = random_distribution(rng, k, min_mass=1e-3)
+                v = rng.uniform(-1.0, 1.0) + rng.choice([0.1, 0.25, 1.0]) * rng.permutation(k + 2)[:k]
+                with monkeypatch.context() as patch:
+                    patch.setattr(ldp_mod, "table_size", lambda k, n: ldp_mod.TABLE_CAP)
+                    recursion = error_distribution_exact(P, v, n)
+                with monkeypatch.context() as patch:
+                    patch.setattr(ldp_mod, "_lattice", lambda values: None)
+                    enumeration = error_distribution_exact(P, v, n)
+                assert recursion.support.size == enumeration.support.size
+                assert np.abs(recursion.support - enumeration.support).max() <= 1e-12
+                assert np.abs(recursion.log_mass - enumeration.log_mass).max() <= 1e-10
+
+    def test_lost_mass_is_a_numerical_error(self, monkeypatch):
+        # the mass check is a typed error, so it survives python -O
+        full = ldp_mod._logsumexp
+        monkeypatch.setattr(ldp_mod, "_logsumexp", lambda a: full(a[:-1]))
+        with pytest.raises(NumericalError, match="sum to"):
+            ldp_mod._lattice_law(np.log([0.5, 0.5]), np.array([0, 1]), 4)
+
+    def test_integer_multiples(self):
+        a, h, m = ldp_mod._lattice(np.array([1.5, 0.0, 4.5]))
+        assert (a, h, m.tolist()) == (0.0, 1.5, [1, 0, 3])
+
+    def test_tenths_with_float_noise(self):
+        values = np.array([0.0, np.nextafter(0.1, 1.0), 0.1 * 3])  # 0.30000000000000004
+        a, h, m = ldp_mod._lattice(values)
+        assert a == 0.0 and m.tolist() == [0, 1, 3] and abs(h - 0.1) <= 1e-16
+
+    def test_irrational_values_send_the_law_to_the_enumeration(self, monkeypatch):
+        v = np.array([0.0, 1.0, math.sqrt(2.0)])
+        lattice = ldp_mod._lattice(v)
+        assert lattice is None or lattice[2].max() > 1e12  # a step at round-off
+        sizes = count_enumerations(monkeypatch)
+        error_distribution_exact(dist(0.2, 0.3, 0.5), v, 200)
+        assert sizes == [table_size(3, 200)]
+
+    def test_constant_potential_on_the_support_is_a_point_mass(self):
+        assert ldp_mod._lattice(np.array([2.0, 2.0])) is None
+        law = error_distribution_exact(dist(0.5, 0.5, 0.0), [2.0, 2.0, 7.0], 30)
+        assert law.support.tolist() == [2.0] and law.log_mass.tolist() == [0.0]
+
+    @pytest.mark.parametrize("weights, v, n, enumerations", [
+        ([0.1, 0.2, 0.3, 0.4], [0.0, 1.0, 2.0, 3.0], 200, 0),
+        ([0.4, 0.6], [0.0, 1.0], 1600, 1),
+        ([0.2, 0.3, 0.5], [0.0, 1.0, 3.0], 800, 1),
+    ])
+    def test_the_method_with_fewer_terms_runs(self, monkeypatch, weights, v, n, enumerations):
+        sizes = count_enumerations(monkeypatch)
+        error_distribution_exact(dist(*weights), v, n)
+        assert len(sizes) == enumerations
+
+    def test_equal_values_merge_before_the_enumeration(self, monkeypatch):
+        sizes = count_enumerations(monkeypatch)
+        error_distribution_exact(dist(0.2, 0.3, 0.5), [0.0, 1.0, 1.0], 50)
+        assert sizes == [51]
 
 
 class TestErrorRateFunction:

@@ -57,16 +57,30 @@ def test_one_relative_entropy_projection_solve():
     assert len(places) == 1 and places[0].startswith("tilting.py:"), places
 
 
+def ldp_callers(name: str) -> list[str]:
+    """The top-level functions of ldp.py that call ``name``, when it is called only there."""
+    places = [place for place, _ in calls(name)]
+    assert len(places) == 1 and places[0].startswith("ldp.py:"), places
+    tree = ast.parse((SOURCE / "ldp.py").read_text(encoding="utf-8"))
+    return [node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+            and any(isinstance(call, ast.Call) and getattr(call.func, "id", None) == name
+                    for call in ast.walk(node))]
+
+
 def test_one_caller_of_the_type_enumeration():
     # the Sanov probability, the Gibbs conditional mean and the meta law all
     # read ldp.error_distribution_exact, the one exact law of V . L_n
-    places = [place for place, _ in calls("enumerate_types")]
-    assert len(places) == 1 and places[0].startswith("ldp.py:"), places
-    tree = ast.parse((SOURCE / "ldp.py").read_text(encoding="utf-8"))
-    owners = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)
-              and any(isinstance(call, ast.Call) and getattr(call.func, "id", None) == "enumerate_types"
-                      for call in ast.walk(node))]
-    assert owners == ["error_distribution_exact"]
+    assert ldp_callers("enumerate_types") == ["error_distribution_exact"]
+
+
+def test_one_caller_of_the_lattice_recursion():
+    # the recursion is the exact law's other method, chosen by its term count
+    assert ldp_callers("_lattice_law") == ["error_distribution_exact"]
+
+
+def test_the_cli_sizes_exact_laws_through_their_one_check():
+    # ldp.check_exact_law applies the cap to the method that will run
+    assert [place for place, _ in calls("check_table_size") if place.startswith("cli.py:")] == []
 
 
 def identifiers(path: Path) -> set[str]:
