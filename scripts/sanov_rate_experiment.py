@@ -45,7 +45,7 @@ def main() -> int:
 
     args.out.mkdir(parents=True, exist_ok=True)
     rows = [
-        (n, lp, "exact-enumeration", lp, lp)
+        (n, lp, exact.method, lp, lp)
         for n, lp in zip(exact.n_grid, exact.log_probs)
     ] + [
         (n, lp, "monte-carlo", lo, hi)

@@ -21,6 +21,10 @@ denominator:
 
     E[L_n | W]_j = p_j P(((n - 1) xi_{n-1} + v_j) / n in W) / P(xi_n in W).
 
+Both readers take a window's mass as a masked log-sum-exp over the unsorted,
+ungrouped terms of the law (``_law_terms``); only ``error_distribution_exact``,
+the law the meta pipeline fits, sorts the terms and groups them by value.
+
 Sample sizes are kept honest by a hard cap on the terms of the method that
 runs (``check_exact_law``).
 
@@ -128,14 +132,19 @@ class TypeClassTable:
 
 
 def enumerate_types(P: FiniteDistribution, n: int) -> TypeClassTable:
-    """Build the exact finite-n law of the empirical measure of P^n."""
+    """Build the exact finite-n law of the empirical measure of P^n.
+
+    Each type's log-probability is log n! + sum_j T_j[c_j], one gather per
+    symbol from the table T_j[c] = c log p_j - log c!.
+    """
     if n < 1:
         raise ValueError("sample size must be positive")
     check_table_size(P.size, n)
     drawn = P.weights > 0
     counts = _compositions(n, int(np.count_nonzero(drawn)))
     log_factorial = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
-    log_probs = log_factorial[n] - log_factorial[counts].sum(axis=1) + counts @ np.log(P.weights[drawn])
+    per_symbol = np.log(P.weights[drawn])[:, None] * np.arange(n + 1) - log_factorial
+    log_probs = log_factorial[n] + sum(t[column] for t, column in zip(per_symbol, counts.T))
     table = TypeClassTable(base=P, n=n, counts=counts, log_probs=log_probs)
     log_mass = table.total_log_mass()
     if not abs(log_mass) <= 1e-9:
@@ -270,27 +279,36 @@ def check_exact_law(
     return values, weights, lattice
 
 
-def error_distribution_exact(P: FiniteDistribution, potential, n: int) -> ErrorDistribution:
-    """Exact law of V . L_n, by whichever of two methods sums fewer terms
-    (``check_exact_law``): on a lattice a + h m, the law of the lattice sum
-    S_n = sum m_{X_i} at support a + h s / n (``_lattice_law``); else the
-    type classes of the distinct values of V, each at xi = (counts / n) . V.
-
-    The support holds the values of positive probability (values within
-    XI_BAND of their neighbour count as one).  Each value's log mass is a
-    log-sum-exp over its group, shifted by the group's largest
-    log-probability, so no group's mass underflows.
+def _law_terms(P: FiniteDistribution, potential, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The terms (xi, log_probs) of the exact law of V . L_n, unsorted and
+    ungrouped, by whichever of two methods sums fewer terms
+    (``check_exact_law``): on a lattice a + h m, one term per reachable
+    lattice sum S_n = sum m_{X_i}, at xi = a + h s / n (``_lattice_law``);
+    else one term per type class of the distinct values of V, at
+    xi = (counts / n) . V.  Terms of the enumeration may share a value xi.
     """
     values, weights, lattice = check_exact_law(P, potential, n)
     if lattice is not None:
         a, h, m = lattice
         log_probs = _lattice_law(np.log(weights), m, n)
         s = np.flatnonzero(log_probs > -math.inf)
-        xi, log_probs = a + h * s / n, log_probs[s]
-    else:
-        table = enumerate_types(FiniteDistribution(Alphabet.of_size(values.size), weights), n)
-        xi, log_probs = (table.counts / n) @ values, table.log_probs
-        del table  # arrays over all type classes set the peak memory: free each when done
+        return a + h * s / n, log_probs[s]
+    table = enumerate_types(FiniteDistribution(Alphabet.of_size(values.size), weights), n)
+    return (table.counts / n) @ values, table.log_probs
+
+
+def error_distribution_exact(P: FiniteDistribution, potential, n: int) -> ErrorDistribution:
+    """Exact law of V . L_n: the terms of ``_law_terms``, sorted by xi and
+    grouped.
+
+    The support holds the values of positive probability (values within
+    XI_BAND of their neighbour count as one).  Each value's log mass is a
+    log-sum-exp over its group, shifted by the group's largest
+    log-probability, so no group's mass underflows.  Only this law sorts
+    and groups: a reader of one window's mass (``sanov_exact``,
+    ``gibbs_conditioning``) masks the ungrouped terms instead.
+    """
+    xi, log_probs = _law_terms(P, potential, n)
     order = np.argsort(xi, kind="stable")
     xi, log_probs = xi[order], log_probs[order]
     del order
@@ -380,16 +398,13 @@ def sanov_exact(
     """
     v = as_potential(constraint.potential, P.alphabet)
     lo, hi = _window(constraint)
-    logs, empties = [], []
+    logs = []
     for n in n_grid:
-        law = error_distribution_exact(P, v, int(n))
-        logs.append(_logsumexp(law.log_mass[in_window(law.support, lo, hi)]))
-        if math.isinf(logs[-1]):
-            empties.append(int(n))
+        xi, log_probs = _law_terms(P, v, int(n))
+        logs.append(_logsumexp(log_probs[in_window(xi, lo, hi)]))
+    finite = np.isfinite(logs)
     analytic_rate = _analytic_rate(P, constraint)
-    ns = np.asarray([n for n, lp in zip(n_grid, logs) if math.isfinite(lp)], dtype=float)
-    ys = np.asarray([lp for lp in logs if math.isfinite(lp)])
-    slope, _, r2, se = _fit_line(ns, ys)
+    slope, _, r2, se = _fit_line(np.asarray(n_grid, dtype=float)[finite], np.asarray(logs)[finite])
     return RateEstimate(
         constraint_description=_describe(constraint),
         n_grid=tuple(int(n) for n in n_grid),
@@ -397,11 +412,11 @@ def sanov_exact(
         fitted_slope=slope,
         analytic_rate=analytic_rate,
         regression_r2=r2,
-        method="exact-enumeration",
+        method="exact",
         ci_lo=tuple(logs),
         ci_hi=tuple(logs),
         slope_stderr=se,
-        empty_event_ns=tuple(empties),
+        empty_event_ns=tuple(int(n) for n, f in zip(n_grid, finite) if not f),
     )
 
 
@@ -526,11 +541,11 @@ def gibbs_conditioning(
     """
     v = as_potential(constraint.potential, P.alphabet)
     lo, hi = _window(constraint)
-    law = ErrorDistribution(np.zeros(1), np.zeros(1)) if n == 1 else error_distribution_exact(P, v, n - 1)
+    xi, log_probs = (np.zeros(1), np.zeros(1)) if n == 1 else _law_terms(P, v, n - 1)
     drawn = np.flatnonzero(P.weights > 0)
     # row j: is ((n - 1) xi_{n-1} + v_j) / n, the value after one more draw of j, inside?
-    inside = in_window(((n - 1) * law.support + v[drawn, None]) / n, lo, hi)
-    log_joint = np.log(P.weights[drawn]) + np.array([_logsumexp(law.log_mass[row]) for row in inside])
+    inside = in_window(((n - 1) * xi + v[drawn, None]) / n, lo, hi)
+    log_joint = np.log(P.weights[drawn]) + np.array([_logsumexp(log_probs[row]) for row in inside])
     log_event = _logsumexp(log_joint)
     if math.isinf(log_event):
         raise EmptyEvent(f"no type class of n={n} satisfies {_describe(constraint)}")

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from maxent_bayes import (
     Alphabet,
@@ -77,6 +78,19 @@ class TestEnumerateTypes:
             enumerate_types(BERN_HALF, 4)
 
 
+@pytest.mark.parametrize("weights, n", [
+    ([0.2, 0.3, 0.5], 800),
+    ([0.1, 0.2, 0.3, 0.4], 200),
+    ([0.3, 0.0, 0.2, 0.5], 300),  # the zero-weight symbol has no column
+], ids=["k3-n800", "k4-n200", "zero-weight-symbol"])
+def test_type_log_probs_match_the_multinomial_pmf(weights, n):
+    table = enumerate_types(dist(*weights), n)
+    counts = np.zeros((table.size, len(weights)), dtype=np.int64)
+    counts[:, np.flatnonzero(weights)] = table.counts
+    expected = stats.multinomial.logpmf(counts, n, weights)
+    assert np.all(np.abs(table.log_probs - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+
+
 class TestSanovExact:
     def test_binary_rate_instance(self):
         est = sanov_exact(
@@ -85,7 +99,7 @@ class TestSanovExact:
         assert est.analytic_rate == pytest.approx(BINARY_RATE_075, abs=1e-9)
         assert abs(est.fitted_slope + 0.130812) <= 0.01
         assert est.regression_r2 >= 0.999
-        assert est.method == "exact-enumeration"
+        assert est.method == "exact"
 
     def test_certain_event(self):
         est = sanov_exact(BERN_HALF, ConstraintSpec.interval(V01, 0.0, 1.0), [10, 20, 30])
@@ -272,6 +286,47 @@ class TestLatticeRecursionOracle(ExactLawReaders):
         # a type table at the cap leaves the recursion the cheaper method
         monkeypatch.setattr(ldp_mod, "table_size", lambda k, n: ldp_mod.TABLE_CAP)
         monkeypatch.setattr(ldp_mod, "enumerate_types", lambda P, n: pytest.fail("enumerated the types"))
+
+
+def grouped_window_log_mass(P, v, n, lo, hi) -> float:
+    """log P(V . L_n in [lo, hi]) read off the grouped law, group by group."""
+    law = error_distribution_exact(P, v, n)
+    return ldp_mod._logsumexp(law.log_mass[ldp_mod.in_window(law.support, lo, hi)])
+
+
+# P, V and a tail window strictly inside the range of V, at dyadic endpoints
+BENCHMARK_SCALE_CASES = {
+    "lattice-upper-tail": ([0.2, 0.3, 0.5], [0.0, 1.0, 3.0], (142 / 64, 3.0)),
+    "lattice-lower-tail": ([0.5, 0.3, 0.2], [0.0, 1.0, 3.0], (0.0, 48 / 64)),
+    "irrational-upper-tail": ([0.2, 0.3, 0.5], [0.0, 1.0, math.sqrt(2.0)], (71 / 64, math.sqrt(2.0))),
+    "irrational-lower-tail": ([0.5, 0.3, 0.2], [0.0, 1.0, math.sqrt(2.0)], (0.0, 24 / 64)),
+}
+BENCHMARK_NS = (200, 400, 800)
+
+
+@pytest.mark.parametrize("weights, v, window", BENCHMARK_SCALE_CASES.values(), ids=BENCHMARK_SCALE_CASES.keys())
+class TestWindowReadsAtBenchmarkScale:
+    """sanov_exact and gibbs_conditioning mask the ungrouped terms of the law;
+    the grouped law of error_distribution_exact gives the same window masses."""
+
+    def test_sanov_log_probs(self, weights, v, window):
+        P = dist(*weights)
+        est = sanov_exact(P, ConstraintSpec.interval(v, *window), BENCHMARK_NS)
+        expected = [grouped_window_log_mass(P, v, n, *window) for n in BENCHMARK_NS]
+        assert all(math.isfinite(x) for x in expected)
+        assert np.abs(np.array(est.log_probs) - expected).max() <= 1e-12
+
+    def test_gibbs_means(self, weights, v, window):
+        P = dist(*weights)
+        lo, hi = window
+        for n in BENCHMARK_NS:
+            # the parent law at n - 1, shifted by one more draw of each symbol
+            law = error_distribution_exact(P, v, n - 1)
+            inside = ldp_mod.in_window(((n - 1) * law.support + np.asarray(v)[:, None]) / n, lo, hi)
+            log_joint = np.log(weights) + np.array([ldp_mod._logsumexp(law.log_mass[row]) for row in inside])
+            expected = np.exp(log_joint - ldp_mod._logsumexp(log_joint))
+            mean = gibbs_conditioning(P, ConstraintSpec.interval(v, lo, hi), n).conditioned_mean_measure
+            assert np.abs(mean.weights - expected).max() <= 1e-12
 
 
 def count_enumerations(monkeypatch) -> list[int]:

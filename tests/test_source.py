@@ -31,14 +31,20 @@ def test_library_code_has_no_assert_statements():
     assert found == []
 
 
+def called_name(node: ast.AST) -> str | None:
+    """The name of the function or method a call node calls; None for any other node."""
+    if not isinstance(node, ast.Call):
+        return None
+    return node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+
+
 def calls(name: str) -> list[tuple[str, ast.Call]]:
     """Every call in the library of a function or method called ``name``, with its place."""
     return [
         (f"{path.name}:{node.lineno}", node)
         for path in sorted(SOURCE.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Call)
-        and (node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)) == name
+        if called_name(node) == name
     ]
 
 
@@ -69,13 +75,25 @@ def ldp_callers(name: str) -> list[str]:
 
 def test_one_caller_of_the_type_enumeration():
     # the Sanov probability, the Gibbs conditional mean and the meta law all
-    # read ldp.error_distribution_exact, the one exact law of V . L_n
-    assert ldp_callers("enumerate_types") == ["error_distribution_exact"]
+    # read the terms of ldp._law_terms, the one exact law of V . L_n
+    assert ldp_callers("enumerate_types") == ["_law_terms"]
 
 
 def test_one_caller_of_the_lattice_recursion():
     # the recursion is the exact law's other method, chosen by its term count
-    assert ldp_callers("_lattice_law") == ["error_distribution_exact"]
+    assert ldp_callers("_lattice_law") == ["_law_terms"]
+
+
+def test_window_readers_do_not_sort_the_exact_law():
+    # a window's mass is a masked log-sum-exp over the ungrouped terms; only
+    # error_distribution_exact (the meta law) sorts and groups them
+    tree = ast.parse((SOURCE / "ldp.py").read_text(encoding="utf-8"))
+    readers = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+               and node.name in ("sanov_exact", "gibbs_conditioning")}
+    assert sorted(readers) == ["gibbs_conditioning", "sanov_exact"]
+    found = [f"{name}:{call.lineno}" for name, node in readers.items() for call in ast.walk(node)
+             if called_name(call) in ("error_distribution_exact", "argsort")]
+    assert found == []
 
 
 def test_the_cli_sizes_exact_laws_through_their_one_check():
