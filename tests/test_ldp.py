@@ -320,7 +320,7 @@ class TestWindowReadsAtBenchmarkScale:
         P = dist(*weights)
         lo, hi = window
         for n in BENCHMARK_NS:
-            # the parent law at n - 1, shifted by one more draw of each symbol
+            # the grouped law at n - 1, shifted by one more draw of each symbol
             law = error_distribution_exact(P, v, n - 1)
             inside = ldp_mod.in_window(((n - 1) * law.support + np.asarray(v)[:, None]) / n, lo, hi)
             log_joint = np.log(weights) + np.array([ldp_mod._logsumexp(law.log_mass[row]) for row in inside])
