@@ -139,9 +139,10 @@ def enumerate_types(P: FiniteDistribution, n: int) -> TypeClassTable:
     """
     if n < 1:
         raise ValueError("sample size must be positive")
-    check_table_size(P.size, n)
     drawn = P.weights > 0
-    counts = _compositions(n, int(np.count_nonzero(drawn)))
+    k = int(np.count_nonzero(drawn))
+    check_table_size(k, n)
+    counts = _compositions(n, k)
     log_factorial = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
     per_symbol = np.log(P.weights[drawn])[:, None] * np.arange(n + 1) - log_factorial
     log_probs = log_factorial[n] + sum(t[column] for t, column in zip(per_symbol, counts.T))

@@ -220,8 +220,9 @@ class TestMain:
 
     @pytest.mark.parametrize("center, eta", [(None, 0.03), (0.6, 0.1)])
     def test_meta_centered_square_out_of_reach_exits_3(self, tmp_path, capsys, center, eta):
-        # on the window [0.6, 0.9], E[(xi - m)^2] is at most 0.15^2 about the
-        # mean of the law and 0.3^2 about m = 0.6
+        # the law restricted to [0.6, 0.9] at n = 12 lives on {8, 9, 10} / 12, so
+        # E[(xi - m)^2] is at most (1/12)^2 about its mean and (10/12 - 0.6)^2
+        # about m = 0.6; the fit's own gate rejects both
         inputs = {"P": [0.5, 0.5], "loss_row": [0, 1], "n": 12, "Xi": [0.6, 0.9],
                   "U": {"kind": "centered_square"}, "eta": eta}
         if center is not None:
@@ -234,10 +235,23 @@ class TestMain:
         capsys.readouterr()
 
     def test_meta_out_of_reach_message_prints_plain_floats(self):
+        # the fit's own gate: E[xi] under a tilt of the law restricted to
+        # [0.6, 0.9] at n = 12 stays strictly inside its support {8, 9, 10} / 12
         config = json.loads(json.dumps(next(c for c in VALID_CONFIGS if c["command"] == "meta")))
         config["inputs"]["eta"] = 0.95
         message = cli.validate(config)[0]["message"]
-        assert message == "eta 0.95 is out of reach of E[U] on [0.6, 0.9]"
+        assert message == "target 0.95 outside the attainable open interval (0.6666666666666666, 0.8333333333333334)"
+
+    def test_validation_does_not_relabel_a_fault_of_the_computation(self, monkeypatch):
+        # validating meta runs its pipeline; a ValueError there is a fault of
+        # the computation, not of the config, so it is not ConfigInvalid
+        def broken(*args, **kwargs):
+            raise ValueError("fault inside the pipeline")
+
+        monkeypatch.setattr(cli, "run_meta_pipeline", broken)
+        config = next(c for c in VALID_CONFIGS if c["command"] == "meta")
+        with pytest.raises(ValueError, match="fault inside the pipeline"):
+            cli.validate(config)
 
     @pytest.mark.parametrize("sigma_y, epsilon, code", [
         (1e-10, 1e-15, 3),  # 2.8e5 times the envelope 3.6e-21 at r = 0.8
@@ -580,6 +594,17 @@ def _fuzz_configs(rng):
     for _ in range(100):
         base = VALID_CONFIGS[rng.integers(0, len(VALID_CONFIGS))]
         yield corrupt(base)
+    # windows and etas that only the exact law at n rules out: no type class
+    # of n = 3 has mean 0.5; no mass of n = 3 in [0.4, 0.6]; eta 0.61 below
+    # the law's support {8, 9, 10} / 12 in [0.6, 0.9]; no grid model of step
+    # 0.01 in [0.3001, 0.3009]
+    half = {"P": [0.5, 0.5], "potential": [0, 1]}
+    meta = {"P": [0.5, 0.5], "loss_row": [0, 1], "U": {"kind": "identity"}}
+    yield {"command": "gibbs", "inputs": {**half, "Xi": [0.5, 0.5], "n_grid": [3]}}
+    yield {"command": "meta", "inputs": {**meta, "n": 3, "Xi": [0.4, 0.6], "eta": 0.5, "model_grid_step": 0.01}}
+    yield {"command": "meta", "inputs": {**meta, "n": 12, "Xi": [0.6, 0.9], "eta": 0.61}}
+    yield {"command": "meta", "inputs": {**meta, "n": 10000, "Xi": [0.3001, 0.3009], "eta": 0.3005,
+                                         "model_grid_step": 0.01}}
 
 
 class TestValidationCompleteness:

@@ -70,6 +70,13 @@ class TestEnumerateTypes:
         table = enumerate_types(dist(0.5, 0.5, 0.0), 3)
         assert abs(table.total_log_mass()) <= 1e-9
 
+    def test_size_guard_counts_only_positive_weight_symbols(self):
+        # over all four symbols, C(403, 3) = 10,827,401 classes exceed the cap;
+        # the table has one column per positive-weight symbol, C(402, 2) rows
+        table = enumerate_types(dist(0.3, 0.0, 0.2, 0.5), 400)
+        assert table.size == math.comb(402, 2) == 80_601
+        assert abs(table.total_log_mass()) <= 1e-9
+
     def test_missing_type_class_is_a_numerical_error(self, monkeypatch):
         # the mass check is a typed error, so it survives python -O
         full = ldp_mod._compositions

@@ -97,8 +97,14 @@ def test_window_readers_do_not_sort_the_exact_law():
 
 
 def test_the_cli_sizes_exact_laws_through_their_one_check():
-    # ldp.check_exact_law applies the cap to the method that will run
+    # ldp.check_exact_law applies the cap to the method that will run; the cli
+    # sizes only sanov's law, since gibbs and meta validate by running
     assert [place for place, _ in calls("check_table_size") if place.startswith("cli.py:")] == []
+    places = [place for place, _ in calls("check_exact_law") if place.startswith("cli.py:")]
+    tree = ast.parse((SOURCE / "cli.py").read_text(encoding="utf-8"))
+    callers = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+               and any(called_name(call) == "check_exact_law" for call in ast.walk(node))]
+    assert len(places) == 1 and callers == ["_prepare_sanov"], (places, callers)
 
 
 def identifiers(path: Path) -> set[str]:
