@@ -26,11 +26,10 @@ def main() -> int:
     base = FiniteDistribution.from_weights([1.0 - args.p1, args.p1])
     constraint = ConstraintSpec.interval([0.0, 1.0], *args.window)
 
+    results = gibbs_conditioning(base, constraint, args.n_grid)
+    predicted = results[-1].predicted
     rows = []
-    predicted = None
-    for n in args.n_grid:
-        res = gibbs_conditioning(base, constraint, n)
-        predicted = res.predicted
+    for n, res in zip(args.n_grid, results):
         rows.append((n, res.tv_distance))
         cond = ", ".join(f"{w:.4f}" for w in res.conditioned_mean_measure.weights)
         print(f"n = {n:4d}: conditional mean [{cond}]  tv to prediction {res.tv_distance:.5f}")

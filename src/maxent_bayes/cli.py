@@ -315,8 +315,8 @@ def _prepare_sanov(inputs: dict) -> Execute:
     if method not in ("exact", "monte-carlo"):
         raise ConfigInvalid(f"method must be exact or monte-carlo, got {method!r}")
     trials = check_trials(_count(inputs.get("trials", 100_000), "trials"))
-    if method == "exact":  # both methods' term counts grow with n
-        check_exact_law(P, v, max(n_grid))
+    if method == "exact":  # sizes the method that will run for the whole grid
+        check_exact_law(P, v, n_grid)
 
     def execute(ctx: RunContext) -> dict:
         if method == "exact":
@@ -355,12 +355,8 @@ def _prepare_gibbs(inputs: dict) -> Execute:
     constraint = ConstraintSpec.interval(v, lo, hi)
 
     def execute(ctx: RunContext) -> dict:
-        rows = []
-        results = []
-        for n in n_grid:
-            res = gibbs_conditioning(P, constraint, n)
-            rows.append((n, res.tv_distance))
-            results.append(res)
+        results = gibbs_conditioning(P, constraint, n_grid)
+        rows = [(n, res.tv_distance) for n, res in zip(n_grid, results)]
         last = results[-1]
         payload = {
             "window": [lo, hi],

@@ -1,32 +1,33 @@
 """Exact and Monte Carlo decay-rate measurements for empirical measures.
 
-Everything here runs at desk scale.  The exact claims all read one law, that
-of the expected loss xi = V . L_n of n i.i.d. draws (``error_distribution_exact``),
-after P is pushed forward onto the k distinct values of V on its support.
-Two exact methods compute it:
+Everything here runs at desk scale.  The exact claims all read the law of
+the expected loss xi = V . L_n of n i.i.d. draws, after P is pushed forward
+onto the k distinct values of V on its support, by one of three methods:
 
-- the type enumeration: every composition of n over the k values, grouped by
-  xi, C(n + k - 1, k - 1) terms;
+- the type enumeration, C(n + k - 1, k - 1) compositions of n per n;
 - on a lattice, values a + h m_j with integer m_j of span R = max m, the law
-  of the lattice sum S_n = sum m_{X_i}, one log-domain convolution per draw,
-  k sum_{i<=n} (R i + 1) terms.
+  of the lattice sum S_n = sum m_{X_i}, one convolution per draw, k (R N
+  (N + 1) / 2 + N) terms to N draws: the log-domain recursion
+  ``_lattice_law`` for the law the meta pipeline fits, whose far tail it
+  needs (``error_distribution_exact``); for the window readers
+  (``sanov_exact``, ``gibbs_conditioning``) one linear-domain pass for the
+  whole n grid (``_tilted_pass``), tilted by the multiplier of the window's
+  dominating point, which keeps the mass near that point.
 
-The method with fewer terms runs, a rule on the input's size: the recursion
-wins once k >= 4 and n is large against R (at k = 4, n above about 11 R),
-the enumeration for k <= 3 and for an irrational V (its lattice step is
-round-off, so R is huge).  A window's Sanov probability is its mass under
-the law, and the conditional mean given the window reads the law at n - 1 by
-exchangeability, the p_j-weighted sum of the numerators being the
-denominator:
+``check_exact_law`` runs the lattice method when it has fewer terms, the
+window readers counting each enumeration term ENUMERATION_WEIGHT times and
+the grid's sum over n against the one pass; an irrational V (its lattice
+step is round-off, so R is huge) keeps the enumeration.  TABLE_CAP bounds
+the terms of the method that runs.  A window's Sanov probability is its
+mass under the law, and the conditional mean given the window reads the law
+at n - 1 by exchangeability, the p_j-weighted sum of the numerators being
+the denominator:
 
     E[L_n | W]_j = p_j P(((n - 1) xi_{n-1} + v_j) / n in W) / P(xi_n in W).
 
 Both readers take a window's mass as a masked log-sum-exp over the unsorted,
-ungrouped terms of the law (``_law_terms``); only ``error_distribution_exact``,
-the law the meta pipeline fits, sorts the terms and groups them by value.
-
-Sample sizes are kept honest by a hard cap on the terms of the method that
-runs (``check_exact_law``).
+ungrouped terms of the law (``_window_laws``); only ``error_distribution_exact``
+sorts its terms and groups them by value.
 
 Decay rates are always estimated by regressing log P_n on n across a grid of
 sample sizes: the polynomial prefactor of the exact probability contributes
@@ -49,6 +50,13 @@ from .measures import Alphabet, FiniteDistribution, as_potential, relative_entro
 from .tilting import ConstraintSpec, TiltedDistribution, _project, i_projection
 
 TABLE_CAP = 10_000_000
+# The window readers count a type-enumeration term as this many terms of the
+# tilted lattice pass: on a 2-CPU x86-64 machine (numpy 2.4) a read term of
+# the enumeration costs 40-90 ns at k = 3, n = 400-800, a pass term (one
+# multiply-add of np.convolve) 1.3-2 ns.  Any weight in [7, 30] picks the same
+# method on every exact op of the benchmark.
+ENUMERATION_WEIGHT = 20
+_TILT_CAP = 746.0  # per lattice step; exp(-746) is 0, so a steeper tilt is the same pass
 # The one band around expected-loss windows and values: a rational type mean
 # j/n counts as inside a float window, and two values xi as equal, within it.
 XI_BAND = 1e-12
@@ -160,10 +168,10 @@ class ErrorDistribution:
     ``log_mass`` holds the log of each support value's mass up to a common
     shift (none for the exact law), finite at every support value, so a
     window far in the tail keeps its mass where the weights themselves would
-    underflow; the fits solve on it, and ``weights`` normalizes it when first
-    read.  ``lambda_eta`` and ``center`` are populated on fitted instances so
-    the downstream MAP search can reuse the solved multiplier and, for the
-    centered-square statistic, the self-consistent centering point.
+    underflow; the fits solve on it, and ``probabilities`` normalizes it
+    when first read.  ``lambda_eta`` and ``center`` are populated on fitted
+    instances so the downstream MAP search can reuse the solved multiplier
+    and, for the centered-square statistic, the self-consistent centering point.
     """
 
     support: np.ndarray
@@ -180,22 +188,22 @@ class ErrorDistribution:
         object.__setattr__(self, "support", s)
 
     @cached_property
-    def weights(self) -> FiniteDistribution:
+    def probabilities(self) -> np.ndarray:
         w = np.exp(self.log_mass - self.log_mass.max())
-        return FiniteDistribution(Alphabet(tuple(float(x) for x in self.support)), w / w.sum())
+        return w / w.sum()
 
     def mean(self) -> float:
-        return float(np.dot(self.support, self.weights.weights))
+        return float(np.dot(self.support, self.probabilities))
 
     def variance(self) -> float:
         m = self.mean()
-        return float(np.dot((self.support - m) ** 2, self.weights.weights))
+        return float(np.dot((self.support - m) ** 2, self.probabilities))
 
     def weight_at(self, xi: float) -> float:
         idx = np.flatnonzero(np.abs(self.support - xi) <= XI_BAND)
         if idx.size == 0:
             raise KeyError(f"{xi!r} is not a support point")
-        return float(self.weights.weights[idx[0]])
+        return float(self.probabilities[idx[0]])
 
     def restrict(self, lo: float, hi: float) -> "ErrorDistribution":
         """Condition on xi falling inside [lo, hi]."""
@@ -250,16 +258,41 @@ def _lattice_law(log_weights: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
     return log_p
 
 
+def _tilted_pass(weights: np.ndarray, m: np.ndarray, t: float, ns: Sequence[int]) -> list[np.ndarray]:
+    """log P(S_n = s) for s = 0..n max(m) at each n of ns, S_n the sum of n
+    i.i.d. draws of m_j with probability weights[j]; -inf where s is
+    unreachable or its tilted mass is below the least normal float.
+
+    One linear-domain pass, one ``np.convolve`` per draw with the weights
+    tilted by t (|t| <= _TILT_CAP), q_j = p_j e^{t (m_j - c)} / Z_c, c = q . m.
+    They sum to 1, so the array keeps mass 1 and its peak near n c never
+    underflows.  Each n is read on the way and un-tilted:
+    log P(S_n = s) = log P_t(S_n = s) - t (s - n c) + n log Z_c.
+    """
+    t = min(max(t, -_TILT_CAP), _TILT_CAP)
+    c = float(np.exp(np.log(weights) + t * m - _logsumexp(np.log(weights) + t * m)) @ m)
+    log_zc = _logsumexp(np.log(weights) + t * (m - c))
+    kernel = np.zeros(int(m.max()) + 1)
+    kernel[m] = weights * np.exp(t * (m - c) - log_zc)
+    law, read = np.ones(1), {}
+    with np.errstate(divide="ignore"):  # log 0 = -inf: unreachable, or a subnormal mass
+        for n in range(1, max(ns) + 1):
+            law = np.convolve(law, kernel)
+            if n in ns:
+                read[n] = np.log(law * (law >= np.finfo(float).tiny)) - t * (np.arange(law.size) - n * c) + n * log_zc
+    return [read[n] for n in ns]
+
+
 def check_exact_law(
-    P: FiniteDistribution, potential, n: int
+    P: FiniteDistribution, potential, ns: Sequence[int], weight: float = ENUMERATION_WEIGHT
 ) -> tuple[np.ndarray, np.ndarray, tuple[float, float, np.ndarray] | None]:
     """Push P forward onto the distinct values of V on its support, in order
-    of first occurrence, and pick the method of ``error_distribution_exact``
-    with fewer terms (module docstring); TableTooLarge when its count passes
-    TABLE_CAP.  Returns (values, weights, lattice), lattice (a, h, m) when
-    the lattice recursion runs, else None.
+    of first occurrence, and pick the method for the laws at the sample
+    sizes ns (module docstring), the cheaper within TABLE_CAP; TableTooLarge
+    when neither is.  Returns (values, weights, lattice), lattice (a, h, m) when
+    the lattice method runs, else None.
     """
-    if n < 1:
+    if min(ns) < 1:
         raise ValueError("sample size must be positive")
     v = as_potential(potential, P.alphabet)
     drawn = P.weights > 0
@@ -267,40 +300,44 @@ def check_exact_law(
     order = np.argsort(first)
     weights = np.bincount(np.argsort(order)[inverse], weights=P.weights[drawn])
     values = values[order]
-    k = values.size
+    k, n = values.size, max(ns)
     lattice = _lattice(values)
     recursion = math.inf if lattice is None else k * (int(lattice[2].max()) * n * (n + 1) // 2 + n)
-    enumeration = table_size(k, n)
-    if recursion < enumeration:
-        method, terms = "lattice recursion", recursion
-    else:
-        method, terms, lattice = "type enumeration", enumeration, None
-    if terms > TABLE_CAP:
+    enumeration, table = weight * sum(table_size(k, size) for size in ns), table_size(k, n)
+    if recursion <= TABLE_CAP and (recursion < enumeration or table > TABLE_CAP):
+        return values, weights, lattice
+    if table > TABLE_CAP:
+        method, terms = ("lattice recursion", recursion) if recursion < enumeration else ("type enumeration", table)
         raise TableTooLarge(f"{method} for k={k} distinct values, n={n} sums {terms} terms (cap {TABLE_CAP})")
-    return values, weights, lattice
+    return values, weights, None
 
 
-def _law_terms(P: FiniteDistribution, potential, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The terms (xi, log_probs) of the exact law of V . L_n, unsorted and
-    ungrouped, by whichever of two methods sums fewer terms
-    (``check_exact_law``): on a lattice a + h m, one term per reachable
-    lattice sum S_n = sum m_{X_i}, at xi = a + h s / n (``_lattice_law``);
-    else one term per type class of the distinct values of V, at
-    xi = (counts / n) . V.  Terms of the enumeration may share a value xi.
-    """
-    values, weights, lattice = check_exact_law(P, potential, n)
-    if lattice is not None:
-        a, h, m = lattice
-        log_probs = _lattice_law(np.log(weights), m, n)
-        s = np.flatnonzero(log_probs > -math.inf)
-        return a + h * s / n, log_probs[s]
+def _type_terms(values: np.ndarray, weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The terms (xi, log_probs) of the n-draw type classes; terms may share a value xi."""
     table = enumerate_types(FiniteDistribution(Alphabet.of_size(values.size), weights), n)
     return (table.counts / n) @ values, table.log_probs
 
 
+def _window_laws(P: FiniteDistribution, v: np.ndarray, lam: float, ns: Sequence[int]):
+    """For each n of ns, the unsorted, ungrouped terms (xi, log_probs) of the
+    law of V . L_n for a window whose dominating point has multiplier lam:
+    on a lattice a + h m, one term per lattice sum s of positive mass at
+    xi = a + h s / n, all from one pass tilted by t = -lam h; else
+    ``_type_terms`` per n."""
+    values, weights, lattice = check_exact_law(P, v, ns)
+    if lattice is not None:
+        a, h, m = lattice
+        for n, log_p in zip(ns, _tilted_pass(weights, m, -lam * h, ns)):
+            s = np.flatnonzero(log_p > -math.inf)
+            yield a + h * s / n, log_p[s]
+    else:
+        yield from (_type_terms(values, weights, n) for n in ns)
+
+
 def error_distribution_exact(P: FiniteDistribution, potential, n: int) -> ErrorDistribution:
-    """Exact law of V . L_n: the terms of ``_law_terms``, sorted by xi and
-    grouped.
+    """Exact law of V . L_n, the law the meta pipeline fits: the terms of
+    ``_lattice_law`` (one per lattice sum s, at xi = a + h s / n) where it
+    has fewer terms, else of ``_type_terms``; sorted by xi and grouped.
 
     The support holds the values of positive probability (values within
     XI_BAND of their neighbour count as one).  Each value's log mass is a
@@ -309,7 +346,14 @@ def error_distribution_exact(P: FiniteDistribution, potential, n: int) -> ErrorD
     and groups: a reader of one window's mass (``sanov_exact``,
     ``gibbs_conditioning``) masks the ungrouped terms instead.
     """
-    xi, log_probs = _law_terms(P, potential, n)
+    values, weights, lattice = check_exact_law(P, potential, [n], weight=1.0)
+    if lattice is not None:
+        a, h, m = lattice
+        log_probs = _lattice_law(np.log(weights), m, n)
+        s = np.flatnonzero(log_probs > -math.inf)
+        xi, log_probs = a + h * s / n, log_probs[s]
+    else:
+        xi, log_probs = _type_terms(values, weights, n)
     order = np.argsort(xi, kind="stable")
     xi, log_probs = xi[order], log_probs[order]
     del order
@@ -380,12 +424,14 @@ def _describe(constraint: ConstraintSpec) -> str:
     return f"V.mu in [{lo!r}, {hi!r}]"
 
 
-def _analytic_rate(P: FiniteDistribution, constraint: ConstraintSpec) -> float:
-    """Rate of the constrained event; +inf (empty-set infimum) if unattainable."""
+def _dominating_point(P: FiniteDistribution, constraint: ConstraintSpec) -> tuple[float, float]:
+    """(multiplier, rate) of the window's I-projection; (+-inf toward it, +inf) out of reach."""
     try:
-        return i_projection(P, constraint)[1]
+        tilt, rate = i_projection(P, constraint)
+        return tilt.lam, rate
     except InfeasibleError:
-        return math.inf
+        v = as_potential(constraint.potential, P.alphabet)
+        return (-math.inf if _window(constraint)[0] > float(v @ P.weights) else math.inf), math.inf
 
 
 def sanov_exact(
@@ -395,16 +441,14 @@ def sanov_exact(
     under the exact law of V . L_n at each n.
 
     Sample sizes whose event is empty (parity infeasibility) are reported
-    and excluded from the regression.
+    and excluded from the regression.  One I-projection serves the analytic
+    rate and tilts the one lattice pass (``_window_laws``).
     """
     v = as_potential(constraint.potential, P.alphabet)
     lo, hi = _window(constraint)
-    logs = []
-    for n in n_grid:
-        xi, log_probs = _law_terms(P, v, int(n))
-        logs.append(_logsumexp(log_probs[in_window(xi, lo, hi)]))
+    lam, analytic_rate = _dominating_point(P, constraint)
+    logs = [_logsumexp(lp[in_window(xi, lo, hi)]) for xi, lp in _window_laws(P, v, lam, [int(n) for n in n_grid])]
     finite = np.isfinite(logs)
-    analytic_rate = _analytic_rate(P, constraint)
     slope, _, r2, se = _fit_line(np.asarray(n_grid, dtype=float)[finite], np.asarray(logs)[finite])
     return RateEstimate(
         constraint_description=_describe(constraint),
@@ -498,7 +542,7 @@ def sanov_monte_carlo(
         else:
             variances.append(max((1.0 - phat) / (trials * phat), 1e-30))
 
-    analytic_rate = _analytic_rate(P, constraint)
+    analytic_rate = _dominating_point(P, constraint)[1]
     usable = [i for i, n in enumerate(n_grid) if int(n) not in insufficient]
     ns = np.asarray([float(n_grid[i]) for i in usable])
     ys = np.asarray([logs[i] for i in usable])
@@ -531,36 +575,36 @@ class ConditioningResult:
 
 
 def gibbs_conditioning(
-    P: FiniteDistribution, constraint: ConstraintSpec, n: int
-) -> ConditioningResult:
-    """Exact E[L_n | V . L_n in window] versus the minimum-KL tilt.
+    P: FiniteDistribution, constraint: ConstraintSpec, n_grid: Sequence[int]
+) -> list[ConditioningResult]:
+    """Exact E[L_n | V . L_n in window] versus the minimum-KL tilt, one result
+    per n of n_grid.
 
     The conditional mean reads the exact law of V . L_{n-1} (the point mass
     at 0 for n = 1) by exchangeability, see the module docstring; the
     prediction is the projection of P onto the dominating point of the
-    window (interior mean, else nearer endpoint).
+    window (interior mean, else nearer endpoint), whose multiplier tilts the
+    one lattice pass (``_window_laws``).
     """
     v = as_potential(constraint.potential, P.alphabet)
     lo, hi = _window(constraint)
-    xi, log_probs = (np.zeros(1), np.zeros(1)) if n == 1 else _law_terms(P, v, n - 1)
-    drawn = np.flatnonzero(P.weights > 0)
-    # row j: is ((n - 1) xi_{n-1} + v_j) / n, the value after one more draw of j, inside?
-    inside = in_window(((n - 1) * xi + v[drawn, None]) / n, lo, hi)
-    log_joint = np.log(P.weights[drawn]) + np.array([_logsumexp(log_probs[row]) for row in inside])
-    log_event = _logsumexp(log_joint)
-    if math.isinf(log_event):
-        raise EmptyEvent(f"no type class of n={n} satisfies {_describe(constraint)}")
-    weights = np.zeros(P.size)
-    weights[drawn] = np.exp(log_joint - log_event)
-    mean = FiniteDistribution(P.alphabet, weights)
     predicted, _ = i_projection(P, ConstraintSpec.interval(v, lo, hi))
-    return ConditioningResult(
-        window=(lo, hi),
-        n=n,
-        conditioned_mean_measure=mean,
-        predicted=predicted,
-        tv_distance=total_variation(mean, predicted.realized),
-    )
+    laws = _window_laws(P, v, predicted.lam, [int(n) - 1 for n in n_grid if n != 1])
+    drawn = np.flatnonzero(P.weights > 0)
+    results = []
+    for n in n_grid:
+        xi, log_probs = (np.zeros(1), np.zeros(1)) if n == 1 else next(laws)
+        # row j: is ((n - 1) xi_{n-1} + v_j) / n, the value after one more draw of j, inside?
+        inside = in_window(((n - 1) * xi + v[drawn, None]) / n, lo, hi)
+        log_joint = np.log(P.weights[drawn]) + np.array([_logsumexp(log_probs[row]) for row in inside])
+        log_event = _logsumexp(log_joint)
+        if math.isinf(log_event):
+            raise EmptyEvent(f"no type class of n={n} satisfies {_describe(constraint)}")
+        weights = np.zeros(P.size)
+        weights[drawn] = np.exp(log_joint - log_event)
+        mean = FiniteDistribution(P.alphabet, weights)
+        results.append(ConditioningResult((lo, hi), int(n), mean, predicted, total_variation(mean, predicted.realized)))
+    return results
 
 
 @dataclass(frozen=True)

@@ -105,7 +105,7 @@ def test_criterion_2_tilt_solver():
 def test_criterion_3_gibbs_conditioning():
     t0 = time.perf_counter()
     constraint = ConstraintSpec.interval(V01, 0.7, 0.8)
-    tvs = [gibbs_conditioning(BERN_HALF, constraint, n).tv_distance for n in (20, 40, 60, 80)]
+    tvs = [res.tv_distance for res in gibbs_conditioning(BERN_HALF, constraint, (20, 40, 60, 80))]
     elapsed = time.perf_counter() - t0
     decreasing = all(b < a for a, b in zip(tvs, tvs[1:]))
     ok = decreasing and tvs[-1] <= 0.05

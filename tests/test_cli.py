@@ -58,6 +58,18 @@ class TestValidate:
             assert diags[0]["family"] == "resource"
             assert method in diags[0]["message"] and str(terms) in diags[0]["message"]
 
+    def test_gibbs_over_the_cap_is_sized_before_any_law_is_computed(self, monkeypatch):
+        # the grid's one pass is sized at max(n_grid) - 1 = 1999 before its
+        # first step, so no smaller n of the grid is computed first
+        for name in ("_tilted_pass", "_lattice_law", "enumerate_types"):
+            monkeypatch.setattr(ldp, name, lambda *args, name=name: pytest.fail(f"ran {name}"))
+        config = {
+            "command": "gibbs",
+            "inputs": {"P": [0.25] * 4, "potential": [0, 1, 2, 3], "Xi": [2, 3], "n_grid": [400, 800, 1200, 2000]},
+        }
+        [diag] = cli.validate(config)
+        assert diag["error"] == "TableTooLarge" and "n=1999" in diag["message"]
+
     def test_unknown_command(self):
         assert cli.validate({"command": "nope", "inputs": {}})[0]["family"] == "validation"
 

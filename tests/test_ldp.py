@@ -181,27 +181,26 @@ class TestSeededSampler:
 
 class TestGibbsConditioning:
     def test_sure_event_recovers_base(self):
-        res = gibbs_conditioning(BERN_HALF, ConstraintSpec.interval(V01, 0.0, 1.0), 25)
+        [res] = gibbs_conditioning(BERN_HALF, ConstraintSpec.interval(V01, 0.0, 1.0), [25])
         assert res.tv_distance <= 1e-12
         assert res.conditioned_mean_measure.weights == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_window_instance_improves_with_n(self):
         constraint = ConstraintSpec.interval(V01, 0.7, 0.8)
-        tv20 = gibbs_conditioning(BERN_HALF, constraint, 20).tv_distance
-        tv60 = gibbs_conditioning(BERN_HALF, constraint, 60).tv_distance
-        res60 = gibbs_conditioning(BERN_HALF, constraint, 60)
+        res20, res60 = gibbs_conditioning(BERN_HALF, constraint, [20, 60])
+        tv20, tv60 = res20.tv_distance, res60.tv_distance
         # dominating point is the endpoint nearer the typical value 0.5
         assert res60.predicted.realized.weights == pytest.approx([0.3, 0.7], abs=1e-9)
         assert tv60 < tv20
 
     def test_single_draw_point_window(self):
-        res = gibbs_conditioning(BERN_HALF, ConstraintSpec.interval(V01, 1.0, 1.0), 1)
+        [res] = gibbs_conditioning(BERN_HALF, ConstraintSpec.interval(V01, 1.0, 1.0), [1])
         assert res.conditioned_mean_measure.weights == pytest.approx([0.0, 1.0], abs=1e-15)
         assert res.tv_distance <= 1e-12
 
     def test_empty_event(self):
         with pytest.raises(EmptyEvent):
-            gibbs_conditioning(BERN_HALF, ConstraintSpec.interval(V01, 0.5, 0.5), 3)
+            gibbs_conditioning(BERN_HALF, ConstraintSpec.interval(V01, 0.5, 0.5), [3])
 
 
 def every_sequence(weights, v, n):
@@ -259,10 +258,11 @@ class ExactLawReaders:
             inside = ldp_mod.in_window(xi, *window)
             if not np.any(probs[inside] > 0.0):
                 with pytest.raises(EmptyEvent):
-                    gibbs_conditioning(dist(*weights), oracle_constraint(v, window), n)
+                    gibbs_conditioning(dist(*weights), oracle_constraint(v, window), [n])
                 continue
             expected = probs[inside] @ freqs[inside] / math.fsum(probs[inside])
-            mean = gibbs_conditioning(dist(*weights), oracle_constraint(v, window), n).conditioned_mean_measure
+            [result] = gibbs_conditioning(dist(*weights), oracle_constraint(v, window), [n])
+            mean = result.conditioned_mean_measure
             assert np.abs(mean.weights - expected).max() <= 1e-12
 
     def test_error_distribution_masses(self, weights, v, window):
@@ -326,13 +326,14 @@ class TestWindowReadsAtBenchmarkScale:
     def test_gibbs_means(self, weights, v, window):
         P = dist(*weights)
         lo, hi = window
-        for n in BENCHMARK_NS:
+        results = gibbs_conditioning(P, ConstraintSpec.interval(v, lo, hi), BENCHMARK_NS)
+        for n, result in zip(BENCHMARK_NS, results):
             # the grouped law at n - 1, shifted by one more draw of each symbol
             law = error_distribution_exact(P, v, n - 1)
             inside = ldp_mod.in_window(((n - 1) * law.support + np.asarray(v)[:, None]) / n, lo, hi)
             log_joint = np.log(weights) + np.array([ldp_mod._logsumexp(law.log_mass[row]) for row in inside])
             expected = np.exp(log_joint - ldp_mod._logsumexp(log_joint))
-            mean = gibbs_conditioning(P, ConstraintSpec.interval(v, lo, hi), n).conditioned_mean_measure
+            mean = result.conditioned_mean_measure
             assert np.abs(mean.weights - expected).max() <= 1e-12
 
 
@@ -421,6 +422,64 @@ class TestLatticeRecursion:
         sizes = count_enumerations(monkeypatch)
         error_distribution_exact(dist(0.2, 0.3, 0.5), [0.0, 1.0, 1.0], 50)
         assert sizes == [51]
+
+
+def terms_at_the_cap(k: int, span: int) -> int:
+    """The largest n whose lattice method sums at most TABLE_CAP terms."""
+    n = 1
+    while k * (span * (n + 1) * (n + 2) // 2 + n + 1) <= ldp_mod.TABLE_CAP:
+        n += 1
+    return n
+
+
+class TestTiltedPass:
+    def test_kernel_against_the_log_domain_recursion(self, rng):
+        # seeded lattices, k = 3..6, n at the cap of the lattice terms: the
+        # linear pass matches the log-domain law to 1e-13 relative wherever
+        # its tilted mass is within e^-700 of the peak, keeps an exact zero
+        # wherever a sum is unreachable, and drops nothing else
+        for k in range(3, 7):
+            m = np.sort(rng.choice(np.arange(k + 2), size=k, replace=False))
+            m -= m[0]
+            if k == 3:
+                m = np.array([0, 2, 4])  # gcd 2: every odd sum is unreachable
+            n = terms_at_the_cap(k, int(m.max()))
+            weights = random_distribution(rng, k, min_mass=1e-3).weights
+            exact = ldp_mod._lattice_law(np.log(weights), m, n)
+            s = np.arange(exact.size)
+            for t in (0.0, float(rng.uniform(-3.0, 3.0))):
+                [log_p] = ldp_mod._tilted_pass(weights, m, t, [n])
+                assert np.isneginf(log_p[np.isneginf(exact)]).all()
+                tilted = exact + t * s - n * ldp_mod._logsumexp(np.log(weights) + t * m)
+                assert np.isfinite(log_p[tilted > tilted.max() - 700.0]).all()
+                kept = np.isfinite(log_p)
+                assert np.all(np.abs(log_p[kept] - exact[kept]) <= 1e-13 * np.abs(exact[kept])), (k, n, t)
+
+    def test_an_infinite_multiplier_tilts_onto_the_extreme_atom(self):
+        # V . L_n = 3 = max V only when every draw is 3: log P = n log(1/3),
+        # below the float range at these n.  An untilted linear pass
+        # underflows there and would report a false EmptyEvent.
+        P, v, grid = dist(1 / 3, 1 / 3, 1 / 3), [0.0, 1.0, 3.0], [700, 800]
+        est = sanov_exact(P, ConstraintSpec.point(v, 3.0), grid)
+        assert est.empty_event_ns == ()
+        for n, log_prob in zip(grid, est.log_probs):
+            assert abs(log_prob - n * math.log(1 / 3)) <= 1e-12 * n * math.log(3)
+        [untilted] = ldp_mod._tilted_pass(np.full(3, 1 / 3), np.array([0, 1, 3]), 0.0, [700])
+        assert untilted[-1] == -math.inf
+
+    def test_gibbs_at_one_draw_reads_the_empty_sum(self, monkeypatch):
+        # n = 1 conditions on the point mass at n - 1 = 0; the grid's other n
+        # read one pass, each result in the grid's own order
+        monkeypatch.setattr(ldp_mod, "enumerate_types", lambda P, n: pytest.fail("enumerated the types"))
+        weights, v, window, grid = [0.2, 0.3, 0.5], [0.0, 1.0, 3.0], (0.9, 3.0), [3, 1, 6]
+        results = gibbs_conditioning(dist(*weights), ConstraintSpec.interval(v, *window), grid)
+        assert [res.n for res in results] == grid
+        for n, res in zip(grid, results):
+            probs, xi, freqs = every_sequence(weights, v, n)
+            inside = ldp_mod.in_window(xi, *window)
+            expected = probs[inside] @ freqs[inside] / math.fsum(probs[inside])
+            assert np.abs(res.conditioned_mean_measure.weights - expected).max() <= 1e-12
+        assert results[1].conditioned_mean_measure.weights == pytest.approx([0.0, 0.375, 0.625], abs=1e-15)
 
 
 class TestErrorRateFunction:

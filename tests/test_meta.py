@@ -33,7 +33,7 @@ V01 = [0.0, 1.0]
 
 def centre_oracle(ed, eta):
     """Independent self-consistent centre: brentq on m over brentq-solved tilts."""
-    xi, log_r = ed.support, np.log(ed.weights.weights)
+    xi, log_r = ed.support, np.log(ed.probabilities)
 
     def tilted_mean(m):
         u = (xi - m) ** 2
@@ -58,13 +58,13 @@ class TestErrorDistributionExact:
     def test_two_draws_binomial(self):
         ed = error_distribution_exact(dist(0.5, 0.5), V01, 2)
         assert list(ed.support) == [0.0, 0.5, 1.0]
-        assert ed.weights.weights == pytest.approx([0.25, 0.5, 0.25], abs=1e-12)
+        assert ed.probabilities == pytest.approx([0.25, 0.5, 0.25], abs=1e-12)
 
     def test_single_draw_is_pushforward_of_base(self):
         P = dist(0.3, 0.7)
         ed = error_distribution_exact(P, [2.0, 5.0], 1)
         assert list(ed.support) == [2.0, 5.0]
-        assert ed.weights.weights == pytest.approx([0.3, 0.7], abs=1e-12)
+        assert ed.probabilities == pytest.approx([0.3, 0.7], abs=1e-12)
 
     def test_central_binomial_weight(self):
         ed = error_distribution_exact(BERN_HALF, V01, 10)
@@ -76,13 +76,13 @@ class TestErrorDistributionExact:
         # constant potential: every type class has the same expected loss
         ed = error_distribution_exact(BERN_HALF, [1.0, 1.0], 6)
         assert list(ed.support) == [1.0]
-        assert ed.weights.weights == pytest.approx([1.0], abs=1e-12)
+        assert ed.probabilities == pytest.approx([1.0], abs=1e-12)
 
     def test_restrict_renormalizes(self):
         ed = error_distribution_exact(BERN_HALF, V01, 10)
         sub = ed.restrict(0.6, 0.9)
         assert list(sub.support) == [0.6, 0.7, 0.8, 0.9]
-        assert float(sub.weights.weights.sum()) == pytest.approx(1.0, abs=1e-12)
+        assert float(sub.probabilities.sum()) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestMaxentErrorFit:
@@ -90,12 +90,12 @@ class TestMaxentErrorFit:
         ed = error_distribution_exact(BERN_HALF, V01, 10)
         fit = maxent_error_fit(ed, MetaConstraint(kind="identity", eta=ed.mean()))
         assert fit.lambda_eta == 0.0
-        assert np.array_equal(fit.weights.weights, ed.weights.weights)
+        assert np.array_equal(fit.probabilities, ed.probabilities)
 
     def test_identity_on_binary_support(self):
         ed = error_distribution_exact(BERN_HALF, V01, 1)  # uniform on {0, 1}
         fit = maxent_error_fit(ed, MetaConstraint(kind="identity", eta=0.25))
-        assert fit.weights.weights == pytest.approx([0.75, 0.25], abs=1e-9)
+        assert fit.probabilities == pytest.approx([0.75, 0.25], abs=1e-9)
         assert fit.lambda_eta == pytest.approx(math.log(3.0), abs=1e-8)
 
     def test_centered_square_concentrates_to_target_variance(self):
@@ -119,7 +119,7 @@ class TestMaxentErrorFit:
         u = (ed.support - fit.center) ** 2
         lams = np.linspace(fit.lambda_eta - 5.0, fit.lambda_eta + 5.0, 20001)
         best_lam, best_gap = None, math.inf
-        log_ref = np.log(ed.weights.weights)
+        log_ref = np.log(ed.probabilities)
         for lam in lams:
             a = log_ref - lam * u
             w = np.exp(a - a.max())
@@ -146,7 +146,7 @@ class TestMaxentErrorFit:
             kind="user_table", eta=0.25, table_xi=(0.0, 1.0), table_u=(0.0, 1.0)
         )
         fit = maxent_error_fit(ed, meta)
-        assert fit.weights.weights == pytest.approx([0.75, 0.25], abs=1e-9)
+        assert fit.probabilities == pytest.approx([0.75, 0.25], abs=1e-9)
 
 
 class TestSimplexGrid:
@@ -380,7 +380,7 @@ class TestLevelCoherence:
         ed = error_distribution_exact(BERN_HALF, V01, n)
         finite_n_points = [
             RatePoint(xi=float(x), rate=-math.log(w) / n, feasible=True)
-            for x, w in zip(ed.support, ed.weights.weights)
+            for x, w in zip(ed.support, ed.probabilities)
             if w > 0
         ]
         contracted = contract_rate(finite_n_points, lambda xi: xi)

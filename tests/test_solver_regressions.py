@@ -696,11 +696,11 @@ class TestPinnedMeta:
         assert out.map_result.objective >= best - 1e-9
         # where no weight of the restricted law underflows, the fit on its log
         # masses is the I-projection of its weights
-        law = out.restricted.weights
+        law = FiniteDistribution(Alphabet.of_size(out.restricted.support.size), out.restricted.probabilities)
         if law.weights.min() >= np.finfo(float).tiny:
             u = MetaConstraint(kind, eta, center=center).values(out.restricted.support)
             tilt, _ = i_projection(law, ConstraintSpec.point(u, eta))
-            assert np.abs(out.fitted.weights.weights - tilt.realized.weights).max() <= 1e-12
+            assert np.abs(out.fitted.probabilities - tilt.realized.weights).max() <= 1e-12
             assert lam == pytest.approx(tilt.lam, rel=1e-12)
 
 

@@ -75,13 +75,35 @@ def ldp_callers(name: str) -> list[str]:
 
 def test_one_caller_of_the_type_enumeration():
     # the Sanov probability, the Gibbs conditional mean and the meta law all
-    # read the terms of ldp._law_terms, the one exact law of V . L_n
-    assert ldp_callers("enumerate_types") == ["_law_terms"]
+    # read the type classes of ldp._type_terms
+    assert ldp_callers("enumerate_types") == ["_type_terms"]
 
 
 def test_one_caller_of_the_lattice_recursion():
-    # the recursion is the exact law's other method, chosen by its term count
-    assert ldp_callers("_lattice_law") == ["_law_terms"]
+    # the log-domain recursion is the meta law's lattice method, chosen by its term count
+    assert ldp_callers("_lattice_law") == ["error_distribution_exact"]
+
+
+def test_one_caller_of_the_tilted_pass():
+    # the window readers' lattice method: one pass per grid, tilted by the
+    # window's dominating point
+    assert ldp_callers("_tilted_pass") == ["_window_laws"]
+
+
+def test_window_readers_never_reach_the_log_domain_recursion():
+    # a window needs only the mass near its dominating point, which the
+    # tilted pass keeps; the log-domain recursion stays the meta law's
+    tree = ast.parse((SOURCE / "ldp.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for reader in ("sanov_exact", "gibbs_conditioning"):
+        reached, todo = set(), [reader]
+        while todo:
+            for call in ast.walk(functions[todo.pop()]):
+                name = called_name(call)
+                if name in functions and name not in reached:
+                    reached.add(name)
+                    todo.append(name)
+        assert "_tilted_pass" in reached and "_lattice_law" not in reached, (reader, sorted(reached))
 
 
 def test_window_readers_do_not_sort_the_exact_law():
