@@ -459,11 +459,14 @@ class TestTiltedPass:
         # V . L_n = 3 = max V only when every draw is 3: log P = n log(1/3),
         # below the float range at these n.  An untilted linear pass
         # underflows there and would report a false EmptyEvent.
+        # The second window misses [0, 3] by less than XI_BAND: its rate is
+        # +inf, and the pass is still tilted toward it.
         P, v, grid = dist(1 / 3, 1 / 3, 1 / 3), [0.0, 1.0, 3.0], [700, 800]
-        est = sanov_exact(P, ConstraintSpec.point(v, 3.0), grid)
-        assert est.empty_event_ns == ()
-        for n, log_prob in zip(grid, est.log_probs):
-            assert abs(log_prob - n * math.log(1 / 3)) <= 1e-12 * n * math.log(3)
+        for constraint in (ConstraintSpec.point(v, 3.0), ConstraintSpec.interval(v, 3.0 + 1e-13, 4.0)):
+            est = sanov_exact(P, constraint, grid)
+            assert est.empty_event_ns == ()
+            for n, log_prob in zip(grid, est.log_probs):
+                assert abs(log_prob - n * math.log(1 / 3)) <= 1e-12 * n * math.log(3)
         [untilted] = ldp_mod._tilted_pass(np.full(3, 1 / 3), np.array([0, 1, 3]), 0.0, [700])
         assert untilted[-1] == -math.inf
 
