@@ -91,4 +91,4 @@ class ResourceError(MaxentError):
 
 
 class TableTooLarge(ResourceError):
-    """Type-class enumeration would exceed the configured cap."""
+    """An exact law or the model grid would sum more terms than the table cap."""

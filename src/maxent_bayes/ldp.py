@@ -2,25 +2,27 @@
 
 Everything here runs at desk scale.  The exact claims all read the law of
 the expected loss xi = V . L_n of n i.i.d. draws, after P is pushed forward
-onto the k distinct values of V on its support, by one of three methods:
+onto the k distinct values of V on its support, by one of two methods:
 
 - the type enumeration, C(n + k - 1, k - 1) compositions of n per n;
 - on a lattice, values a + h m_j with integer m_j of span R = max m, the law
-  of the lattice sum S_n = sum m_{X_i}, one convolution per draw, k (R N
-  (N + 1) / 2 + N) terms to N draws: the log-domain recursion
-  ``_lattice_law`` for the law the meta pipeline fits, whose far tail it
-  needs (``error_distribution_exact``); for the window readers
-  (``sanov_exact``, ``gibbs_conditioning``) one linear-domain pass for the
-  whole n grid (``_tilted_pass``), tilted by the multiplier of the window's
-  dominating point, which keeps the mass near that point.
+  of the lattice sum S_n = sum m_{X_i} from a linear-domain pass, one
+  convolution per draw, k (R N (N + 1) / 2 + N) terms to N draws
+  (``_tilted_pass``), tilted so that the mass near a chosen point never
+  underflows.  The window readers (``sanov_exact``, ``gibbs_conditioning``)
+  run one pass for the whole n grid, tilted by the multiplier of the
+  window's dominating point.  The law the meta pipeline fits on its window
+  (``error_distribution_exact``), whose far end can lie thousands of nats
+  below its near end, runs as many passes as it takes for each reachable sum
+  of the window to keep a normal mass in one (``_lattice_window``).
 
-``check_exact_law`` runs the lattice method when it has fewer terms, the
-window readers counting each enumeration term ENUMERATION_WEIGHT times and
-the grid's sum over n against the one pass; an irrational V (its lattice
-step is round-off, so R is huge) keeps the enumeration.  TABLE_CAP bounds
-the terms of the method that runs.  A window's Sanov probability is its
-mass under the law, and the conditional mean given the window reads the law
-at n - 1 by exchangeability, the p_j-weighted sum of the numerators being
+``check_exact_law`` runs the lattice method when one pass has fewer terms
+than ENUMERATION_WEIGHT times the enumeration's sum over the n grid; an
+irrational V (its lattice step is round-off, so R is huge) keeps the
+enumeration.  TABLE_CAP bounds the terms of the enumeration, or of each
+pass.  A window's Sanov probability is its mass under the law, and the
+conditional mean given the window reads the law at n - 1 by
+exchangeability, the p_j-weighted sum of the numerators being
 the denominator:
 
     E[L_n | W]_j = p_j P(((n - 1) xi_{n-1} + v_j) / n in W) / P(xi_n in W).
@@ -50,10 +52,10 @@ from .measures import Alphabet, FiniteDistribution, as_potential, relative_entro
 from .tilting import ConstraintSpec, TiltedDistribution, _project, i_projection
 
 TABLE_CAP = 10_000_000
-# The window readers count a type-enumeration term as this many terms of the
+# Every exact law counts a type-enumeration term as this many terms of the
 # tilted lattice pass: on a 2-CPU x86-64 machine (numpy 2.4) a read term of
 # the enumeration costs 40-90 ns at k = 3, n = 400-800, a pass term (one
-# multiply-add of np.convolve) 1.3-2 ns.  Any weight in [7, 30] picks the same
+# multiply-add of np.convolve) 1.3-2 ns.  Any weight in [9, 30] picks the same
 # method on every exact op of the benchmark.
 ENUMERATION_WEIGHT = 20
 _TILT_CAP = 746.0  # per lattice step; exp(-746) is 0, so a steeper tilt is the same pass
@@ -205,14 +207,6 @@ class ErrorDistribution:
             raise KeyError(f"{xi!r} is not a support point")
         return float(self.probabilities[idx[0]])
 
-    def restrict(self, lo: float, hi: float) -> "ErrorDistribution":
-        """Condition on xi falling inside [lo, hi]."""
-        mask = in_window(self.support, lo, hi)
-        if not np.any(mask):
-            raise EmptyEvent(f"no error-value mass inside [{lo!r}, {hi!r}]")
-        log_mass = self.log_mass[mask]
-        return ErrorDistribution(support=self.support[mask], log_mass=log_mass - _logsumexp(log_mass))
-
 
 def _lattice(values: np.ndarray) -> tuple[float, float, np.ndarray] | None:
     """(a, h, m) with each value a + h m_j to within LATTICE_ULPS ulps of
@@ -237,27 +231,6 @@ def _lattice(values: np.ndarray) -> tuple[float, float, np.ndarray] | None:
     return (a, h, m) if np.abs(d - m * h).max() <= tol else None
 
 
-def _lattice_law(log_weights: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
-    """log P(S_n = s) for s = 0..n max(m), S_n the sum of n i.i.d. draws of
-    m_j with log-probability log_weights[j]; -inf where s is unreachable.
-
-    One log-domain convolution per draw:
-    log P_i(s) = logsumexp_j [log p_j + log P_{i-1}(s - m_j)].
-    """
-    span = int(m.max())
-    log_p = np.zeros(1)
-    for _ in range(n):
-        nxt = np.full(log_p.size + span, -math.inf)
-        for lw, shift in zip(log_weights.tolist(), m.tolist()):
-            part = nxt[shift:shift + log_p.size]
-            np.logaddexp(part, log_p + lw, out=part)
-        log_p = nxt
-    log_mass = _logsumexp(log_p)
-    if not abs(log_mass) <= 1e-9:
-        raise NumericalError(f"lattice-sum probabilities sum to exp({log_mass:.3g}), not 1")
-    return log_p
-
-
 def _tilted_pass(weights: np.ndarray, m: np.ndarray, t: float, ns: Sequence[int]) -> list[np.ndarray]:
     """log P(S_n = s) for s = 0..n max(m) at each n of ns, S_n the sum of n
     i.i.d. draws of m_j with probability weights[j]; -inf where s is
@@ -265,26 +238,75 @@ def _tilted_pass(weights: np.ndarray, m: np.ndarray, t: float, ns: Sequence[int]
 
     One linear-domain pass, one ``np.convolve`` per draw with the weights
     tilted by t (|t| <= _TILT_CAP), q_j = p_j e^{t (m_j - c)} / Z_c, c = q . m.
-    They sum to 1, so the array keeps mass 1 and its peak near n c never
-    underflows.  Each n is read on the way and un-tilted:
-    log P(S_n = s) = log P_t(S_n = s) - t (s - n c) + n log Z_c.
+    They sum to 1, so the array keeps mass 1 (NumericalError when it does
+    not) and its peak near n c never underflows.  Each n is read on the way
+    and un-tilted: log P(S_n = s) = log P_t(S_n = s) - t (s - n c) + n log Z_c.
     """
     t = min(max(t, -_TILT_CAP), _TILT_CAP)
     c = float(np.exp(np.log(weights) + t * m - _logsumexp(np.log(weights) + t * m)) @ m)
     log_zc = _logsumexp(np.log(weights) + t * (m - c))
+    with np.errstate(over="ignore"):  # q_j / p_j overflows where p_j is subnormal
+        q = weights * np.exp(t * (m - c) - log_zc)
     kernel = np.zeros(int(m.max()) + 1)
-    kernel[m] = weights * np.exp(t * (m - c) - log_zc)
+    kernel[m] = np.where(np.isinf(q), np.exp(np.log(weights) + t * (m - c) - log_zc), q)
     law, read = np.ones(1), {}
     with np.errstate(divide="ignore"):  # log 0 = -inf: unreachable, or a subnormal mass
         for n in range(1, max(ns) + 1):
             law = np.convolve(law, kernel)
             if n in ns:
                 read[n] = np.log(law * (law >= np.finfo(float).tiny)) - t * (np.arange(law.size) - n * c) + n * log_zc
+    total = float(law.sum())
+    if not abs(total - 1.0) <= 1e-9:
+        raise NumericalError(f"tilted lattice-sum probabilities sum to {total:.3g}, not 1")
     return [read[n] for n in ns]
 
 
+def _reachable(m: np.ndarray, n: int) -> np.ndarray:
+    """Whether each s = 0..n max(m) is a sum of n draws of the m_j (min m = 0):
+    a boolean pass on the bits of one integer, so no mass underflows."""
+    steps, bits = [j for j in set(m.tolist()) if j], 1  # m_j = 0 keeps every bit
+    for _ in range(n):
+        shifted = bits
+        for j in steps:
+            shifted |= bits << j
+        bits = shifted
+    size = n * int(m.max()) + 1
+    raw = np.frombuffer(bits.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=size, bitorder="little").astype(bool)
+
+
+def _lattice_window(weights: np.ndarray, m: np.ndarray, n: int, inside: np.ndarray) -> np.ndarray:
+    """log P(S_n = s) at each reachable sum s (``_reachable``: an underflowed
+    mass never reads as unreachable) marked ``inside``, -inf at every other
+    s; S_n the sum of n i.i.d. draws of m_j with probability weights[j].
+
+    In rounds, each run of such sums that no pass has covered yet gets one
+    ``_tilted_pass`` (of the size ``check_exact_law`` counted), tilted at the
+    run's dominating point (its point nearest the mean m . p), all of a
+    round's multipliers from one ``_project``.  A sum reads the first pass
+    that keeps a normal mass there; a round that covers none raises
+    NumericalError.
+    """
+    wanted = np.flatnonzero(_reachable(m, n) & inside)
+    log_p, mean, todo = np.full(inside.size, -math.inf), float(weights @ m), wanted
+    while todo.size:
+        cuts = np.flatnonzero(np.diff(np.searchsorted(wanted, todo)) > 1)
+        points = np.clip(mean, todo[np.append(0, cuts + 1)] / n, todo[np.append(cuts, -1)] / n)
+        tilts, off, left = np.zeros(points.size), points != mean, todo.size
+        if off.any():
+            tilts[off] = -_project(np.log(weights), m.astype(float), points[off], boundary=True)[0]
+        for t in tilts.tolist():
+            [tilted] = _tilted_pass(weights, m, t, [n])
+            covered = tilted[todo] > -math.inf
+            log_p[todo[covered]] = tilted[todo[covered]]
+            todo = todo[~covered]
+        if todo.size == left:
+            raise NumericalError(f"no tilted pass of n={n} draws keeps the mass at lattice sum {todo[0]}")
+    return log_p
+
+
 def check_exact_law(
-    P: FiniteDistribution, potential, ns: Sequence[int], weight: float = ENUMERATION_WEIGHT
+    P: FiniteDistribution, potential, ns: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, tuple[float, float, np.ndarray] | None]:
     """Push P forward onto the distinct values of V on its support, in order
     of first occurrence, and pick the method for the laws at the sample
@@ -303,7 +325,7 @@ def check_exact_law(
     k, n = values.size, max(ns)
     lattice = _lattice(values)
     recursion = math.inf if lattice is None else k * (int(lattice[2].max()) * n * (n + 1) // 2 + n)
-    enumeration, table = weight * sum(table_size(k, size) for size in ns), table_size(k, n)
+    enumeration, table = ENUMERATION_WEIGHT * sum(table_size(k, size) for size in ns), table_size(k, n)
     if recursion <= TABLE_CAP and (recursion < enumeration or table > TABLE_CAP):
         return values, weights, lattice
     if table > TABLE_CAP:
@@ -334,26 +356,36 @@ def _window_laws(P: FiniteDistribution, v: np.ndarray, lam: float, ns: Sequence[
         yield from (_type_terms(values, weights, n) for n in ns)
 
 
-def error_distribution_exact(P: FiniteDistribution, potential, n: int) -> ErrorDistribution:
-    """Exact law of V . L_n, the law the meta pipeline fits: the terms of
-    ``_lattice_law`` (one per lattice sum s, at xi = a + h s / n) where it
-    has fewer terms, else of ``_type_terms``; sorted by xi and grouped.
+def error_distribution_exact(
+    P: FiniteDistribution, potential, n: int, window: tuple[float, float] = (-math.inf, math.inf)
+) -> ErrorDistribution:
+    """Exact law of V . L_n conditioned on the window [lo, hi] (default: none),
+    the law the meta pipeline fits: on a lattice a + h m the masses of
+    ``_lattice_window`` (one per reachable lattice sum s in the window, at
+    xi = a + h s / n), else the terms of ``_type_terms`` inside the window;
+    sorted by xi and grouped.  EmptyEvent when the window holds no mass.
 
     The support holds the values of positive probability (values within
     XI_BAND of their neighbour count as one).  Each value's log mass is a
     log-sum-exp over its group, shifted by the group's largest
-    log-probability, so no group's mass underflows.  Only this law sorts
-    and groups: a reader of one window's mass (``sanov_exact``,
+    log-probability, so no group's mass underflows.  Only this law sorts and
+    groups: a reader of one window's mass (``sanov_exact``,
     ``gibbs_conditioning``) masks the ungrouped terms instead.
     """
-    values, weights, lattice = check_exact_law(P, potential, [n], weight=1.0)
+    lo, hi = window
+    values, weights, lattice = check_exact_law(P, potential, [n])
     if lattice is not None:
         a, h, m = lattice
-        log_probs = _lattice_law(np.log(weights), m, n)
+        xi = a + h * np.arange(n * int(m.max()) + 1) / n
+        log_probs = _lattice_window(weights, m, n, in_window(xi, lo, hi))
         s = np.flatnonzero(log_probs > -math.inf)
-        xi, log_probs = a + h * s / n, log_probs[s]
+        xi, log_probs = xi[s], log_probs[s]
     else:
         xi, log_probs = _type_terms(values, weights, n)
+        inside = in_window(xi, lo, hi)
+        xi, log_probs = xi[inside], log_probs[inside]
+    if xi.size == 0:
+        raise EmptyEvent(f"no error-value mass inside [{lo!r}, {hi!r}]")
     order = np.argsort(xi, kind="stable")
     xi, log_probs = xi[order], log_probs[order]
     del order
@@ -361,8 +393,8 @@ def error_distribution_exact(P: FiniteDistribution, potential, n: int) -> ErrorD
     group_ids = np.cumsum(starts) - 1
     heads = np.flatnonzero(starts)
     shift = np.maximum.reduceat(log_probs, heads)
-    sums = np.bincount(group_ids, weights=np.exp(log_probs - shift[group_ids]))
-    return ErrorDistribution(support=xi[heads], log_mass=shift + np.log(sums))
+    log_mass = shift + np.log(np.bincount(group_ids, weights=np.exp(log_probs - shift[group_ids])))
+    return ErrorDistribution(support=xi[heads], log_mass=log_mass - _logsumexp(log_mass))
 
 
 def _window(constraint: ConstraintSpec) -> tuple[float, float]:

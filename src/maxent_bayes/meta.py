@@ -1,11 +1,13 @@
 """Two-level inference: distributions over expected-loss values.
 
 The first level treats the expected loss of an empirical measure as a random
-variable: its exact finite-n law is ``ldp.error_distribution_exact``, the one
-exact law of V . L_n that the Sanov and Gibbs measurements also read.  The
-second level tilts that law to match a summary statistic (a mean, a variance,
-or a user-supplied statistic), and the two levels combine in a MAP search
-over a simplex grid of candidate models: maximize
+variable: its exact finite-n law on the window is
+``ldp.error_distribution_exact``, built by the same two methods (tilted
+lattice passes, type enumeration) as the laws the Sanov and Gibbs
+measurements read.  The second level tilts that law to match a summary
+statistic (a mean, a variance, or a user-supplied statistic), and the two
+levels combine in a MAP search over a simplex grid of candidate models:
+maximize
 
     - speed * KL(mu || P) - lambda_eta * U(V . mu) + ln Q(mu)
 
@@ -292,9 +294,9 @@ def _polish_map(
 
 @dataclass(frozen=True, eq=False)
 class MetaPipelineResult:
-    """End-to-end artifacts of the two-level inference pipeline."""
+    """End-to-end artifacts of the two-level inference pipeline; ``restricted``
+    is the exact law of V . L_n conditioned on the window."""
 
-    reference: ErrorDistribution
     restricted: ErrorDistribution
     fitted: ErrorDistribution
     map_result: MapModelResult
@@ -309,9 +311,8 @@ def run_meta_pipeline(
     speed: float = 1.0,
     grid_step: float | None = None,
 ) -> MetaPipelineResult:
-    """Exact error law -> window restriction -> statistic fit -> MAP model."""
-    reference = error_distribution_exact(P, potential, n)
-    restricted = reference.restrict(*xi_window)
+    """Exact error law conditioned on the window -> statistic fit -> MAP model."""
+    restricted = error_distribution_exact(P, potential, n, xi_window)
     fitted = maxent_error_fit(restricted, meta)
     resolved = meta.with_center(fitted.center) if meta.kind == "centered_square" else meta
     result = map_model(
@@ -323,6 +324,4 @@ def run_meta_pipeline(
         speed=speed,
         grid_step=grid_step,
     )
-    return MetaPipelineResult(
-        reference=reference, restricted=restricted, fitted=fitted, map_result=result
-    )
+    return MetaPipelineResult(restricted=restricted, fitted=fitted, map_result=result)

@@ -252,7 +252,7 @@ def test_criterion_8_meta_inference():
     t0 = time.perf_counter()
     # two-level pipeline on the binary instance, mesh step 0.001
     window = (0.6, 0.9)
-    reference = error_distribution_exact(BERN_HALF, V01, 20).restrict(*window)
+    reference = error_distribution_exact(BERN_HALF, V01, 20, window)
     eta = 0.5 * reference.variance()
     meta = MetaConstraint(kind="centered_square", eta=eta)
     out = run_meta_pipeline(BERN_HALF, V01, 20, window, meta, grid_step=0.001)

@@ -61,7 +61,7 @@ class TestValidate:
     def test_gibbs_over_the_cap_is_sized_before_any_law_is_computed(self, monkeypatch):
         # the grid's one pass is sized at max(n_grid) - 1 = 1999 before its
         # first step, so no smaller n of the grid is computed first
-        for name in ("_tilted_pass", "_lattice_law", "enumerate_types"):
+        for name in ("_tilted_pass", "_reachable", "enumerate_types"):
             monkeypatch.setattr(ldp, name, lambda *args, name=name: pytest.fail(f"ran {name}"))
         config = {
             "command": "gibbs",

@@ -351,13 +351,33 @@ def count_enumerations(monkeypatch) -> list[int]:
     return sizes
 
 
+def log_domain_lattice_law(log_weights: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
+    """log P(S_n = s) for s = 0..n max(m), S_n the sum of n i.i.d. draws of
+    m_j with log-probability log_weights[j]; -inf where s is unreachable.
+
+    The independent oracle of the lattice laws: one log-domain convolution
+    per draw, log P_i(s) = logsumexp_j [log p_j + log P_{i-1}(s - m_j)], so
+    no mass underflows and no tilt is involved.
+    """
+    span = int(m.max())
+    log_p = np.zeros(1)
+    for _ in range(n):
+        nxt = np.full(log_p.size + span, -math.inf)
+        for lw, shift in zip(log_weights.tolist(), m.tolist()):
+            part = nxt[shift:shift + log_p.size]
+            np.logaddexp(part, log_p + lw, out=part)
+        log_p = nxt
+    assert abs(ldp_mod._logsumexp(log_p)) <= 1e-9
+    return log_p
+
+
 class TestLatticeRecursion:
     def test_kernel_against_every_sequence(self):
         weights, m = [0.2, 0.5, 0.3], [0, 3, 1]
         for n in ORACLE_NS:
             probs, mean, _ = every_sequence(weights, m, n)
             expected = np.bincount(np.rint(mean * n).astype(int), weights=probs, minlength=3 * n + 1)
-            log_p = ldp_mod._lattice_law(np.log(weights), np.array(m), n)
+            log_p = log_domain_lattice_law(np.log(weights), np.array(m), n)
             assert np.array_equal(np.isneginf(log_p), expected == 0.0)
             assert np.abs(np.exp(log_p) - expected).max() <= 1e-12
 
@@ -380,11 +400,12 @@ class TestLatticeRecursion:
                 assert np.abs(recursion.log_mass - enumeration.log_mass).max() <= 1e-10
 
     def test_lost_mass_is_a_numerical_error(self, monkeypatch):
-        # the mass check is a typed error, so it survives python -O
+        # each tilted pass of the meta law checks that it keeps mass 1; the
+        # check is a typed error, so it survives python -O
         full = ldp_mod._logsumexp
         monkeypatch.setattr(ldp_mod, "_logsumexp", lambda a: full(a[:-1]))
         with pytest.raises(NumericalError, match="sum to"):
-            ldp_mod._lattice_law(np.log([0.5, 0.5]), np.array([0, 1]), 4)
+            error_distribution_exact(dist(0.5, 0.5), V01, 4)
 
     def test_integer_multiples(self):
         a, h, m = ldp_mod._lattice(np.array([1.5, 0.0, 4.5]))
@@ -411,7 +432,10 @@ class TestLatticeRecursion:
     @pytest.mark.parametrize("weights, v, n, enumerations", [
         ([0.1, 0.2, 0.3, 0.4], [0.0, 1.0, 2.0, 3.0], 200, 0),
         ([0.4, 0.6], [0.0, 1.0], 1600, 1),
-        ([0.2, 0.3, 0.5], [0.0, 1.0, 3.0], 800, 1),
+        # 2.9e6 pass terms against 20 x 321,201 enumeration terms
+        ([0.2, 0.3, 0.5], [0.0, 1.0, 3.0], 800, 0),
+        # span 10: 6.0e5 pass terms against 20 x 20,301
+        ([0.2, 0.3, 0.5], [0.0, 1.0, 10.0], 200, 1),
     ])
     def test_the_method_with_fewer_terms_runs(self, monkeypatch, weights, v, n, enumerations):
         sizes = count_enumerations(monkeypatch)
@@ -445,7 +469,7 @@ class TestTiltedPass:
                 m = np.array([0, 2, 4])  # gcd 2: every odd sum is unreachable
             n = terms_at_the_cap(k, int(m.max()))
             weights = random_distribution(rng, k, min_mass=1e-3).weights
-            exact = ldp_mod._lattice_law(np.log(weights), m, n)
+            exact = log_domain_lattice_law(np.log(weights), m, n)
             s = np.arange(exact.size)
             for t in (0.0, float(rng.uniform(-3.0, 3.0))):
                 [log_p] = ldp_mod._tilted_pass(weights, m, t, [n])
@@ -470,6 +494,25 @@ class TestTiltedPass:
         [untilted] = ldp_mod._tilted_pass(np.full(3, 1 / 3), np.array([0, 1, 3]), 0.0, [700])
         assert untilted[-1] == -math.inf
 
+    def test_a_subnormal_weight_keeps_its_tilted_mass(self):
+        # the window [1.5, 2] needs two draws of the atom of weight 1e-310;
+        # its tilt makes q_j / p_j overflow, which once gave log P = +inf
+        # (sanov) and a false EmptyEvent (gibbs)
+        weights, v, window = [0.5, 1e-310, 0.5], [0.0, 2.0, 1.0], (1.5, 2.0)
+        log_w, m = np.log(weights), np.array([0, 2, 1])
+        est = sanov_exact(dist(*weights), ConstraintSpec.interval(v, *window), [4, 8])
+        for n, log_prob in zip([4, 8], est.log_probs):
+            exact = log_domain_lattice_law(log_w, m, n)
+            expected = ldp_mod._logsumexp(exact[3 * n // 2:])
+            assert abs(log_prob - expected) <= 1e-12 * abs(expected)
+        n = 5
+        [res] = gibbs_conditioning(dist(*weights), ConstraintSpec.interval(v, *window), [n])
+        law = log_domain_lattice_law(log_w, m, n - 1)
+        s = np.arange(law.size)
+        log_joint = log_w + [ldp_mod._logsumexp(law[ldp_mod.in_window((s + j) / n, *window)]) for j in m]
+        expected = np.exp(log_joint - ldp_mod._logsumexp(log_joint))
+        assert np.abs(res.conditioned_mean_measure.weights - expected).max() <= 1e-12
+
     def test_gibbs_at_one_draw_reads_the_empty_sum(self, monkeypatch):
         # n = 1 conditions on the point mass at n - 1 = 0; the grid's other n
         # read one pass, each result in the grid's own order
@@ -483,6 +526,83 @@ class TestTiltedPass:
             expected = probs[inside] @ freqs[inside] / math.fsum(probs[inside])
             assert np.abs(res.conditioned_mean_measure.weights - expected).max() <= 1e-12
         assert results[1].conditioned_mean_measure.weights == pytest.approx([0.0, 0.375, 0.625], abs=1e-15)
+
+
+class TestLatticeWindowLaw:
+    """The meta law on a lattice: tilted passes over the window, their
+    support decided by a boolean pass."""
+
+    @pytest.mark.parametrize("weights, m", [([0.25, 0.25, 0.5], [0, 2, 4]), ([0.2, 0.5, 0.3], [0, 3, 2])])
+    def test_support_against_every_sequence(self, weights, m):
+        # gcd 2: every odd sum is unreachable; {0, 2, 3}: 1 is no sum of n draws
+        for n in ORACLE_NS:
+            probs, mean, _ = every_sequence(weights, m, n)
+            expected = np.bincount(np.rint(mean * n).astype(int), weights=probs, minlength=max(m) * n + 1)
+            log_p = ldp_mod._lattice_window(np.array(weights), np.array(m), n, np.ones(expected.size, bool))
+            assert np.array_equal(np.isneginf(log_p), expected == 0.0), n
+            assert np.abs(np.exp(log_p) - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("v, gap", [([0.0, 3.0, 2.0], lambda n: 1), ([0.0, 1.0, 3.0], lambda n: 3 * n - 1)])
+    def test_end_gaps_of_the_law(self, v, gap):
+        # the lattice sum next to one end is never reached: {0, 2, 3} never
+        # sums to 1, {0, 1, 3} never to 3n - 1
+        weights = [0.2, 0.5, 0.3]
+        for n in ORACLE_NS:
+            probs, xi, _ = every_sequence(weights, v, n)
+            values = np.unique(xi)
+            law = error_distribution_exact(dist(*weights), v, n)
+            assert law.support.size == values.size and np.abs(law.support - values).max() <= 1e-12
+            inner = (values[0] + 1e-9, values[-1] - 1e-9)
+            assert error_distribution_exact(dist(*weights), v, n, inner).support.size == values.size - 2
+            with pytest.raises(EmptyEvent):
+                error_distribution_exact(dist(*weights), v, n, (gap(n) / n, gap(n) / n))
+
+    def test_full_range_law_spanning_thousands_of_nats(self, monkeypatch):
+        # log P(S_800 = 0) = 800 log 0.05 = -2396.6; the mean's mass is
+        # e^-4.2: no single tilt keeps both ends within the float range
+        weights, m, n = np.array([0.05, 0.15, 0.8]), np.array([0, 1, 3]), 800
+        tilts = []
+        run_pass = ldp_mod._tilted_pass
+        monkeypatch.setattr(ldp_mod, "_tilted_pass", lambda w, m, t, ns: tilts.append(t) or run_pass(w, m, t, ns))
+        law = error_distribution_exact(FiniteDistribution.from_weights(weights.tolist()), m.tolist(), n)
+        exact = log_domain_lattice_law(np.log(weights), m, n)
+        s = np.flatnonzero(np.isfinite(exact))
+        assert exact[s].max() - exact[s].min() > 1000.0 and len(tilts) > 1
+        assert np.array_equal(law.support, s / n)
+        assert np.all(np.abs(law.log_mass - exact[s]) <= 1e-12 * np.abs(exact[s]))
+
+    @pytest.mark.parametrize("k, n", [(4, 1290), (5, 999), (6, 815)])
+    def test_reach_at_the_cap(self, k, n):
+        # V = [0..k-1]: one pass at n sums at most TABLE_CAP terms, at n + 1
+        # more; the law of a window symmetric about the mean is symmetric
+        P, v = FiniteDistribution.uniform(Alphabet.of_size(k)), list(range(k))
+        with pytest.raises(TableTooLarge, match=f"n={n + 1} "):
+            ldp_mod.check_exact_law(P, v, [n + 1])
+        lo, hi = 0.4 * (k - 1), 0.6 * (k - 1)
+        law = error_distribution_exact(P, v, n, (lo, hi))
+        assert np.abs(np.diff(law.support) * n - 1.0).max() <= 1e-9  # every sum in the window
+        assert ldp_mod.in_window(law.support, lo, hi).all()
+        assert law.support[0] < lo + 1 / n and law.support[-1] > hi - 1 / n
+        assert abs(law.mean() - (k - 1) / 2) <= 1e-12
+
+    def test_an_empty_window_is_an_empty_event(self):
+        with pytest.raises(EmptyEvent):
+            error_distribution_exact(BERN_HALF, V01, 3, (0.5, 0.5))  # parity
+        with pytest.raises(EmptyEvent):
+            error_distribution_exact(BERN_HALF, V01, 3, (1.2, 2.0))  # past the range
+
+    def test_an_uncovered_sum_is_a_numerical_error(self, monkeypatch):
+        # a reachable sum that no pass keeps must not drop out of the support
+        run_pass = ldp_mod._tilted_pass
+
+        def losing(weights, m, t, ns):
+            [log_p] = run_pass(weights, m, t, ns)
+            log_p[5] = -math.inf
+            return [log_p]
+
+        monkeypatch.setattr(ldp_mod, "_tilted_pass", losing)
+        with pytest.raises(NumericalError, match="lattice sum 5"):
+            error_distribution_exact(dist(0.2, 0.3, 0.5), [0.0, 1.0, 3.0], 40, (0.0, 1.0))
 
 
 class TestErrorRateFunction:

@@ -78,11 +78,12 @@ class TestErrorDistributionExact:
         assert list(ed.support) == [1.0]
         assert ed.probabilities == pytest.approx([1.0], abs=1e-12)
 
-    def test_restrict_renormalizes(self):
-        ed = error_distribution_exact(BERN_HALF, V01, 10)
-        sub = ed.restrict(0.6, 0.9)
+    def test_window_renormalizes(self):
+        sub = error_distribution_exact(BERN_HALF, V01, 10, (0.6, 0.9))
         assert list(sub.support) == [0.6, 0.7, 0.8, 0.9]
-        assert float(sub.probabilities.sum()) == pytest.approx(1.0, abs=1e-12)
+        assert math.fsum(np.exp(sub.log_mass)) == pytest.approx(1.0, abs=1e-15)
+        masses = [math.comb(10, j) for j in range(6, 10)]
+        assert sub.probabilities == pytest.approx(np.array(masses) / sum(masses), rel=1e-13)
 
 
 class TestMaxentErrorFit:
@@ -132,7 +133,7 @@ class TestMaxentErrorFit:
     def test_self_consistent_centre_on_pinned_instances(self):
         # every eta here lies above the variance of the restricted law
         P = dist(0.5, 0.3, 0.2)
-        ed = error_distribution_exact(P, [0.0, 1.0, 3.0], 60).restrict(0.5, 2.0)
+        ed = error_distribution_exact(P, [0.0, 1.0, 3.0], 60, (0.5, 2.0))
         for eta, expected in ((0.1, 0.939), (0.05, 0.917), (0.3, 0.999)):
             fit = maxent_error_fit(ed, MetaConstraint(kind="centered_square", eta=eta))
             assert fit.center == pytest.approx(expected, abs=1e-3)

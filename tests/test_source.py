@@ -66,7 +66,7 @@ def test_one_relative_entropy_projection_solve():
 def ldp_callers(name: str) -> list[str]:
     """The top-level functions of ldp.py that call ``name``, when it is called only there."""
     places = [place for place, _ in calls(name)]
-    assert len(places) == 1 and places[0].startswith("ldp.py:"), places
+    assert places and all(place.startswith("ldp.py:") for place in places), places
     tree = ast.parse((SOURCE / "ldp.py").read_text(encoding="utf-8"))
     return [node.name for node in tree.body if isinstance(node, ast.FunctionDef)
             and any(isinstance(call, ast.Call) and getattr(call.func, "id", None) == name
@@ -76,23 +76,27 @@ def ldp_callers(name: str) -> list[str]:
 def test_one_caller_of_the_type_enumeration():
     # the Sanov probability, the Gibbs conditional mean and the meta law all
     # read the type classes of ldp._type_terms
+    assert len(calls("enumerate_types")) == 1
     assert ldp_callers("enumerate_types") == ["_type_terms"]
 
 
-def test_one_caller_of_the_lattice_recursion():
-    # the log-domain recursion is the meta law's lattice method, chosen by its term count
-    assert ldp_callers("_lattice_law") == ["error_distribution_exact"]
+def test_the_log_domain_recursion_left_the_library():
+    # every lattice law is read off linear-domain tilted passes; the
+    # log-domain recursion is the tests' oracle only
+    found = [path.name for path in sorted(SOURCE.glob("*.py")) if "_lattice_law" in path.read_text(encoding="utf-8")]
+    assert found == []
 
 
-def test_one_caller_of_the_tilted_pass():
-    # the window readers' lattice method: one pass per grid, tilted by the
-    # window's dominating point
-    assert ldp_callers("_tilted_pass") == ["_window_laws"]
+def test_two_callers_of_the_tilted_pass():
+    # the window readers' lattice method (one pass per grid, tilted by the
+    # window's dominating point) and the meta law's (passes over its window)
+    assert len(calls("_tilted_pass")) == 2
+    assert ldp_callers("_tilted_pass") == ["_lattice_window", "_window_laws"]
 
 
-def test_window_readers_never_reach_the_log_domain_recursion():
-    # a window needs only the mass near its dominating point, which the
-    # tilted pass keeps; the log-domain recursion stays the meta law's
+def test_window_readers_run_one_pass_per_grid():
+    # a window needs only the mass near its dominating point, which one
+    # tilted pass keeps; the passes over a whole window stay the meta law's
     tree = ast.parse((SOURCE / "ldp.py").read_text(encoding="utf-8"))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     for reader in ("sanov_exact", "gibbs_conditioning"):
@@ -103,7 +107,18 @@ def test_window_readers_never_reach_the_log_domain_recursion():
                 if name in functions and name not in reached:
                     reached.add(name)
                     todo.append(name)
-        assert "_tilted_pass" in reached and "_lattice_law" not in reached, (reader, sorted(reached))
+        assert "_tilted_pass" in reached and "_lattice_window" not in reached, (reader, sorted(reached))
+
+
+def test_one_method_rule_for_every_exact_law():
+    # ldp.check_exact_law weighs the type enumeration by ENUMERATION_WEIGHT
+    # for every reader: it takes no weight, and no caller passes one
+    from maxent_bayes.ldp import check_exact_law
+
+    assert list(inspect.signature(check_exact_law).parameters) == ["P", "potential", "ns"]
+    places = calls("check_exact_law")
+    assert len(places) >= 3
+    assert [place for place, node in places if len(node.args) != 3 or node.keywords] == []
 
 
 def test_window_readers_do_not_sort_the_exact_law():
@@ -179,7 +194,7 @@ def test_every_traced_benchmark_target_exists():
 
 def test_trace_hooks_read_the_exact_law():
     # bench/spans.py counts the rows of enumerate_types and the support of
-    # error_distribution_exact; run one tiny sanov, gibbs and meta op traced,
+    # error_distribution_exact; run tiny sanov, gibbs and meta ops traced,
     # in a subprocess so that the wrappers stay out of this one
     configs = [
         {"command": "sanov", "inputs": {"P": [0.5, 0.5], "potential": [0, 1], "target_interval": [0.7, 1.0],
@@ -187,6 +202,9 @@ def test_trace_hooks_read_the_exact_law():
         {"command": "gibbs", "inputs": {"P": [0.5, 0.5], "potential": [0, 1], "Xi": [0.7, 0.8], "n_grid": [10]}},
         {"command": "meta", "inputs": {"P": [0.5, 0.5], "loss_row": [0, 1], "n": 16, "Xi": [0.6, 0.9],
                                        "U": {"kind": "identity"}, "eta": 0.7, "model_grid_step": 0.01}},
+        # an irrational potential keeps the type enumeration
+        {"command": "meta", "inputs": {"P": [0.3, 0.3, 0.4], "loss_row": [0, 1, 2 ** 0.5], "n": 12, "Xi": [0.5, 1.0],
+                                       "U": {"kind": "identity"}, "eta": 0.75, "model_grid_step": 0.05}},
     ]
     code = (
         "import io, json, sys, tempfile\n"
