@@ -7,11 +7,12 @@ Usage:
 
 Commands: bayes, tilt, project, necessity, sanov, gibbs, rate, meta, corr.
 
-Every command validates its config before it writes anything (the rules:
-README.md, "Config inputs"; ``gibbs`` and ``meta`` validate by running, see
-RUN_TO_VALIDATE), writes its outputs plus a run manifest with per-output
-checksums, and echoes the result JSON to stdout.  Exit codes by error
-family: validation 2, infeasible 3, numerical 4, resource 5.
+Every command parses its config (the rules: README.md, "Config inputs") and
+runs its computation, whose typed errors decide everything else, before it
+writes its outputs plus a run manifest with per-output checksums and echoes
+the result JSON to stdout; ``--validate-only`` takes the same path and writes
+nothing.  Exit codes by error family: validation 2, infeasible 3, numerical 4,
+resource 5.
 """
 
 from __future__ import annotations
@@ -29,16 +30,10 @@ import numpy as np
 
 from . import __version__
 from .correlation import GaussianPairModel, correlation_grid, loss_correlation_curve, loss_function
-from .errors import (
-    ConfigInvalid,
-    EmptyEvent,
-    InfeasibleError,
-    MaxentError,
-)
+from .errors import ConfigInvalid, MaxentError
 from .jsonio import canonical_config_hash, csv_text, dumps, sha256_text
 from .ldp import (
     SeededSampler,
-    check_exact_law,
     check_trials,
     error_rate_function,
     gibbs_conditioning,
@@ -59,13 +54,11 @@ from .tilting import (
     attainable_range,
     divergence_projection,
     i_projection,
-    resolve_target,
     solve_tilt_with_report,
     stationarity_residual,
     total_variation,
 )
 
-THREADS_ENV_VAR = "MAXENT_BAYES_THREADS"
 FORMATS = ("csv", "json", "both")
 # The input keys each command reads.  The reader of an object input rejects
 # the keys it does not read: FiniteDistribution.from_dict, LossMatrix.from_dict,
@@ -82,10 +75,6 @@ INPUT_KEYS = {
     "corr": ("loss", "r_grid", "sigma_y", "epsilon"),
 }
 COMMANDS = tuple(INPUT_KEYS)
-# Whether the window of gibbs, or the window and eta of meta, is feasible
-# depends on the support of the exact law of V . L_n at n, which only their
-# computation reads; so prepare runs it once and the plan hands back the result.
-RUN_TO_VALIDATE = ("gibbs", "meta")
 
 
 @dataclass
@@ -100,7 +89,7 @@ Execute = Callable[[RunContext], dict]
 
 @dataclass
 class RunPlan:
-    """A validated command with its resolved run settings, ready to execute."""
+    """A parsed command with its resolved run settings, ready to execute."""
 
     command: str
     execute: Execute
@@ -189,18 +178,13 @@ def _constraint_from(inputs: dict, v) -> ConstraintSpec:
     raise ConfigInvalid("missing target or target_interval")
 
 
-def _window_from(inputs: dict, P: FiniteDistribution, v: np.ndarray) -> tuple[float, float]:
-    """The Xi window; one that misses the attainable range holds no type class at any n."""
+def _window_from(inputs: dict) -> tuple[float, float]:
     window = _require(inputs, "Xi")
     if not isinstance(window, (list, tuple)) or len(window) != 2:
         raise ConfigInvalid("Xi must be [lo, hi]")
     lo, hi = _reals(window, "Xi")
     if lo > hi:
         raise ConfigInvalid("Xi must satisfy lo <= hi")
-    try:
-        resolve_target(P, v, (lo, hi), boundary=True)
-    except InfeasibleError as exc:
-        raise EmptyEvent(str(exc)) from exc
     return lo, hi
 
 
@@ -212,15 +196,11 @@ def _n_grid_from(inputs: dict, key: str = "n_grid") -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Command preparation (static validation happens here)
+# Command preparation: input parsing only; each execute runs the computation
 # ---------------------------------------------------------------------------
 def _prepare_bayes(inputs: dict) -> Execute:
     posterior = _as_distribution(_require(inputs, "posterior"), "posterior")
     loss = _as_loss_matrix(_require(inputs, "loss"))
-    if loss.label_alphabet.symbols != posterior.alphabet.symbols:
-        from .errors import AlphabetMismatch
-
-        raise AlphabetMismatch("loss label alphabet must match the posterior alphabet")
 
     def execute(ctx: RunContext) -> dict:
         decision = bayes_classifier(posterior, loss)
@@ -238,7 +218,6 @@ def _prepare_tilt(inputs: dict) -> Execute:
     q = _as_distribution(_require(inputs, "q"), "q")
     v = _as_potential(_require(inputs, "potential"), q)
     c = _real(_require(inputs, "target"), "target")
-    resolve_target(q, v, c)
 
     def execute(ctx: RunContext) -> dict:
         tilt, report = solve_tilt_with_report(q, v, c)
@@ -267,7 +246,6 @@ def _prepare_project(inputs: dict) -> Execute:
     P = _as_distribution(_require(inputs, "P"), "P")
     v = _as_potential(_require(inputs, "potential"), P)
     constraint = _constraint_from(inputs, v)
-    resolve_target(P, v, constraint.target, boundary=True)
 
     def execute(ctx: RunContext) -> dict:
         tilt, rate = i_projection(P, constraint)
@@ -287,7 +265,6 @@ def _prepare_necessity(inputs: dict) -> Execute:
     q = _as_distribution(_require(inputs, "q"), "q")
     v = _as_potential(_require(inputs, "potential"), q)
     c = _real(_require(inputs, "target"), "target")
-    resolve_target(q, v, c)
     constraint = ConstraintSpec.point(v, c)
 
     def execute(ctx: RunContext) -> dict:
@@ -315,8 +292,6 @@ def _prepare_sanov(inputs: dict) -> Execute:
     if method not in ("exact", "monte-carlo"):
         raise ConfigInvalid(f"method must be exact or monte-carlo, got {method!r}")
     trials = check_trials(_count(inputs.get("trials", 100_000), "trials"))
-    if method == "exact":  # sizes the method that will run for the whole grid
-        check_exact_law(P, v, n_grid)
 
     def execute(ctx: RunContext) -> dict:
         if method == "exact":
@@ -350,7 +325,7 @@ def _prepare_sanov(inputs: dict) -> Execute:
 def _prepare_gibbs(inputs: dict) -> Execute:
     P = _as_distribution(_require(inputs, "P"), "P")
     v = _as_potential(_require(inputs, "potential"), P)
-    lo, hi = _window_from(inputs, P, v)
+    lo, hi = _window_from(inputs)
     n_grid = _n_grid_from(inputs)
     constraint = ConstraintSpec.interval(v, lo, hi)
 
@@ -397,7 +372,7 @@ def _prepare_meta(inputs: dict) -> Execute:
     P = _as_distribution(_require(inputs, "P"), "P")
     v = _as_potential(_require(inputs, "loss_row"), P)
     n = _count(_require(inputs, "n"), "n", 1)
-    lo, hi = _window_from(inputs, P, v)
+    lo, hi = _window_from(inputs)
     u_spec = _require(inputs, "U")
     if not isinstance(u_spec, dict) or "kind" not in u_spec:
         raise ConfigInvalid('U must be an object like {"kind": "centered_square"}')
@@ -478,10 +453,10 @@ def prepare(
     seed: int | None = None,
     out_dir: str | Path | None = None,
 ) -> RunPlan:
-    """Parse and validate a config and its run settings; raises MaxentError
-    subclasses.  A command in RUN_TO_VALIDATE runs here, once, and a fault of
-    its computation propagates as itself.  ``fmt``, ``seed`` and ``out_dir``,
-    when given, override the config's ``format``, ``seed`` and ``output_dir``."""
+    """Parse a config and its run settings into a plan, running no computation;
+    malformed input raises ConfigInvalid (AlphabetMismatch for a potential of
+    the wrong length).  ``fmt``, ``seed`` and ``out_dir``, when given, override
+    the config's ``format``, ``seed`` and ``output_dir``."""
     if not isinstance(config, dict):
         raise ConfigInvalid("config must be a JSON object")
     cmd = config.get("command", command)
@@ -514,9 +489,6 @@ def prepare(
         raise
     except (TypeError, ValueError, KeyError, OverflowError) as exc:
         raise ConfigInvalid(f"bad inputs for {cmd!r}: {exc}") from exc
-    if cmd in RUN_TO_VALIDATE:  # neither execute reads its RunContext
-        artifacts = execute(RunContext(seed=seed, threads=1, verbose=False))
-        execute = lambda ctx: artifacts
     return RunPlan(cmd, execute, fmt, seed, Path(out_dir))
 
 
@@ -524,10 +496,21 @@ def _diagnostic(exc: MaxentError) -> dict:
     return {"family": _FAMILIES.get(exc.exit_code, "error"), "error": type(exc).__name__, "message": str(exc)}
 
 
+def _execute(config: dict, command: str | None, threads: int | None = None, verbose: bool = False, **settings):
+    """The one path of validate and run: prepare, then run the computation,
+    whose typed errors propagate; writes nothing.  Returns (plan, ctx, artifacts)."""
+    plan = prepare(config, command, **settings)
+    threads = threads if threads is not None else os.cpu_count() or 1
+    ctx = RunContext(seed=plan.seed, threads=max(1, threads), verbose=verbose)
+    return plan, ctx, plan.execute(ctx)
+
+
 def validate(config: dict, command: str | None = None) -> list[dict]:
-    """Diagnostics without writing anything; empty list means valid."""
+    """The diagnostic of the error that ``run`` with default settings raises
+    before its writes, found by running the same path; an empty list means
+    that the run succeeds.  Writes nothing."""
     try:
-        prepare(config, command)
+        _execute(config, command)
     except MaxentError as exc:
         return [_diagnostic(exc)]
     return []
@@ -543,13 +526,12 @@ def run(
     verbose: bool = False,
     stdout=None,
 ) -> RunManifest:
-    """Validate and execute a config, write outputs plus a manifest whose time
-    span includes validation (see RUN_TO_VALIDATE), return the manifest."""
+    """Parse and execute a config by the path ``validate`` takes, then write
+    its outputs plus a manifest whose time span includes the parse and the
+    computation; returns the manifest."""
     stdout = stdout if stdout is not None else sys.stdout
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    plan = prepare(config, command, fmt=fmt, seed=seed, out_dir=out_dir)
-    threads = threads if threads is not None else _default_threads()
-    ctx = RunContext(seed=plan.seed, threads=max(1, threads), verbose=verbose)
+    plan, ctx, artifacts = _execute(config, command, threads, verbose, fmt=fmt, seed=seed, out_dir=out_dir)
     manifest = RunManifest(
         config_sha256=canonical_config_hash(config),
         command=plan.command,
@@ -559,8 +541,6 @@ def run(
         seed=plan.seed,
         threads=ctx.threads,
     )
-
-    artifacts = plan.execute(ctx)
 
     out = plan.out_dir
     try:
@@ -588,16 +568,6 @@ def run(
     return manifest
 
 
-def _default_threads() -> int:
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maxent-bayes",
@@ -615,7 +585,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--validate-only",
             action="store_true",
-            help="report diagnostics and write nothing",
+            help="run the command without writing anything and report its error, if any",
         )
     return parser
 
@@ -633,24 +603,17 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             raise ConfigInvalid(f"malformed JSON config: {exc}") from exc
 
+        settings = {"fmt": args.format, "seed": args.seed, "out_dir": args.out}
         if args.validate_only:
             try:
-                prepare(config, args.command, fmt=args.format, seed=args.seed, out_dir=args.out)
+                _execute(config, args.command, args.threads, args.verbose, **settings)
             except MaxentError as exc:
                 sys.stdout.write(dumps({"diagnostics": [_diagnostic(exc)]}))
                 return exc.exit_code
             sys.stdout.write(dumps({"diagnostics": []}))
             return 0
 
-        run(
-            config,
-            command=args.command,
-            out_dir=args.out,
-            fmt=args.format,
-            seed=args.seed,
-            threads=args.threads,
-            verbose=args.verbose,
-        )
+        run(config, args.command, threads=args.threads, verbose=args.verbose, **settings)
         return 0
     except MaxentError as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")

@@ -428,10 +428,11 @@ def _fit_line(
 ) -> tuple[float, float, float, float]:
     """Least-squares line y ~ a + b x, weighted by 1 / variances when given.
 
-    Returns (slope, intercept, r2, slope_se); NaNs for fewer than 2 points.
+    Returns (slope, intercept, r2, slope_se); NaNs for fewer than 2 distinct
+    x values, tested as such: the weighted mean of equal x can be off by an ulp.
     """
     m = x.size
-    if m < 2:
+    if np.unique(x).size < 2:
         return math.nan, math.nan, math.nan, math.nan
     w = np.ones(m) if variances is None else 1.0 / np.maximum(variances, 1e-30)
     xb = float(np.sum(w * x) / np.sum(w))

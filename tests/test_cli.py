@@ -9,7 +9,7 @@ from scipy import optimize
 
 from maxent_bayes import cli, ldp
 from maxent_bayes import meta as meta_module
-from maxent_bayes.errors import MaxentError
+from maxent_bayes.errors import MaxentError, NonConvergence
 from maxent_bayes.jsonio import csv_text, dumps, format_float, sha256_text
 
 
@@ -165,6 +165,10 @@ class TestRun:
         config = tilt_config()
         config["seed"] = True
         assert cli.validate(config)[0]["error"] == "ConfigInvalid"
+
+
+# a sanov window sampled twice at one n
+HALF_WINDOW = {"P": [0.5, 0.5], "potential": [0, 1], "target_interval": [0.7, 1.0], "n_grid": [5, 5]}
 
 
 class TestMain:
@@ -399,11 +403,21 @@ class TestMain:
         assert captured.err == ""
         assert json.loads(captured.out)["method"] == "tilt"
 
-    def test_threads_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV_VAR, "3")
-        assert cli._default_threads() == 3
-        monkeypatch.setenv(cli.THREADS_ENV_VAR, "zzz")
-        assert cli._default_threads() == (os.cpu_count() or 1)
+    @pytest.mark.parametrize("config, keys", [
+        ({"command": "sanov", "inputs": {**HALF_WINDOW, "method": "monte-carlo", "trials": 1000}},
+         ("fitted_slope", "r2", "slope_stderr")),
+        ({"command": "sanov", "inputs": {**HALF_WINDOW, "method": "exact"}}, ("fitted_slope", "r2", "slope_stderr")),
+        ({"command": "corr", "inputs": {"loss": {"kind": "quadratic"}, "r_grid": [0.5] * 5}},
+         ("slope", "intercept", "r2")),
+    ])
+    def test_a_grid_of_one_distinct_value_fits_no_line(self, tmp_path, capsys, config, keys):
+        # no line passes through a single x: the fit is all nulls, with no
+        # division by zero and no r2 of 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main([config["command"], "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert [result[key] for key in keys] == [None] * len(keys)
 
 
 def read_outputs(out_dir):
@@ -620,9 +634,11 @@ def _fuzz_configs(rng):
 
 
 class TestValidationCompleteness:
-    STATIC_FAMILIES = {2: "validation", 3: "infeasible", 5: "resource"}
+    FAMILIES = {2: "validation", 3: "infeasible", 4: "numerical", 5: "resource"}
 
     def test_validate_and_run_agree_on_static_error_families(self, tmp_path, rng):
+        # validation runs the run's path without its writes: it is clean
+        # exactly when the run succeeds, and otherwise reports the run's family
         for i, config in enumerate(_fuzz_configs(rng)):
             diags = cli.validate(config)
             out = tmp_path / f"case{i}"
@@ -631,13 +647,24 @@ class TestValidationCompleteness:
                 run_quiet(config, out, threads=1)
             except MaxentError as exc:
                 error = exc
-            if not diags:
-                # statically clean configs must not fail with a static family
-                assert error is None or error.exit_code == 4, (config, error)
+            if error is None:
+                assert diags == [], (config, diags)
             else:
-                assert error is not None, config
-                family = self.STATIC_FAMILIES.get(error.exit_code, "numerical")
-                assert diags[0]["family"] == family, (config, diags, error)
+                assert [diag["family"] for diag in diags] == [self.FAMILIES[error.exit_code]], (config, diags, error)
+
+    def test_validate_only_reports_a_fault_of_the_computation(self, tmp_path, capsys, monkeypatch):
+        # a fault outside gibbs and meta is found by running, as the run finds it
+        def broken(*args, **kwargs):
+            raise NonConvergence("the tilt did not converge")
+
+        monkeypatch.setattr(cli, "solve_tilt_with_report", broken)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(tilt_config()), encoding="utf-8")
+        assert cli.main(["tilt", "--config", str(cfg), "--validate-only"]) == 4
+        [diag] = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert diag["family"] == "numerical" and diag["error"] == "NonConvergence"
+        assert cli.main(["tilt", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err.startswith("NonConvergence")
 
     @pytest.mark.parametrize(
         "command, key, value",
