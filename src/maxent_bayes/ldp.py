@@ -34,7 +34,8 @@ sorts its terms and groups them by value.
 Decay rates are always estimated by regressing log P_n on n across a grid of
 sample sizes: the polynomial prefactor of the exact probability contributes
 O(log n), which the slope fit suppresses, while evaluating (1/n) log P_n at
-a single n would not.
+a single n would not.  Monte Carlo blocks (``SeededSampler``) draw each trial's
+first count by inversion (Devroye 1986, III.2-3), the rest given the draws left.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -69,7 +70,7 @@ LATTICE_ULPS = 4
 # stream, keyed by its index, so this size fixes every Monte Carlo output.
 MC_BLOCK_SIZE = 65536
 WILSON_Z = 1.959963984540054  # 95% normal quantile
-MIN_EXPECTED_HITS = 10
+MIN_HITS = 10
 
 # Monte Carlo spawn keys are (0, _STREAM_SANOV, n, block); changing either
 # leading code changes every Monte Carlo output.
@@ -498,6 +499,38 @@ def sanov_exact(
     )
 
 
+@lru_cache(maxsize=4)
+def _inverse_table(n: int, q: float) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """(offset, pmf, cdf, guide) of Bin(n, q) over nq +- ceil(sqrt(372.5 n)), outside which
+    Hoeffding leaves mass below exp(-745), i.e. 0, from log pmf steps summed outward from the mode.
+    guide[i] inverts i / K, K = len(guide) a power of two, or is -1 if cell i has several steps."""
+    if q in (0.0, 1.0):
+        return (0 if q == 0.0 else n), np.ones(1), np.ones(1), np.zeros(1, dtype=np.intp)
+    h = math.ceil(math.sqrt(372.5 * n))
+    lo, hi = max(0, math.floor(n * q) - h), min(n, math.floor(n * q) + h)
+    if hi - lo + 1 > TABLE_CAP:
+        raise TableTooLarge(f"binomial table for n={n} needs {hi - lo + 1} entries (cap {TABLE_CAP})")
+    x = np.arange(lo, hi, dtype=float)
+    steps = np.log(n - x) - np.log1p(x) + (math.log(q) - math.log1p(-q))
+    mode = min(math.floor((n + 1) * q), hi) - lo
+    pmf = np.exp(np.concatenate([-np.cumsum(steps[:mode][::-1])[::-1], [0.0], np.cumsum(steps[mode:])]))
+    pmf /= pmf.sum()
+    cdf = np.cumsum(pmf)
+    cdf /= cdf[-1]
+    K = 1 << (len(cdf) - 1).bit_length()
+    guide = np.minimum(np.searchsorted(cdf, np.arange(K + 1) / K, side="right"), len(cdf) - 1)
+    return lo, pmf, cdf, np.where(np.diff(guide) > 1, -1, guide[:-1])
+
+
+def _inverse_binomial(n: int, q: float, u: np.ndarray) -> np.ndarray:
+    """Bin(n, q) by inversion of each u: offset + searchsorted(cdf, u, side="right")."""
+    offset, _, cdf, guide = _inverse_table(n, q)
+    x = guide[(u * len(guide)).astype(np.intp)]  # u K is exact
+    x += u >= cdf[x]  # a cell of several steps holds -1, and cdf[-1] is 1.0 > u
+    x[x < 0] = np.searchsorted(cdf, u[x < 0], side="right")
+    return x + offset
+
+
 @dataclass(frozen=True)
 class SeededSampler:
     """Deterministic counter-based sampling streams.
@@ -505,7 +538,8 @@ class SeededSampler:
     Each Monte Carlo block draws from its own stream, keyed by (seed, n,
     block index) through a SeedSequence spawn key feeding a Philox
     generator, so identical draws are bit-identical across runs and across
-    any parallel schedule.
+    any parallel schedule.  A block's first counts invert one cdf table per
+    (n, p_0); each later count is Bin(draws left, p_j / sum_{i >= j} p_i).
     """
 
     seed: int
@@ -517,7 +551,16 @@ class SeededSampler:
 
     def multinomial_block(self, n: int, block_index: int, block_trials: int) -> np.ndarray:
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(0, _STREAM_SANOV, n, block_index))
-        return np.random.Generator(np.random.Philox(seq)).multinomial(n, self.base.weights, size=block_trials)
+        gen = np.random.Generator(np.random.Philox(seq))
+        tails = np.cumsum(self.base.weights[::-1])[::-1]
+        q = np.divide(self.base.weights, tails, out=np.zeros_like(tails), where=tails > 0)
+        counts = np.empty((block_trials, len(q)), dtype=np.int64)
+        left = np.full(block_trials, n, dtype=np.int64)
+        for j in range(len(q) - 1):
+            counts[:, j] = gen.binomial(left, q[j]) if j else _inverse_binomial(n, q[0], gen.random(block_trials))
+            left -= counts[:, j]
+        counts[:, -1] = left
+        return counts
 
 
 def _wilson_interval(hits: int, trials: int) -> tuple[float, float]:
@@ -539,26 +582,27 @@ def sanov_monte_carlo(
     """Monte Carlo estimate of the same decay rate, for cross-checking.
 
     Hit frequencies come with Wilson 95% intervals; the slope fit weights
-    each point by the inverse delta-method variance of log p-hat.  Sample
-    sizes with fewer than 10 hits are flagged and excluded from the fit.
+    each point by the inverse delta-method variance of log p-hat.  Sample sizes
+    with fewer than MIN_HITS observed hits are flagged and excluded from the fit.
     """
     check_trials(trials)
+    if threads < 1:
+        raise ValueError(f"need at least 1 thread, got {threads!r}")
     P = sampler.base
     v = as_potential(constraint.potential, P.alphabet)
     lo, hi = _window(constraint)
 
     n_blocks = (trials + MC_BLOCK_SIZE - 1) // MC_BLOCK_SIZE
-    sizes = [min(MC_BLOCK_SIZE, trials - b * MC_BLOCK_SIZE) for b in range(n_blocks)]
 
     def block_hits(block: tuple[int, int]) -> int:
         n, b = block
-        counts = sampler.multinomial_block(n, b, sizes[b])
+        counts = sampler.multinomial_block(n, b, min(MC_BLOCK_SIZE, trials - b * MC_BLOCK_SIZE))
         return int(np.count_nonzero(in_window(counts @ v / n, lo, hi)))
 
     # one pool for every block of every n: each block's stream is keyed by
     # (n, b), so the hit counts do not depend on the schedule
     blocks = [(int(n), b) for n in n_grid for b in range(n_blocks)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=min(threads, len(blocks))) as pool:
         per_block = list(pool.map(block_hits, blocks))
 
     logs, ci_lo, ci_hi, variances, insufficient = [], [], [], [], []
@@ -569,7 +613,7 @@ def sanov_monte_carlo(
         logs.append(math.log(phat) if h > 0 else -math.inf)
         ci_lo.append(math.log(w_lo) if w_lo > 0 else -math.inf)
         ci_hi.append(math.log(w_hi) if w_hi > 0 else -math.inf)
-        if h < MIN_EXPECTED_HITS:
+        if h < MIN_HITS:
             insufficient.append(int(n))
             variances.append(math.inf)
         else:

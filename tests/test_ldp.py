@@ -153,6 +153,29 @@ class TestSanovMonteCarlo:
         with pytest.raises(ValueError):
             sanov_monte_carlo(sampler, ConstraintSpec.interval(V01, 0.0, 1.0), [10], 10)
 
+    def test_pool_has_no_more_threads_than_blocks(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(ldp_mod, "ThreadPoolExecutor", SerialPool)
+        sampler = SeededSampler(seed=1, base=BERN_HALF)
+        sanov_monte_carlo(sampler, ConstraintSpec.interval(V01, 0.0, 1.0), [10], 1000, threads=10**6)
+        assert sizes == [1]
+        with pytest.raises(ValueError):
+            sanov_monte_carlo(sampler, ConstraintSpec.interval(V01, 0.0, 1.0), [10], 1000, threads=0)
+
     def test_bit_identical_across_runs_and_thread_counts(self):
         constraint = ConstraintSpec.interval(V01, 0.7, 1.0)
         runs = []
@@ -177,6 +200,60 @@ class TestSeededSampler:
         a = s.multinomial_block(10, 0, 100)
         b = s.multinomial_block(10, 1, 100)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("weights, n", [
+        ([0.3, 0.7], 40),
+        ([0.2, 0.3, 0.5], 12),
+        ([0.1, 0.2, 0.3, 0.4], 7),
+        ([0.5, 0.0, 0.5], 9),
+        ([1e-3, 0.999], 30),
+    ])
+    def test_block_types_follow_the_multinomial_law(self, weights, n):
+        sampler = SeededSampler(seed=31, base=dist(*weights))
+        counts = np.concatenate([sampler.multinomial_block(n, b, ldp_mod.MC_BLOCK_SIZE) for b in range(8)])
+        assert counts.dtype == np.int64 and np.all(counts.sum(axis=1) == n)
+        types = [t for t in itertools.product(range(n + 1), repeat=len(weights)) if sum(t) == n]
+        expected = stats.multinomial.pmf(types, n, weights) * len(counts)
+        index = {t: i for i, t in enumerate(types)}
+        observed = np.bincount([index[tuple(row)] for row in counts.tolist()], minlength=len(types))
+        assert np.all(observed[expected == 0] == 0)
+        # pool the cells expected fewer than 5 times into one
+        rare = expected < 5
+        obs = np.append(observed[~rare], observed[rare].sum())
+        exp = np.append(expected[~rare], expected[rare].sum())
+        keep = exp > 0
+        assert stats.chisquare(obs[keep], exp[keep] * obs.sum() / exp[keep].sum()).pvalue > 1e-3
+
+    @pytest.mark.parametrize("weights", [[1.0, 0.0], [0.0, 1.0, 0.0]])
+    def test_a_weight_of_one_takes_every_draw(self, weights):
+        counts = SeededSampler(seed=3, base=dist(*weights)).multinomial_block(17, 0, 1000)
+        assert np.array_equal(counts, np.tile(np.asarray(weights, dtype=np.int64) * 17, (1000, 1)))
+
+    @pytest.mark.parametrize("q, n", [(0.37, 60), (1e-3, 30), (0.999, 500)])
+    def test_first_count_is_numpys_inversion(self, q, n):
+        # the guide-table read equals numpy's own inversion by searchsorted,
+        # also where a guide cell holds several cdf steps
+        sampler = SeededSampler(seed=12, base=dist(q, 1.0 - q))
+        first = sampler.multinomial_block(n, 5, 20_000)[:, 0]
+        seq = np.random.SeedSequence(entropy=12, spawn_key=(0, ldp_mod._STREAM_SANOV, n, 5))
+        gen = np.random.Generator(np.random.Philox(seq))
+        offset, pmf, _, guide = ldp_mod._inverse_table(n, q)
+        assert np.array_equal(first, offset + gen.choice(len(pmf), size=20_000, p=pmf))
+        u = np.random.Generator(np.random.Philox(seq)).random(20_000)
+        assert np.any(guide[(u * len(guide)).astype(np.intp)] < 0)
+        x = np.arange(offset, offset + len(pmf))
+        assert np.abs(np.cumsum(pmf) - stats.binom.cdf(x, n, q)).max() <= 1e-14
+
+    def test_large_n_table_is_sublinear_and_unbiased(self):
+        n, weights = 10**6, np.array([0.2, 0.3, 0.5])
+        assert len(ldp_mod._inverse_table(n, 0.2)[1]) <= 2 * math.ceil(math.sqrt(372.5 * n)) + 1
+        counts = SeededSampler(seed=8, base=dist(*weights)).multinomial_block(n, 0, ldp_mod.MC_BLOCK_SIZE)
+        se = np.sqrt(n * weights * (1 - weights) / len(counts))
+        assert np.all(np.abs(counts.mean(axis=0) - n * weights) <= 5 * se)
+
+    def test_a_table_over_the_cap_is_refused_before_it_is_built(self):
+        with pytest.raises(TableTooLarge):
+            SeededSampler(seed=8, base=BERN_HALF).multinomial_block(10**12, 0, 1000)
 
 
 class TestGibbsConditioning:

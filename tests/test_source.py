@@ -87,6 +87,12 @@ def test_the_log_domain_recursion_left_the_library():
     assert found == []
 
 
+def test_one_monte_carlo_sampler():
+    # SeededSampler.multinomial_block draws conditional binomials, the first by
+    # inversion; numpy's per-trial multinomial is not kept beside it
+    assert calls("multinomial") == []
+
+
 def test_two_callers_of_the_tilted_pass():
     # the window readers' lattice method (one pass per grid, tilted by the
     # window's dominating point) and the meta law's (passes over its window)
