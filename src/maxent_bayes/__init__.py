@@ -40,7 +40,6 @@ from .ldp import (
     RatePoint,
     SeededSampler,
     TypeClassTable,
-    contract_rate,
     enumerate_types,
     error_distribution_exact,
     error_rate_function,

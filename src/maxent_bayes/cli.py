@@ -230,13 +230,7 @@ def _prepare_tilt(inputs: dict) -> Execute:
             "target": c,
         }
         if ctx.verbose:
-            payload["diagnostics"] = {
-                "bracket": list(report["bracket"]),
-                "expansions": report["expansions"],
-                "bisections": report["bisections"],
-                "newton": report["newton"],
-                "residual": report["residual"],
-            }
+            payload["diagnostics"] = report
         return {"json": payload}
 
     return execute

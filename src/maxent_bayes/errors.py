@@ -60,10 +60,6 @@ class EmptyEvent(InfeasibleError):
     """No type class satisfies the constraint at this sample size."""
 
 
-class EmptyPreimage(InfeasibleError):
-    """A pushed-forward value has no preimage on the rate grid."""
-
-
 class EmptyFeasibleSet(InfeasibleError):
     """No model-grid point satisfies the expected-loss window."""
 

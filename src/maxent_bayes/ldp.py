@@ -44,11 +44,11 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyEvent, EmptyPreimage, InfeasibleError, NumericalError, TableTooLarge
+from .errors import EmptyEvent, InfeasibleError, NumericalError, TableTooLarge
 from .measures import Alphabet, FiniteDistribution, as_potential, relative_entropy, total_variation
 from .tilting import ConstraintSpec, TiltedDistribution, _project, i_projection
 
@@ -325,12 +325,12 @@ def check_exact_law(
     values = values[order]
     k, n = values.size, max(ns)
     lattice = _lattice(values)
-    recursion = math.inf if lattice is None else k * (int(lattice[2].max()) * n * (n + 1) // 2 + n)
+    tilted = math.inf if lattice is None else k * (int(lattice[2].max()) * n * (n + 1) // 2 + n)
     enumeration, table = ENUMERATION_WEIGHT * sum(table_size(k, size) for size in ns), table_size(k, n)
-    if recursion <= TABLE_CAP and (recursion < enumeration or table > TABLE_CAP):
+    if tilted <= TABLE_CAP and (tilted < enumeration or table > TABLE_CAP):
         return values, weights, lattice
     if table > TABLE_CAP:
-        method, terms = ("lattice recursion", recursion) if recursion < enumeration else ("type enumeration", table)
+        method, terms = ("tilted lattice pass", tilted) if tilted < enumeration else ("type enumeration", table)
         raise TableTooLarge(f"{method} for k={k} distinct values, n={n} sums {terms} terms (cap {TABLE_CAP})")
     return values, weights, None
 
@@ -710,40 +710,3 @@ def error_rate_function(
     feasible = end != "out"
     rates = np.where(feasible, relative_entropy(mus, P.weights), math.inf)
     return [RatePoint(xi=float(x), rate=float(r), feasible=bool(f)) for x, r, f in zip(xi, rates, feasible)]
-
-
-class ContractedRate:
-    """Grid-level pushforward of a rate function: J(eta) = min I over the preimage."""
-
-    def __init__(self, etas: np.ndarray, rates: np.ndarray):
-        self.etas = etas
-        self.rates = rates
-
-    def __call__(self, eta: float) -> float:
-        idx = np.flatnonzero(np.abs(self.etas - eta) <= XI_BAND)
-        if idx.size == 0:
-            raise EmptyPreimage(f"no grid point maps to {eta!r}")
-        return float(self.rates[idx[0]])
-
-    def items(self) -> list[tuple[float, float]]:
-        return [(float(e), float(r)) for e, r in zip(self.etas, self.rates)]
-
-
-def contract_rate(
-    rate_points: Sequence[RatePoint],
-    pushforward: Callable[[float], float],
-) -> ContractedRate:
-    """Push the rate grid through a map, taking the min rate per image value
-    (image values within XI_BAND of each other count as one)."""
-    etas = np.asarray([pushforward(p.xi) for p in rate_points], dtype=float)
-    rates = np.asarray([p.rate for p in rate_points], dtype=float)
-    order = np.argsort(etas, kind="stable")
-    merged_e: list[float] = []
-    merged_r: list[float] = []
-    for e, r in zip(etas[order], rates[order]):
-        if merged_e and abs(e - merged_e[-1]) <= XI_BAND:
-            merged_r[-1] = min(merged_r[-1], float(r))
-        else:
-            merged_e.append(float(e))
-            merged_r.append(float(r))
-    return ContractedRate(np.asarray(merged_e), np.asarray(merged_r))

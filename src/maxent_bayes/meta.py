@@ -46,7 +46,8 @@ class MetaConstraint:
     * ``identity``: U(xi) = xi.
     * ``centered_square``: U(xi) = (xi - center)^2; when ``center`` is None it
       is resolved self-consistently by ``maxent_error_fit``.
-    * ``user_table``: U interpolates the pairs (table_xi, table_u) linearly.
+    * ``user_table``: U interpolates the pairs (table_xi, table_u) linearly;
+      there is at least one pair, and table_xi does not decrease.
     """
 
     kind: str
@@ -62,8 +63,15 @@ class MetaConstraint:
                   if getattr(self, name) is not None and name not in U_PARAMETERS[self.kind]]
         if unread:
             raise ValueError(f"statistic {self.kind!r} takes no parameter {', '.join(unread)}")
-        if self.kind == "user_table" and (self.table_xi is None or self.table_u is None):
+        if self.kind != "user_table":
+            return
+        if self.table_xi is None or self.table_u is None:
             raise ValueError("user_table statistic needs table_xi and table_u")
+        sizes = len(self.table_xi), len(self.table_u)
+        if not sizes[0] or sizes[0] != sizes[1]:
+            raise ValueError(f"user_table needs table_xi and table_u of one positive length, got {sizes}")
+        if np.any(np.diff(self.table_xi) < 0.0):
+            raise ValueError("user_table table_xi must not decrease")
 
     @classmethod
     def from_dict(cls, spec: dict, eta: float) -> "MetaConstraint":

@@ -7,8 +7,8 @@ close as possible (in relative entropy) to the reference q.
 Every projection onto {p : V . p = c} has its primal in closed form in the
 constraint multipliers:
 
-* relative entropy: p = q exp(-lam V) / Z, a 1-D root in lam; the mean
-  decreases in lam, and a Newton probe from 0 doubles until the sign changes;
+* relative entropy: p = q exp(-lam V) / Z, a 1-D root in lam on the whole
+  line, from 0; the mean decreases in lam;
 * reverse relative entropy: p_i = q_i / (1 + beta (v_i - c)), a 1-D root in
   beta on the closed-form bracket (-1 / (max V - c), 1 / (c - min V));
 * squared Euclidean and chi-squared: p_i = max(q_i + (a + b v_i) / G'', 0),
@@ -249,7 +249,9 @@ def _bracketed_root(
     floor,
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Roots of an array of independent functions, each positive left of its
-    root and negative right of it on its open bracket (lo, hi), from x.
+    root and negative right of it on its open bracket (lo, hi), from x.  An
+    end may be infinite: it is never evaluated, and since the splits halve
+    bit patterns, a half-line (0, inf) still closes within about 64 splits.
 
     One loop solves them all.  Each root keeps its own bracket, its own
     floor and its own ROOT_STEP_CAP, and stops when it is done, so its answer
@@ -356,21 +358,23 @@ def _tilt_multiplier(
 
     Assumes min(v) < c_i < max(v).  The solve runs in t = lam s on d = v / s,
     s = max |v| (the spread of v may overflow; s may not), so each step is
-    the same for v and 2^j v, and each target's first probe, the Newton step
-    from t = 0, is finite for any finite v.  The mean decreases in t; each
-    probe doubles until the sign changes, and one ``_bracketed_root`` call
-    then solves every target on the (targets, k) matrix of log weights.
-    Returns (lam, weights, log_partition, report), one entry (weights and
-    the report's bracket: one row) per target, from the evaluation each root
-    settles on.  Every answer is checked (``_check_residuals``) from that
-    evaluation's residual; the weights are divided by their own sum, so only
-    V . p can be off.
+    the same for v and 2^j v.  The mean decreases in t, so one
+    ``_bracketed_root`` call solves every target on the (targets, k) matrix
+    of log weights, each on the whole line from t = 0: its first evaluation
+    keeps the half-line on the root's side, its first Newton step is finite
+    for any finite v, and its splits search that half-line's binades.
+    Returns (lam, weights, log_partition, report), one entry (weights: one
+    row) per target, from the evaluation each root settles on.  Every answer
+    is checked (``_check_residuals``) from that evaluation's residual; the
+    weights are divided by their own sum, so only V . p can be off.
     """
     s = float(np.abs(v).max())
     d, c_d = v / s, c / s
 
     def evaluate(t: np.ndarray):
-        w, log_z = _tilt_state(log_w, d, t)
+        # a Newton step off a subnormal variance may spread the log weights past the float range
+        with np.errstate(over="ignore"):
+            w, log_z = _tilt_state(log_w, d, t)
         m = np.add.reduce(w * d, axis=1)
         return m, -np.add.reduce(w * (d - m[:, None]) ** 2, axis=1), w, log_z
 
@@ -378,38 +382,15 @@ def _tilt_multiplier(
         m, slope = evaluate(t)[:2]
         return m - c_d[rows], slope
 
-    # the probe starts from the mean and variance of the law itself
-    mean0, slope0 = evaluate(np.zeros(1))[:2]
-    g0 = mean0 - c_d
-    sign = np.copysign(1.0, g0)
-    with np.errstate(divide="ignore", over="ignore"):
-        far = -g0 / slope0
-    far = np.where(np.isfinite(far), far, sign)  # the variance under q underflows (subnormal weights)
-    near, g_near, g_far = np.zeros(c_d.size), g0, np.empty(c_d.size)
-    expansions = np.zeros(c_d.size, dtype=int)
-    grow = np.arange(c_d.size)
-    while grow.size:
-        g_far[grow] = gap(far[grow], grow)[0]
-        grow = grow[g_far[grow] * sign[grow] > 0.0]
-        near[grow], g_near[grow] = far[grow], g_far[grow]
-        with np.errstate(over="ignore"):
-            far[grow] *= 2.0
-        expansions[grow] += 1
-        if not np.isfinite(far[grow]).all():
-            raise NonConvergence(f"multiplier for target {float(c[grow][0])!r} overflows the float range")
-    lo, hi = np.minimum(near, far), np.maximum(near, far)
-    start = np.where(np.abs(g_far) < np.abs(g_near), far, near)
-
-    t, g, counts = _bracketed_root(gap, lo, hi, start, _floor(1.0))
-    with np.errstate(over="ignore"):  # past the float range a multiplier or bracket end is inf
-        lam, bracket = t / s, np.column_stack((lo, hi)) / s
+    t, g, counts = _bracketed_root(gap, -math.inf, math.inf, np.zeros(c_d.size), _floor(1.0))
+    with np.errstate(over="ignore"):  # past the float range a multiplier is inf
+        lam = t / s
     if not np.isfinite(lam).all():
         raise NonConvergence(f"multiplier for target {float(c[~np.isfinite(lam)][0])!r} overflows the float range")
     _, slope, w, log_z = evaluate(t)
     # one float step of t moves V . p by the variance under p times that step
     _check_residuals("kl projection", d.size, 0.0, np.abs(g) * s, s, -slope * np.spacing(np.abs(t)) * s)
-    report = {"bracket": bracket, "expansions": expansions, **counts, "residual": np.abs(g) * s}
-    return lam, w, log_z, report
+    return lam, w, log_z, {**counts, "residual": np.abs(g) * s}
 
 
 def _project(
@@ -436,8 +417,7 @@ def _project(
     lam, log_z = np.where(out, np.nan, 0.0), np.where(out, np.nan, 0.0)
     rows = np.where(out[:, None], np.nan, base)
     zero = np.zeros(c.size)
-    report = {"bracket": np.zeros((c.size, 2)), "expansions": zero.astype(int), "newton": zero.astype(int),
-              "bisections": zero.astype(int), "residual": zero}
+    report = {"newton": zero.astype(int), "bisections": zero.astype(int), "residual": zero}
     for side, limit in (("min", math.inf), ("max", -math.inf)):
         at = end == side
         if at.any():

@@ -39,8 +39,8 @@ class TestValidate:
         cases = [
             # an irrational potential has no lattice: C(503, 3) type classes
             ([0, 1, math.sqrt(2.0), 3], 500, "type enumeration", math.comb(503, 3)),
-            # span 3 on a lattice: 4 * sum_{i <= 2000} (3 i + 1) recursion terms
-            ([0, 1, 2, 3], 2000, "lattice recursion", 4 * (3 * 2000 * 2001 // 2 + 2000)),
+            # span 3 on a lattice: 4 * sum_{i <= 2000} (3 i + 1) terms of the tilted pass
+            ([0, 1, 2, 3], 2000, "tilted lattice pass", 4 * (3 * 2000 * 2001 // 2 + 2000)),
         ]
         for potential, n, method, terms in cases:
             config = {
@@ -349,7 +349,7 @@ class TestMain:
 
     @pytest.mark.parametrize("target, expected", [
         (0.25, None),  # the README instance
-        (0.5, {"bracket": [0, 0], "expansions": 0, "bisections": 0, "newton": 0, "residual": 0}),  # the mean of q
+        (0.5, {"newton": 0, "bisections": 0, "residual": 0}),  # the mean of q
     ])
     def test_tilt_verbose_reports_solver_diagnostics(self, tmp_path, capsys, target, expected):
         cfg = tmp_path / "cfg.json"
@@ -357,13 +357,11 @@ class TestMain:
         assert cli.main(["tilt", "--config", str(cfg), "--out", str(tmp_path / "o"), "--verbose"]) == 0
         result = json.loads(capsys.readouterr().out)
         diagnostics = result["diagnostics"]
-        assert list(diagnostics) == ["bracket", "expansions", "bisections", "newton", "residual"]
+        assert list(diagnostics) == ["newton", "bisections", "residual"]
         if expected is not None:
             assert diagnostics == expected
             return
-        lo, hi = diagnostics["bracket"]
-        assert lo <= result["lambda"] <= hi
-        assert all(isinstance(diagnostics[key], int) for key in ("expansions", "bisections", "newton"))
+        assert all(isinstance(diagnostics[key], int) for key in ("bisections", "newton"))
         assert diagnostics["newton"] + diagnostics["bisections"] >= 1
         assert diagnostics["residual"] <= 4 * math.ulp(1.0)
 
@@ -812,6 +810,22 @@ class TestUnreadInputKeys:
         assert key in json.loads(capsys.readouterr().out)["diagnostics"][0]["message"]
         assert cli.main(["meta", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "ConfigInvalid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("table_xi, table_u", [
+        ([], []),  # no pair to interpolate
+        ([0.6, 0.9], [0.0]),  # tables of unequal length
+        ([0.9, 0.6], [0.0, 1.0]),  # table_xi decreases
+    ])
+    def test_malformed_user_table_is_a_validation_error(self, tmp_path, capsys, table_xi, table_u):
+        config = json.loads(json.dumps(next(c for c in VALID_CONFIGS if c["command"] == "meta")))
+        config["inputs"]["U"] = {"kind": "user_table", "table_xi": table_xi, "table_u": table_u}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main(["meta", "--config", str(cfg), "--validate-only"]) == 2
+        assert json.loads(capsys.readouterr().out)["diagnostics"][0]["error"] == "ConfigInvalid"
+        assert cli.main(["meta", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "ConfigInvalid" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_every_listed_key_is_read(self):
         # each valid config uses only listed keys, and the huber and quartic

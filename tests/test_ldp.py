@@ -10,7 +10,6 @@ from maxent_bayes import (
     ConstraintSpec,
     FiniteDistribution,
     SeededSampler,
-    contract_rate,
     enumerate_types,
     error_distribution_exact,
     error_rate_function,
@@ -19,7 +18,7 @@ from maxent_bayes import (
     sanov_monte_carlo,
 )
 import maxent_bayes.ldp as ldp_mod
-from maxent_bayes.errors import EmptyEvent, EmptyPreimage, NumericalError, TableTooLarge
+from maxent_bayes.errors import EmptyEvent, NumericalError, TableTooLarge
 from maxent_bayes.ldp import table_size
 from tests.conftest import random_distribution
 
@@ -707,28 +706,3 @@ class TestErrorRateFunction:
         points = error_rate_function(BERN_HALF, V01, [-0.5, 0.5, 1.5])
         assert [p.feasible for p in points] == [False, True, False]
         assert math.isinf(points[0].rate) and math.isinf(points[2].rate)
-
-
-class TestContractRate:
-    def grid_points(self):
-        return error_rate_function(BERN_HALF, V01, [0.25, 0.5, 0.75])
-
-    def test_identity_pushforward(self):
-        points = self.grid_points()
-        contracted = contract_rate(points, lambda xi: xi)
-        for p in points:
-            assert contracted(p.xi) == p.rate
-
-    def test_constant_pushforward_collapses_to_min(self):
-        contracted = contract_rate(self.grid_points(), lambda xi: 7.0)
-        assert contracted(7.0) == 0.0
-
-    def test_two_point_preimage_symmetric_binary(self):
-        contracted = contract_rate(self.grid_points(), lambda xi: (xi - 0.5) ** 2)
-        assert contracted(0.0625) == pytest.approx(0.130812, abs=1e-6)
-        assert contracted(0.0) == 0.0
-
-    def test_empty_preimage(self):
-        contracted = contract_rate(self.grid_points(), lambda xi: xi)
-        with pytest.raises(EmptyPreimage):
-            contracted(0.3)

@@ -9,8 +9,6 @@ from scipy import optimize
 from maxent_bayes import (
     FiniteDistribution,
     MetaConstraint,
-    RatePoint,
-    contract_rate,
     error_distribution_exact,
     error_rate_function,
     kl_divergence,
@@ -373,20 +371,6 @@ class TestLevelCoherence:
         for xi in (0.7, 0.8):
             finite_n_rate = -math.log(ed.weight_at(xi)) / n
             assert abs(finite_n_rate - rates[xi]) <= 0.05
-
-    def test_contraction_of_exact_error_law_matches_rate_function(self):
-        # finite-n rates of the exact error law, pushed through the grid
-        # contraction, line up with the analytic rate function
-        n = 60
-        ed = error_distribution_exact(BERN_HALF, V01, n)
-        finite_n_points = [
-            RatePoint(xi=float(x), rate=-math.log(w) / n, feasible=True)
-            for x, w in zip(ed.support, ed.probabilities)
-            if w > 0
-        ]
-        contracted = contract_rate(finite_n_points, lambda xi: xi)
-        for p in error_rate_function(BERN_HALF, V01, [0.7, 0.8]):
-            assert abs(contracted(p.xi) - p.rate) <= 0.05
 
 
 class TestMapConsistency:

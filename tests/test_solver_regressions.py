@@ -247,6 +247,19 @@ class TestPinnedProjections:
         lam = optimize.brentq(mean, 0.0, 10.0, xtol=1e-15)
         assert p == pytest.approx(special.softmax(np.log(q) - lam * v), abs=1e-9)
 
+    @pytest.mark.parametrize("q, v", [
+        # the variance under q underflows to 0, so there is no Newton step from 0
+        ([1.0 - 1e-310, 1e-310], [0.0, 1.0]),
+        # the variance under q is subnormal, so the Newton step from 0 spreads
+        # the log weights past the float range
+        ([1.0, 2e-309], [-1.0, 1.0]),
+    ])
+    def test_kl_tilt_where_the_variance_under_q_underflows(self, q, v):
+        # two atoms share the mass equally at the target, the midpoint of V
+        tilt = solve_tilt(FiniteDistribution.from_weights(q), v, 0.5 * (v[0] + v[1]))
+        assert tilt.lam == pytest.approx(math.log(q[1] / q[0]) / (v[1] - v[0]), rel=1e-13)
+        assert tilt.realized.weights == pytest.approx([0.5, 0.5], abs=1e-15)
+
     @pytest.mark.parametrize("gen", ("kl",) + NON_KL)
     @pytest.mark.parametrize(
         "v, c",

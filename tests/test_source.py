@@ -15,7 +15,6 @@ SOURCE = ROOT / "src" / "maxent_bayes"
 
 # Public names kept although no command, script or acceptance criterion uses them.
 UNREACHED_BY_DESIGN = {
-    "contract_rate": "the contraction step of the Sanov extension; its tests check level coherence",
     "shannon_entropy": "the oracle of the max-entropy property tests",
 }
 
@@ -61,6 +60,15 @@ def test_one_relative_entropy_projection_solve():
     # through tilting._project, the one caller of the multiplier root
     places = [place for place, _ in calls("_tilt_multiplier")]
     assert len(places) == 1 and places[0].startswith("tilting.py:"), places
+
+
+def test_the_tilt_multiplier_runs_no_loop_of_its_own():
+    # _bracketed_root, started from 0 on the whole line, is the tilt's only
+    # iterative solve: no probe loop widens a bracket before it
+    tree = ast.parse((SOURCE / "tilting.py").read_text(encoding="utf-8"))
+    function = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_tilt_multiplier")
+    found = [node.lineno for node in ast.walk(function) if isinstance(node, (ast.For, ast.While))]
+    assert found == []
 
 
 def ldp_callers(name: str) -> list[str]:
