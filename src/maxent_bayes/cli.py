@@ -51,7 +51,6 @@ from .meta import MetaConstraint, check_speed, model_grid_step, run_meta_pipelin
 from .tilting import (
     ConstraintSpec,
     DivergenceSpec,
-    attainable_range,
     divergence_projection,
     i_projection,
     solve_tilt_with_report,
@@ -60,21 +59,6 @@ from .tilting import (
 )
 
 FORMATS = ("csv", "json", "both")
-# The input keys each command reads.  The reader of an object input rejects
-# the keys it does not read: FiniteDistribution.from_dict, LossMatrix.from_dict,
-# MetaConstraint.from_dict and correlation.loss_function.
-INPUT_KEYS = {
-    "bayes": ("posterior", "loss"),
-    "tilt": ("q", "potential", "target"),
-    "project": ("P", "potential", "target", "target_interval"),
-    "necessity": ("generator", "q", "potential", "target"),
-    "sanov": ("P", "potential", "target", "target_interval", "n_grid", "method", "trials"),
-    "gibbs": ("P", "potential", "Xi", "n_grid"),
-    "rate": ("P", "potential", "points", "xi_grid"),
-    "meta": ("P", "loss_row", "n", "Xi", "eta", "U", "model_grid_step", "speed"),
-    "corr": ("loss", "r_grid", "sigma_y", "epsilon"),
-}
-COMMANDS = tuple(INPUT_KEYS)
 
 
 @dataclass
@@ -341,13 +325,11 @@ def _prepare_gibbs(inputs: dict) -> Execute:
 def _prepare_rate(inputs: dict) -> Execute:
     P = _as_distribution(_require(inputs, "P"), "P")
     v = _as_potential(_require(inputs, "potential"), P)
-    points = _count(inputs.get("points", 50), "points", 2)
+    xi_grid = _count(inputs.get("points", 50), "points", 2)  # error_rate_function spaces them
     if "xi_grid" in inputs:
-        xi_grid = list(_reals(inputs["xi_grid"], "xi_grid"))
+        xi_grid = _reals(inputs["xi_grid"], "xi_grid")
         if not xi_grid:
             raise ConfigInvalid("xi_grid must be non-empty")
-    else:
-        xi_grid = list(np.linspace(*attainable_range(P, v), points))
 
     def execute(ctx: RunContext) -> dict:
         pts = error_rate_function(P, v, xi_grid)
@@ -373,10 +355,7 @@ def _prepare_meta(inputs: dict) -> Execute:
     spec = {**u_spec, **{key: _reals(u_spec[key], key) for key in ("table_xi", "table_u") if key in u_spec}}
     if spec.get("center") is not None:
         spec["center"] = _real(spec["center"], "center")
-    try:
-        meta = MetaConstraint.from_dict(spec, _real(_require(inputs, "eta"), "eta"))
-    except ValueError as exc:
-        raise ConfigInvalid(str(exc)) from exc
+    meta = MetaConstraint(eta=_real(_require(inputs, "eta"), "eta"), **spec)
     step = inputs.get("model_grid_step")
     if step is not None:
         step = _real(step, "model_grid_step")
@@ -425,16 +404,19 @@ def _prepare_corr(inputs: dict) -> Execute:
     return execute
 
 
-_PREPARERS = {
-    "bayes": _prepare_bayes,
-    "tilt": _prepare_tilt,
-    "project": _prepare_project,
-    "necessity": _prepare_necessity,
-    "sanov": _prepare_sanov,
-    "gibbs": _prepare_gibbs,
-    "rate": _prepare_rate,
-    "meta": _prepare_meta,
-    "corr": _prepare_corr,
+# Each command's preparer and the input keys it reads.  The reader of an object
+# input rejects the keys it does not read: FiniteDistribution.from_dict,
+# LossMatrix.from_dict, MetaConstraint and correlation.loss_function.
+COMMANDS = {
+    "bayes": (_prepare_bayes, ("posterior", "loss")),
+    "tilt": (_prepare_tilt, ("q", "potential", "target")),
+    "project": (_prepare_project, ("P", "potential", "target", "target_interval")),
+    "necessity": (_prepare_necessity, ("generator", "q", "potential", "target")),
+    "sanov": (_prepare_sanov, ("P", "potential", "target", "target_interval", "n_grid", "method", "trials")),
+    "gibbs": (_prepare_gibbs, ("P", "potential", "Xi", "n_grid")),
+    "rate": (_prepare_rate, ("P", "potential", "points", "xi_grid")),
+    "meta": (_prepare_meta, ("P", "loss_row", "n", "Xi", "eta", "U", "model_grid_step", "speed")),
+    "corr": (_prepare_corr, ("loss", "r_grid", "sigma_y", "epsilon")),
 }
 
 _FAMILIES = {2: "validation", 3: "infeasible", 4: "numerical", 5: "resource"}
@@ -465,7 +447,8 @@ def prepare(
     inputs = config.get("inputs")
     if not isinstance(inputs, dict):
         raise ConfigInvalid("config must carry an inputs object")
-    unread = sorted(set(inputs) - set(INPUT_KEYS[cmd]))
+    preparer, keys = COMMANDS[cmd]
+    unread = sorted(set(inputs) - set(keys))
     if unread:
         raise ConfigInvalid(f"inputs has keys the command does not read: {', '.join(map(str, unread))}")
     fmt = config.get("format", "both") if fmt is None else fmt
@@ -478,7 +461,7 @@ def prepare(
     if not isinstance(out_dir, (str, os.PathLike)):
         raise ConfigInvalid("output_dir must be a path string")
     try:
-        execute = _PREPARERS[cmd](inputs)
+        execute = preparer(inputs)
     except MaxentError:
         raise
     except (TypeError, ValueError, KeyError, OverflowError) as exc:

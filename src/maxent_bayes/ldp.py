@@ -7,11 +7,12 @@ onto the k distinct values of V on its support, by one of two methods:
 - the type enumeration, C(n + k - 1, k - 1) compositions of n per n;
 - on a lattice, values a + h m_j with integer m_j of span R = max m, the law
   of the lattice sum S_n = sum m_{X_i} from a linear-domain pass, one
-  convolution per draw, k (R N (N + 1) / 2 + N) terms to N draws
-  (``_tilted_pass``), tilted so that the mass near a chosen point never
-  underflows.  The window readers (``sanov_exact``, ``gibbs_conditioning``)
-  run one pass for the whole n grid, tilted by the multiplier of the
-  window's dominating point.  The law the meta pipeline fits on its window
+  convolution per draw, (R + 1) (R N (N - 1) / 2 + N) terms to N draws
+  (``_tilted_pass``: each of the kernel's R + 1 entries, zeros included,
+  times each of the R i + 1 sums after i < N draws), tilted so that the
+  mass near a chosen point never underflows.  The window readers
+  (``sanov_exact``, ``gibbs_conditioning``) run one pass for the whole n
+  grid, tilted by the multiplier of the window's dominating point.  The law the meta pipeline fits on its window
   (``error_distribution_exact``), whose far end can lie thousands of nats
   below its near end, runs as many passes as it takes for each reachable sum
   of the window to keep a normal mass in one (``_lattice_window``).
@@ -50,7 +51,7 @@ import numpy as np
 
 from .errors import EmptyEvent, InfeasibleError, NumericalError, TableTooLarge
 from .measures import Alphabet, FiniteDistribution, as_potential, relative_entropy, total_variation
-from .tilting import ConstraintSpec, TiltedDistribution, _project, i_projection
+from .tilting import ConstraintSpec, TiltedDistribution, _project, attainable_range, i_projection
 
 TABLE_CAP = 10_000_000
 # Every exact law counts a type-enumeration term as this many terms of the
@@ -325,7 +326,10 @@ def check_exact_law(
     values = values[order]
     k, n = values.size, max(ns)
     lattice = _lattice(values)
-    tilted = math.inf if lattice is None else k * (int(lattice[2].max()) * n * (n + 1) // 2 + n)
+    tilted = math.inf
+    if lattice is not None:
+        span = int(lattice[2].max())
+        tilted = (span + 1) * (span * n * (n - 1) // 2 + n)
     enumeration, table = ENUMERATION_WEIGHT * sum(table_size(k, size) for size in ns), table_size(k, n)
     if tilted <= TABLE_CAP and (tilted < enumeration or table > TABLE_CAP):
         return values, weights, lattice
@@ -550,6 +554,8 @@ class SeededSampler:
             raise ValueError("seed must be a 64-bit non-negative integer")
 
     def multinomial_block(self, n: int, block_index: int, block_trials: int) -> np.ndarray:
+        if n >= 2 ** 63:  # checked before numpy converts n to a C integer
+            raise TableTooLarge(f"counts of n={n} draws overflow the 64-bit count table")
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(0, _STREAM_SANOV, n, block_index))
         gen = np.random.Generator(np.random.Philox(seq))
         tails = np.cumsum(self.base.weights[::-1])[::-1]
@@ -694,18 +700,25 @@ class RatePoint:
 
 
 def error_rate_function(
-    P: FiniteDistribution, potential, xi_grid: Sequence[float]
+    P: FiniteDistribution, potential, xi_grid: Sequence[float] | int
 ) -> list[RatePoint]:
-    """Rate function of expected-loss values: I(xi) = min KL over {V . mu = xi}.
+    """Rate function of expected-loss values: I(xi) = min KL over {V . mu = xi},
+    on the points of ``xi_grid``, or on that many points evenly spaced over
+    the attainable range of V when it is an int.
 
     Grid points outside the attainable range are reported infeasible with
     rate +inf (the empty-set infimum); boundary points resolve to the
     conditioning of P on the extreme set of the potential.  The whole grid is
-    one batch of projections (``tilting._project``), and each rate is the
-    relative entropy of its row (``measures.relative_entropy``).
+    one batch of projections (``tilting._project``), one row of P's size per
+    point, TableTooLarge past TABLE_CAP entries before any is allocated; each
+    rate is the relative entropy of its row (``measures.relative_entropy``).
     """
     v = as_potential(potential, P.alphabet)
-    xi = np.asarray(xi_grid, dtype=float)
+    spaced = isinstance(xi_grid, int)
+    size = (xi_grid if spaced else len(xi_grid)) * P.size
+    if size > TABLE_CAP:
+        raise TableTooLarge(f"rate grid of {size // P.size} points needs {size} entries (cap {TABLE_CAP})")
+    xi = np.linspace(*attainable_range(P, v), xi_grid) if spaced else np.asarray(xi_grid, dtype=float)
     _, mus, _, end, _ = _project(P, v, xi, boundary=True)
     feasible = end != "out"
     rates = np.where(feasible, relative_entropy(mus, P.weights), math.inf)

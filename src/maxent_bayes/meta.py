@@ -73,17 +73,6 @@ class MetaConstraint:
         if np.any(np.diff(self.table_xi) < 0.0):
             raise ValueError("user_table table_xi must not decrease")
 
-    @classmethod
-    def from_dict(cls, spec: dict, eta: float) -> "MetaConstraint":
-        """The statistic ``{"kind": ..., <its parameters>}`` with target eta;
-        a key that is no parameter of the kind is a ValueError."""
-        unread = {key: value for key, value in spec.items() if key != "kind"}
-        params = {name: unread.pop(name) for name in ("center", "table_xi", "table_u") if name in unread}
-        meta = cls(spec["kind"], eta, **params)
-        if unread:
-            raise ValueError(f"statistic {meta.kind!r} takes no parameter {', '.join(map(str, sorted(unread)))}")
-        return meta
-
     def values(self, xi: np.ndarray) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
         if self.kind == "identity":

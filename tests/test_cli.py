@@ -25,6 +25,17 @@ def run_quiet(config, out_dir, **kwargs):
     return cli.run(config, out_dir=out_dir, stdout=io.StringIO(), **kwargs)
 
 
+def exits_with_table_too_large(tmp_path, capsys, config):
+    """Assert that the config exits 5 with TableTooLarge, validated or run, and writes nothing."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    assert cli.main([config["command"], "--config", str(cfg), "--validate-only"]) == 5
+    assert json.loads(capsys.readouterr().out)["diagnostics"][0]["error"] == "TableTooLarge"
+    assert cli.main([config["command"], "--config", str(cfg), "--out", str(tmp_path / "o")]) == 5
+    assert "TableTooLarge" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 class TestValidate:
     def test_valid_config_has_no_diagnostics(self):
         assert cli.validate(tilt_config()) == []
@@ -39,8 +50,8 @@ class TestValidate:
         cases = [
             # an irrational potential has no lattice: C(503, 3) type classes
             ([0, 1, math.sqrt(2.0), 3], 500, "type enumeration", math.comb(503, 3)),
-            # span 3 on a lattice: 4 * sum_{i <= 2000} (3 i + 1) terms of the tilted pass
-            ([0, 1, 2, 3], 2000, "tilted lattice pass", 4 * (3 * 2000 * 2001 // 2 + 2000)),
+            # span 3 on a lattice: 4 * sum_{i < 2000} (3 i + 1) terms of the tilted pass
+            ([0, 1, 2, 3], 2000, "tilted lattice pass", 4 * (3 * 2000 * 1999 // 2 + 2000)),
         ]
         for potential, n, method, terms in cases:
             config = {
@@ -233,6 +244,26 @@ class TestMain:
         assert json.loads(capsys.readouterr().out)["diagnostics"][0]["error"] == "TableTooLarge"
         assert cli.main(["meta", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 5
         capsys.readouterr()
+
+    @pytest.mark.parametrize("n", [2 ** 63, 10 ** 400], ids=["2**63", "10**400"])
+    @pytest.mark.parametrize("P", [[0.5, 0.5], [0.0, 0.5, 0.5]], ids=["drawn", "certain"])
+    def test_monte_carlo_n_past_64_bits_exits_5(self, tmp_path, capsys, n, P):
+        # a valid JSON integer that no 64-bit count holds, whether the first
+        # count is drawn from a table or is certain
+        inputs = {"P": P, "potential": list(range(len(P))), "target_interval": [0.6, 2.0], "n_grid": [10, n],
+                  "method": "monte-carlo", "trials": 1000}
+        exits_with_table_too_large(tmp_path, capsys, {"command": "sanov", "inputs": inputs})
+
+    @pytest.mark.parametrize("k, grid", [
+        (2, {"points": ldp.TABLE_CAP + 1}),
+        (2, {"points": 10 ** 20}),
+        (100, {"xi_grid": [50.0] * (ldp.TABLE_CAP // 100 + 1)}),  # a row of 100 entries per point
+    ], ids=["cap+1", "1e20", "xi_grid"])
+    def test_rate_grid_over_the_cap_exits_5_before_it_is_built(self, tmp_path, capsys, monkeypatch, k, grid):
+        for module, name in ((np, "linspace"), (ldp, "_project")):
+            monkeypatch.setattr(module, name, lambda *args, name=name, **kwargs: pytest.fail(f"ran {name}"))
+        inputs = {"P": [1.0 / k] * k, "potential": list(range(k)), **grid}
+        exits_with_table_too_large(tmp_path, capsys, {"command": "rate", "inputs": inputs})
 
     @pytest.mark.parametrize("center, eta", [(None, 0.03), (0.6, 0.1)])
     def test_meta_centered_square_out_of_reach_exits_3(self, tmp_path, capsys, center, eta):

@@ -508,10 +508,13 @@ class TestLatticeRecursion:
     @pytest.mark.parametrize("weights, v, n, enumerations", [
         ([0.1, 0.2, 0.3, 0.4], [0.0, 1.0, 2.0, 3.0], 200, 0),
         ([0.4, 0.6], [0.0, 1.0], 1600, 1),
-        # 2.9e6 pass terms against 20 x 321,201 enumeration terms
+        # 3.8e6 pass terms against 20 x 321,201 enumeration terms
         ([0.2, 0.3, 0.5], [0.0, 1.0, 3.0], 800, 0),
-        # span 10: 6.0e5 pass terms against 20 x 20,301
+        # span 10: 2.2e6 pass terms against 20 x 20,301
         ([0.2, 0.3, 0.5], [0.0, 1.0, 10.0], 200, 1),
+        # span 1000: np.convolve multiplies the kernel's zeros too, 1.8e9
+        # pass terms against 20 x 635,376
+        ([0.2] * 5, [0.0, 1.0, 2.0, 3.0, 1000.0], 60, 1),
     ])
     def test_the_method_with_fewer_terms_runs(self, monkeypatch, weights, v, n, enumerations):
         sizes = count_enumerations(monkeypatch)
@@ -523,11 +526,17 @@ class TestLatticeRecursion:
         error_distribution_exact(dist(0.2, 0.3, 0.5), [0.0, 1.0, 1.0], 50)
         assert sizes == [51]
 
+    def test_a_sparse_lattice_pass_over_the_cap_is_refused(self):
+        # span 50 at n = 200: 51 x (50 x 200 x 199 / 2 + 200) multiply-adds,
+        # over the cap, and still fewer than 20 x C(204, 4) enumeration terms
+        with pytest.raises(TableTooLarge, match="tilted lattice pass .* sums 50755200 terms"):
+            ldp_mod.check_exact_law(dist(*[0.2] * 5), [0.0, 1.0, 2.0, 3.0, 50.0], [200])
 
-def terms_at_the_cap(k: int, span: int) -> int:
-    """The largest n whose lattice method sums at most TABLE_CAP terms."""
+
+def terms_at_the_cap(span: int) -> int:
+    """The largest n whose lattice pass sums at most TABLE_CAP terms."""
     n = 1
-    while k * (span * (n + 1) * (n + 2) // 2 + n + 1) <= ldp_mod.TABLE_CAP:
+    while (span + 1) * (span * (n + 1) * n // 2 + n + 1) <= ldp_mod.TABLE_CAP:
         n += 1
     return n
 
@@ -543,7 +552,7 @@ class TestTiltedPass:
             m -= m[0]
             if k == 3:
                 m = np.array([0, 2, 4])  # gcd 2: every odd sum is unreachable
-            n = terms_at_the_cap(k, int(m.max()))
+            n = terms_at_the_cap(int(m.max()))
             weights = random_distribution(rng, k, min_mass=1e-3).weights
             exact = log_domain_lattice_law(np.log(weights), m, n)
             s = np.arange(exact.size)
@@ -647,7 +656,7 @@ class TestLatticeWindowLaw:
         assert np.array_equal(law.support, s / n)
         assert np.all(np.abs(law.log_mass - exact[s]) <= 1e-12 * np.abs(exact[s]))
 
-    @pytest.mark.parametrize("k, n", [(4, 1290), (5, 999), (6, 815)])
+    @pytest.mark.parametrize("k, n", [(4, 1291), (5, 1000), (6, 816)])
     def test_reach_at_the_cap(self, k, n):
         # V = [0..k-1]: one pass at n sums at most TABLE_CAP terms, at n + 1
         # more; the law of a window symmetric about the mean is symmetric

@@ -156,6 +156,18 @@ def test_the_cli_decides_no_feasibility():
     assert "RUN_TO_VALIDATE" not in identifiers(SOURCE / "cli.py")
 
 
+def test_one_command_table():
+    # each command's preparer and the input keys it reads share one entry of
+    # cli.COMMANDS, which prepare and the parser both read
+    from maxent_bayes import cli
+
+    tree = ast.parse((SOURCE / "cli.py").read_text(encoding="utf-8"))
+    tables = [target.id for node in tree.body if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+              and {getattr(key, "value", None) for key in node.value.keys} == set(cli.COMMANDS)
+              for target in node.targets]
+    assert tables == ["COMMANDS"]
+
+
 def identifiers(path: Path) -> set[str]:
     """Every name, attribute and imported name that a file mentions."""
     names = set()
