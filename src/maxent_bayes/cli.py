@@ -420,6 +420,24 @@ COMMANDS = {
 }
 
 _FAMILIES = {2: "validation", 3: "infeasible", 4: "numerical", 5: "resource"}
+# The top-level keys of a config; prepare rejects any other.
+CONFIG_KEYS = ("command", "inputs", "format", "seed", "output_dir")
+
+
+def _check_read(obj: dict, keys: tuple[str, ...], what: str) -> None:
+    unread = sorted(map(str, set(obj) - set(keys)))
+    if unread:
+        raise ConfigInvalid(f"{what} has keys the command does not read: {', '.join(unread)}")
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The JSON object of ``pairs``; ConfigInvalid when a key repeats, where
+    json.load would keep the last value silently."""
+    keys = [key for key, _ in pairs]
+    repeated = sorted({key for key in keys if keys.count(key) > 1})
+    if repeated:
+        raise ConfigInvalid(f"config repeats the key {', '.join(repeated)}")
+    return dict(pairs)
 
 
 def prepare(
@@ -435,6 +453,7 @@ def prepare(
     the config's ``format``, ``seed`` and ``output_dir``."""
     if not isinstance(config, dict):
         raise ConfigInvalid("config must be a JSON object")
+    _check_read(config, CONFIG_KEYS, "config")
     cmd = config.get("command", command)
     if cmd is None:
         raise ConfigInvalid("no command given")
@@ -448,9 +467,7 @@ def prepare(
     if not isinstance(inputs, dict):
         raise ConfigInvalid("config must carry an inputs object")
     preparer, keys = COMMANDS[cmd]
-    unread = sorted(set(inputs) - set(keys))
-    if unread:
-        raise ConfigInvalid(f"inputs has keys the command does not read: {', '.join(map(str, unread))}")
+    _check_read(inputs, keys, "inputs")
     fmt = config.get("format", "both") if fmt is None else fmt
     if fmt not in FORMATS:
         raise ConfigInvalid(f"format must be one of {FORMATS}")
@@ -574,7 +591,7 @@ def main(argv: list[str] | None = None) -> int:
 
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                config = _json.load(fh)
+                config = _json.load(fh, object_pairs_hook=_unique_keys)
         except OSError as exc:
             raise ConfigInvalid(f"cannot read config: {exc}") from exc
         except ValueError as exc:

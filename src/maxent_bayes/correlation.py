@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InfeasibleConstraint, NumericalError, UnsupportedLoss
 from .ldp import _fit_line
-from .tilting import _floor
+from .measures import _floor
 
 # Each supported loss and the one parameter it takes, if any (default 1.0).
 LOSS_PARAMETERS = {"quadratic": None, "huber": "delta", "quartic": "scale"}
@@ -84,7 +84,7 @@ class GaussianPairModel:
     """Correlated Gaussian pair with an explicit conditional variance slack.
 
     Raises InfeasibleConstraint when epsilon exceeds the envelope variance
-    by more than its float resolution (``tilting._floor``), at any scale of
+    by more than its float resolution (``measures._floor``), at any scale of
     sigma_y.
     """
 
@@ -178,7 +178,7 @@ def loss_correlation_curve(
     losses = [GaussianPairModel(sigma_y, r, epsilon).conditional_expected_loss(loss) for r in rs]
 
     order = np.argsort(rs)
-    if not np.all(np.diff(np.asarray(losses)[order]) <= 1e-12):
+    if not np.all(np.diff(np.asarray(losses)[order]) <= _floor(losses)):
         raise NumericalError("expected loss increases with correlation")
 
     slope, intercept, r2, _ = _fit_line(1.0 - np.asarray(rs) ** 2, np.asarray(losses))

@@ -30,7 +30,7 @@ the denominator:
 
 Both readers take a window's mass as a masked log-sum-exp over the unsorted,
 ungrouped terms of the law (``_window_laws``); only ``error_distribution_exact``
-sorts its terms and groups them by value.
+sorts its terms and groups them by value, within ``in_window``'s band of V.
 
 Decay rates are always estimated by regressing log P_n on n across a grid of
 sample sizes: the polynomial prefactor of the exact probability contributes
@@ -50,7 +50,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyEvent, InfeasibleError, NumericalError, TableTooLarge
-from .measures import Alphabet, FiniteDistribution, as_potential, relative_entropy, total_variation
+from .measures import Alphabet, FiniteDistribution, _floor, as_potential, relative_entropy, total_variation
 from .tilting import ConstraintSpec, TiltedDistribution, _project, attainable_range, i_projection
 
 TABLE_CAP = 10_000_000
@@ -61,12 +61,6 @@ TABLE_CAP = 10_000_000
 # method on every exact op of the benchmark.
 ENUMERATION_WEIGHT = 20
 _TILT_CAP = 746.0  # per lattice step; exp(-746) is 0, so a steeper tilt is the same pass
-# The one band around expected-loss windows and values: a rational type mean
-# j/n counts as inside a float window, and two values xi as equal, within it.
-XI_BAND = 1e-12
-# A value of V lies on a lattice when it is within this many ulps of max |V|
-# of a lattice point.
-LATTICE_ULPS = 4
 # Monte Carlo trials per sampling block.  Each block draws from its own
 # stream, keyed by its index, so this size fixes every Monte Carlo output.
 MC_BLOCK_SIZE = 65536
@@ -120,9 +114,10 @@ def _compositions(n: int, k: int) -> np.ndarray:
     return np.column_stack([counts, left])
 
 
-def in_window(x, lo: float, hi: float):
-    """Whether x (a value or an array) lies in [lo, hi] widened by XI_BAND."""
-    return (x >= lo - XI_BAND) & (x <= hi + XI_BAND)
+def in_window(x, lo: float, hi: float, v):
+    """Whether x, computed means V . mu over k atoms, lies in [lo, hi] widened by (k + 2) ``_floor(v)``."""
+    band = (np.size(v) + 2) * _floor(v)
+    return (x >= lo - band) & (x <= hi + band)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,16 +199,16 @@ class ErrorDistribution:
         return float(np.dot((self.support - m) ** 2, self.probabilities))
 
     def weight_at(self, xi: float) -> float:
-        idx = np.flatnonzero(np.abs(self.support - xi) <= XI_BAND)
+        idx = np.flatnonzero(np.abs(self.support - xi) <= _floor(self.support))
         if idx.size == 0:
             raise KeyError(f"{xi!r} is not a support point")
         return float(self.probabilities[idx[0]])
 
 
 def _lattice(values: np.ndarray) -> tuple[float, float, np.ndarray] | None:
-    """(a, h, m) with each value a + h m_j to within LATTICE_ULPS ulps of
-    max |V|, h > 0 and the m_j >= 0 integers of gcd 1; None when the values
-    all agree (one type class) or some value is off that lattice.
+    """(a, h, m) with each value a + h m_j to within ``_floor(values)``, h > 0
+    and the m_j >= 0 integers of gcd 1; None when the values all agree (one
+    type class) or some value is off that lattice.
 
     h is a float Euclid over the differences from the least value (fmod is
     exact, so only the noise in V enters), then the largest difference over
@@ -221,7 +216,7 @@ def _lattice(values: np.ndarray) -> tuple[float, float, np.ndarray] | None:
     """
     a = float(values.min())
     d = values - a
-    tol = LATTICE_ULPS * float(np.spacing(np.abs(values).max()))
+    tol = _floor(values)
     h = 0.0
     for r in d.tolist():
         while r > tol:
@@ -370,9 +365,9 @@ def error_distribution_exact(
     xi = a + h s / n), else the terms of ``_type_terms`` inside the window;
     sorted by xi and grouped.  EmptyEvent when the window holds no mass.
 
-    The support holds the values of positive probability (values within
-    XI_BAND of their neighbour count as one).  Each value's log mass is a
-    log-sum-exp over its group, shifted by the group's largest
+    The support holds the values of positive probability (values within the
+    band of ``in_window`` of their neighbour count as one).  Each value's log
+    mass is a log-sum-exp over its group, shifted by the group's largest
     log-probability, so no group's mass underflows.  Only this law sorts and
     groups: a reader of one window's mass (``sanov_exact``,
     ``gibbs_conditioning``) masks the ungrouped terms instead.
@@ -382,19 +377,19 @@ def error_distribution_exact(
     if lattice is not None:
         a, h, m = lattice
         xi = a + h * np.arange(n * int(m.max()) + 1) / n
-        log_probs = _lattice_window(weights, m, n, in_window(xi, lo, hi))
+        log_probs = _lattice_window(weights, m, n, in_window(xi, lo, hi, values))
         s = np.flatnonzero(log_probs > -math.inf)
         xi, log_probs = xi[s], log_probs[s]
     else:
         xi, log_probs = _type_terms(values, weights, n)
-        inside = in_window(xi, lo, hi)
+        inside = in_window(xi, lo, hi, values)
         xi, log_probs = xi[inside], log_probs[inside]
     if xi.size == 0:
         raise EmptyEvent(f"no error-value mass inside [{lo!r}, {hi!r}]")
     order = np.argsort(xi, kind="stable")
     xi, log_probs = xi[order], log_probs[order]
     del order
-    starts = np.concatenate(([True], np.diff(xi) > XI_BAND))
+    starts = np.concatenate(([True], np.diff(xi) > (values.size + 2) * _floor(values)))
     group_ids = np.cumsum(starts) - 1
     heads = np.flatnonzero(starts)
     shift = np.maximum.reduceat(log_probs, heads)
@@ -485,7 +480,7 @@ def sanov_exact(
     v = as_potential(constraint.potential, P.alphabet)
     lo, hi = _window(constraint)
     lam, analytic_rate = _dominating_point(P, constraint)
-    logs = [_logsumexp(lp[in_window(xi, lo, hi)]) for xi, lp in _window_laws(P, v, lam, [int(n) for n in n_grid])]
+    logs = [_logsumexp(lp[in_window(x, lo, hi, v)]) for x, lp in _window_laws(P, v, lam, [int(n) for n in n_grid])]
     finite = np.isfinite(logs)
     slope, _, r2, se = _fit_line(np.asarray(n_grid, dtype=float)[finite], np.asarray(logs)[finite])
     return RateEstimate(
@@ -603,7 +598,7 @@ def sanov_monte_carlo(
     def block_hits(block: tuple[int, int]) -> int:
         n, b = block
         counts = sampler.multinomial_block(n, b, min(MC_BLOCK_SIZE, trials - b * MC_BLOCK_SIZE))
-        return int(np.count_nonzero(in_window(counts @ v / n, lo, hi)))
+        return int(np.count_nonzero(in_window(counts @ v / n, lo, hi, v)))
 
     # one pool for every block of every n: each block's stream is keyed by
     # (n, b), so the hit counts do not depend on the schedule
@@ -678,7 +673,7 @@ def gibbs_conditioning(
     for n in n_grid:
         xi, log_probs = (np.zeros(1), np.zeros(1)) if n == 1 else next(laws)
         # row j: is ((n - 1) xi_{n-1} + v_j) / n, the value after one more draw of j, inside?
-        inside = in_window(((n - 1) * xi + v[drawn, None]) / n, lo, hi)
+        inside = in_window(((n - 1) * xi + v[drawn, None]) / n, lo, hi, v)
         log_joint = np.log(P.weights[drawn]) + np.array([_logsumexp(log_probs[row]) for row in inside])
         log_event = _logsumexp(log_joint)
         if math.isinf(log_event):

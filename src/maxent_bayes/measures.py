@@ -5,7 +5,10 @@ Conventions used throughout the package:
 * every information quantity is in nats (natural logarithm);
 * ``0 * ln 0 = 0``: sums restrict to the support of the left argument;
 * alphabets are ordered and finite, so every claim is exactly enumerable;
-* argmin/argmax ties break to the lowest index, with tolerance 1e-12.
+* computed values are equal within ``_floor`` of their inputs, a k-term sum
+  of products within k + 2 floors (Higham 2002, 3.1), so windows, groupings,
+  lattices, ties (to the lowest index) and monotonicity are the same for V
+  and 2^j V; literal tolerances compare only scale-free masses and variances.
 
 All types are immutable after construction (weight vectors are read-only
 numpy arrays), so they are safe to share across concurrent readers.
@@ -13,6 +16,7 @@ numpy arrays), so they are safe to share across concurrent readers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,8 +28,13 @@ from .errors import AbsoluteContinuityViolation, AlphabetMismatch
 RENORMALIZE_TOLERANCE = 1e-9
 # Post-construction normalization invariant.
 NORM_TOLERANCE = 1e-12
-# Equality tolerance for argmin/argmax tie-breaking.
-TIE_TOLERANCE = 1e-12
+# Computed values are equal, and a root is 0, within this many ulps of their largest input.
+FLOOR_ULPS = 4
+
+
+def _floor(values) -> float:
+    """The float resolution of quantities made of ``values``: FLOOR_ULPS ulps of max |values|."""
+    return FLOOR_ULPS * math.ulp(float(np.abs(values).max()))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -230,5 +239,5 @@ def bayes_classifier(posterior: FiniteDistribution, loss: LossMatrix) -> BayesDe
     _check_same_alphabet(loss.label_alphabet, posterior.alphabet, "bayes_classifier")
     risks = loss.entries @ posterior.weights
     best = float(risks.min())
-    idx = int(np.flatnonzero(risks <= best + TIE_TOLERANCE)[0])
+    idx = int(np.flatnonzero(risks <= best + (posterior.size + 2) * _floor(risks))[0])
     return BayesDecision(decision_index=idx, expected_loss=float(risks[idx]))

@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import EmptyFeasibleSet, InfeasibleConstraint
 from .ldp import ErrorDistribution, _compositions, check_table_size, error_distribution_exact, in_window
-from .measures import FiniteDistribution, TIE_TOLERANCE, as_potential, relative_entropy
-from .tilting import _bracketed_root, _floor, _project, _tilt_state, attainable_range
+from .measures import FiniteDistribution, _floor, as_potential, relative_entropy
+from .tilting import _bracketed_root, _project, _tilt_state, attainable_range
 
 DEFAULT_GRID_STEPS = {2: 0.001, 3: 0.02}
 
@@ -183,14 +183,16 @@ def _best_model(
     speed: float,
     method: str,
 ) -> MapModelResult:
-    """Argmax of the MAP objective over the rows of ``models`` (first of ties)."""
+    """Argmax of the MAP objective over the rows of ``models``, first of ties
+    (held to the float resolution of the objective's terms, which can cancel)."""
     kl_terms = speed * relative_entropy(models, P.weights)
     u_terms = lambda_eta * meta.values(xi)
     objective = -kl_terms - u_terms + log_q
-    best_val = float(np.max(objective))
-    if not math.isfinite(best_val):
+    finite = np.isfinite(objective)
+    if not finite.any():
         raise EmptyFeasibleSet("every feasible grid model has -inf objective")
-    best = int(np.flatnonzero(objective >= best_val - TIE_TOLERANCE)[0])
+    band = (P.size + 2) * _floor(np.stack([kl_terms, u_terms, log_q])[:, finite])
+    best = int(np.flatnonzero(objective >= objective[finite].max() - band)[0])
     components = {
         "kl_term": float(kl_terms[best]),
         "meta_term": float(u_terms[best]),
@@ -217,8 +219,8 @@ def map_model(
 
     The grid argmax, under the uniform grid prior, is exhaustive.  With a
     differentiable statistic the best point on the tilt curve of P inside
-    the window (see ``_polish_map``) replaces it when it has a strictly
-    larger objective; ``method`` then reads "tilt" instead of "grid".
+    the window (see ``_polish_map``) replaces it when it wins by more than a
+    tie; ``method`` then reads "tilt" instead of "grid".
     """
     check_speed(speed)
     v = as_potential(potential, P.alphabet)
@@ -228,18 +230,13 @@ def map_model(
     grid = simplex_grid(P.size, grid_step)
 
     xi_vals = grid @ v
-    feasible = in_window(xi_vals, lo, hi)
+    feasible = in_window(xi_vals, lo, hi, v)
     if not np.any(feasible):
         raise EmptyFeasibleSet(f"no grid model has expected loss in [{lo!r}, {hi!r}]")
 
     log_q = np.full(np.count_nonzero(feasible), -math.log(grid.shape[0]))
     result = _best_model(P, grid[feasible], xi_vals[feasible], log_q, meta, lambda_eta, speed, "grid")
-
-    if meta.kind != "user_table":
-        polished = _polish_map(P, v, (lo, hi), meta, lambda_eta, speed, float(log_q[0]))
-        if polished is not None and polished.objective > result.objective + 1e-15:
-            result = polished
-    return result
+    return result if meta.kind == "user_table" else _polish_map(P, v, (lo, hi), meta, lambda_eta, speed, result)
 
 
 def _polish_map(
@@ -249,9 +246,10 @@ def _polish_map(
     meta: MetaConstraint,
     lambda_eta: float,
     speed: float,
-    log_q_const: float,
-) -> MapModelResult | None:
-    """Best model on the tilt curve of P with V . mu in the window.
+    grid: MapModelResult,
+) -> MapModelResult:
+    """Best model on the tilt curve of P with V . mu in the window if it beats
+    ``grid`` by more than a tie (``_best_model``), else ``grid``.
 
     For fixed xi = V . mu the tilt of P onto xi has the least KL(mu || P), so
     the objective is F(xi) = -speed I(xi) - lambda_eta U(xi) with I'(xi) the
@@ -259,7 +257,8 @@ def _polish_map(
     lambda_eta U'(xi(lam)) - speed lam, which changes sign on the window's
     lam-range clipped to lambda_eta U'([min V, max V]) / speed (U' is
     monotone).  The candidates are that root and the tilts onto the window
-    ends.  F is concave for identity U and for centered_square with
+    ends clipped to P's range (none when only a grid model's round-off meets
+    the window).  F is concave for identity U and for centered_square with
     lambda_eta >= 0, where this is the exact optimum; otherwise a local one.
     """
     lo, hi = window
@@ -282,11 +281,13 @@ def _polish_map(
 
     mus = np.array(candidates)
     xi = mus @ v
-    inside = in_window(xi, lo, hi)
+    inside = in_window(xi, lo, hi, v)
     if not np.any(inside):
-        return None
-    log_q = np.full(np.count_nonzero(inside), log_q_const)
-    return _best_model(P, mus[inside], xi[inside], log_q, meta, lambda_eta, speed, "tilt")
+        return grid
+    log_q = np.full(np.count_nonzero(inside), grid.components["log_q_term"])
+    polished = _best_model(P, mus[inside], xi[inside], log_q, meta, lambda_eta, speed, "tilt")
+    band = (P.size + 2) * _floor([*grid.components.values(), *polished.components.values()])
+    return polished if polished.objective > grid.objective + band else grid
 
 
 @dataclass(frozen=True, eq=False)

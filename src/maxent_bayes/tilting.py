@@ -52,14 +52,14 @@ from .errors import (
     UnsupportedGenerator,
 )
 from .measures import (
+    FLOOR_ULPS,
     FiniteDistribution,
+    _floor,
     as_potential,
     relative_entropy,
     total_variation,
 )
 
-# A root stops once |f| is this many ulps of the largest value f is made of.
-FLOOR_ULPS = 4
 # Safety net only: each root step either halves |f| or splits the bracket.
 ROOT_STEP_CAP = 200
 # The quadratic walk's unit of offsets of V, per unit of their spread: a
@@ -67,11 +67,6 @@ ROOT_STEP_CAP = 200
 # offset, stay normal floats, while k (2 * 2^256)^2 cannot overflow.  A power
 # of two, it changes no result that did not underflow.
 _OFFSETS_PER_SPREAD = 2.0 ** 256
-
-
-def _floor(values) -> float:
-    """The float resolution of quantities made of ``values``: FLOOR_ULPS ulps of max |values|."""
-    return FLOOR_ULPS * math.ulp(float(np.abs(values).max()))
 
 
 def _check_residuals(what: str, k: int, mass: float, mean: float, scale: float, mean_step: float) -> None:
@@ -82,15 +77,15 @@ def _check_residuals(what: str, k: int, mass: float, mean: float, scale: float, 
     held in its own units; ``mean`` and ``mean_step`` may hold one entry per
     target, and every target is checked.  The mass is held to k times
     FLOOR_ULPS ulps of 1, the round-off of a k-term sum.  V . p is held to
-    k + 2 times FLOOR_ULPS ulps of ``scale``, max |V| (the sum, and the
-    tilt's floor of FLOOR_ULPS ulps of 1 in units of max |V|), plus 2
+    k + 2 times ``_floor(scale)``, scale = max |V| (the sum, and the tilt's
+    floor of FLOOR_ULPS ulps of 1 in units of max |V|), plus 2
     FLOOR_ULPS times ``mean_step``, how far V . p moves over one float step
     of the root's variable (zero for the exact walk): a root that closed its
     bracket sits within one such step, and round-off blurs V . p over a few
     more.
     """
     ok = (mass <= k * FLOOR_ULPS * math.ulp(1.0)) & (
-        mean <= (k + 2) * FLOOR_ULPS * math.ulp(scale) + 2 * FLOOR_ULPS * mean_step
+        mean <= (k + 2) * _floor(scale) + 2 * FLOOR_ULPS * mean_step
     )
     if not np.all(ok):
         raise NumericalError(f"{what} is off by {np.max(mass):.3g} in mass and {np.max(mean):.3g} in V . p")

@@ -869,6 +869,38 @@ class TestUnreadInputKeys:
             assert cli.validate(config) == []
 
 
+class TestConfigKeys:
+    @pytest.mark.parametrize("key", ("sed", "input", "threads"))
+    def test_unread_top_level_key_is_a_validation_error(self, tmp_path, capsys, key):
+        # a misspelt seed once ran with seed 0 and exited 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**tilt_config(), key: 7}), encoding="utf-8")
+        assert cli.main(["tilt", "--config", str(cfg), "--validate-only"]) == 2
+        diagnostic = json.loads(capsys.readouterr().out)["diagnostics"][0]
+        assert diagnostic["error"] == "ConfigInvalid" and key in diagnostic["message"]
+        assert cli.main(["tilt", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "ConfigInvalid" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, text, key", [
+        ("tilt", '{"command": "tilt", "inputs": {"q": [0.5, 0.5], "potential": [0, 1], "target": 0.25,'
+         ' "target": 0.75}}', "target"),
+        ("tilt", '{"command": "tilt", "seed": 1, "inputs": {"q": [0.5, 0.5], "potential": [0, 1], "target": 0.25},'
+         ' "seed": 2}', "seed"),
+        ("bayes", '{"command": "bayes", "inputs": {"posterior": {"alphabet": [0, 1], "weights": [0.5, 0.5],'
+         ' "weights": [1, 0]}, "loss": [[0, 1], [1, 0]]}}', "weights"),
+    ], ids=("inputs", "top-level", "measure"))
+    def test_duplicate_key_at_any_depth_is_a_validation_error(self, tmp_path, capsys, command, text, key):
+        # json.load keeps the last of two equal keys: the run once solved for 0.75
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text, encoding="utf-8")
+        for extra in (["--validate-only"], ["--out", str(tmp_path / "o")]):
+            assert cli.main([command, "--config", str(cfg), *extra]) == 2
+            err = capsys.readouterr().err
+            assert "ConfigInvalid" in err and key in err
+        assert not (tmp_path / "o").exists()
+
+
 class TestScaleFreeTilt:
     """A loss has no units: the tilt onto (V, c) and onto (s V, s c) agree at any scale s."""
 
@@ -887,3 +919,71 @@ class TestScaleFreeTilt:
         cli.run(config, out_dir=tmp_path, stdout=out, fmt="json")
         rate = json.loads(out.getvalue())["rate"][0]
         assert rate == pytest.approx(0.75 * math.log(1.5) + 0.25 * math.log(0.5), rel=1e-12)
+
+
+# Configs whose potential, windows and targets scale with the loss: the keys
+# scaled by s = 2^j, and eta by s (identity U) or s^2 (centered_square U).
+SCALED_CONFIGS = {
+    "sanov-lattice": ({"command": "sanov", "inputs": {"P": [0.2, 0.3, 0.5], "potential": [0, 1, 3],
+                                                      "target_interval": [2.2, 3], "n_grid": [20, 40, 60]}},
+                      ("potential", "target_interval")),
+    "sanov-irrational": ({"command": "sanov", "inputs": {"P": [0.2, 0.3, 0.5], "potential": [0, 1, 2 ** 0.5],
+                                                         "target_interval": [1.1, 2 ** 0.5], "n_grid": [20, 40, 60]}},
+                         ("potential", "target_interval")),
+    "sanov-monte-carlo": ({"command": "sanov", "seed": 3,
+                           "inputs": {"P": [0.5, 0.5], "potential": [0, 1], "target_interval": [0.75, 1],
+                                      "n_grid": [20, 40, 60], "method": "monte-carlo", "trials": 20000}},
+                          ("potential", "target_interval")),
+    "gibbs": ({"command": "gibbs", "inputs": {"P": [0.2, 0.3, 0.5], "potential": [0, 1, 3], "Xi": [2, 2.5],
+                                              "n_grid": [10, 20, 40]}},
+              ("potential", "Xi")),
+    "meta-identity": ({"command": "meta", "inputs": {"P": [0.5, 0.5], "loss_row": [0, 1], "n": 12, "Xi": [0.6, 0.9],
+                                                     "U": {"kind": "identity"}, "eta": 0.7, "model_grid_step": 0.01}},
+                      ("loss_row", "Xi", "eta")),
+    "meta-centered-square": ({"command": "meta", "inputs": {"P": [0.2, 0.3, 0.5], "loss_row": [0, 1, 3], "n": 12,
+                                                            "Xi": [1.2, 2.4], "U": {"kind": "centered_square"},
+                                                            "eta": 0.1}},
+                             ("loss_row", "Xi")),
+    "bayes": ({"command": "bayes", "inputs": {"posterior": [0.3, 0.7],
+                                              "loss": {"prediction_alphabet": [0, 1], "label_alphabet": [0, 1],
+                                                       "entries": [[0, 1], [1, 0]]}}},
+              ()),
+}
+
+
+def scale_config(config, keys, j):
+    config = json.loads(json.dumps(config))
+    inputs, s = config["inputs"], 2.0 ** j
+    for key in keys:
+        inputs[key] = np.multiply(inputs[key], s).tolist()
+    if config["command"] == "bayes":
+        inputs["loss"]["entries"] = np.multiply(inputs["loss"]["entries"], s).tolist()
+    if config["command"] == "meta" and inputs["U"]["kind"] == "centered_square":
+        inputs["eta"] *= 4.0 ** j
+    return config
+
+
+def unscaled_payload(config, j):
+    """The JSON payload of a run, each output in units of the loss (or of
+    its square) scaled back by 2^-j."""
+    plan = cli.prepare(config)
+    payload = plan.execute(cli.RunContext(seed=plan.seed, threads=1, verbose=False))["json"]
+    square = config["inputs"].get("U", {}).get("kind") == "centered_square"
+    powers = {"window": 1, "expected_loss": 1, "center": 1, "lambda": -1, "lambda_eta": -2 if square else -1}
+    for key, power in powers.items():
+        if payload.get(key) is not None:
+            payload[key] = np.multiply(payload[key], 2.0 ** (-j * power)).tolist()
+    return payload
+
+
+class TestScaleFreeCommands:
+    """Every window, grouping and tie is held to the float resolution of V: a
+    loss scaled by 2^j gives bit-identical slopes, r2, TV, MAP models,
+    methods, Monte Carlo flags and decisions, and its multipliers, centres
+    and risks scale exactly."""
+
+    @pytest.mark.parametrize("j", (-60, -40, -20, 20, 40, 60))
+    @pytest.mark.parametrize("name", SCALED_CONFIGS)
+    def test_outputs_do_not_move_with_the_scale_of_the_loss(self, name, j):
+        config, keys = SCALED_CONFIGS[name]
+        assert unscaled_payload(scale_config(config, keys, j), j) == unscaled_payload(config, 0)

@@ -119,6 +119,19 @@ class TestSanovExact:
         assert math.isinf(est.log_probs[0]) and est.log_probs[0] < 0
         assert math.isfinite(est.log_probs[1])
 
+    @pytest.mark.parametrize("s", (1e-12, 1.0, 1e6 / 3))
+    def test_every_edge_window_at_any_scale_of_the_loss(self, s):
+        # the type means (c_1 + 3 c_2) s / n of V = s [0, 1, 3] are rounded,
+        # by about 1e-10 at s = 1e6 / 3: a type on the window's edge j s / n
+        # is inside, and at s = 1e-12 one just below it is not
+        n, weights = 20, [0.2, 0.3, 0.5]
+        terms = [(c1 + 3 * c2, math.comb(n, c1) * math.comb(n - c1, c2) * 0.2 ** (n - c1 - c2) * 0.3 ** c1 * 0.5 ** c2)
+                 for c1 in range(n + 1) for c2 in range(n + 1 - c1)]
+        for edge in range(3 * n + 1):
+            mass = math.fsum(p for total, p in terms if total >= edge)
+            est = sanov_exact(dist(*weights), ConstraintSpec.interval([0.0, s, 3 * s], edge / n * s, 3 * s), [n])
+            assert abs(est.log_probs[0] - math.log(mass)) <= 1e-12, edge
+
 
 class TestSanovMonteCarlo:
     def test_cross_check_against_exact_oracle(self):
@@ -321,7 +334,7 @@ class ExactLawReaders:
         est = sanov_exact(dist(*weights), oracle_constraint(v, window), ORACLE_NS)
         for n, log_prob in zip(ORACLE_NS, est.log_probs):
             probs, xi, _ = every_sequence(weights, v, n)
-            mass = math.fsum(probs[ldp_mod.in_window(xi, *window)])
+            mass = math.fsum(probs[ldp_mod.in_window(xi, *window, v)])
             if mass == 0.0:
                 assert log_prob == -math.inf and n in est.empty_event_ns
             else:
@@ -331,7 +344,7 @@ class ExactLawReaders:
     def test_gibbs_means(self, weights, v, window):
         for n in ORACLE_NS:
             probs, xi, freqs = every_sequence(weights, v, n)
-            inside = ldp_mod.in_window(xi, *window)
+            inside = ldp_mod.in_window(xi, *window, v)
             if not np.any(probs[inside] > 0.0):
                 with pytest.raises(EmptyEvent):
                     gibbs_conditioning(dist(*weights), oracle_constraint(v, window), [n])
@@ -374,7 +387,7 @@ class TestLatticeRecursionOracle(ExactLawReaders):
 def grouped_window_log_mass(P, v, n, lo, hi) -> float:
     """log P(V . L_n in [lo, hi]) read off the grouped law, group by group."""
     law = error_distribution_exact(P, v, n)
-    return ldp_mod._logsumexp(law.log_mass[ldp_mod.in_window(law.support, lo, hi)])
+    return ldp_mod._logsumexp(law.log_mass[ldp_mod.in_window(law.support, lo, hi, v)])
 
 
 # P, V and a tail window strictly inside the range of V, at dyadic endpoints
@@ -406,7 +419,7 @@ class TestWindowReadsAtBenchmarkScale:
         for n, result in zip(BENCHMARK_NS, results):
             # the grouped law at n - 1, shifted by one more draw of each symbol
             law = error_distribution_exact(P, v, n - 1)
-            inside = ldp_mod.in_window(((n - 1) * law.support + np.asarray(v)[:, None]) / n, lo, hi)
+            inside = ldp_mod.in_window(((n - 1) * law.support + np.asarray(v)[:, None]) / n, lo, hi, v)
             log_joint = np.log(weights) + np.array([ldp_mod._logsumexp(law.log_mass[row]) for row in inside])
             expected = np.exp(log_joint - ldp_mod._logsumexp(log_joint))
             mean = result.conditioned_mean_measure
@@ -568,14 +581,17 @@ class TestTiltedPass:
         # V . L_n = 3 = max V only when every draw is 3: log P = n log(1/3),
         # below the float range at these n.  An untilted linear pass
         # underflows there and would report a false EmptyEvent.
-        # The second window misses [0, 3] by less than XI_BAND: its rate is
-        # +inf, and the pass is still tilted toward it.
+        # The second window misses [0, 3] by two ulps of 3, inside the float
+        # resolution of V . L_n: its rate is +inf, and the pass is still
+        # tilted toward it.  A window 1e-13 past 3 holds no type mean.
         P, v, grid = dist(1 / 3, 1 / 3, 1 / 3), [0.0, 1.0, 3.0], [700, 800]
-        for constraint in (ConstraintSpec.point(v, 3.0), ConstraintSpec.interval(v, 3.0 + 1e-13, 4.0)):
+        for constraint in (ConstraintSpec.point(v, 3.0), ConstraintSpec.interval(v, 3.0 + 2 * math.ulp(3.0), 4.0)):
             est = sanov_exact(P, constraint, grid)
             assert est.empty_event_ns == ()
             for n, log_prob in zip(grid, est.log_probs):
                 assert abs(log_prob - n * math.log(1 / 3)) <= 1e-12 * n * math.log(3)
+        est = sanov_exact(P, ConstraintSpec.interval(v, 3.0 + 1e-13, 4.0), grid)
+        assert est.empty_event_ns == (700, 800) and est.log_probs == (-math.inf, -math.inf)
         [untilted] = ldp_mod._tilted_pass(np.full(3, 1 / 3), np.array([0, 1, 3]), 0.0, [700])
         assert untilted[-1] == -math.inf
 
@@ -594,7 +610,7 @@ class TestTiltedPass:
         [res] = gibbs_conditioning(dist(*weights), ConstraintSpec.interval(v, *window), [n])
         law = log_domain_lattice_law(log_w, m, n - 1)
         s = np.arange(law.size)
-        log_joint = log_w + [ldp_mod._logsumexp(law[ldp_mod.in_window((s + j) / n, *window)]) for j in m]
+        log_joint = log_w + [ldp_mod._logsumexp(law[ldp_mod.in_window((s + j) / n, *window, v)]) for j in m]
         expected = np.exp(log_joint - ldp_mod._logsumexp(log_joint))
         assert np.abs(res.conditioned_mean_measure.weights - expected).max() <= 1e-12
 
@@ -607,7 +623,7 @@ class TestTiltedPass:
         assert [res.n for res in results] == grid
         for n, res in zip(grid, results):
             probs, xi, freqs = every_sequence(weights, v, n)
-            inside = ldp_mod.in_window(xi, *window)
+            inside = ldp_mod.in_window(xi, *window, v)
             expected = probs[inside] @ freqs[inside] / math.fsum(probs[inside])
             assert np.abs(res.conditioned_mean_measure.weights - expected).max() <= 1e-12
         assert results[1].conditioned_mean_measure.weights == pytest.approx([0.0, 0.375, 0.625], abs=1e-15)
@@ -666,7 +682,7 @@ class TestLatticeWindowLaw:
         lo, hi = 0.4 * (k - 1), 0.6 * (k - 1)
         law = error_distribution_exact(P, v, n, (lo, hi))
         assert np.abs(np.diff(law.support) * n - 1.0).max() <= 1e-9  # every sum in the window
-        assert ldp_mod.in_window(law.support, lo, hi).all()
+        assert ldp_mod.in_window(law.support, lo, hi, v).all()
         assert law.support[0] < lo + 1 / n and law.support[-1] > hi - 1 / n
         assert abs(law.mean() - (k - 1) / 2) <= 1e-12
 

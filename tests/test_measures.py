@@ -167,6 +167,11 @@ class TestBayesClassifier:
         loss = LossMatrix(Alphabet.of_size(2), Alphabet.of_size(2), [[1.0, 1.0], [1.0, 1.0]])
         assert bayes_classifier(dist(0.4, 0.6), loss).decision_index == 0
 
+    def test_ties_are_held_to_the_scale_of_the_risks(self):
+        # risks five times apart are no tie, however small the loss
+        loss = LossMatrix(Alphabet.of_size(2), Alphabet.of_size(1), [[5e-13], [1e-13]])
+        assert bayes_classifier(dist(1.0), loss).decision_index == 1
+
     def test_alphabet_mismatch(self):
         loss = zero_one_loss(3)
         with pytest.raises(AlphabetMismatch):

@@ -212,6 +212,21 @@ class TestMapModel:
         with pytest.raises(EmptyFeasibleSet):
             map_model(BERN_HALF, V01, (1.5, 2.0), flat_meta(), lambda_eta=0.0)
 
+    def test_window_off_the_support_of_p_raises(self):
+        # grid models in the window put mass on the atom P does not draw:
+        # every one has KL(mu || P) = +inf
+        with pytest.raises(EmptyFeasibleSet, match="-inf objective"):
+            map_model(dist(1.0, 0.0), V01, (0.5, 1.0), flat_meta(), lambda_eta=0.0)
+
+    @pytest.mark.parametrize("lambda_eta", (0.0, 1.5))
+    def test_the_model_lies_in_a_window_of_a_tiny_loss(self, lambda_eta):
+        # at s = 1e-12 a fixed band of 1e-12 let every grid model count as
+        # inside [0.6 s, s]
+        s = 1e-12
+        meta = MetaConstraint(kind="identity", eta=0.7 * s)
+        result = map_model(BERN_HALF, [0.0, s], (0.6 * s, s), meta, lambda_eta=lambda_eta / s, grid_step=0.01)
+        assert result.model.weights.tolist() == [0.4, 0.6]
+
     def test_speed_parameter_scales_kl_term(self):
         meta = MetaConstraint(kind="identity", eta=0.5)
         slow = map_model(BERN_HALF, V01, (0.6, 0.9), meta, lambda_eta=0.1, speed=1.0)
@@ -339,6 +354,14 @@ class TestTiltPolish:
         assert result.objective >= grid_maximum(p, v, window, meta, lam, speed, step) - 1e-12
         reference = slsqp_maximum(p, v, window, meta, lam, speed, np.full(3, 1.0 / 3.0))
         assert result.objective - log_q >= reference - 1e-9
+
+    def test_a_window_met_only_by_grid_round_off_keeps_the_grid_answer(self):
+        # V is constant at 0.1 and the window starts 17 ulps above it: the
+        # computed mean of some grid model lies an ulp above 0.1, inside the
+        # band of 16 ulps, while every tilt of P has mean 0.1 exactly
+        lo = 0.10000000000000024
+        result = map_model(BERN_HALF, [0.1, 0.1], (lo, 1.1), flat_meta(0.0), lambda_eta=0.0, grid_step=0.01)
+        assert result.method == "grid" and result.model.weights[0] != 0.5
 
     def test_reference_with_a_zero_weight_is_polished(self):
         # the polish used to bail out when P had a zero weight; the optimum is

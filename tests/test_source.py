@@ -168,6 +168,18 @@ def test_one_command_table():
     assert tables == ["COMMANDS"]
 
 
+def test_one_float_resolution_rule():
+    # windows, groupings, lattices, ties and monotonicity are all held to
+    # measures._floor of the values compared: no fixed band stays beside it
+    texts = [path.read_text(encoding="utf-8") for path in sorted(SOURCE.glob("*.py"))]
+    fixed_bands = ("XI_BAND", "LATTICE_ULPS", "TIE_TOLERANCE")
+    assert [name for name in fixed_bands if any(name in text for text in texts)] == []
+    definitions = [f"{path.name}:{node.lineno}" for path in sorted(SOURCE.glob("*.py"))
+                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                   if isinstance(node, ast.FunctionDef) and node.name == "_floor"]
+    assert len(definitions) == 1 and definitions[0].startswith("measures.py:"), definitions
+
+
 def identifiers(path: Path) -> set[str]:
     """Every name, attribute and imported name that a file mentions."""
     names = set()
