@@ -10,15 +10,17 @@ Commands: bayes, tilt, project, necessity, sanov, gibbs, rate, meta, corr.
 Every command parses its config (the rules: README.md, "Config inputs") and
 runs its computation, whose typed errors decide everything else, before it
 writes its outputs plus a run manifest with per-output checksums and echoes
-the result JSON to stdout; ``--validate-only`` takes the same path and writes
-nothing.  Exit codes by error family: validation 2, infeasible 3, numerical 4,
-resource 5.
+the result JSON to stdout, or an error on stderr; ``--validate-only`` takes
+the same path, writes nothing and prints any error, a config file it cannot
+load included, as JSON diagnostics on stdout.  Exit codes by error family:
+validation 2, infeasible 3, numerical 4, resource 5.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import json
 import math
 import os
 import sys
@@ -155,20 +157,17 @@ def _constraint_from(inputs: dict, v) -> ConstraintSpec:
     if "target" in inputs:
         return ConstraintSpec.point(v, _real(inputs["target"], "target"))
     if "target_interval" in inputs:
-        iv = inputs["target_interval"]
-        if not isinstance(iv, (list, tuple)) or len(iv) != 2:
-            raise ConfigInvalid("target_interval must be [lo, hi]")
-        return ConstraintSpec.interval(v, *_reals(iv, "target_interval"))
+        return ConstraintSpec.interval(v, *_window_from(inputs, "target_interval"))
     raise ConfigInvalid("missing target or target_interval")
 
 
-def _window_from(inputs: dict) -> tuple[float, float]:
-    window = _require(inputs, "Xi")
+def _window_from(inputs: dict, key: str) -> tuple[float, float]:
+    window = _require(inputs, key)
     if not isinstance(window, (list, tuple)) or len(window) != 2:
-        raise ConfigInvalid("Xi must be [lo, hi]")
-    lo, hi = _reals(window, "Xi")
+        raise ConfigInvalid(f"{key} must be [lo, hi]")
+    lo, hi = _reals(window, key)
     if lo > hi:
-        raise ConfigInvalid("Xi must satisfy lo <= hi")
+        raise ConfigInvalid(f"{key} must satisfy lo <= hi")
     return lo, hi
 
 
@@ -303,16 +302,15 @@ def _prepare_sanov(inputs: dict) -> Execute:
 def _prepare_gibbs(inputs: dict) -> Execute:
     P = _as_distribution(_require(inputs, "P"), "P")
     v = _as_potential(_require(inputs, "potential"), P)
-    lo, hi = _window_from(inputs)
+    constraint = ConstraintSpec.interval(v, *_window_from(inputs, "Xi"))
     n_grid = _n_grid_from(inputs)
-    constraint = ConstraintSpec.interval(v, lo, hi)
 
     def execute(ctx: RunContext) -> dict:
         results = gibbs_conditioning(P, constraint, n_grid)
         rows = [(n, res.tv_distance) for n, res in zip(n_grid, results)]
         last = results[-1]
         payload = {
-            "window": [lo, hi],
+            "window": list(constraint.target),
             "predicted": [float(w) for w in last.predicted.realized.weights],
             "lambda": last.predicted.lam,
             "tv_by_n": {str(n): tv for (n, tv) in rows},
@@ -348,7 +346,7 @@ def _prepare_meta(inputs: dict) -> Execute:
     P = _as_distribution(_require(inputs, "P"), "P")
     v = _as_potential(_require(inputs, "loss_row"), P)
     n = _count(_require(inputs, "n"), "n", 1)
-    lo, hi = _window_from(inputs)
+    lo, hi = _window_from(inputs, "Xi")
     u_spec = _require(inputs, "U")
     if not isinstance(u_spec, dict) or "kind" not in u_spec:
         raise ConfigInvalid('U must be an object like {"kind": "centered_square"}')
@@ -499,12 +497,13 @@ def _execute(config: dict, command: str | None, threads: int | None = None, verb
     return plan, ctx, plan.execute(ctx)
 
 
-def validate(config: dict, command: str | None = None) -> list[dict]:
-    """The diagnostic of the error that ``run`` with default settings raises
-    before its writes, found by running the same path; an empty list means
-    that the run succeeds.  Writes nothing."""
+def validate(config: dict, command: str | None = None, **settings) -> list[dict]:
+    """The diagnostic of the error that ``run`` with the same settings
+    (``out_dir``, ``fmt``, ``seed``, ``threads``, ``verbose``) raises before
+    its writes, found by running the same path; an empty list means that the
+    run succeeds.  Writes nothing."""
     try:
-        _execute(config, command)
+        _execute(config, command, **settings)
     except MaxentError as exc:
         return [_diagnostic(exc)]
     return []
@@ -584,34 +583,40 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+def _load_config(path: str) -> dict:
+    """The JSON config in the file at ``path``; ConfigInvalid when the file
+    cannot be read, is not JSON or repeats a key."""
     try:
-        import json as _json
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot read config: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigInvalid(f"malformed JSON config: {exc}") from exc
 
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                config = _json.load(fh, object_pairs_hook=_unique_keys)
-        except OSError as exc:
-            raise ConfigInvalid(f"cannot read config: {exc}") from exc
-        except ValueError as exc:
-            raise ConfigInvalid(f"malformed JSON config: {exc}") from exc
 
-        settings = {"fmt": args.format, "seed": args.seed, "out_dir": args.out}
-        if args.validate_only:
-            try:
-                _execute(config, args.command, args.threads, args.verbose, **settings)
-            except MaxentError as exc:
-                sys.stdout.write(dumps({"diagnostics": [_diagnostic(exc)]}))
-                return exc.exit_code
-            sys.stdout.write(dumps({"diagnostics": []}))
+def main(argv: list[str] | None = None) -> int:
+    """Run a command, or with ``--validate-only`` print the diagnostics of
+    ``validate`` (a config file that cannot be loaded included) as one JSON
+    object on stdout; exit with the error family's code, 0 on success."""
+    args = _build_parser().parse_args(argv)
+    settings = {"out_dir": args.out, "fmt": args.format, "seed": args.seed, "threads": args.threads,
+                "verbose": args.verbose}
+    try:
+        config = _load_config(args.config)
+        if not args.validate_only:
+            run(config, args.command, **settings)
             return 0
-
-        run(config, args.command, threads=args.threads, verbose=args.verbose, **settings)
-        return 0
+        diagnostics = validate(config, args.command, **settings)
     except MaxentError as exc:
-        sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
-        return exc.exit_code
+        if not args.validate_only:
+            sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
+            return exc.exit_code
+        diagnostics = [_diagnostic(exc)]
+    sys.stdout.write(dumps({"diagnostics": diagnostics}))
+    if not diagnostics:
+        return 0
+    return {family: code for code, family in _FAMILIES.items()}.get(diagnostics[0]["family"], 1)
 
 
 if __name__ == "__main__":

@@ -10,9 +10,11 @@ onto the k distinct values of V on its support, by one of two methods:
   convolution per draw, (R + 1) (R N (N - 1) / 2 + N) terms to N draws
   (``_tilted_pass``: each of the kernel's R + 1 entries, zeros included,
   times each of the R i + 1 sums after i < N draws), tilted so that the
-  mass near a chosen point never underflows.  The window readers
-  (``sanov_exact``, ``gibbs_conditioning``) run one pass for the whole n
-  grid, tilted by the multiplier of the window's dominating point.  The law the meta pipeline fits on its window
+  mass near a chosen point never underflows.  Each pass is tilted by the
+  multiplier of a window's dominating point (a point c is the window
+  [c, c]; ``tilting.resolve_target`` alone finds the point).  The window
+  readers (``sanov_exact``, ``gibbs_conditioning``) run one pass for the
+  whole n grid.  The law the meta pipeline fits on its window
   (``error_distribution_exact``), whose far end can lie thousands of nats
   below its near end, runs as many passes as it takes for each reachable sum
   of the window to keep a normal mass in one (``_lattice_window``).
@@ -279,21 +281,20 @@ def _lattice_window(weights: np.ndarray, m: np.ndarray, n: int, inside: np.ndarr
 
     In rounds, each run of such sums that no pass has covered yet gets one
     ``_tilted_pass`` (of the size ``check_exact_law`` counted), tilted at the
-    run's dominating point (its point nearest the mean m . p), all of a
-    round's multipliers from one ``_project``.  A sum reads the first pass
-    that keeps a normal mass there; a round that covers none raises
-    NumericalError.
+    run's dominating point: every run of the round goes to one ``_project``
+    as a window [first sum / n, last sum / n] of the mean of m, and a run
+    that holds the mean m . p comes back with multiplier 0.  A sum reads the
+    first pass that keeps a normal mass there; a round that covers none
+    raises NumericalError.
     """
     wanted = np.flatnonzero(_reachable(m, n) & inside)
-    log_p, mean, todo = np.full(inside.size, -math.inf), float(weights @ m), wanted
+    log_p, todo = np.full(inside.size, -math.inf), wanted
     while todo.size:
         cuts = np.flatnonzero(np.diff(np.searchsorted(wanted, todo)) > 1)
-        points = np.clip(mean, todo[np.append(0, cuts + 1)] / n, todo[np.append(cuts, -1)] / n)
-        tilts, off, left = np.zeros(points.size), points != mean, todo.size
-        if off.any():
-            tilts[off] = -_project(np.log(weights), m.astype(float), points[off], boundary=True)[0]
-        for t in tilts.tolist():
-            [tilted] = _tilted_pass(weights, m, t, [n])
+        runs = (todo[np.append(0, cuts + 1)] / n, todo[np.append(cuts, -1)] / n)
+        left = todo.size
+        for lam in _project(np.log(weights), m.astype(float), runs, boundary=True)[0].tolist():
+            [tilted] = _tilted_pass(weights, m, -lam, [n])
             covered = tilted[todo] > -math.inf
             log_p[todo[covered]] = tilted[todo[covered]]
             todo = todo[~covered]
@@ -397,14 +398,6 @@ def error_distribution_exact(
     return ErrorDistribution(support=xi[heads], log_mass=log_mass - _logsumexp(log_mass))
 
 
-def _window(constraint: ConstraintSpec) -> tuple[float, float]:
-    if constraint.is_interval:
-        lo, hi = constraint.target
-    else:
-        lo = hi = float(constraint.target)
-    return lo, hi
-
-
 @dataclass(frozen=True)
 class RateEstimate:
     """Empirical decay rate of a constrained event against its analytic target."""
@@ -451,7 +444,7 @@ def _fit_line(
 
 
 def _describe(constraint: ConstraintSpec) -> str:
-    lo, hi = _window(constraint)
+    lo, hi = constraint.target
     if lo == hi:
         return f"V.mu = {lo!r}"
     return f"V.mu in [{lo!r}, {hi!r}]"
@@ -464,7 +457,7 @@ def _dominating_point(P: FiniteDistribution, constraint: ConstraintSpec) -> tupl
         return tilt.lam, rate
     except InfeasibleError:
         v = as_potential(constraint.potential, P.alphabet)
-        return (-math.inf if _window(constraint)[0] > float(v @ P.weights) else math.inf), math.inf
+        return (-math.inf if constraint.target[0] > float(v @ P.weights) else math.inf), math.inf
 
 
 def sanov_exact(
@@ -478,7 +471,7 @@ def sanov_exact(
     rate and tilts the one lattice pass (``_window_laws``).
     """
     v = as_potential(constraint.potential, P.alphabet)
-    lo, hi = _window(constraint)
+    lo, hi = constraint.target
     lam, analytic_rate = _dominating_point(P, constraint)
     logs = [_logsumexp(lp[in_window(x, lo, hi, v)]) for x, lp in _window_laws(P, v, lam, [int(n) for n in n_grid])]
     finite = np.isfinite(logs)
@@ -591,7 +584,7 @@ def sanov_monte_carlo(
         raise ValueError(f"need at least 1 thread, got {threads!r}")
     P = sampler.base
     v = as_potential(constraint.potential, P.alphabet)
-    lo, hi = _window(constraint)
+    lo, hi = constraint.target
 
     n_blocks = (trials + MC_BLOCK_SIZE - 1) // MC_BLOCK_SIZE
 
@@ -660,13 +653,13 @@ def gibbs_conditioning(
 
     The conditional mean reads the exact law of V . L_{n-1} (the point mass
     at 0 for n = 1) by exchangeability, see the module docstring; the
-    prediction is the projection of P onto the dominating point of the
-    window (interior mean, else nearer endpoint), whose multiplier tilts the
-    one lattice pass (``_window_laws``).
+    prediction is the I-projection of P onto the window (``i_projection``:
+    onto its dominating point), whose multiplier tilts the one lattice pass
+    (``_window_laws``).
     """
     v = as_potential(constraint.potential, P.alphabet)
-    lo, hi = _window(constraint)
-    predicted, _ = i_projection(P, ConstraintSpec.interval(v, lo, hi))
+    lo, hi = constraint.target
+    predicted, _ = i_projection(P, constraint)
     laws = _window_laws(P, v, predicted.lam, [int(n) - 1 for n in n_grid if n != 1])
     drawn = np.flatnonzero(P.weights > 0)
     results = []

@@ -24,8 +24,9 @@ support for the tilt), or when its bracket closes on adjacent floats, so
 every projection is the same for V and 2^j V while both are normal floats
 (the multiplier scales by 2^-j).  Partition-function arithmetic is in the
 log domain with max-subtraction, so large multipliers neither overflow nor
-underflow.  ``resolve_target`` is the one place that decides whether a point
-or window target is reachable.
+underflow.  A mean target is a window [lo, hi] of V . p, a point c being
+the window [c, c]; ``resolve_target`` is the one place that turns a window
+into its dominating point and decides whether a point is reachable.
 
 Every relative-entropy projection is a row of one core, ``_project``: one
 ``resolve_target`` call classifies its targets, a range end conditions q on
@@ -111,26 +112,20 @@ class TiltedDistribution:
 
 @dataclass(frozen=True)
 class ConstraintSpec:
-    """A potential V together with a point target c or a window [lo, hi]."""
+    """A potential V together with a window [lo, hi] for V . mu; a point
+    target c is the window [c, c]."""
 
     potential: object
-    target: float | tuple[float, float]
+    target: tuple[float, float]
 
     def __post_init__(self):
-        if self.is_interval:
-            lo, hi = self.target
-            if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
-                raise ValueError(f"invalid target interval {self.target!r}")
-        elif not math.isfinite(float(self.target)):
-            raise ValueError(f"invalid point target {self.target!r}")
-
-    @property
-    def is_interval(self) -> bool:
-        return isinstance(self.target, (tuple, list))
+        lo, hi = self.target
+        if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
+            raise ValueError(f"invalid target window {self.target!r}")
 
     @classmethod
     def point(cls, potential, c: float) -> "ConstraintSpec":
-        return cls(potential, float(c))
+        return cls.interval(potential, c, c)
 
     @classmethod
     def interval(cls, potential, lo: float, hi: float) -> "ConstraintSpec":
@@ -165,26 +160,27 @@ def attainable_range(q: FiniteDistribution, v: np.ndarray) -> tuple[float, float
 def resolve_target(
     q: FiniteDistribution | np.ndarray,
     v: np.ndarray,
-    target: float | tuple[float, float] | np.ndarray,
+    target: float | np.ndarray | tuple,
     boundary: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Decide whether reweighting q can meet point or window mean targets.
+    """Decide whether reweighting q can meet mean targets.
 
     ``q`` is a FiniteDistribution, or log weights (any common shift, -inf
     off the support: a law whose mass may underflow).  ``target`` is a
-    point, an array of points, or a window, which stands for the mean of q
-    when it holds it and otherwise for its endpoint nearer that mean.
-    Returns ``(c, end)``, arrays with one entry per point: ``end`` is "mean"
-    where q itself meets the point (it is the mean of q, or V is constant on
-    the support within its float resolution of it, ``_floor``), "min" or
-    "max" where it is that end of the attainable range and ``boundary``
-    holds (only the relative-entropy projection has a limit there), "" where
-    it is strictly inside the range, and "out" otherwise.
+    point, an array of points, or a window (lo, hi) of two scalars or two
+    arrays, which stands for its dominating point (Csiszar 1975): the mean
+    of q clipped into the window.  Returns ``(c, end)``, arrays with one
+    entry per point: ``end`` is "mean" where q itself meets the point (it is
+    the mean of q, or V is constant on the support within its float
+    resolution of it, ``_floor``), "min" or "max" where it is that end of
+    the attainable range and ``boundary`` holds (only the relative-entropy
+    projection has a limit there), "" where it is strictly inside the range,
+    and "out" otherwise.
 
-    A single point or window that is "out" raises instead:
-    DegeneratePotential when V is constant on the support but another value
-    is asked, InfeasibleConstraint when the target misses the attainable
-    range or meets only an end of it while ``boundary`` is False.
+    A single point or window that is "out" raises instead, naming the
+    point: DegeneratePotential when V is constant on the support but another
+    value is asked, InfeasibleConstraint when the point is outside the
+    attainable range or only at an end of it while ``boundary`` is False.
     """
     if isinstance(q, FiniteDistribution):
         v_sup, weights = v[q.support], q.weights
@@ -193,13 +189,8 @@ def resolve_target(
         v_sup, weights = v[np.isfinite(q)], weights / weights.sum()
     v_lo, v_hi = float(v_sup.min()), float(v_sup.max())
     mean = float(np.dot(weights, v))
-    if isinstance(target, (tuple, list)):
-        lo, hi = target
-        if lo > v_hi or hi < v_lo:
-            raise InfeasibleConstraint(
-                f"window [{lo!r}, {hi!r}] misses the attainable range [{v_lo!r}, {v_hi!r}]"
-            )
-        target = mean if lo <= mean <= hi else min(max(lo if mean < lo else hi, v_lo), v_hi)
+    if isinstance(target, tuple):
+        target = np.clip(mean, *target)
     c = np.asarray(target, dtype=float)
     if v_lo == v_hi:
         end = np.where(np.abs(c - v_lo) <= _floor(v_lo), "mean", "out")
@@ -391,13 +382,14 @@ def _tilt_multiplier(
 def _project(
     q: FiniteDistribution | np.ndarray, v: np.ndarray, target, boundary: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict]:
-    """Relative-entropy projections of q onto V . p = c, one per point target.
+    """Relative-entropy projections of q onto V . p = c, one per target.
 
     ``q``, ``target`` and ``boundary`` are as for ``resolve_target``, which
-    classifies every target once (a single point or window out of reach
-    raises there).  Returns (lam, rows, log_partition, end, report), one
-    entry (rows: one row) per point, ``end`` from ``resolve_target``.  Where
-    q meets the point the row is q itself (lam 0); at an end of the range it
+    turns each window into its dominating point and classifies every point
+    once (a single point or window out of reach raises there).  Returns (lam,
+    rows, log_partition, end, report), one entry (rows: one row) per point,
+    ``end`` from ``resolve_target``.  Where q meets the point (a window that
+    holds the mean of q) the row is q itself (lam 0); at an end of the range it
     is q conditioned on V = c (lam +/-inf, log-partition NaN); out of reach
     it is NaN; every interior point is one row of a single
     ``_tilt_multiplier`` solve, and its entries of ``report`` are that
@@ -465,10 +457,11 @@ def i_projection(
 ) -> tuple[TiltedDistribution, float]:
     """Minimize KL(mu || P) over the constraint set; returns (tilt, rate).
 
-    Point targets on the boundary of the attainable range resolve to P
-    conditioned on the extreme set of V (the infinite-multiplier limit);
-    interval targets resolve by convexity to P itself when its mean is
-    inside the window, otherwise to the window endpoint nearer that mean.
+    The window resolves by convexity to its dominating point
+    (``resolve_target``): P itself when its mean is inside the window,
+    otherwise the window end nearer that mean.  A point on the boundary of
+    the attainable range resolves to P conditioned on the extreme set of V
+    (the infinite-multiplier limit).
     """
     v = as_potential(constraint.potential, P.alphabet)
     lam, rows, log_z, _, _ = _project(P, v, constraint.target, boundary=True)

@@ -894,11 +894,119 @@ class TestConfigKeys:
         # json.load keeps the last of two equal keys: the run once solved for 0.75
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text, encoding="utf-8")
-        for extra in (["--validate-only"], ["--out", str(tmp_path / "o")]):
-            assert cli.main([command, "--config", str(cfg), *extra]) == 2
-            err = capsys.readouterr().err
-            assert "ConfigInvalid" in err and key in err
+        assert cli.main([command, "--config", str(cfg), "--validate-only"]) == 2
+        out, err = capsys.readouterr()
+        assert err == "" and json.loads(out) == {"diagnostics": [
+            {"family": "validation", "error": "ConfigInvalid", "message": f"config repeats the key {key}"}]}
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "ConfigInvalid" in err and key in err
         assert not (tmp_path / "o").exists()
+
+
+def without_input(command, key):
+    config = json.loads(json.dumps(next(c for c in VALID_CONFIGS if c["command"] == command)))
+    del config["inputs"][key]
+    return config
+
+
+class TestConfigInvalidMessages:
+    """Every ConfigInvalid branch of the cli's parse, with its message."""
+
+    @pytest.mark.parametrize("config, message", [
+        pytest.param(with_input("tilt", "potential", "0 1"), "potential must be a list of reals", id="potential"),
+        pytest.param(with_input("project", "target", 0.8),
+                     "give either target or target_interval, not both", id="target-and-interval"),
+        pytest.param(with_input("project", "target_interval", [0.7]),
+                     "target_interval must be [lo, hi]", id="interval-length"),
+        pytest.param(with_input("sanov", "target_interval", 0.7),
+                     "target_interval must be [lo, hi]", id="interval-scalar"),
+        pytest.param(with_input("project", "target_interval", [0.9, 0.7]),
+                     "target_interval must satisfy lo <= hi", id="interval-order"),
+        pytest.param(without_input("project", "target_interval"),
+                     "missing target or target_interval", id="no-target"),
+        pytest.param(with_input("gibbs", "Xi", [0.7, 0.8, 0.9]), "Xi must be [lo, hi]", id="xi-length"),
+        pytest.param(with_input("meta", "Xi", [0.9, 0.6]), "Xi must satisfy lo <= hi", id="xi-order"),
+        pytest.param(with_input("gibbs", "n_grid", []),
+                     "n_grid must be a non-empty list of positive integers", id="n-grid"),
+        pytest.param(with_input("sanov", "method", "mcmc"),
+                     "method must be exact or monte-carlo, got 'mcmc'", id="method"),
+        pytest.param(with_input("rate", "xi_grid", []), "xi_grid must be non-empty", id="xi-grid"),
+        pytest.param(with_input("meta", "U", "identity"),
+                     'U must be an object like {"kind": "centered_square"}', id="u-object"),
+        pytest.param(with_input("corr", "loss", {"scale": 1.0}),
+                     'loss must be an object like {"kind": "quadratic"}', id="loss-object"),
+        pytest.param(["tilt"], "config must be a JSON object", id="config-object"),
+        pytest.param({"inputs": tilt_config()["inputs"]}, "no command given", id="no-command"),
+        pytest.param({"command": "tilt"}, "config must carry an inputs object", id="no-inputs"),
+        pytest.param({**tilt_config(), "output_dir": 7}, "output_dir must be a path string", id="output-dir"),
+    ])
+    def test_validate_reports_the_message(self, config, message):
+        assert cli.validate(config) == [{"family": "validation", "error": "ConfigInvalid", "message": message}]
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("missing.json", None, "cannot read config: "),
+        (".", None, "cannot read config: "),
+        ("bad.json", "{not json", "malformed JSON config: "),
+        ("repeated.json", '{"command": "tilt", "command": "tilt"}', "config repeats the key command"),
+    ], ids=("missing", "directory", "malformed", "repeated-key"))
+    def test_validate_only_reports_a_config_file_it_cannot_load(self, tmp_path, capsys, name, text, message):
+        # on stdout, as every other error of --validate-only; a run reports it on stderr
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        assert cli.main(["tilt", "--config", str(path), "--validate-only"]) == 2
+        out, err = capsys.readouterr()
+        [diag] = json.loads(out)["diagnostics"]
+        assert err == "" and diag["message"].startswith(message)
+        assert (diag["family"], diag["error"]) == ("validation", "ConfigInvalid")
+        assert cli.main(["tilt", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"ConfigInvalid: {message}")
+        assert not (tmp_path / "o").exists()
+
+
+def read_run(config, out_dir):
+    """The stdout and output files of a run, the manifest left out."""
+    out = io.StringIO()
+    cli.run(config, out_dir=out_dir, stdout=out)
+    return out.getvalue(), read_outputs(out_dir)
+
+
+class TestWindowRule:
+    """A point target c is the window [c, c], and a window stands for its dominating point."""
+
+    @pytest.mark.parametrize("command, inputs", [
+        ("project", {"P": [0.2, 0.5, 0.3], "potential": [0, 1, 2]}),
+        ("sanov", {"P": [0.2, 0.5, 0.3], "potential": [0, 1, 2], "n_grid": [10, 20], "method": "exact"}),
+        ("sanov", {"P": [0.2, 0.5, 0.3], "potential": [0, 1, 2 ** 0.5], "n_grid": [6, 12], "method": "exact"}),
+        ("sanov", {"P": [0.2, 0.5, 0.3], "potential": [0, 1, 2], "n_grid": [10, 20], "method": "monte-carlo",
+                   "trials": 2000}),
+    ], ids=("project", "sanov-lattice", "sanov-irrational", "sanov-monte-carlo"))
+    @pytest.mark.parametrize("c", (0.5, 1.5, 2.0))
+    def test_a_point_and_its_window_give_the_same_bytes(self, tmp_path, command, inputs, c):
+        point = read_run({"command": command, "inputs": {**inputs, "target": c}}, tmp_path / "point")
+        window = read_run({"command": command, "inputs": {**inputs, "target_interval": [c, c]}}, tmp_path / "window")
+        assert point == window
+
+    @pytest.mark.parametrize("command, inputs, error, message", [
+        ("project", {"P": [0.5, 0.5], "potential": [0, 1], "target_interval": [1.5, 2.0]},
+         "InfeasibleConstraint", "target 1.5 outside the attainable range [0.0, 1.0]"),
+        ("project", {"P": [0.5, 0.5], "potential": [0, 1], "target_interval": [-2.0, -0.5]},
+         "InfeasibleConstraint", "target -0.5 outside the attainable range [0.0, 1.0]"),
+        ("gibbs", {"P": [0.5, 0.5], "potential": [0, 1], "Xi": [2.0, 3.0], "n_grid": [10]},
+         "InfeasibleConstraint", "target 2.0 outside the attainable range [0.0, 1.0]"),
+        ("project", {"P": [0.5, 0.5], "potential": [0.5, 0.5], "target_interval": [1.5, 2.0]},
+         "DegeneratePotential", "potential is constant (0.5) on the support but target is 1.5"),
+    ], ids=("above", "below", "gibbs", "constant"))
+    def test_a_window_out_of_reach_exits_3_naming_its_point(self, tmp_path, capsys, command, inputs, error, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": command, "inputs": inputs}), encoding="utf-8")
+        assert cli.main([command, "--config", str(cfg), "--validate-only"]) == 3
+        assert json.loads(capsys.readouterr().out)["diagnostics"] == [
+            {"family": "infeasible", "error": error, "message": message}]
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == f"{error}: {message}\n"
 
 
 class TestScaleFreeTilt:

@@ -180,6 +180,20 @@ def test_one_float_resolution_rule():
     assert len(definitions) == 1 and definitions[0].startswith("measures.py:"), definitions
 
 
+def test_one_window_rule():
+    # a point target is the window [c, c], so no reader branches on the form
+    # of a target, and tilting.resolve_target alone turns a window into its
+    # dominating point, the mean clipped into the window.  The one other clip
+    # takes the meta window's ends into the attainable range of V.
+    found = [f"{path.name} {name}" for path in sorted(SOURCE.glob("*.py"))
+             for name in sorted({"is_interval", "_window"} & identifiers(path))]
+    assert found == []
+    clips = [(path.name, function.name) for path in sorted(SOURCE.glob("*.py"))
+             for function in ast.parse(path.read_text(encoding="utf-8")).body if isinstance(function, ast.FunctionDef)
+             for node in ast.walk(function) if called_name(node) == "clip"]
+    assert clips == [("meta.py", "_polish_map"), ("tilting.py", "resolve_target")]
+
+
 def identifiers(path: Path) -> set[str]:
     """Every name, attribute and imported name that a file mentions."""
     names = set()

@@ -25,7 +25,7 @@ from maxent_bayes.errors import (
     InfeasibleConstraint,
     UnsupportedGenerator,
 )
-from maxent_bayes.tilting import _GRADIENTS, solve_tilt_with_report
+from maxent_bayes.tilting import _GRADIENTS, _project, solve_tilt_with_report
 from tests.conftest import random_distribution
 from tests.test_solver_regressions import objective
 
@@ -254,6 +254,52 @@ class TestIProjection:
     def test_window_outside_range(self):
         with pytest.raises(InfeasibleConstraint):
             i_projection(dist(0.5, 0.5), ConstraintSpec.interval([0.0, 1.0], 1.5, 2.0))
+
+
+class TestWindowRule:
+    """A point target c is the window [c, c]; a window stands for its dominating point."""
+
+    def test_a_point_is_the_window_of_one_value(self):
+        assert ConstraintSpec.point([0, 1], 0.25) == ConstraintSpec.interval([0, 1], 0.25, 0.25)
+        assert ConstraintSpec.point([0, 1], 1).target == (1.0, 1.0)
+
+    @pytest.mark.parametrize("generator", ("kl", "reverse_kl", "squared_euclidean", "chi_squared"))
+    @pytest.mark.parametrize("c", (0.3, 1.1, 1.7))
+    def test_a_point_and_its_window_project_alike(self, generator, c):
+        q, v, spec = dist(0.2, 0.5, 0.3), [0.0, 1.0, 2.0], DivergenceSpec(generator)
+        point, window = ConstraintSpec.point(v, c), ConstraintSpec.interval(v, c, c)
+        assert np.array_equal(divergence_projection(spec, q, point).weights,
+                              divergence_projection(spec, q, window).weights)
+        assert necessity_gap(spec, q, point) == necessity_gap(spec, q, window)
+        (tilt, rate), (tilt_w, rate_w) = i_projection(q, point), i_projection(q, window)
+        assert (tilt.lam, rate) == (tilt_w.lam, rate_w)
+        assert np.array_equal(tilt.realized.weights, tilt_w.realized.weights)
+
+    @pytest.mark.parametrize("v, window, error, message", [
+        ([0.0, 1.0], (1.5, 2.0), InfeasibleConstraint, "target 1.5 outside the attainable range [0.0, 1.0]"),
+        ([0.0, 1.0], (-2.0, -0.5), InfeasibleConstraint, "target -0.5 outside the attainable range [0.0, 1.0]"),
+        ([0.5, 0.5], (1.5, 2.0), DegeneratePotential, "potential is constant (0.5) on the support but target is 1.5"),
+        ([0.5, 0.5], (-1.0, 0.0), DegeneratePotential, "potential is constant (0.5) on the support but target is 0.0"),
+    ], ids=("above", "below", "constant-above", "constant-below"))
+    def test_a_window_out_of_reach_raises_naming_its_point(self, v, window, error, message):
+        with pytest.raises(error) as info:
+            i_projection(dist(0.5, 0.5), ConstraintSpec.interval(v, *window))
+        assert str(info.value) == message
+
+    def test_a_window_holding_a_constant_potential_is_met_by_the_reference(self):
+        tilt, rate = i_projection(dist(0.5, 0.5), ConstraintSpec.interval([0.5, 0.5], 0.0, 1.0))
+        assert (tilt.lam, rate) == (0.0, 0.0)
+
+    def test_project_takes_one_window_per_entry(self):
+        # mean 1.1: the first window holds it, the others stand for an end
+        q, v = dist(0.2, 0.5, 0.3), np.array([0.0, 1.0, 2.0])
+        lo, hi = np.array([0.5, 1.25, 0.0, 2.0, 3.0]), np.array([1.5, 1.75, 0.5, 2.0, 4.0])
+        lam, rows, _, end, _ = _project(q, v, (lo, hi), boundary=True)
+        assert rows.shape == (5, 3) and end.tolist() == ["mean", "", "", "max", "out"]
+        assert lam[0] == 0.0 and np.array_equal(rows[0], q.weights)
+        points = _project(q, v, np.array([1.25, 0.5, 2.0]), boundary=True)
+        assert np.array_equal(lam[1:4], points[0]) and np.array_equal(rows[1:4], points[1])
+        assert np.isnan(lam[4]) and np.isnan(rows[4]).all()
 
 
 class TestDivergenceProjection:
