@@ -12,9 +12,9 @@ onto the k distinct values of V on its support, by one of two methods:
   times each of the R i + 1 sums after i < N draws), tilted so that the
   mass near a chosen point never underflows.  Each pass is tilted by the
   multiplier of a window's dominating point (a point c is the window
-  [c, c]; ``tilting.resolve_target`` alone finds the point).  The window
-  readers (``sanov_exact``, ``gibbs_conditioning``) run one pass for the
-  whole n grid.  The law the meta pipeline fits on its window
+  [c, c]; ``tilting.resolve_target`` alone finds it and decides if P reaches
+  it).  The window readers (``sanov_exact``, ``gibbs_conditioning``) run one
+  pass for the whole n grid.  The law the meta pipeline fits on its window
   (``error_distribution_exact``), whose far end can lie thousands of nats
   below its near end, runs as many passes as it takes for each reachable sum
   of the window to keep a normal mass in one (``_lattice_window``).
@@ -51,9 +51,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyEvent, InfeasibleError, NumericalError, TableTooLarge
-from .measures import Alphabet, FiniteDistribution, _floor, as_potential, relative_entropy, total_variation
-from .tilting import ConstraintSpec, TiltedDistribution, _project, attainable_range, i_projection
+from .errors import EmptyEvent, NumericalError, TableTooLarge
+from .measures import Alphabet, FiniteDistribution, _floor, as_potential, in_window, relative_entropy, total_variation
+from .tilting import ConstraintSpec, TiltedDistribution, _project, _softmax, attainable_range, i_projection
 
 TABLE_CAP = 10_000_000
 # Every exact law counts a type-enumeration term as this many terms of the
@@ -114,12 +114,6 @@ def _compositions(n: int, k: int) -> np.ndarray:
         counts = np.column_stack([np.repeat(counts, reps, axis=0), part])
         left = np.repeat(left, reps) - part
     return np.column_stack([counts, left])
-
-
-def in_window(x, lo: float, hi: float, v):
-    """Whether x, computed means V . mu over k atoms, lies in [lo, hi] widened by (k + 2) ``_floor(v)``."""
-    band = (np.size(v) + 2) * _floor(v)
-    return (x >= lo - band) & (x <= hi + band)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,8 +184,7 @@ class ErrorDistribution:
 
     @cached_property
     def probabilities(self) -> np.ndarray:
-        w = np.exp(self.log_mass - self.log_mass.max())
-        return w / w.sum()
+        return _softmax(self.log_mass)[0]
 
     def mean(self) -> float:
         return float(np.dot(self.support, self.probabilities))
@@ -242,12 +235,9 @@ def _tilted_pass(weights: np.ndarray, m: np.ndarray, t: float, ns: Sequence[int]
     and un-tilted: log P(S_n = s) = log P_t(S_n = s) - t (s - n c) + n log Z_c.
     """
     t = min(max(t, -_TILT_CAP), _TILT_CAP)
-    c = float(np.exp(np.log(weights) + t * m - _logsumexp(np.log(weights) + t * m)) @ m)
-    log_zc = _logsumexp(np.log(weights) + t * (m - c))
-    with np.errstate(over="ignore"):  # q_j / p_j overflows where p_j is subnormal
-        q = weights * np.exp(t * (m - c) - log_zc)
+    c = float(_softmax(np.log(weights) + t * m)[0] @ m)
     kernel = np.zeros(int(m.max()) + 1)
-    kernel[m] = np.where(np.isinf(q), np.exp(np.log(weights) + t * (m - c) - log_zc), q)
+    kernel[m], log_zc = _softmax(np.log(weights) + t * (m - c))
     law, read = np.ones(1), {}
     with np.errstate(divide="ignore"):  # log 0 = -inf: unreachable, or a subnormal mass
         for n in range(1, max(ns) + 1):
@@ -450,30 +440,21 @@ def _describe(constraint: ConstraintSpec) -> str:
     return f"V.mu in [{lo!r}, {hi!r}]"
 
 
-def _dominating_point(P: FiniteDistribution, constraint: ConstraintSpec) -> tuple[float, float]:
-    """(multiplier, rate) of the window's I-projection; (+-inf toward it, +inf) out of reach."""
-    try:
-        tilt, rate = i_projection(P, constraint)
-        return tilt.lam, rate
-    except InfeasibleError:
-        v = as_potential(constraint.potential, P.alphabet)
-        return (-math.inf if constraint.target[0] > float(v @ P.weights) else math.inf), math.inf
-
-
 def sanov_exact(
     P: FiniteDistribution, constraint: ConstraintSpec, n_grid: Sequence[int]
 ) -> RateEstimate:
     """Exact decay rate of P^n(V . L_n in window): the mass of the window
     under the exact law of V . L_n at each n.
 
-    Sample sizes whose event is empty (parity infeasibility) are reported
-    and excluded from the regression.  One I-projection serves the analytic
-    rate and tilts the one lattice pass (``_window_laws``).
+    One I-projection serves the analytic rate and tilts the one lattice pass
+    (``_window_laws``); a window out of reach raises there.  Sample sizes
+    whose event is empty (parity infeasibility) are reported and excluded
+    from the regression.
     """
     v = as_potential(constraint.potential, P.alphabet)
     lo, hi = constraint.target
-    lam, analytic_rate = _dominating_point(P, constraint)
-    logs = [_logsumexp(lp[in_window(x, lo, hi, v)]) for x, lp in _window_laws(P, v, lam, [int(n) for n in n_grid])]
+    tilt, analytic_rate = i_projection(P, constraint)
+    logs = [_logsumexp(lp[in_window(x, lo, hi, v)]) for x, lp in _window_laws(P, v, tilt.lam, [int(n) for n in n_grid])]
     finite = np.isfinite(logs)
     slope, _, r2, se = _fit_line(np.asarray(n_grid, dtype=float)[finite], np.asarray(logs)[finite])
     return RateEstimate(
@@ -575,9 +556,11 @@ def sanov_monte_carlo(
 ) -> RateEstimate:
     """Monte Carlo estimate of the same decay rate, for cross-checking.
 
-    Hit frequencies come with Wilson 95% intervals; the slope fit weights
-    each point by the inverse delta-method variance of log p-hat.  Sample sizes
-    with fewer than MIN_HITS observed hits are flagged and excluded from the fit.
+    The analytic rate is the I-projection's, found before anything is drawn
+    (a window out of reach raises there).  Hit frequencies come with Wilson
+    95% intervals; the slope fit weights each point by the inverse
+    delta-method variance of log p-hat.  Sample sizes with fewer than
+    MIN_HITS observed hits are flagged and excluded from the fit.
     """
     check_trials(trials)
     if threads < 1:
@@ -585,6 +568,7 @@ def sanov_monte_carlo(
     P = sampler.base
     v = as_potential(constraint.potential, P.alphabet)
     lo, hi = constraint.target
+    analytic_rate = i_projection(P, constraint)[1]
 
     n_blocks = (trials + MC_BLOCK_SIZE - 1) // MC_BLOCK_SIZE
 
@@ -613,7 +597,6 @@ def sanov_monte_carlo(
         else:
             variances.append(max((1.0 - phat) / (trials * phat), 1e-30))
 
-    analytic_rate = _dominating_point(P, constraint)[1]
     usable = [i for i, n in enumerate(n_grid) if int(n) not in insufficient]
     ns = np.asarray([float(n_grid[i]) for i in usable])
     ys = np.asarray([logs[i] for i in usable])

@@ -8,7 +8,9 @@ Conventions used throughout the package:
 * computed values are equal within ``_floor`` of their inputs, a k-term sum
   of products within k + 2 floors (Higham 2002, 3.1), so windows, groupings,
   lattices, ties (to the lowest index) and monotonicity are the same for V
-  and 2^j V; literal tolerances compare only scale-free masses and variances.
+  and 2^j V; literal tolerances compare only scale-free masses and variances;
+* ``in_window`` is that band for means V . mu, in the window readers and in
+  ``tilting.resolve_target``, where a point within it of a range end is that end.
 
 All types are immutable after construction (weight vectors are read-only
 numpy arrays), so they are safe to share across concurrent readers.
@@ -35,6 +37,12 @@ FLOOR_ULPS = 4
 def _floor(values) -> float:
     """The float resolution of quantities made of ``values``: FLOOR_ULPS ulps of max |values|."""
     return FLOOR_ULPS * math.ulp(float(np.abs(values).max()))
+
+
+def in_window(x, lo: float, hi: float, v):
+    """Whether x, computed means V . mu over k atoms, lies in [lo, hi] widened by (k + 2) ``_floor(v)``."""
+    band = (np.size(v) + 2) * _floor(v)
+    return (x >= lo - band) & (x <= hi + band)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

@@ -13,8 +13,8 @@ maximize
 
 over feasible grid points, Q the uniform prior on the grid.  The optimum
 lies on the tilt curve of P (the least-KL model for each xi = V . mu), so
-the grid answer is refined to the best tilt inside the window: a 1-D root in
-the multiplier.
+the best tilts inside the window (a 1-D root in the multiplier) join the
+grid models as candidates, and one argmax over both takes the answer.
 
 The centered-square statistic (xi - m)^2 centres on the mean of the fitted
 law: m is a bracketed root of h(m) - m on the range of the support, h(m) the
@@ -29,9 +29,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import EmptyFeasibleSet, InfeasibleConstraint
-from .ldp import ErrorDistribution, _compositions, check_table_size, error_distribution_exact, in_window
-from .measures import FiniteDistribution, _floor, as_potential, relative_entropy
-from .tilting import _bracketed_root, _project, _tilt_state, attainable_range
+from .ldp import ErrorDistribution, _compositions, check_table_size, error_distribution_exact
+from .measures import FiniteDistribution, _floor, as_potential, in_window, relative_entropy
+from .tilting import _bracketed_root, _project, _softmax, attainable_range
 
 DEFAULT_GRID_STEPS = {2: 0.001, 3: 0.02}
 
@@ -132,8 +132,7 @@ def _self_consistent_center(reference: ErrorDistribution, eta: float) -> float:
     def gap(m: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, None]:
         u = (xi - m) ** 2
         log_w = _project(log_mass, u, min(max(eta, float(u.min())), float(u.max())), boundary=True)[1][0]
-        w = np.exp(log_w - log_w.max())
-        return float(np.dot(xi, w)) / float(w.sum()) - m, None
+        return float(np.dot(xi, _softmax(log_w)[0])) - m, None
 
     return float(_bracketed_root(gap, lo, hi, reference.mean(), _floor(xi))[0][0])
 
@@ -181,10 +180,11 @@ def _best_model(
     meta: MetaConstraint,
     lambda_eta: float,
     speed: float,
-    method: str,
+    methods: list[str],
 ) -> MapModelResult:
     """Argmax of the MAP objective over the rows of ``models``, first of ties
-    (held to the float resolution of the objective's terms, which can cancel)."""
+    (held to the float resolution of the objective's terms, which can cancel);
+    ``methods`` names the method of each row."""
     kl_terms = speed * relative_entropy(models, P.weights)
     u_terms = lambda_eta * meta.values(xi)
     objective = -kl_terms - u_terms + log_q
@@ -202,7 +202,7 @@ def _best_model(
         model=FiniteDistribution(P.alphabet, models[best]),
         objective=float(objective[best]),
         components=components,
-        method=method,
+        method=methods[best],
     )
 
 
@@ -217,10 +217,11 @@ def map_model(
 ) -> MapModelResult:
     """MAP search for the most probable model given an expected-loss window.
 
-    The grid argmax, under the uniform grid prior, is exhaustive.  With a
-    differentiable statistic the best point on the tilt curve of P inside
-    the window (see ``_polish_map``) replaces it when it wins by more than a
-    tie; ``method`` then reads "tilt" instead of "grid".
+    The candidates are the grid models in the window, under the uniform grid
+    prior, and after them, with a differentiable statistic, the tilts of P
+    in the window that ``_tilt_candidates`` finds, under the same prior.  One
+    argmax (``_best_model``) takes the first of ties, so a grid model wins a
+    tie; ``method`` reads "grid" or "tilt" by the row that wins.
     """
     check_speed(speed)
     v = as_potential(potential, P.alphabet)
@@ -234,22 +235,25 @@ def map_model(
     if not np.any(feasible):
         raise EmptyFeasibleSet(f"no grid model has expected loss in [{lo!r}, {hi!r}]")
 
-    log_q = np.full(np.count_nonzero(feasible), -math.log(grid.shape[0]))
-    result = _best_model(P, grid[feasible], xi_vals[feasible], log_q, meta, lambda_eta, speed, "grid")
-    return result if meta.kind == "user_table" else _polish_map(P, v, (lo, hi), meta, lambda_eta, speed, result)
+    tilts = grid[:0] if meta.kind == "user_table" else _tilt_candidates(P, v, (lo, hi), meta, lambda_eta, speed)
+    models = np.concatenate([grid[feasible], tilts])
+    methods = ["grid"] * (len(models) - len(tilts)) + ["tilt"] * len(tilts)
+    log_q = np.full(len(models), -math.log(grid.shape[0]))
+    xi = np.concatenate([xi_vals[feasible], tilts @ v])
+    return _best_model(P, models, xi, log_q, meta, lambda_eta, speed, methods)
 
 
-def _polish_map(
+def _tilt_candidates(
     P: FiniteDistribution,
     v: np.ndarray,
     window: tuple[float, float],
     meta: MetaConstraint,
     lambda_eta: float,
     speed: float,
-    grid: MapModelResult,
-) -> MapModelResult:
-    """Best model on the tilt curve of P with V . mu in the window if it beats
-    ``grid`` by more than a tie (``_best_model``), else ``grid``.
+) -> np.ndarray:
+    """The models on the tilt curve of P with V . mu in the window that can
+    hold the MAP optimum, one per row (none when only a grid model's
+    round-off meets the window).
 
     For fixed xi = V . mu the tilt of P onto xi has the least KL(mu || P), so
     the objective is F(xi) = -speed I(xi) - lambda_eta U(xi) with I'(xi) the
@@ -257,9 +261,9 @@ def _polish_map(
     lambda_eta U'(xi(lam)) - speed lam, which changes sign on the window's
     lam-range clipped to lambda_eta U'([min V, max V]) / speed (U' is
     monotone).  The candidates are that root and the tilts onto the window
-    ends clipped to P's range (none when only a grid model's round-off meets
-    the window).  F is concave for identity U and for centered_square with
-    lambda_eta >= 0, where this is the exact optimum; otherwise a local one.
+    ends clipped to P's range.  F is concave for identity U and for
+    centered_square with lambda_eta >= 0, where the best of them is the exact
+    optimum; otherwise a local one.
     """
     lo, hi = window
     v_lo, v_hi = attainable_range(P, v)
@@ -269,7 +273,7 @@ def _polish_map(
         log_p = np.log(P.weights)
 
     def gap(lam: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, None]:
-        xi = _tilt_state(log_p, v, lam)[0] @ v
+        xi = _softmax(log_p - np.multiply.outer(lam, v))[0] @ v
         return lambda_eta * meta.derivative(xi) - speed * lam, None
 
     reach = sorted(lambda_eta * meta.derivative(x) / speed for x in (v_lo, v_hi))
@@ -277,17 +281,10 @@ def _polish_map(
     if lam_lo <= lam_hi:
         floor = _floor(speed * np.array([lam_lo, lam_hi]))  # both terms of gap lie in that range
         lam = _bracketed_root(gap, lam_lo, lam_hi, 0.5 * (lam_lo + lam_hi), floor)[0]
-        candidates.append(_tilt_state(log_p, v, lam)[0][0])
+        candidates.append(_softmax(log_p - np.multiply.outer(lam, v))[0][0])
 
     mus = np.array(candidates)
-    xi = mus @ v
-    inside = in_window(xi, lo, hi, v)
-    if not np.any(inside):
-        return grid
-    log_q = np.full(np.count_nonzero(inside), grid.components["log_q_term"])
-    polished = _best_model(P, mus[inside], xi[inside], log_q, meta, lambda_eta, speed, "tilt")
-    band = (P.size + 2) * _floor([*grid.components.values(), *polished.components.values()])
-    return polished if polished.objective > grid.objective + band else grid
+    return mus[in_window(mus @ v, lo, hi, v)]
 
 
 @dataclass(frozen=True, eq=False)

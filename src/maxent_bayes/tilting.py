@@ -24,9 +24,10 @@ support for the tilt), or when its bracket closes on adjacent floats, so
 every projection is the same for V and 2^j V while both are normal floats
 (the multiplier scales by 2^-j).  Partition-function arithmetic is in the
 log domain with max-subtraction, so large multipliers neither overflow nor
-underflow.  A mean target is a window [lo, hi] of V . p, a point c being
-the window [c, c]; ``resolve_target`` is the one place that turns a window
-into its dominating point and decides whether a point is reachable.
+underflow (``_softmax``).  A mean target is a window [lo, hi] of V . p, a
+point c being the window [c, c]; ``resolve_target`` is the one place that
+turns a window into its dominating point and decides whether that point is
+reachable, within the band of the window readers (``measures.in_window``).
 
 Every relative-entropy projection is a row of one core, ``_project``: one
 ``resolve_target`` call classifies its targets, a range end conditions q on
@@ -57,6 +58,7 @@ from .measures import (
     FiniteDistribution,
     _floor,
     as_potential,
+    in_window,
     relative_entropy,
     total_variation,
 )
@@ -169,31 +171,32 @@ def resolve_target(
     off the support: a law whose mass may underflow).  ``target`` is a
     point, an array of points, or a window (lo, hi) of two scalars or two
     arrays, which stands for its dominating point (Csiszar 1975): the mean
-    of q clipped into the window.  Returns ``(c, end)``, arrays with one
-    entry per point: ``end`` is "mean" where q itself meets the point (it is
-    the mean of q, or V is constant on the support within its float
-    resolution of it, ``_floor``), "min" or "max" where it is that end of
-    the attainable range and ``boundary`` holds (only the relative-entropy
-    projection has a limit there), "" where it is strictly inside the range,
-    and "out" otherwise.
+    of q clipped into the window.  A point past an end of the attainable
+    range but within ``in_window``'s band of it (the float resolution of a
+    computed mean V . mu) is that end.  Returns ``(c, end)``, arrays with
+    one entry per point: ``end`` is "mean" where q itself meets the point
+    (it is the mean of q, or V is constant on the support and the point is
+    that value), "min" or "max" where it is that end of the attainable range
+    and ``boundary`` holds (only the relative-entropy projection has a limit
+    there), "" where it is strictly inside the range, and "out" otherwise.
 
-    A single point or window that is "out" raises instead, naming the
-    point: DegeneratePotential when V is constant on the support but another
-    value is asked, InfeasibleConstraint when the point is outside the
-    attainable range or only at an end of it while ``boundary`` is False.
+    A single point or window that is "out" raises instead, naming the point
+    as asked: DegeneratePotential when V is constant on the support but
+    another value is asked, InfeasibleConstraint when the point is outside
+    the attainable range or only at an end of it while ``boundary`` is False.
     """
     if isinstance(q, FiniteDistribution):
         v_sup, weights = v[q.support], q.weights
     else:
-        weights = np.exp(q - q.max())
-        v_sup, weights = v[np.isfinite(q)], weights / weights.sum()
+        v_sup, weights = v[np.isfinite(q)], _softmax(q)[0]
     v_lo, v_hi = float(v_sup.min()), float(v_sup.max())
     mean = float(np.dot(weights, v))
     if isinstance(target, tuple):
         target = np.clip(mean, *target)
-    c = np.asarray(target, dtype=float)
+    asked = np.asarray(target, dtype=float)
+    c = np.where(in_window(asked, v_lo, v_hi, v), np.clip(asked, v_lo, v_hi), asked)
     if v_lo == v_hi:
-        end = np.where(np.abs(c - v_lo) <= _floor(v_lo), "mean", "out")
+        end = np.where(c == v_lo, "mean", "out")
     else:
         end = np.where((v_lo < c) & (c < v_hi), "", "out")
         if boundary:
@@ -203,10 +206,10 @@ def resolve_target(
         return np.atleast_1d(c), np.atleast_1d(end)
     if v_lo == v_hi:
         raise DegeneratePotential(
-            f"potential is constant ({v_lo!r}) on the support but target is {float(c)!r}"
+            f"potential is constant ({v_lo!r}) on the support but target is {float(asked)!r}"
         )
     raise InfeasibleConstraint(
-        f"target {float(c)!r} outside the attainable "
+        f"target {float(asked)!r} outside the attainable "
         + (f"range [{v_lo!r}, {v_hi!r}]" if boundary else f"open interval ({v_lo!r}, {v_hi!r})")
     )
 
@@ -327,13 +330,14 @@ def _bracketed_root(
 # ---------------------------------------------------------------------------
 # Relative entropy: the exponential tilt
 # ---------------------------------------------------------------------------
-def _tilt_state(log_w: np.ndarray, v: np.ndarray, lam: np.ndarray):
-    """Normalized weights and log-partitions of log_w - lam_i v, one row per lam_i."""
-    a = log_w - np.multiply.outer(lam, v)
-    m = np.maximum.reduce(a, axis=1)
-    w = np.exp(a - m[:, None])
-    z = np.add.reduce(w, axis=1)
-    return w / z[:, None], m + np.log(z)
+def _softmax(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(a) normalized along the last axis, and the log of its sum (the
+    log-partition), with max-subtraction: every tilt of log weights, one row
+    per multiplier for a = log_w - np.multiply.outer(lam, v)."""
+    m = np.maximum.reduce(a, axis=-1, keepdims=True)
+    w = np.exp(a - m)
+    z = np.add.reduce(w, axis=-1, keepdims=True)
+    return w / z, (m + np.log(z))[..., 0]
 
 
 def _tilt_multiplier(
@@ -360,7 +364,7 @@ def _tilt_multiplier(
     def evaluate(t: np.ndarray):
         # a Newton step off a subnormal variance may spread the log weights past the float range
         with np.errstate(over="ignore"):
-            w, log_z = _tilt_state(log_w, d, t)
+            w, log_z = _softmax(log_w - np.multiply.outer(t, d))
         m = np.add.reduce(w * d, axis=1)
         return m, -np.add.reduce(w * (d - m[:, None]) ** 2, axis=1), w, log_z
 

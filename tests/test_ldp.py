@@ -18,7 +18,7 @@ from maxent_bayes import (
     sanov_monte_carlo,
 )
 import maxent_bayes.ldp as ldp_mod
-from maxent_bayes.errors import EmptyEvent, NumericalError, TableTooLarge
+from maxent_bayes.errors import EmptyEvent, InfeasibleConstraint, NumericalError, TableTooLarge
 from maxent_bayes.ldp import table_size
 from tests.conftest import random_distribution
 
@@ -152,13 +152,13 @@ class TestSanovMonteCarlo:
         assert mc.log_probs == (0.0, 0.0)
         assert mc.insufficient_ns == ()
 
-    def test_impossible_event_flagged(self):
+    def test_impossible_event_flagged(self, monkeypatch):
+        # a window no reweighting of P reaches is infeasible before any draw,
+        # as it is for the exact method, project and gibbs
+        monkeypatch.setattr(SeededSampler, "multinomial_block", lambda *args: pytest.fail("drew a block"))
         sampler = SeededSampler(seed=1, base=BERN_HALF)
-        mc = sanov_monte_carlo(sampler, ConstraintSpec.interval(V01, 1.5, 2.0), [10, 20], 2000)
-        assert all(math.isinf(lp) and lp < 0 for lp in mc.log_probs)
-        assert mc.insufficient_ns == (10, 20)
-        assert math.isnan(mc.fitted_slope)
-        assert math.isinf(mc.analytic_rate)
+        with pytest.raises(InfeasibleConstraint, match=r"^target 1\.5 outside the attainable range \[0\.0, 1\.0\]$"):
+            sanov_monte_carlo(sampler, ConstraintSpec.interval(V01, 1.5, 2.0), [10, 20], 2000)
 
     def test_minimum_trials_enforced(self):
         sampler = SeededSampler(seed=1, base=BERN_HALF)
@@ -490,9 +490,15 @@ class TestLatticeRecursion:
 
     def test_lost_mass_is_a_numerical_error(self, monkeypatch):
         # each tilted pass of the meta law checks that it keeps mass 1; the
-        # check is a typed error, so it survives python -O
-        full = ldp_mod._logsumexp
-        monkeypatch.setattr(ldp_mod, "_logsumexp", lambda a: full(a[:-1]))
+        # check is a typed error, so it survives python -O.  The kernel's
+        # softmax loses half the mass of its last atom.
+        full = ldp_mod._softmax
+
+        def losing(a):
+            w, log_z = full(a)
+            return w * [1.0, 0.5], log_z
+
+        monkeypatch.setattr(ldp_mod, "_softmax", losing)
         with pytest.raises(NumericalError, match="sum to"):
             error_distribution_exact(dist(0.5, 0.5), V01, 4)
 
@@ -582,16 +588,17 @@ class TestTiltedPass:
         # below the float range at these n.  An untilted linear pass
         # underflows there and would report a false EmptyEvent.
         # The second window misses [0, 3] by two ulps of 3, inside the float
-        # resolution of V . L_n: its rate is +inf, and the pass is still
-        # tilted toward it.  A window 1e-13 past 3 holds no type mean.
+        # resolution of V . L_n: its dominating point is 3, rate log 3, and
+        # the pass is tilted onto it.  A window 1e-13 past 3 holds no type
+        # mean, and no reweighting of P reaches it.
         P, v, grid = dist(1 / 3, 1 / 3, 1 / 3), [0.0, 1.0, 3.0], [700, 800]
         for constraint in (ConstraintSpec.point(v, 3.0), ConstraintSpec.interval(v, 3.0 + 2 * math.ulp(3.0), 4.0)):
             est = sanov_exact(P, constraint, grid)
-            assert est.empty_event_ns == ()
+            assert est.empty_event_ns == () and est.analytic_rate == math.log(3)
             for n, log_prob in zip(grid, est.log_probs):
                 assert abs(log_prob - n * math.log(1 / 3)) <= 1e-12 * n * math.log(3)
-        est = sanov_exact(P, ConstraintSpec.interval(v, 3.0 + 1e-13, 4.0), grid)
-        assert est.empty_event_ns == (700, 800) and est.log_probs == (-math.inf, -math.inf)
+        with pytest.raises(InfeasibleConstraint, match=r"^target 3\.0000000000001 outside the attainable range"):
+            sanov_exact(P, ConstraintSpec.interval(v, 3.0 + 1e-13, 4.0), grid)
         [untilted] = ldp_mod._tilted_pass(np.full(3, 1 / 3), np.array([0, 1, 3]), 0.0, [700])
         assert untilted[-1] == -math.inf
 

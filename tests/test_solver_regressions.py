@@ -36,6 +36,7 @@ from maxent_bayes import (
     tilting,
 )
 from maxent_bayes.errors import InfeasibleConstraint, NumericalError
+from maxent_bayes.measures import _floor
 
 NON_KL = ("reverse_kl", "squared_euclidean", "chi_squared")
 
@@ -571,12 +572,16 @@ class TestPinnedRateGrid:
             assert rates[i] == pytest.approx(legendre_rate(P.weights, v, grid[i]), rel=1e-12)
 
     def test_potential_constant_on_the_support(self):
-        # V is 1 wherever P has mass; a point within the float resolution of 1 is met by P
+        # V is 1 wherever P has mass; a point within the band of the window
+        # readers, (k + 2) _floor(V) = 20 ulps of 5 = 20 * 2^-50, is 1 and met by P
         P = FiniteDistribution.from_weights([0.5, 0.5, 0.0])
-        grid = [0.5, 1.0, 1.0 + 2.0 ** -50, 1.0 + 2.0 ** -49, 5.0]
+        edge = 20 * 2.0 ** -50
+        assert edge == 5 * _floor([1.0, 1.0, 5.0])
+        grid = [0.5, np.nextafter(1.0 - edge, 0.0), 1.0 - edge, 1.0, 1.0 + 2.0 ** -50, 1.0 + 2.0 ** -49,
+                1.0 + edge, np.nextafter(1.0 + edge, 2.0), 5.0]
         points = error_rate_function(P, [1.0, 1.0, 5.0], grid)
         assert [(p.rate, p.feasible) for p in points] == [
-            (math.inf, False), (0.0, True), (0.0, True), (math.inf, False), (math.inf, False)
+            (math.inf, False), (math.inf, False), *[(0.0, True)] * 5, (math.inf, False), (math.inf, False)
         ]
 
 

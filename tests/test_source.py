@@ -183,15 +183,36 @@ def test_one_float_resolution_rule():
 def test_one_window_rule():
     # a point target is the window [c, c], so no reader branches on the form
     # of a target, and tilting.resolve_target alone turns a window into its
-    # dominating point, the mean clipped into the window.  The one other clip
-    # takes the meta window's ends into the attainable range of V.
+    # dominating point, the mean clipped into the window, and then a point
+    # within the band of the window readers of a range end to that end.  The
+    # one other clip takes the meta window's ends into the attainable range.
     found = [f"{path.name} {name}" for path in sorted(SOURCE.glob("*.py"))
              for name in sorted({"is_interval", "_window"} & identifiers(path))]
     assert found == []
     clips = [(path.name, function.name) for path in sorted(SOURCE.glob("*.py"))
              for function in ast.parse(path.read_text(encoding="utf-8")).body if isinstance(function, ast.FunctionDef)
              for node in ast.walk(function) if called_name(node) == "clip"]
-    assert clips == [("meta.py", "_polish_map"), ("tilting.py", "resolve_target")]
+    assert clips == [("meta.py", "_tilt_candidates"), *[("tilting.py", "resolve_target")] * 2]
+
+
+def test_one_feasibility_rule():
+    # tilting.resolve_target alone decides whether a window can be reached:
+    # no reader turns an InfeasibleError into an answer of its own, the band
+    # of a range end is the window readers' (measures.in_window), every tilt
+    # of log weights is one softmax, and the MAP search takes one argmax
+    handlers = [f"{name}:{node.lineno}" for name in ("ldp.py", "meta.py")
+                for node in ast.walk(ast.parse((SOURCE / name).read_text(encoding="utf-8")))
+                if isinstance(node, ast.ExceptHandler) and node.type is not None
+                and "InfeasibleError" in ast.unparse(node.type)]
+    assert handlers == []
+    gone = [f"{path.name} {name}" for path in sorted(SOURCE.glob("*.py"))
+            for name in sorted({"_dominating_point", "_tilt_state"} & identifiers(path))]
+    assert gone == []
+    definitions = [path.name for path in sorted(SOURCE.glob("*.py"))
+                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                   if isinstance(node, ast.FunctionDef) and node.name == "in_window"]
+    assert definitions == ["measures.py"]
+    assert [place.split(":")[0] for place, _ in calls("_best_model")] == ["meta.py"]
 
 
 def identifiers(path: Path) -> set[str]:
