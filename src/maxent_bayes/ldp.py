@@ -37,16 +37,22 @@ sorts its terms and groups them by value, within ``in_window``'s band of V.
 Decay rates are always estimated by regressing log P_n on n across a grid of
 sample sizes: the polynomial prefactor of the exact probability contributes
 O(log n), which the slope fit suppresses, while evaluating (1/n) log P_n at
-a single n would not.  Monte Carlo blocks (``SeededSampler``) draw each trial's
-first count by inversion (Devroye 1986, III.2-3), the rest given the draws left.
+a single n would not.  Monte Carlo blocks (``SeededSampler``) draw every count
+of a trial by inversion (Devroye 1986, III.2-3) of the binomial cdf table of
+the draws left, a later count off one flat layout of the tables of the block's
+distinct draws-left values, or by ``Generator.binomial`` where those tables
+would hold more entries than the block has trials.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -66,6 +72,9 @@ _TILT_CAP = 746.0  # per lattice step; exp(-746) is 0, so a steeper tilt is the 
 # Monte Carlo trials per sampling block.  Each block draws from its own
 # stream, keyed by its index, so this size fixes every Monte Carlo output.
 MC_BLOCK_SIZE = 65536
+# Entries of binomial cdf tables a sampler keeps: the rows of at least 16 table-read
+# counts of full blocks, whose rows sum to at most MC_BLOCK_SIZE entries each.
+TABLE_CACHE_ENTRIES = 16 * MC_BLOCK_SIZE
 WILSON_Z = 1.959963984540054  # 95% normal quantile
 MIN_HITS = 10
 
@@ -433,6 +442,14 @@ def _fit_line(
     return slope, yb - slope * xb, r2, se
 
 
+def _held_window(P: FiniteDistribution, v: np.ndarray, constraint: ConstraintSpec) -> tuple[float, float]:
+    """The window the readers hold computed means to (``in_window``): the constraint's,
+    clipped to the attainable range of V, so an end past a range end is that end, as
+    ``resolve_target`` takes a point within the band past it for that end."""
+    lo, hi = np.clip(constraint.target, *attainable_range(P, v)).tolist()
+    return lo, hi
+
+
 def _describe(constraint: ConstraintSpec) -> str:
     lo, hi = constraint.target
     if lo == hi:
@@ -452,8 +469,8 @@ def sanov_exact(
     from the regression.
     """
     v = as_potential(constraint.potential, P.alphabet)
-    lo, hi = constraint.target
     tilt, analytic_rate = i_projection(P, constraint)
+    lo, hi = _held_window(P, v, constraint)
     logs = [_logsumexp(lp[in_window(x, lo, hi, v)]) for x, lp in _window_laws(P, v, tilt.lam, [int(n) for n in n_grid])]
     finite = np.isfinite(logs)
     slope, _, r2, se = _fit_line(np.asarray(n_grid, dtype=float)[finite], np.asarray(logs)[finite])
@@ -472,15 +489,18 @@ def sanov_exact(
     )
 
 
-@lru_cache(maxsize=4)
-def _inverse_table(n: int, q: float) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """(offset, pmf, cdf, guide) of Bin(n, q) over nq +- ceil(sqrt(372.5 n)), outside which
-    Hoeffding leaves mass below exp(-745), i.e. 0, from log pmf steps summed outward from the mode.
-    guide[i] inverts i / K, K = len(guide) a power of two, or is -1 if cell i has several steps."""
-    if q in (0.0, 1.0):
-        return (0 if q == 0.0 else n), np.ones(1), np.ones(1), np.zeros(1, dtype=np.intp)
+def _table_range(n: int, q: float) -> tuple[int, int]:
+    """(lo, hi) = nq -+ ceil(sqrt(372.5 n)) within 0..n: outside it, by Hoeffding, Bin(n, q)
+    leaves mass below exp(-745), i.e. 0."""
     h = math.ceil(math.sqrt(372.5 * n))
-    lo, hi = max(0, math.floor(n * q) - h), min(n, math.floor(n * q) + h)
+    return max(0, math.floor(n * q) - h), min(n, math.floor(n * q) + h)
+
+
+def _inverse_table(n: int, q: float) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """(offset, pmf, cdf, guide) of Bin(n, q), 0 < q < 1, over ``_table_range``, from log pmf
+    steps summed outward from the mode.  guide[i] inverts i / K, K = len(guide) a power of two,
+    or is -1 if cell i has several steps."""
+    lo, hi = _table_range(n, q)
     if hi - lo + 1 > TABLE_CAP:
         raise TableTooLarge(f"binomial table for n={n} needs {hi - lo + 1} entries (cap {TABLE_CAP})")
     x = np.arange(lo, hi, dtype=float)
@@ -495,13 +515,63 @@ def _inverse_table(n: int, q: float) -> tuple[int, np.ndarray, np.ndarray, np.nd
     return lo, pmf, cdf, np.where(np.diff(guide) > 1, -1, guide[:-1])
 
 
-def _inverse_binomial(n: int, q: float, u: np.ndarray) -> np.ndarray:
-    """Bin(n, q) by inversion of each u: offset + searchsorted(cdf, u, side="right")."""
-    offset, _, cdf, guide = _inverse_table(n, q)
-    x = guide[(u * len(guide)).astype(np.intp)]  # u K is exact
+def _inverse_binomial(tables: Sequence[tuple], which, u: np.ndarray) -> np.ndarray:
+    """Bin(n_i, q) by inversion of each u_i: offset + searchsorted(cdf, u_i, side="right") on
+    ``tables[which_i]``, the ``_inverse_table`` row of n_i (``which`` an index array, or 0
+    for one row).
+
+    The rows are one flat layout, their cdfs and their guides concatenated, each guide's
+    steps shifted to index the joint cdf, read by whole-array gathers.  A guide cell of
+    several steps is found by a bisection within its row, for all such u at once.
+    """
+    offsets, _, cdfs, guides = zip(*tables)
+    sizes, cells = np.array([len(c) for c in cdfs]), np.array([len(g) for g in guides])
+    starts = np.cumsum(sizes) - sizes
+    if len(tables) == 1:
+        cdf, guide = cdfs[0], guides[0]
+    else:
+        cdf, guide = np.concatenate(cdfs), np.concatenate(guides)
+        guide = np.where(guide < 0, -1, guide + np.repeat(starts, cells))
+    x = (u * cells.astype(float)[which]).astype(np.intp)  # u K is exact
+    x += (np.cumsum(cells) - cells)[which]
+    x = guide[x]
     x += u >= cdf[x]  # a cell of several steps holds -1, and cdf[-1] is 1.0 > u
-    x[x < 0] = np.searchsorted(cdf, u[x < 0], side="right")
-    return x + offset
+    several = np.flatnonzero(x < 0)
+    row = np.broadcast_to(which, u.shape)[several]
+    lo, hi, v = starts[row], starts[row] + sizes[row] - 1, u[several]
+    for _ in range(int(sizes.max()).bit_length()):  # the first cdf > v in lo..hi; cdf[hi], a row's last, is 1.0
+        mid = (lo + hi) // 2
+        above = v >= cdf[mid]
+        lo, hi = np.where(above, mid + 1, lo), np.where(above, hi, mid)
+    x[several] = lo
+    x += (np.array(offsets) - starts)[which]
+    return x
+
+
+class _TableCache:
+    """The ``_inverse_table`` rows a sampler has read, least recently used out once they
+    hold more than TABLE_CACHE_ENTRIES entries together (at most 32 B each: pmf, cdf and
+    under two guide cells), so a sampler keeps at most 32 MB of tables, or only the row
+    it read last where that row alone is wider, besides each row's array headers."""
+
+    def __init__(self):
+        self.rows: OrderedDict = OrderedDict()
+        self.entries = 0
+        self.lock = threading.Lock()
+
+    def __call__(self, n: int, q: float) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+        with self.lock:
+            if (n, q) in self.rows:
+                self.rows.move_to_end((n, q))
+                return self.rows[n, q]
+        row = _inverse_table(n, q)
+        with self.lock:
+            if (n, q) not in self.rows:
+                self.rows[n, q] = row
+                self.entries += len(row[2])
+                while self.entries > TABLE_CACHE_ENTRIES and len(self.rows) > 1:
+                    self.entries -= len(self.rows.popitem(last=False)[1][2])
+        return row
 
 
 @dataclass(frozen=True)
@@ -511,12 +581,18 @@ class SeededSampler:
     Each Monte Carlo block draws from its own stream, keyed by (seed, n,
     block index) through a SeedSequence spawn key feeding a Philox
     generator, so identical draws are bit-identical across runs and across
-    any parallel schedule.  A block's first counts invert one cdf table per
-    (n, p_0); each later count is Bin(draws left, p_j / sum_{i >= j} p_i).
+    any parallel schedule.  Only the symbols of positive weight are drawn.
+    Each count but the last is Bin(draws left, p_j / sum_{i >= j} p_i), by
+    inversion of one ``gen.random`` value per trial (``_inverse_binomial``):
+    the first on the table of (n, p_0), each later one on the tables of the
+    block's distinct draws-left values, unless their widths sum past the
+    block's trials; that count is ``Generator.binomial(left, q_j)``.  The
+    tables are kept in the sampler (``_TableCache``) across its blocks.
     """
 
     seed: int
     base: FiniteDistribution
+    _tables: _TableCache = field(default_factory=_TableCache, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 <= self.seed < 2 ** 64:
@@ -527,14 +603,28 @@ class SeededSampler:
             raise TableTooLarge(f"counts of n={n} draws overflow the 64-bit count table")
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(0, _STREAM_SANOV, n, block_index))
         gen = np.random.Generator(np.random.Philox(seq))
-        tails = np.cumsum(self.base.weights[::-1])[::-1]
-        q = np.divide(self.base.weights, tails, out=np.zeros_like(tails), where=tails > 0)
-        counts = np.empty((block_trials, len(q)), dtype=np.int64)
-        left = np.full(block_trials, n, dtype=np.int64)
-        for j in range(len(q) - 1):
-            counts[:, j] = gen.binomial(left, q[j]) if j else _inverse_binomial(n, q[0], gen.random(block_trials))
-            left -= counts[:, j]
-        counts[:, -1] = left
+        drawn = np.flatnonzero(self.base.weights > 0)
+        weights = self.base.weights[drawn]
+        q = weights / np.cumsum(weights[::-1])[::-1]
+        counts = np.zeros((block_trials, self.base.size), dtype=np.int64)
+        left, u = np.full(block_trials, n, dtype=np.int64), np.empty(block_trials)
+        for j in range(len(drawn) - 1):
+            if j == 0:
+                count = _inverse_binomial([self._tables(n, q[0])], 0, gen.random(out=u))
+            else:
+                base = int(left.min())
+                shifted = left - base
+                seen = np.bincount(shifted) > 0
+                rows = (np.flatnonzero(seen) + base).tolist()
+                widths = (hi - lo + 1 for lo, hi in (_table_range(m, q[j]) for m in rows))
+                if any(total > block_trials for total in accumulate(widths)):
+                    count = gen.binomial(left, q[j])
+                else:
+                    tables = [self._tables(m, q[j]) for m in rows]
+                    count = _inverse_binomial(tables, (np.cumsum(seen) - 1)[shifted], gen.random(out=u))
+            counts[:, drawn[j]] = count
+            left -= count
+        counts[:, drawn[-1]] = left
         return counts
 
 
@@ -567,8 +657,8 @@ def sanov_monte_carlo(
         raise ValueError(f"need at least 1 thread, got {threads!r}")
     P = sampler.base
     v = as_potential(constraint.potential, P.alphabet)
-    lo, hi = constraint.target
     analytic_rate = i_projection(P, constraint)[1]
+    lo, hi = _held_window(P, v, constraint)
 
     n_blocks = (trials + MC_BLOCK_SIZE - 1) // MC_BLOCK_SIZE
 
@@ -641,8 +731,8 @@ def gibbs_conditioning(
     (``_window_laws``).
     """
     v = as_potential(constraint.potential, P.alphabet)
-    lo, hi = constraint.target
     predicted, _ = i_projection(P, constraint)
+    lo, hi = _held_window(P, v, constraint)
     laws = _window_laws(P, v, predicted.lam, [int(n) - 1 for n in n_grid if n != 1])
     drawn = np.flatnonzero(P.weights > 0)
     results = []
@@ -657,7 +747,7 @@ def gibbs_conditioning(
         weights = np.zeros(P.size)
         weights[drawn] = np.exp(log_joint - log_event)
         mean = FiniteDistribution(P.alphabet, weights)
-        results.append(ConditioningResult((lo, hi), int(n), mean, predicted, total_variation(mean, predicted.realized)))
+        results.append(ConditioningResult(constraint.target, int(n), mean, predicted, total_variation(mean, predicted.realized)))
     return results
 
 

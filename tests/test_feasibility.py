@@ -156,6 +156,31 @@ class TestAWindowInsideTheBandOfAConstantPotential:
         assert runs["rate"]["rate"] == [0] and runs["rate"]["feasible"] == [True]
 
 
+class TestAWindowInTheLastUlpsOfTheBand:
+    """20 ulps of 0.3 past max V = 0.3, the band's last ulp at k = 3: the event
+    is every draw on the top atom, P_n = 2^-n, whatever a computed mean of
+    that type rounds to, so gibbs and sanov (exact and Monte Carlo) read it
+    at every n, rate log 2."""
+
+    P, V, WINDOW = [0.2, 0.3, 0.5], [0.0, 0.1, 0.3], (0.3 + 20 * math.ulp(0.3), 1.3)
+
+    def test_every_reader_holds_the_window_clipped_to_the_range(self):
+        P, constraint = FiniteDistribution.from_weights(self.P), ConstraintSpec.interval(self.V, *self.WINDOW)
+        ns = [6, 7, 12]
+        sanov = sanov_exact(P, constraint, ns)
+        assert sanov.empty_event_ns == () and sanov.analytic_rate == math.log(2)
+        for n, log_prob in zip(ns, sanov.log_probs):
+            assert log_prob == pytest.approx(-n * math.log(2), rel=1e-12)
+        for res in gibbs_conditioning(P, constraint, [1, *ns]):
+            assert res.conditioned_mean_measure.weights.tolist() == [0.0, 0.0, 1.0] and res.tv_distance == 0.0
+            assert res.window == self.WINDOW
+        trials = 20_000
+        mc = sanov_monte_carlo(SeededSampler(seed=5, base=P), constraint, ns[:2], trials)
+        for n, log_prob in zip(ns, mc.log_probs):  # within 5 binomial standard deviations of 2^-n
+            p = 2.0 ** -n
+            assert abs(math.exp(log_prob) - p) <= 5 * math.sqrt(p * (1 - p) / trials)
+
+
 def outcome(call):
     """("answer", result) or the type and message of the MaxentError the call raises."""
     try:
@@ -171,15 +196,16 @@ BAND_ULPS = (3 + 2) * FLOOR_ULPS  # in_window's band at k = 3, in ulps of max |V
 @pytest.mark.parametrize("shape", ((0.0, 1.0, 3.0), (0.0, 1.0, math.sqrt(2.0))), ids=("lattice", "irrational"))
 def test_one_verdict_just_past_a_range_end(scale, shape):
     # a window whose near end sits j ulps of max |V| past a range end: sanov,
-    # project, gibbs and rate all answer (j inside the band, clear of the few
-    # ulps by which a computed type mean rounds) or all raise the same error
+    # project, gibbs and rate all answer, sanov with no empty event (j inside
+    # the band, to its last ulp), or all raise the same error
     rng = np.random.default_rng(2024)
     for _ in range(3):
         P = FiniteDistribution.from_weights(rng.dirichlet(np.ones(3)) * 0.97 + 0.01)
         v = scale * (np.array(shape) + rng.uniform(-3.0, 3.0))
         ulp = math.ulp(float(np.abs(v).max()))
         for end, side in ((float(v.max()), 1.0), (float(v.min()), -1.0)):
-            for j in (1, BAND_ULPS // 2, BAND_ULPS - 5, BAND_ULPS + 1, 2 * BAND_ULPS, 100 * BAND_ULPS):
+            for j in (1, BAND_ULPS // 2, BAND_ULPS - 5, BAND_ULPS - 1, BAND_ULPS, BAND_ULPS + 1, 2 * BAND_ULPS,
+                      100 * BAND_ULPS):
                 near = end + side * j * ulp
                 constraint = ConstraintSpec.interval(v, *sorted((near, end + side * scale)))
                 results = [outcome(lambda: sanov_exact(P, constraint, [6, 12])),
@@ -191,6 +217,7 @@ def test_one_verdict_just_past_a_range_end(scale, shape):
                 if reached:
                     assert [kind for kind, _ in results] == ["answer"] * 3 and rate.feasible, (scale, near)
                     assert math.isfinite(results[0][1].analytic_rate) and math.isfinite(rate.rate)
+                    assert results[0][1].empty_event_ns == (), (scale, near)
                 else:
                     assert results[0][0] == "InfeasibleConstraint" and results == [results[0]] * 3, (scale, near)
                     assert not rate.feasible

@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -188,14 +190,22 @@ class TestSanovMonteCarlo:
         with pytest.raises(ValueError):
             sanov_monte_carlo(sampler, ConstraintSpec.interval(V01, 0.0, 1.0), [10], 1000, threads=0)
 
-    def test_bit_identical_across_runs_and_thread_counts(self):
-        constraint = ConstraintSpec.interval(V01, 0.7, 1.0)
+    @pytest.mark.parametrize("P, v, window, grid, trials", [
+        (BERN_HALF, V01, (0.7, 1.0), [15, 30], 50_000),
+        # k = 3, three blocks per n: the later count reads its tables at n = 20
+        # and 40 and falls back to Generator.binomial at n = 10^6 and 2 10^6
+        (dist(0.2, 0.3, 0.5), [0.0, 1.0, 2.0], (1.4, 2.0), [20, 40], 3 * ldp_mod.MC_BLOCK_SIZE - 1000),
+        (dist(0.2, 0.3, 0.5), [0.0, 1.0, 2.0], (1.3, 1.3003), [10**6, 2 * 10**6], 3 * ldp_mod.MC_BLOCK_SIZE - 1000),
+    ], ids=["k2", "k3-tables", "k3-large-n"])
+    def test_bit_identical_across_runs_and_thread_counts(self, P, v, window, grid, trials):
+        constraint = ConstraintSpec.interval(v, *window)
         runs = []
         for threads in (1, 1, 4):
-            sampler = SeededSampler(seed=77, base=BERN_HALF)
+            sampler = SeededSampler(seed=77, base=P)
             runs.append(
-                sanov_monte_carlo(sampler, constraint, [15, 30], 50_000, threads=threads)
+                sanov_monte_carlo(sampler, constraint, grid, trials, threads=threads)
             )
+        assert runs[0].insufficient_ns == ()
         assert runs[0].log_probs == runs[1].log_probs == runs[2].log_probs
         assert runs[0].fitted_slope == runs[1].fitted_slope == runs[2].fitted_slope
         assert runs[0].ci_lo == runs[2].ci_lo and runs[0].ci_hi == runs[2].ci_hi
@@ -255,6 +265,83 @@ class TestSeededSampler:
         assert np.any(guide[(u * len(guide)).astype(np.intp)] < 0)
         x = np.arange(offset, offset + len(pmf))
         assert np.abs(np.cumsum(pmf) - stats.binom.cdf(x, n, q)).max() <= 1e-14
+
+    @pytest.mark.parametrize("weights, n", [
+        ([0.2, 0.3, 0.5], 20),
+        ([0.2, 0.3, 0.5], 160),
+        ([0.05, 0.9, 0.05], 800),
+        ([0.1, 0.2, 0.3, 0.4], 40),
+        ([0.4, 0.1, 0.3, 0.2], 160),
+    ])
+    def test_every_count_is_a_table_inversion(self, weights, n):
+        # count j of trial i is offset + searchsorted(cdf, u_i) on the table of
+        # (draws left, q_j), one uniform per trial and count, also where the
+        # uniform falls in a guide cell of several cdf steps
+        trials, P = ldp_mod.MC_BLOCK_SIZE, dist(*weights)
+        counts = SeededSampler(seed=12, base=P).multinomial_block(n, 5, trials)
+        seq = np.random.SeedSequence(entropy=12, spawn_key=(0, ldp_mod._STREAM_SANOV, n, 5))
+        gen = np.random.Generator(np.random.Philox(seq))
+        left, several = np.full(trials, n), 0
+        for j, q in enumerate((P.weights / np.cumsum(P.weights[::-1])[::-1])[:-1].tolist()):
+            u, expected = gen.random(trials), np.empty(trials, dtype=np.int64)
+            for m in np.unique(left).tolist():
+                offset, _, cdf, guide = ldp_mod._inverse_table(m, q)
+                at = left == m
+                expected[at] = offset + np.searchsorted(cdf, u[at], side="right")
+                several += np.count_nonzero(guide[(u[at] * len(guide)).astype(np.intp)] < 0) if j else 0
+            assert np.array_equal(counts[:, j], expected), j
+            left = left - expected
+        assert np.array_equal(counts[:, -1], left)
+        assert several > 0
+
+    def test_generator_binomial_only_where_the_tables_cost_more(self, monkeypatch):
+        # at the sizes of the benchmark's k = 3 Monte Carlo every count is a
+        # table read; at n = 10^6 the later counts' tables (about 3000 rows
+        # of 34,000 entries) outweigh a block's draws and Generator.binomial runs
+        calls = []
+
+        class Recording(np.random.Generator):
+            def binomial(self, *args, **kwargs):
+                calls.append(args)
+                return super().binomial(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Generator", Recording)
+        sampler = SeededSampler(seed=4, base=dist(0.2, 0.3, 0.5))
+        for n in (20, 40, 80, 160):
+            for b in range(3):
+                sampler.multinomial_block(n, b, ldp_mod.MC_BLOCK_SIZE)
+        assert calls == []
+        sampler.multinomial_block(10**6, 0, ldp_mod.MC_BLOCK_SIZE)
+        assert len(calls) == 1 and calls[0][0].shape == (ldp_mod.MC_BLOCK_SIZE,)
+
+    def test_the_table_cache_holds_its_entries(self, monkeypatch):
+        monkeypatch.setattr(ldp_mod, "TABLE_CACHE_ENTRIES", 1000)
+        cache = ldp_mod._TableCache()
+        for m in range(100, 400, 7):
+            assert cache(m, 0.3) is cache(m, 0.3)
+            assert cache.entries == sum(len(row[2]) for row in cache.rows.values()) <= 1000
+        assert list(cache.rows)[-1] == (394, 0.3)
+        assert cache(10**6, 0.3) is cache.rows[10**6, 0.3] and len(cache.rows) == 1
+
+    def test_the_table_cache_keeps_its_count_under_threads(self, monkeypatch):
+        # more threads than cores read and evict rows at a short switch
+        # interval; a lost update would leave the count off the rows it holds
+        monkeypatch.setattr(ldp_mod, "TABLE_CACHE_ENTRIES", 2000)
+        cache = ldp_mod._TableCache()
+
+        def read(seed):
+            for m in np.random.default_rng(seed).integers(50, 400, 300).tolist():
+                assert len(cache(m, 0.3)[2]) == m + 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for future in [pool.submit(read, seed) for seed in range(8)]:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert cache.entries == sum(len(row[2]) for row in cache.rows.values()) <= 2000
 
     def test_large_n_table_is_sublinear_and_unbiased(self):
         n, weights = 10**6, np.array([0.2, 0.3, 0.5])

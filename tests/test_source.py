@@ -96,8 +96,9 @@ def test_the_log_domain_recursion_left_the_library():
 
 
 def test_one_monte_carlo_sampler():
-    # SeededSampler.multinomial_block draws conditional binomials, the first by
-    # inversion; numpy's per-trial multinomial is not kept beside it
+    # SeededSampler.multinomial_block draws conditional binomials, each by
+    # inversion of its cdf table unless a later count's tables outweigh its
+    # draws; numpy's per-trial multinomial is not kept beside it
     assert calls("multinomial") == []
 
 
@@ -185,14 +186,15 @@ def test_one_window_rule():
     # of a target, and tilting.resolve_target alone turns a window into its
     # dominating point, the mean clipped into the window, and then a point
     # within the band of the window readers of a range end to that end.  The
-    # one other clip takes the meta window's ends into the attainable range.
+    # two other clips take the meta window's ends, and the window the readers
+    # hold computed means to, into the attainable range.
     found = [f"{path.name} {name}" for path in sorted(SOURCE.glob("*.py"))
              for name in sorted({"is_interval", "_window"} & identifiers(path))]
     assert found == []
     clips = [(path.name, function.name) for path in sorted(SOURCE.glob("*.py"))
              for function in ast.parse(path.read_text(encoding="utf-8")).body if isinstance(function, ast.FunctionDef)
              for node in ast.walk(function) if called_name(node) == "clip"]
-    assert clips == [("meta.py", "_tilt_candidates"), *[("tilting.py", "resolve_target")] * 2]
+    assert clips == [("ldp.py", "_held_window"), ("meta.py", "_tilt_candidates"), *[("tilting.py", "resolve_target")] * 2]
 
 
 def test_one_feasibility_rule():
