@@ -50,7 +50,7 @@ import math
 import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from typing import Sequence
@@ -72,7 +72,7 @@ _TILT_CAP = 746.0  # per lattice step; exp(-746) is 0, so a steeper tilt is the 
 # Monte Carlo trials per sampling block.  Each block draws from its own
 # stream, keyed by its index, so this size fixes every Monte Carlo output.
 MC_BLOCK_SIZE = 65536
-# Entries of binomial cdf tables a sampler keeps: the rows of at least 16 table-read
+# Entries of binomial cdf tables the sampling cache keeps: the rows of at least 16 table-read
 # counts of full blocks, whose rows sum to at most MC_BLOCK_SIZE entries each.
 TABLE_CACHE_ENTRIES = 16 * MC_BLOCK_SIZE
 WILSON_Z = 1.959963984540054  # 95% normal quantile
@@ -498,8 +498,9 @@ def _table_range(n: int, q: float) -> tuple[int, int]:
 
 def _inverse_table(n: int, q: float) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """(offset, pmf, cdf, guide) of Bin(n, q), 0 < q < 1, over ``_table_range``, from log pmf
-    steps summed outward from the mode.  guide[i] inverts i / K, K = len(guide) a power of two,
-    or is -1 if cell i has several steps."""
+    steps summed outward from the mode.  guide[i], i = 0..K with K + 1 = len(guide) a power of
+    two plus one, is the first index whose cdf exceeds i / K, and at most the first whose cdf is
+    1.0, so a u in [i / K, (i + 1) / K) inverts to an index in guide[i]..guide[i + 1]."""
     lo, hi = _table_range(n, q)
     if hi - lo + 1 > TABLE_CAP:
         raise TableTooLarge(f"binomial table for n={n} needs {hi - lo + 1} entries (cap {TABLE_CAP})")
@@ -511,8 +512,8 @@ def _inverse_table(n: int, q: float) -> tuple[int, np.ndarray, np.ndarray, np.nd
     cdf = np.cumsum(pmf)
     cdf /= cdf[-1]
     K = 1 << (len(cdf) - 1).bit_length()
-    guide = np.minimum(np.searchsorted(cdf, np.arange(K + 1) / K, side="right"), len(cdf) - 1)
-    return lo, pmf, cdf, np.where(np.diff(guide) > 1, -1, guide[:-1])
+    guide = np.minimum(np.searchsorted(cdf, np.arange(K + 1) / K, side="right"), np.searchsorted(cdf, 1.0))
+    return lo, pmf, cdf, guide
 
 
 def _inverse_binomial(tables: Sequence[tuple], which, u: np.ndarray) -> np.ndarray:
@@ -521,25 +522,25 @@ def _inverse_binomial(tables: Sequence[tuple], which, u: np.ndarray) -> np.ndarr
     for one row).
 
     The rows are one flat layout, their cdfs and their guides concatenated, each guide's
-    steps shifted to index the joint cdf, read by whole-array gathers.  A guide cell of
-    several steps is found by a bisection within its row, for all such u at once.
+    steps shifted to index the joint cdf, read by whole-array gathers.  A u left below its
+    answer by a guide cell of several steps is found by a bisection within that cell, for
+    all such u at once.
     """
     offsets, _, cdfs, guides = zip(*tables)
-    sizes, cells = np.array([len(c) for c in cdfs]), np.array([len(g) for g in guides])
-    starts = np.cumsum(sizes) - sizes
+    sizes, cells = np.array([len(c) for c in cdfs]), np.array([len(g) - 1 for g in guides])
+    starts, cell_starts = np.cumsum(sizes) - sizes, np.cumsum(cells + 1) - cells - 1
     if len(tables) == 1:
         cdf, guide = cdfs[0], guides[0]
     else:
-        cdf, guide = np.concatenate(cdfs), np.concatenate(guides)
-        guide = np.where(guide < 0, -1, guide + np.repeat(starts, cells))
+        cdf, guide = np.concatenate(cdfs), np.concatenate(guides) + np.repeat(starts, cells + 1)
     x = (u * cells.astype(float)[which]).astype(np.intp)  # u K is exact
-    x += (np.cumsum(cells) - cells)[which]
+    x += cell_starts[which]
     x = guide[x]
-    x += u >= cdf[x]  # a cell of several steps holds -1, and cdf[-1] is 1.0 > u
-    several = np.flatnonzero(x < 0)
-    row = np.broadcast_to(which, u.shape)[several]
-    lo, hi, v = starts[row], starts[row] + sizes[row] - 1, u[several]
-    for _ in range(int(sizes.max()).bit_length()):  # the first cdf > v in lo..hi; cdf[hi], a row's last, is 1.0
+    x += u >= cdf[x]  # the answer, unless its cell has several steps and it lies past x
+    several = np.flatnonzero(u >= cdf[x])
+    row, v = np.broadcast_to(which, u.shape)[several], u[several]
+    lo, hi = x[several] + 1, guide[(v * cells[row]).astype(np.intp) + cell_starts[row] + 1]
+    for _ in range(int((hi - lo).max(initial=0)).bit_length()):  # the first cdf > v in lo..hi
         mid = (lo + hi) // 2
         above = v >= cdf[mid]
         lo, hi = np.where(above, mid + 1, lo), np.where(above, hi, mid)
@@ -549,10 +550,10 @@ def _inverse_binomial(tables: Sequence[tuple], which, u: np.ndarray) -> np.ndarr
 
 
 class _TableCache:
-    """The ``_inverse_table`` rows a sampler has read, least recently used out once they
-    hold more than TABLE_CACHE_ENTRIES entries together (at most 32 B each: pmf, cdf and
-    under two guide cells), so a sampler keeps at most 32 MB of tables, or only the row
-    it read last where that row alone is wider, besides each row's array headers."""
+    """The ``_inverse_table`` rows read last, least recently used out once they hold more
+    than TABLE_CACHE_ENTRIES entries together (at most 32 B each: pmf, cdf and under two
+    guide entries), so the cache keeps at most 32 MB of tables, or only the row read last
+    where that row alone is wider, besides each row's array headers."""
 
     def __init__(self):
         self.rows: OrderedDict = OrderedDict()
@@ -574,6 +575,9 @@ class _TableCache:
         return row
 
 
+_TABLES = _TableCache()
+
+
 @dataclass(frozen=True)
 class SeededSampler:
     """Deterministic counter-based sampling streams.
@@ -581,18 +585,19 @@ class SeededSampler:
     Each Monte Carlo block draws from its own stream, keyed by (seed, n,
     block index) through a SeedSequence spawn key feeding a Philox
     generator, so identical draws are bit-identical across runs and across
-    any parallel schedule.  Only the symbols of positive weight are drawn.
-    Each count but the last is Bin(draws left, p_j / sum_{i >= j} p_i), by
+    any parallel schedule.  Only the symbols of positive weight are drawn,
+    up to the first whose q_j = p_j / sum_{i >= j} p_i is 1.0: it takes every
+    draw left, the weights after it being below its float resolution.
+    Each count but the last is Bin(draws left, q_j), by
     inversion of one ``gen.random`` value per trial (``_inverse_binomial``):
     the first on the table of (n, p_0), each later one on the tables of the
     block's distinct draws-left values, unless their widths sum past the
     block's trials; that count is ``Generator.binomial(left, q_j)``.  The
-    tables are kept in the sampler (``_TableCache``) across its blocks.
+    tables are kept in one cache (``_TABLES``) across blocks and samplers.
     """
 
     seed: int
     base: FiniteDistribution
-    _tables: _TableCache = field(default_factory=_TableCache, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 <= self.seed < 2 ** 64:
@@ -606,21 +611,26 @@ class SeededSampler:
         drawn = np.flatnonzero(self.base.weights > 0)
         weights = self.base.weights[drawn]
         q = weights / np.cumsum(weights[::-1])[::-1]
+        drawn = drawn[:np.argmax(q == 1.0) + 1]  # q[-1] is w / w = 1.0
         counts = np.zeros((block_trials, self.base.size), dtype=np.int64)
         left, u = np.full(block_trials, n, dtype=np.int64), np.empty(block_trials)
         for j in range(len(drawn) - 1):
             if j == 0:
-                count = _inverse_binomial([self._tables(n, q[0])], 0, gen.random(out=u))
+                count = _inverse_binomial([_TABLES(n, q[0])], 0, gen.random(out=u))
             else:
                 base = int(left.min())
                 shifted = left - base
                 seen = np.bincount(shifted) > 0
                 rows = (np.flatnonzero(seen) + base).tolist()
+                # Tables of W entries in all against T trials: timed on full k = 3 blocks at
+                # n = 160-3000 for three P (2-CPU x86-64, numpy 2.4), they break even with
+                # Generator.binomial at W = 0.5-1.1 T in a block that builds them, at W = 2-3 T
+                # in one that finds them cached; W = T sits between.
                 widths = (hi - lo + 1 for lo, hi in (_table_range(m, q[j]) for m in rows))
                 if any(total > block_trials for total in accumulate(widths)):
                     count = gen.binomial(left, q[j])
                 else:
-                    tables = [self._tables(m, q[j]) for m in rows]
+                    tables = [_TABLES(m, q[j]) for m in rows]
                     count = _inverse_binomial(tables, (np.cumsum(seen) - 1)[shifted], gen.random(out=u))
             counts[:, drawn[j]] = count
             left -= count

@@ -254,6 +254,20 @@ class TestMain:
                   "method": "monte-carlo", "trials": 1000}
         exits_with_table_too_large(tmp_path, capsys, {"command": "sanov", "inputs": inputs})
 
+    def test_monte_carlo_with_a_weight_below_the_float_resolution(self, tmp_path, capsys):
+        # 1e-17 is below half an ulp of 0.5, so the second symbol takes every
+        # draw left and the Monte Carlo rows are those of the two-symbol law
+        rows = []
+        for P in ([0.5, 0.5, 1e-17], [0.5, 0.5]):
+            inputs = {"P": P, "potential": list(range(len(P))), "target_interval": [0.6, 2.0], "n_grid": [10, 20],
+                      "method": "monte-carlo", "trials": 1000}
+            cfg, out = tmp_path / "cfg.json", tmp_path / f"o{len(P)}"
+            cfg.write_text(json.dumps({"command": "sanov", "inputs": inputs}), encoding="utf-8")
+            assert cli.main(["sanov", "--config", str(cfg), "--out", str(out)]) == 0
+            rows.append((out / "sanov_rates.csv").read_bytes())
+        assert capsys.readouterr().err == ""
+        assert rows[0] == rows[1]
+
     @pytest.mark.parametrize("k, grid", [
         (2, {"points": ldp.TABLE_CAP + 1}),
         (2, {"points": 10 ** 20}),

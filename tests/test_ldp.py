@@ -251,6 +251,22 @@ class TestSeededSampler:
         counts = SeededSampler(seed=3, base=dist(*weights)).multinomial_block(17, 0, 1000)
         assert np.array_equal(counts, np.tile(np.asarray(weights, dtype=np.int64) * 17, (1000, 1)))
 
+    @pytest.mark.parametrize("weights, n", [
+        ([1.0, 1e-20], 12),  # q = [1.0, 1.0]
+        ([0.5, 0.5, 1e-17], 12),  # q = [0.5, 1.0, 1.0]
+        ([0.25, 0.25, 0.5, 1e-17, 1e-18], 12),  # q = [0.25, 0.333.., 1.0, 1.0, 1.0]
+    ])
+    def test_a_tail_below_the_float_resolution_is_not_drawn(self, weights, n):
+        # past the first symbol whose p_j / sum_{i >= j} p_i rounds to 1.0,
+        # the symbols' counts are 0, as no draw reaches them at float resolution
+        P = dist(*weights)
+        counts = SeededSampler(seed=3, base=P).multinomial_block(n, 0, 1000)
+        weights = P.weights.tolist()
+        cut = next(j for j in range(len(weights)) if weights[j] / sum(weights[j:]) == 1.0)
+        assert np.all(counts.sum(axis=1) == n) and not np.any(counts[:, cut + 1:])
+        for j in range(cut):  # the drawn counts are Bin(n, p_j) marginally
+            assert abs(counts[:, j].mean() - n * weights[j]) <= 5 * math.sqrt(n * weights[j] * (1 - weights[j]) / 1000)
+
     @pytest.mark.parametrize("q, n", [(0.37, 60), (1e-3, 30), (0.999, 500)])
     def test_first_count_is_numpys_inversion(self, q, n):
         # the guide-table read equals numpy's own inversion by searchsorted,
@@ -262,7 +278,7 @@ class TestSeededSampler:
         offset, pmf, _, guide = ldp_mod._inverse_table(n, q)
         assert np.array_equal(first, offset + gen.choice(len(pmf), size=20_000, p=pmf))
         u = np.random.Generator(np.random.Philox(seq)).random(20_000)
-        assert np.any(guide[(u * len(guide)).astype(np.intp)] < 0)
+        assert np.any(np.diff(guide)[(u * (len(guide) - 1)).astype(np.intp)] > 1)
         x = np.arange(offset, offset + len(pmf))
         assert np.abs(np.cumsum(pmf) - stats.binom.cdf(x, n, q)).max() <= 1e-14
 
@@ -288,7 +304,7 @@ class TestSeededSampler:
                 offset, _, cdf, guide = ldp_mod._inverse_table(m, q)
                 at = left == m
                 expected[at] = offset + np.searchsorted(cdf, u[at], side="right")
-                several += np.count_nonzero(guide[(u[at] * len(guide)).astype(np.intp)] < 0) if j else 0
+                several += np.count_nonzero(np.diff(guide)[(u[at] * (len(guide) - 1)).astype(np.intp)] > 1) if j else 0
             assert np.array_equal(counts[:, j], expected), j
             left = left - expected
         assert np.array_equal(counts[:, -1], left)
