@@ -41,7 +41,11 @@ a single n would not.  Monte Carlo blocks (``SeededSampler``) draw every count
 of a trial by inversion (Devroye 1986, III.2-3) of the binomial cdf table of
 the draws left, a later count off one flat layout of the tables of the block's
 distinct draws-left values, or by ``Generator.binomial`` where those tables
-would hold more entries than the block has trials.
+would hold more entries than the block has trials.  ``sanov_monte_carlo``
+counts hits, not counts: where the table rows of the last conditional count
+fix the other counts (at most three symbols drawn), a trial's window verdict
+is a comparison of its last uniform with two cdf entries of its row
+(``SeededSampler.window_hits``), and that count is never drawn.
 """
 
 from __future__ import annotations
@@ -578,6 +582,33 @@ class _TableCache:
 _TABLES = _TableCache()
 
 
+def _later_tables(left: np.ndarray, q: float):
+    """(rows, tables, which) for a later count Bin(left_i, q): the block's distinct
+    draws-left values, their ``_inverse_table`` rows and each trial's row index; None where
+    those rows' widths sum past the block's trials, and ``Generator.binomial`` draws it."""
+    base = int(left.min())
+    shifted = left - base
+    seen = np.bincount(shifted) > 0
+    rows = (np.flatnonzero(seen) + base).tolist()
+    # Tables of W entries in all against T trials: timed on full k = 3 blocks at
+    # n = 160-3000 for three P (2-CPU x86-64, numpy 2.4), they break even with
+    # Generator.binomial at W = 0.5-1.1 T in a block that builds them, at W = 2-3 T
+    # in one that finds them cached; W = T sits between.
+    widths = (hi - lo + 1 for lo, hi in (_table_range(m, q) for m in rows))
+    if any(total > left.size for total in accumulate(widths)):
+        return None
+    return rows, [_TABLES(m, q) for m in rows], (np.cumsum(seen) - 1)[shifted]
+
+
+def _draw_count(gen: np.random.Generator, left: np.ndarray, q: float, plan) -> np.ndarray:
+    """Bin(left_i, q) per trial: one ``gen.random`` value inverted on the tables of ``plan``
+    (``_later_tables``), or ``Generator.binomial`` where ``plan`` is None."""
+    if plan is None:
+        return gen.binomial(left, q)
+    _, tables, which = plan
+    return _inverse_binomial(tables, which, gen.random(left.size))
+
+
 @dataclass(frozen=True)
 class SeededSampler:
     """Deterministic counter-based sampling streams.
@@ -594,6 +625,13 @@ class SeededSampler:
     block's distinct draws-left values, unless their widths sum past the
     block's trials; that count is ``Generator.binomial(left, q_j)``.  The
     tables are kept in one cache (``_TABLES``) across blocks and samplers.
+
+    ``multinomial_block`` returns a block's count vectors.  ``window_hits``
+    returns only how many of them have their mean in a window: it draws the
+    same counts up to the last conditional one (``_prefix``, shared), and
+    where that count's table rows fix every other count (at most three
+    symbols drawn), it reads each trial's verdict off its last uniform
+    (``_hit_bounds``) instead of drawing the count.
     """
 
     seed: int
@@ -603,7 +641,12 @@ class SeededSampler:
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must be a 64-bit non-negative integer")
 
-    def multinomial_block(self, n: int, block_index: int, block_trials: int) -> np.ndarray:
+    def _prefix(self, n: int, block_index: int, block_trials: int):
+        """Draw a block up to its last conditional count (that of the next-to-last drawn
+        symbol).  Returns (gen, drawn, counts, left, q, plan): the block's generator, the
+        drawn symbols, the counts drawn so far (of drawn[:-2]), the draws left for the
+        last two drawn symbols, and the count not yet drawn, Bin(left, q) by ``_draw_count``
+        on ``plan``; q and plan are None when one symbol takes every draw."""
         if n >= 2 ** 63:  # checked before numpy converts n to a C integer
             raise TableTooLarge(f"counts of n={n} draws overflow the 64-bit count table")
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(0, _STREAM_SANOV, n, block_index))
@@ -612,30 +655,91 @@ class SeededSampler:
         weights = self.base.weights[drawn]
         q = weights / np.cumsum(weights[::-1])[::-1]
         drawn = drawn[:np.argmax(q == 1.0) + 1]  # q[-1] is w / w = 1.0
-        counts = np.zeros((block_trials, self.base.size), dtype=np.int64)
-        left, u = np.full(block_trials, n, dtype=np.int64), np.empty(block_trials)
+        counts, left = [], np.broadcast_to(np.int64(n), block_trials)  # a view, no memory
         for j in range(len(drawn) - 1):
-            if j == 0:
-                count = _inverse_binomial([_TABLES(n, q[0])], 0, gen.random(out=u))
-            else:
-                base = int(left.min())
-                shifted = left - base
-                seen = np.bincount(shifted) > 0
-                rows = (np.flatnonzero(seen) + base).tolist()
-                # Tables of W entries in all against T trials: timed on full k = 3 blocks at
-                # n = 160-3000 for three P (2-CPU x86-64, numpy 2.4), they break even with
-                # Generator.binomial at W = 0.5-1.1 T in a block that builds them, at W = 2-3 T
-                # in one that finds them cached; W = T sits between.
-                widths = (hi - lo + 1 for lo, hi in (_table_range(m, q[j]) for m in rows))
-                if any(total > block_trials for total in accumulate(widths)):
-                    count = gen.binomial(left, q[j])
-                else:
-                    tables = [_TABLES(m, q[j]) for m in rows]
-                    count = _inverse_binomial(tables, (np.cumsum(seen) - 1)[shifted], gen.random(out=u))
-            counts[:, drawn[j]] = count
-            left -= count
-        counts[:, drawn[-1]] = left
-        return counts
+            plan = ([n], [_TABLES(n, q[0])], 0) if j == 0 else _later_tables(left, q[j])
+            if j == len(drawn) - 2:
+                return gen, drawn, counts, left, q[j], plan
+            counts.append(_draw_count(gen, left, q[j], plan))
+            left = left - counts[-1]
+        return gen, drawn, counts, left, None, None
+
+    def _finish(self, gen, drawn, counts, left, q, plan) -> np.ndarray:
+        """The (trials, k) count matrix of a block drawn by ``_prefix``."""
+        if q is not None:
+            counts = counts + [_draw_count(gen, left, q, plan)]
+            left = left - counts[-1]
+        matrix = np.zeros((left.size, self.base.size), dtype=np.int64)
+        for j, count in zip(drawn, counts + [left]):
+            matrix[:, j] = count
+        return matrix
+
+    def multinomial_block(self, n: int, block_index: int, block_trials: int) -> np.ndarray:
+        return self._finish(*self._prefix(n, block_index, block_trials))
+
+    def window_hits(self, n: int, block_index: int, block_trials: int, lo: float, hi: float, v: np.ndarray) -> int:
+        """How many trials of the block have V . L_n in [lo, hi]: the count of
+        ``in_window(multinomial_block(n, block_index, block_trials) @ v / n, lo, hi, v)``.
+
+        Where the last conditional count is a table read whose rows fix the other counts
+        (the first count at k = 2; at k = 3 a row, the draws left, fixes the first), a
+        trial hits when its last uniform lies in its row's [lower, upper) of
+        ``_hit_bounds``, and no count is drawn.  A block over the tables' budget, with
+        four or more symbols drawn, or with a row whose hits are not one run draws its
+        counts and tests them, as does a block of one trial: a one-row product runs
+        numpy's dot, whose sum order may differ from the matrix product's.
+        """
+        prefix = self._prefix(n, block_index, block_trials)
+        gen, drawn, _, left, _, plan = prefix
+        if plan is not None and len(drawn) <= 3 and block_trials > 1:
+            rows, tables, which = plan
+            bounds = self._hit_bounds(n, drawn, rows, tables, lo, hi, v)
+            if bounds is not None:
+                lower, upper = bounds  # lower <= upper, so [u < upper] - [u < lower] is the hit
+                u = gen.random(left.size)
+                return int(np.count_nonzero(u < upper[which])) - int(np.count_nonzero(u < lower[which]))
+        return int(np.count_nonzero(in_window(self._finish(*prefix) @ v / n, lo, hi, v)))
+
+    def _hit_bounds(self, n: int, drawn, rows, tables, lo: float, hi: float, v: np.ndarray):
+        """Per table row (draws left m for the last two drawn symbols, the symbols before
+        them taking n - m), the uniforms [lower, upper) whose inversion on that row is a
+        count whose vector passes ``in_window``; None when some row's hits are not one run.
+
+        Every candidate count c of every row (one flat layout, as ``_inverse_binomial``
+        reads) gets its count vector and its mean by the same product as a drawn block's.
+        Count c at index i of its row is drawn for u in [cdf[i - 1], cdf[i]) (cdf[i - 1] read
+        as 0 at i = 0), an empty interval where cdf does not rise, so such a count's verdict does
+        not matter: the hits of a row are one run when no count between its first and
+        last hit with a cdf step misses the window.  Then they are the u in
+        [cdf[first - 1], cdf[last]); a row with no hit reads [0, 0).
+        """
+        offsets, _, cdfs, _ = zip(*tables)
+        sizes = np.array([len(c) for c in cdfs])
+        starts = np.cumsum(sizes) - sizes
+        cdf = np.concatenate(cdfs)
+        if cdf.size < 2:  # a one-row product runs numpy's dot (see ``window_hits``)
+            return None
+        at, row = np.arange(cdf.size), np.repeat(np.arange(len(rows)), sizes)
+        m = np.array(rows)[row]
+        count = at - (starts - np.array(offsets))[row]
+        candidates = np.zeros((cdf.size, self.base.size), dtype=np.int64)
+        candidates[:, drawn[-2]] = count
+        candidates[:, drawn[-1]] = m - count
+        if len(drawn) == 3:
+            candidates[:, drawn[0]] = n - m
+        hit = in_window(candidates @ v / n, lo, hi, v)
+        below = np.concatenate(([0.0], cdf[:-1]))
+        below[starts] = 0.0
+        first = np.minimum.reduceat(np.where(hit, at, cdf.size), starts)
+        last = np.maximum.reduceat(np.where(hit, at, -1), starts)
+        stray = np.concatenate(([0], np.cumsum(~hit & (cdf > below))))
+        some = last >= 0
+        first, last = first[some], last[some]
+        if np.any(stray[last + 1] > stray[first]):
+            return None
+        lower, upper = np.zeros(len(rows)), np.zeros(len(rows))
+        lower[some], upper[some] = below[first], cdf[last]
+        return lower, upper
 
 
 def _wilson_interval(hits: int, trials: int) -> tuple[float, float]:
@@ -674,8 +778,7 @@ def sanov_monte_carlo(
 
     def block_hits(block: tuple[int, int]) -> int:
         n, b = block
-        counts = sampler.multinomial_block(n, b, min(MC_BLOCK_SIZE, trials - b * MC_BLOCK_SIZE))
-        return int(np.count_nonzero(in_window(counts @ v / n, lo, hi, v)))
+        return sampler.window_hits(n, b, min(MC_BLOCK_SIZE, trials - b * MC_BLOCK_SIZE), lo, hi, v)
 
     # one pool for every block of every n: each block's stream is keyed by
     # (n, b), so the hit counts do not depend on the schedule

@@ -485,7 +485,10 @@ _GRADIENTS = {
 
 
 def _kkt_residual(grad: np.ndarray, v: np.ndarray) -> float:
-    """Max-norm of the gradient after projecting out the 1 and V directions."""
+    """Max-norm of the gradient after projecting out the 1 and V directions;
+    0 on at most two atoms, where those directions span every gradient."""
+    if grad.size <= 2:
+        return 0.0
     basis = np.column_stack([np.ones_like(v), v])
     coef, *_ = np.linalg.lstsq(basis, grad, rcond=None)
     return float(np.abs(grad - basis @ coef).max())
@@ -650,10 +653,28 @@ def stationarity_residual(spec: DivergenceSpec, candidate: TiltedDistribution) -
     removes the multiplier ambiguity by projecting out the constant and V
     directions; the max-norm of what is left is the residual.  It vanishes
     (to round-off) exactly for the relative-entropy generator.
+
+    A ratio generator's gradient overflows where the tilt leaves a mass far
+    from its reference mass (chi-squared 2 (p / q - 1) at a subnormal q,
+    reverse relative entropy -q / p at a subnormal p).  Then the gradient is
+    taken in units of e^s, s = max |log p - log q|, and the residual is the
+    one of that gradient times e^s: inf when it is past the float range.
     """
     p_full = candidate.realized.weights
     sup = np.flatnonzero(p_full > 0.0)
     p = p_full[sup]
     q = candidate.reference.weights[sup]
     v = candidate.potential[sup]
-    return _kkt_residual(_GRADIENTS[spec.generator](p, q), v)
+    with np.errstate(over="ignore"):
+        grad = _GRADIENTS[spec.generator](p, q)
+    if np.all(np.isfinite(grad)):
+        return _kkt_residual(grad, v)
+    log_ratio = np.log(p) - np.log(q)
+    s = float(np.abs(log_ratio).max())
+    if spec.generator == "chi_squared":
+        grad = 2.0 * (np.exp(log_ratio - s) - math.exp(-s))
+    else:
+        grad = -np.exp(-log_ratio - s)
+    residual = _kkt_residual(grad, v)
+    with np.errstate(over="ignore"):
+        return float(residual * np.exp(s)) if residual else 0.0

@@ -32,7 +32,8 @@ PAST_A_CONSTANT = ([0.5, 0.5, 0.0], [1.0, 1.0, 5.0], [1.0 + 2.0 ** -49, 5.0])
 
 
 def no_draws(monkeypatch):
-    monkeypatch.setattr(SeededSampler, "multinomial_block", lambda *args: pytest.fail("drew a block"))
+    for method in ("window_hits", "multinomial_block"):
+        monkeypatch.setattr(SeededSampler, method, lambda *args: pytest.fail("drew a block"))
 
 
 def library_results(weights, v, window, n_grid):

@@ -22,6 +22,7 @@ from maxent_bayes import (
 import maxent_bayes.ldp as ldp_mod
 from maxent_bayes.errors import EmptyEvent, InfeasibleConstraint, NumericalError, TableTooLarge
 from maxent_bayes.ldp import table_size
+from maxent_bayes.measures import _floor, in_window
 from tests.conftest import random_distribution
 
 
@@ -157,7 +158,8 @@ class TestSanovMonteCarlo:
     def test_impossible_event_flagged(self, monkeypatch):
         # a window no reweighting of P reaches is infeasible before any draw,
         # as it is for the exact method, project and gibbs
-        monkeypatch.setattr(SeededSampler, "multinomial_block", lambda *args: pytest.fail("drew a block"))
+        for method in ("window_hits", "multinomial_block"):
+            monkeypatch.setattr(SeededSampler, method, lambda *args: pytest.fail("drew a block"))
         sampler = SeededSampler(seed=1, base=BERN_HALF)
         with pytest.raises(InfeasibleConstraint, match=r"^target 1\.5 outside the attainable range \[0\.0, 1\.0\]$"):
             sanov_monte_carlo(sampler, ConstraintSpec.interval(V01, 1.5, 2.0), [10, 20], 2000)
@@ -309,6 +311,72 @@ class TestSeededSampler:
             left = left - expected
         assert np.array_equal(counts[:, -1], left)
         assert several > 0
+
+    @pytest.mark.parametrize("weights, v, n, window, read", [
+        # window ends on lattice points: 20 / 40 and 32 / 40; 40 / 40 and 60 / 40
+        ([0.3, 0.7], [0.0, 1.0], 40, (0.5, 0.8), True),
+        ([0.2, 0.3, 0.5], [0.0, 1.0, 2.0], 40, (1.0, 1.5), True),
+        ([0.2, 0.3, 0.5], [0.0, 1.0, 2.0], 160, (1.0, 1.5), True),
+        # four and five symbols drawn: a row does not fix the counts before the last
+        ([0.1, 0.2, 0.3, 0.4], [0.0, 1.0, 2.0, 3.0], 40, (1.5, 2.5), False),
+        ([0.1, 0.2, 0.3, 0.2, 0.2], [0.0, 2.0, 1.0, 3.0, 0.5], 30, (1.0, 1.6), False),
+        # the later count's tables outweigh the block: Generator.binomial
+        ([0.2, 0.3, 0.5], [0.0, 1.0, 2.0], 10**6, (1.3, 1.3003), False),
+        # a window between lattice points holds no mass, a window over the range all of it
+        ([0.3, 0.7], [0.0, 1.0], 40, (0.51, 0.52), True),
+        ([0.2, 0.3, 0.5], [0.0, 1.0, 2.0], 40, (0.0, 2.0), True),
+        # tied V values: the mean of a row does not move with the last count
+        ([0.2, 0.3, 0.5], [0.0, 1.0, 1.0], 40, (0.5, 1.0), True),
+        # V values 2 ulps apart
+        ([0.2, 0.3, 0.5], [0.0, 1.0, 1.0 + 2 * math.ulp(1.0)], 40, (0.5, 1.0), True),
+        ([0.5, 0.5], [1.0, 1.0 + 2 * math.ulp(1.0)], 40, (1.0, 1.0), True),
+        # a zero weight, and a weight below the float resolution: two symbols drawn
+        ([0.5, 0.0, 0.5], [0.0, 5.0, 1.0], 40, (0.25, 0.6), True),
+        ([0.5, 0.5, 1e-17], [0.0, 1.0, 2.0], 40, (0.25, 0.6), True),
+    ], ids=["k2", "k3-n40", "k3-n160", "k4", "k5", "k3-binomial", "no-mass", "all-mass", "tied",
+            "k3-2-ulps", "k2-2-ulps", "zero-weight", "below-resolution"])
+    def test_window_hits_count_the_tested_count_vectors(self, monkeypatch, weights, v, n, window, read):
+        # the hits read off the last uniforms are the hits of the drawn count vectors
+        v, sampler = np.asarray(v), SeededSampler(seed=21, base=dist(*weights))
+        finished = []
+        finish = SeededSampler._finish
+        monkeypatch.setattr(SeededSampler, "_finish", lambda *args: finished.append(1) or finish(*args))
+        hits = [sampler.window_hits(n, b, ldp_mod.MC_BLOCK_SIZE, *window, v) for b in range(3)]
+        assert (not finished) == read
+        monkeypatch.undo()
+        tested = [int(np.count_nonzero(in_window(sampler.multinomial_block(n, b, ldp_mod.MC_BLOCK_SIZE) @ v / n,
+                                                 *window, v))) for b in range(3)]
+        assert hits == tested
+        share = {0: "none", 3 * ldp_mod.MC_BLOCK_SIZE: "all"}.get(sum(tested), "some")
+        assert share == {(0.51, 0.52): "none", (0.0, 2.0): "all", (1.0, 1.0): "all"}.get(window, "some")
+
+    def test_hits_that_are_not_one_run_are_tested(self, monkeypatch):
+        # V tied at 0.3: the rounded mean of (c, 40 - c) takes its lower value
+        # only at c = 4 and 9, so a window ending there has hits apart
+        v, n = np.array([0.3, 0.3]), 40
+        means = np.column_stack([np.arange(n + 1), n - np.arange(n + 1)]) @ v / n
+        hi = float(means.min()) - 4 * _floor(v)
+        inside = in_window(means, 0.0, hi, v)
+        assert np.flatnonzero(inside).tolist() == [4, 9]
+        sampler = SeededSampler(seed=21, base=BERN_HALF)
+        finished = []
+        finish = SeededSampler._finish
+        monkeypatch.setattr(SeededSampler, "_finish", lambda *args: finished.append(1) or finish(*args))
+        hits = sampler.window_hits(n, 0, ldp_mod.MC_BLOCK_SIZE, 0.0, hi, v)
+        assert finished == [1]
+        monkeypatch.undo()
+        counts = sampler.multinomial_block(n, 0, ldp_mod.MC_BLOCK_SIZE)
+        assert hits == np.count_nonzero(np.isin(counts[:, 0], [4, 9])) > 0
+
+    def test_a_block_of_one_trial_is_tested(self, monkeypatch):
+        # a one-row product runs numpy's dot, not the matrix product of the read
+        # (at k = 2: a later count of one trial falls to Generator.binomial anyway)
+        sampler, v = SeededSampler(seed=21, base=BERN_HALF), np.array(V01)
+        finished = []
+        finish = SeededSampler._finish
+        monkeypatch.setattr(SeededSampler, "_finish", lambda *args: finished.append(1) or finish(*args))
+        hits = sampler.window_hits(40, 16, 1, 0.0, 1.0, v)
+        assert finished == [1] and hits == 1
 
     def test_generator_binomial_only_where_the_tables_cost_more(self, monkeypatch):
         # at the sizes of the benchmark's k = 3 Monte Carlo every count is a

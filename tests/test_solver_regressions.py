@@ -640,6 +640,30 @@ class TestSubnormalRelativeEntropy:
         expected[~rest] = 1.0 - expected.sum()
         assert np.abs(p - expected).max() <= 1e-12
 
+    def test_chi_squared_residual_on_two_atoms_is_zero(self):
+        # the tilt moves half the mass onto the atom of weight 2.29e-316, so
+        # 2 (p / q - 1) overflows; with two atoms [1, V] spans every gradient
+        tilt, _ = i_projection(FiniteDistribution.from_weights([2.29e-316, 1.0]), ConstraintSpec.point([1.0, 0.0], 0.5))
+        assert stationarity_residual(DivergenceSpec("chi_squared"), tilt) == 0.0
+
+    @pytest.mark.parametrize("generator", ["chi_squared", "reverse_kl"])
+    def test_ratio_residual_past_the_float_range_is_inf(self, generator):
+        # closed form: n = 1 x V = (1, 1, -2) spans what [1, V] leaves, so the
+        # residual is |g . n| max|n| / |n|^2 = |g . n| / 3.  The tilt swaps the
+        # masses of the first two atoms, p = (1/2, 1e-310, 1/2), so g . n is
+        # dominated by g_0 = 2 (p_0 / q_0 - 1) (chi-squared) or g_1 = -q_1 / p_1
+        # (reverse relative entropy), each about 1e310
+        q, v = [1e-310, 0.5, 0.5], [2.0, 0.0, 1.0]
+        tilt, _ = i_projection(FiniteDistribution.from_weights(q), ConstraintSpec.point(v, 1.5))
+        p = tilt.realized.weights
+        assert p[0] == pytest.approx(0.5, rel=1e-12) and p[1] == pytest.approx(1e-310, rel=1e-9)
+        if generator == "chi_squared":
+            log_dominant = math.log(2.0) + math.log(p[0]) - math.log(q[0])
+        else:
+            log_dominant = math.log(q[1]) - math.log(p[1])
+        assert log_dominant - math.log(3.0) > math.log(np.finfo(float).max)
+        assert stationarity_residual(DivergenceSpec(generator), tilt) == math.inf
+
     def test_meta_with_a_subnormal_atom_runs(self, tmp_path):
         # every model in the window puts mass on the atom of weight 1e-310;
         # its grid KL once overflowed to a false EmptyFeasibleSet

@@ -96,9 +96,11 @@ def test_the_log_domain_recursion_left_the_library():
 
 
 def test_one_monte_carlo_sampler():
-    # SeededSampler.multinomial_block draws conditional binomials, each by
-    # inversion of its cdf table unless a later count's tables outweigh its
-    # draws; numpy's per-trial multinomial is not kept beside it
+    # SeededSampler draws conditional binomials, each by inversion of its
+    # cdf table unless a later count's tables outweigh its draws; window_hits
+    # reads the last one's window verdict off its uniform where the table rows
+    # fix the other counts, and multinomial_block draws it.  numpy's per-trial
+    # multinomial is not kept beside them
     assert calls("multinomial") == []
 
 
