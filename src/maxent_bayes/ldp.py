@@ -42,9 +42,10 @@ of a trial by inversion (Devroye 1986, III.2-3) of the binomial cdf table of
 the draws left, a later count off one flat layout of the tables of the block's
 distinct draws-left values, or by ``Generator.binomial`` where those tables
 would hold more entries than the block has trials.  ``sanov_monte_carlo``
-counts hits, not counts: where the table rows of the last conditional count
-fix the other counts (at most three symbols drawn), a trial's window verdict
-is a comparison of its last uniform with two cdf entries of its row
+counts hits, not counts: a trial's mean is one elementwise rule, monotone in
+its last conditional count (``_sample_mean``), so where that count is a table
+read with at most three symbols drawn, a trial's window verdict is a comparison
+of its last uniform with two cdf entries of its row
 (``SeededSampler.window_hits``), and that count is never drawn.
 """
 
@@ -355,7 +356,7 @@ def _window_laws(P: FiniteDistribution, v: np.ndarray, lam: float, ns: Sequence[
         a, h, m = lattice
         for n, log_p in zip(ns, _tilted_pass(weights, m, -lam * h, ns)):
             s = np.flatnonzero(log_p > -math.inf)
-            yield a + h * s / n, log_p[s]
+            yield a + h * (s / n), log_p[s]
     else:
         yield from (_type_terms(values, weights, n) for n in ns)
 
@@ -380,7 +381,7 @@ def error_distribution_exact(
     values, weights, lattice = check_exact_law(P, potential, [n])
     if lattice is not None:
         a, h, m = lattice
-        xi = a + h * np.arange(n * int(m.max()) + 1) / n
+        xi = a + h * (np.arange(n * int(m.max()) + 1) / n)
         log_probs = _lattice_window(weights, m, n, in_window(xi, lo, hi, values))
         s = np.flatnonzero(log_probs > -math.inf)
         xi, log_probs = xi[s], log_probs[s]
@@ -500,8 +501,8 @@ def _table_range(n: int, q: float) -> tuple[int, int]:
     return max(0, math.floor(n * q) - h), min(n, math.floor(n * q) + h)
 
 
-def _inverse_table(n: int, q: float) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """(offset, pmf, cdf, guide) of Bin(n, q), 0 < q < 1, over ``_table_range``, from log pmf
+def _inverse_table(n: int, q: float) -> tuple[int, np.ndarray, np.ndarray]:
+    """(offset, cdf, guide) of Bin(n, q), 0 < q < 1, over ``_table_range``, from log pmf
     steps summed outward from the mode.  guide[i], i = 0..K with K + 1 = len(guide) a power of
     two plus one, is the first index whose cdf exceeds i / K, and at most the first whose cdf is
     1.0, so a u in [i / K, (i + 1) / K) inverts to an index in guide[i]..guide[i + 1]."""
@@ -517,7 +518,7 @@ def _inverse_table(n: int, q: float) -> tuple[int, np.ndarray, np.ndarray, np.nd
     cdf /= cdf[-1]
     K = 1 << (len(cdf) - 1).bit_length()
     guide = np.minimum(np.searchsorted(cdf, np.arange(K + 1) / K, side="right"), np.searchsorted(cdf, 1.0))
-    return lo, pmf, cdf, guide
+    return lo, cdf, guide
 
 
 def _inverse_binomial(tables: Sequence[tuple], which, u: np.ndarray) -> np.ndarray:
@@ -530,7 +531,7 @@ def _inverse_binomial(tables: Sequence[tuple], which, u: np.ndarray) -> np.ndarr
     answer by a guide cell of several steps is found by a bisection within that cell, for
     all such u at once.
     """
-    offsets, _, cdfs, guides = zip(*tables)
+    offsets, cdfs, guides = zip(*tables)
     sizes, cells = np.array([len(c) for c in cdfs]), np.array([len(g) - 1 for g in guides])
     starts, cell_starts = np.cumsum(sizes) - sizes, np.cumsum(cells + 1) - cells - 1
     if len(tables) == 1:
@@ -555,8 +556,8 @@ def _inverse_binomial(tables: Sequence[tuple], which, u: np.ndarray) -> np.ndarr
 
 class _TableCache:
     """The ``_inverse_table`` rows read last, least recently used out once they hold more
-    than TABLE_CACHE_ENTRIES entries together (at most 32 B each: pmf, cdf and under two
-    guide entries), so the cache keeps at most 32 MB of tables, or only the row read last
+    than TABLE_CACHE_ENTRIES entries together (at most 24 B each: cdf and under two guide
+    entries), so the cache keeps at most 24 MB of tables, or only the row read last
     where that row alone is wider, besides each row's array headers."""
 
     def __init__(self):
@@ -564,7 +565,7 @@ class _TableCache:
         self.entries = 0
         self.lock = threading.Lock()
 
-    def __call__(self, n: int, q: float) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    def __call__(self, n: int, q: float) -> tuple[int, np.ndarray, np.ndarray]:
         with self.lock:
             if (n, q) in self.rows:
                 self.rows.move_to_end((n, q))
@@ -573,9 +574,9 @@ class _TableCache:
         with self.lock:
             if (n, q) not in self.rows:
                 self.rows[n, q] = row
-                self.entries += len(row[2])
+                self.entries += len(row[1])
                 while self.entries > TABLE_CACHE_ENTRIES and len(self.rows) > 1:
-                    self.entries -= len(self.rows.popitem(last=False)[1][2])
+                    self.entries -= len(self.rows.popitem(last=False)[1][1])
         return row
 
 
@@ -609,6 +610,47 @@ def _draw_count(gen: np.random.Generator, left: np.ndarray, q: float, plan) -> n
     return _inverse_binomial(tables, which, gen.random(left.size))
 
 
+def _sample_mean(n: int, v: np.ndarray, drawn: np.ndarray, counts, m, c):
+    """V . L_n of count vectors of the drawn symbols j_1 < ... < j_r: counts[i] of j_i for
+    i <= r - 2, c of a = j_{r-1} and m - c of b = j_r (a = b and c = 0 where r = 1).
+
+    It is B + (c / n) (v_a - v_b), B = sum_{i <= r - 2} (counts[i] / n) v_{j_i} + (m / n) v_b
+    summed left to right: each count is divided by n before its product, and at fixed B
+    the value is monotone in c, as rounding is (Higham 2002, 2.1), so the counts c of one
+    B whose vectors pass ``in_window`` are one run.
+    """
+    a, b = v[drawn[-2:]][[0, -1]]
+    base = sum((count / n) * v[j] for j, count in zip(drawn, counts)) + (m / n) * b
+    return base + (c / n) * (a - b)
+
+
+def _hit_bounds(n: int, v: np.ndarray, drawn: np.ndarray, plan, lo: float, hi: float):
+    """Per table row of ``plan`` (the last conditional count's, from ``_prefix``: draws
+    left m for the last two of at most three drawn symbols, the first taking n - m), the
+    uniforms [lower, upper) whose inversion on that row is a count whose vector's mean
+    (``_sample_mean``) passes ``in_window``.
+
+    Every candidate count of every row (one flat layout, as ``_inverse_binomial`` reads)
+    gets its mean.  The count at index i of its row is drawn for u in [cdf[i - 1], cdf[i])
+    (cdf[i - 1] read as 0 at i = 0), and a row's hits are one run, so they are the u from
+    below its first hit to the cdf of its last; a row with no hit reads [0, 0).
+    """
+    rows, tables, _ = plan
+    offsets, cdfs, _ = zip(*tables)
+    sizes = np.array([len(c) for c in cdfs])
+    starts = np.cumsum(sizes) - sizes
+    cdf = np.concatenate(cdfs)
+    row = np.repeat(np.arange(len(rows)), sizes)
+    m = np.array(rows)[row]
+    count = np.arange(cdf.size) - (starts - np.array(offsets))[row]
+    first = [n - m] if len(drawn) == 3 else []
+    hit = in_window(_sample_mean(n, v, drawn, first, m, count), lo, hi, v)
+    below = np.concatenate(([0.0], cdf[:-1]))
+    below[starts] = 0.0
+    upper = np.maximum.reduceat(np.where(hit, cdf, 0.0), starts)
+    return np.minimum(np.minimum.reduceat(np.where(hit, below, 1.0), starts), upper), upper
+
+
 @dataclass(frozen=True)
 class SeededSampler:
     """Deterministic counter-based sampling streams.
@@ -627,10 +669,10 @@ class SeededSampler:
     tables are kept in one cache (``_TABLES``) across blocks and samplers.
 
     ``multinomial_block`` returns a block's count vectors.  ``window_hits``
-    returns only how many of them have their mean in a window: it draws the
-    same counts up to the last conditional one (``_prefix``, shared), and
-    where that count's table rows fix every other count (at most three
-    symbols drawn), it reads each trial's verdict off its last uniform
+    returns only how many of them have their mean (``_sample_mean``) in a
+    window: it draws the same counts up to the last conditional one
+    (``_prefix``, shared), and where that count is a table read with at most
+    three symbols drawn, it reads each trial's verdict off its last uniform
     (``_hit_bounds``) instead of drawing the count.
     """
 
@@ -664,8 +706,9 @@ class SeededSampler:
             left = left - counts[-1]
         return gen, drawn, counts, left, None, None
 
-    def _finish(self, gen, drawn, counts, left, q, plan) -> np.ndarray:
-        """The (trials, k) count matrix of a block drawn by ``_prefix``."""
+    def multinomial_block(self, n: int, block_index: int, block_trials: int) -> np.ndarray:
+        """The (trials, k) count matrix of a block: ``_prefix`` and its last count drawn."""
+        gen, drawn, counts, left, q, plan = self._prefix(n, block_index, block_trials)
         if q is not None:
             counts = counts + [_draw_count(gen, left, q, plan)]
             left = left - counts[-1]
@@ -674,72 +717,22 @@ class SeededSampler:
             matrix[:, j] = count
         return matrix
 
-    def multinomial_block(self, n: int, block_index: int, block_trials: int) -> np.ndarray:
-        return self._finish(*self._prefix(n, block_index, block_trials))
-
     def window_hits(self, n: int, block_index: int, block_trials: int, lo: float, hi: float, v: np.ndarray) -> int:
-        """How many trials of the block have V . L_n in [lo, hi]: the count of
-        ``in_window(multinomial_block(n, block_index, block_trials) @ v / n, lo, hi, v)``.
+        """How many count vectors of ``multinomial_block(n, block_index, block_trials)``
+        have a mean V . L_n (``_sample_mean``) that passes ``in_window(., lo, hi, v)``.
 
-        Where the last conditional count is a table read whose rows fix the other counts
-        (the first count at k = 2; at k = 3 a row, the draws left, fixes the first), a
-        trial hits when its last uniform lies in its row's [lower, upper) of
-        ``_hit_bounds``, and no count is drawn.  A block over the tables' budget, with
-        four or more symbols drawn, or with a row whose hits are not one run draws its
-        counts and tests them, as does a block of one trial: a one-row product runs
-        numpy's dot, whose sum order may differ from the matrix product's.
+        Where the last conditional count is a table read with at most three symbols drawn,
+        a trial hits when its last uniform lies in its row's [lower, upper) of
+        ``_hit_bounds``, and that count is never drawn.  Any other block (over the tables'
+        budget, four or more symbols drawn, or one) draws it and tests the same mean.
         """
-        prefix = self._prefix(n, block_index, block_trials)
-        gen, drawn, _, left, _, plan = prefix
-        if plan is not None and len(drawn) <= 3 and block_trials > 1:
-            rows, tables, which = plan
-            bounds = self._hit_bounds(n, drawn, rows, tables, lo, hi, v)
-            if bounds is not None:
-                lower, upper = bounds  # lower <= upper, so [u < upper] - [u < lower] is the hit
-                u = gen.random(left.size)
-                return int(np.count_nonzero(u < upper[which])) - int(np.count_nonzero(u < lower[which]))
-        return int(np.count_nonzero(in_window(self._finish(*prefix) @ v / n, lo, hi, v)))
-
-    def _hit_bounds(self, n: int, drawn, rows, tables, lo: float, hi: float, v: np.ndarray):
-        """Per table row (draws left m for the last two drawn symbols, the symbols before
-        them taking n - m), the uniforms [lower, upper) whose inversion on that row is a
-        count whose vector passes ``in_window``; None when some row's hits are not one run.
-
-        Every candidate count c of every row (one flat layout, as ``_inverse_binomial``
-        reads) gets its count vector and its mean by the same product as a drawn block's.
-        Count c at index i of its row is drawn for u in [cdf[i - 1], cdf[i]) (cdf[i - 1] read
-        as 0 at i = 0), an empty interval where cdf does not rise, so such a count's verdict does
-        not matter: the hits of a row are one run when no count between its first and
-        last hit with a cdf step misses the window.  Then they are the u in
-        [cdf[first - 1], cdf[last]); a row with no hit reads [0, 0).
-        """
-        offsets, _, cdfs, _ = zip(*tables)
-        sizes = np.array([len(c) for c in cdfs])
-        starts = np.cumsum(sizes) - sizes
-        cdf = np.concatenate(cdfs)
-        if cdf.size < 2:  # a one-row product runs numpy's dot (see ``window_hits``)
-            return None
-        at, row = np.arange(cdf.size), np.repeat(np.arange(len(rows)), sizes)
-        m = np.array(rows)[row]
-        count = at - (starts - np.array(offsets))[row]
-        candidates = np.zeros((cdf.size, self.base.size), dtype=np.int64)
-        candidates[:, drawn[-2]] = count
-        candidates[:, drawn[-1]] = m - count
-        if len(drawn) == 3:
-            candidates[:, drawn[0]] = n - m
-        hit = in_window(candidates @ v / n, lo, hi, v)
-        below = np.concatenate(([0.0], cdf[:-1]))
-        below[starts] = 0.0
-        first = np.minimum.reduceat(np.where(hit, at, cdf.size), starts)
-        last = np.maximum.reduceat(np.where(hit, at, -1), starts)
-        stray = np.concatenate(([0], np.cumsum(~hit & (cdf > below))))
-        some = last >= 0
-        first, last = first[some], last[some]
-        if np.any(stray[last + 1] > stray[first]):
-            return None
-        lower, upper = np.zeros(len(rows)), np.zeros(len(rows))
-        lower[some], upper[some] = below[first], cdf[last]
-        return lower, upper
+        gen, drawn, counts, left, q, plan = self._prefix(n, block_index, block_trials)
+        if plan is not None and len(drawn) <= 3:
+            lower, upper = _hit_bounds(n, v, drawn, plan, lo, hi)  # lower <= upper
+            u, which = gen.random(left.size), plan[2]
+            return int(np.count_nonzero(u < upper[which])) - int(np.count_nonzero(u < lower[which]))
+        c = 0 if q is None else _draw_count(gen, left, q, plan)
+        return int(np.count_nonzero(in_window(_sample_mean(n, v, drawn, counts, left, c), lo, hi, v)))
 
 
 def _wilson_interval(hits: int, trials: int) -> tuple[float, float]:
@@ -786,25 +779,19 @@ def sanov_monte_carlo(
     with ThreadPoolExecutor(max_workers=min(threads, len(blocks))) as pool:
         per_block = list(pool.map(block_hits, blocks))
 
-    logs, ci_lo, ci_hi, variances, insufficient = [], [], [], [], []
-    for i, n in enumerate(n_grid):
-        h = sum(per_block[i * n_blocks:(i + 1) * n_blocks])
+    hits = [sum(per_block[i * n_blocks:(i + 1) * n_blocks]) for i in range(len(n_grid))]
+    logs, ci_lo, ci_hi = [], [], []
+    for h in hits:
         phat = h / trials
         w_lo, w_hi = _wilson_interval(h, trials)
         logs.append(math.log(phat) if h > 0 else -math.inf)
         ci_lo.append(math.log(w_lo) if w_lo > 0 else -math.inf)
         ci_hi.append(math.log(w_hi) if w_hi > 0 else -math.inf)
-        if h < MIN_HITS:
-            insufficient.append(int(n))
-            variances.append(math.inf)
-        else:
-            variances.append(max((1.0 - phat) / (trials * phat), 1e-30))
 
-    usable = [i for i, n in enumerate(n_grid) if int(n) not in insufficient]
-    ns = np.asarray([float(n_grid[i]) for i in usable])
-    ys = np.asarray([logs[i] for i in usable])
-    var = np.asarray([variances[i] for i in usable])
-    slope, _, r2, se = _fit_line(ns, ys, var)
+    usable = [i for i, h in enumerate(hits) if h >= MIN_HITS]
+    phat = np.array(hits)[usable] / trials
+    ns, ys = np.asarray(n_grid, dtype=float)[usable], np.asarray(logs)[usable]
+    slope, _, r2, se = _fit_line(ns, ys, (1.0 - phat) / (trials * phat))
     return RateEstimate(
         constraint_description=_describe(constraint),
         n_grid=tuple(int(n) for n in n_grid),
@@ -816,7 +803,7 @@ def sanov_monte_carlo(
         ci_lo=tuple(ci_lo),
         ci_hi=tuple(ci_hi),
         slope_stderr=se,
-        insufficient_ns=tuple(insufficient),
+        insufficient_ns=tuple(int(n) for n, h in zip(n_grid, hits) if h < MIN_HITS),
     )
 
 
@@ -852,7 +839,7 @@ def gibbs_conditioning(
     for n in n_grid:
         xi, log_probs = (np.zeros(1), np.zeros(1)) if n == 1 else next(laws)
         # row j: is ((n - 1) xi_{n-1} + v_j) / n, the value after one more draw of j, inside?
-        inside = in_window(((n - 1) * xi + v[drawn, None]) / n, lo, hi, v)
+        inside = in_window((n - 1) / n * xi + v[drawn, None] / n, lo, hi, v)
         log_joint = np.log(P.weights[drawn]) + np.array([_logsumexp(log_probs[row]) for row in inside])
         log_event = _logsumexp(log_joint)
         if math.isinf(log_event):

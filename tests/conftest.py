@@ -4,7 +4,7 @@ from hypothesis import settings
 
 from maxent_bayes import Alphabet, FiniteDistribution
 
-settings.register_profile("suite", deadline=None, max_examples=100)
+settings.register_profile("suite", deadline=None, max_examples=100, derandomize=True)
 settings.load_profile("suite")
 
 

@@ -198,7 +198,11 @@ class TestSanovMonteCarlo:
         # and 40 and falls back to Generator.binomial at n = 10^6 and 2 10^6
         (dist(0.2, 0.3, 0.5), [0.0, 1.0, 2.0], (1.4, 2.0), [20, 40], 3 * ldp_mod.MC_BLOCK_SIZE - 1000),
         (dist(0.2, 0.3, 0.5), [0.0, 1.0, 2.0], (1.3, 1.3003), [10**6, 2 * 10**6], 3 * ldp_mod.MC_BLOCK_SIZE - 1000),
-    ], ids=["k2", "k3-tables", "k3-large-n"])
+        # k = 4: the last count is drawn and its mean tested
+        (dist(0.1, 0.2, 0.3, 0.4), [0.0, 1.0, 2.0, 3.0], (2.3, 3.0), [20, 40], 2 * ldp_mod.MC_BLOCK_SIZE - 1000),
+        # a last block of one trial
+        (dist(0.2, 0.3, 0.5), [0.0, 1.0, 2.0], (1.4, 2.0), [20, 40], ldp_mod.MC_BLOCK_SIZE + 1),
+    ], ids=["k2", "k3-tables", "k3-large-n", "k4-drawn", "one-trial-block"])
     def test_bit_identical_across_runs_and_thread_counts(self, P, v, window, grid, trials):
         constraint = ConstraintSpec.interval(v, *window)
         runs = []
@@ -211,6 +215,23 @@ class TestSanovMonteCarlo:
         assert runs[0].log_probs == runs[1].log_probs == runs[2].log_probs
         assert runs[0].fitted_slope == runs[1].fitted_slope == runs[2].fitted_slope
         assert runs[0].ci_lo == runs[2].ci_lo and runs[0].ci_hi == runs[2].ci_hi
+
+
+def recording(monkeypatch, name):
+    """Record each call of the ldp function ``name``; returns the list of calls."""
+    calls, function = [], getattr(ldp_mod, name)
+    monkeypatch.setattr(ldp_mod, name, lambda *args: calls.append(args) or function(*args))
+    return calls
+
+
+def drawn_hits(sampler, n, block, trials, window, v):
+    """Hits of a block's count vectors (``multinomial_block``), each mean taken by the
+    sampler's rule (``_sample_mean``) and tested by ``in_window``."""
+    counts = sampler.multinomial_block(n, block, trials)
+    drawn = sampler._prefix(n, block, 1)[1]
+    m, c = counts[:, drawn[-2:]].sum(axis=1), counts[:, drawn[-2]] if len(drawn) > 1 else 0
+    mean = ldp_mod._sample_mean(n, v, drawn, list(counts[:, drawn[:-2]].T), m, c)
+    return int(np.count_nonzero(in_window(mean, *window, v)))
 
 
 class TestSeededSampler:
@@ -277,12 +298,12 @@ class TestSeededSampler:
         first = sampler.multinomial_block(n, 5, 20_000)[:, 0]
         seq = np.random.SeedSequence(entropy=12, spawn_key=(0, ldp_mod._STREAM_SANOV, n, 5))
         gen = np.random.Generator(np.random.Philox(seq))
-        offset, pmf, _, guide = ldp_mod._inverse_table(n, q)
-        assert np.array_equal(first, offset + gen.choice(len(pmf), size=20_000, p=pmf))
+        offset, cdf, guide = ldp_mod._inverse_table(n, q)
+        assert np.array_equal(first, offset + gen.choice(len(cdf), size=20_000, p=np.diff(cdf, prepend=0.0)))
         u = np.random.Generator(np.random.Philox(seq)).random(20_000)
         assert np.any(np.diff(guide)[(u * (len(guide) - 1)).astype(np.intp)] > 1)
-        x = np.arange(offset, offset + len(pmf))
-        assert np.abs(np.cumsum(pmf) - stats.binom.cdf(x, n, q)).max() <= 1e-14
+        x = np.arange(offset, offset + len(cdf))
+        assert np.abs(cdf - stats.binom.cdf(x, n, q)).max() <= 1e-14
 
     @pytest.mark.parametrize("weights, n", [
         ([0.2, 0.3, 0.5], 20),
@@ -303,7 +324,7 @@ class TestSeededSampler:
         for j, q in enumerate((P.weights / np.cumsum(P.weights[::-1])[::-1])[:-1].tolist()):
             u, expected = gen.random(trials), np.empty(trials, dtype=np.int64)
             for m in np.unique(left).tolist():
-                offset, _, cdf, guide = ldp_mod._inverse_table(m, q)
+                offset, cdf, guide = ldp_mod._inverse_table(m, q)
                 at = left == m
                 expected[at] = offset + np.searchsorted(cdf, u[at], side="right")
                 several += np.count_nonzero(np.diff(guide)[(u[at] * (len(guide) - 1)).astype(np.intp)] > 1) if j else 0
@@ -333,50 +354,43 @@ class TestSeededSampler:
         # a zero weight, and a weight below the float resolution: two symbols drawn
         ([0.5, 0.0, 0.5], [0.0, 5.0, 1.0], 40, (0.25, 0.6), True),
         ([0.5, 0.5, 1e-17], [0.0, 1.0, 2.0], 40, (0.25, 0.6), True),
+        # one symbol takes every draw: no count is left to read
+        ([0.0, 1.0, 0.0], [0.0, 1.0, 2.0], 40, (1.0, 1.0), False),
     ], ids=["k2", "k3-n40", "k3-n160", "k4", "k5", "k3-binomial", "no-mass", "all-mass", "tied",
-            "k3-2-ulps", "k2-2-ulps", "zero-weight", "below-resolution"])
+            "k3-2-ulps", "k2-2-ulps", "zero-weight", "below-resolution", "one-symbol"])
     def test_window_hits_count_the_tested_count_vectors(self, monkeypatch, weights, v, n, window, read):
         # the hits read off the last uniforms are the hits of the drawn count vectors
         v, sampler = np.asarray(v), SeededSampler(seed=21, base=dist(*weights))
-        finished = []
-        finish = SeededSampler._finish
-        monkeypatch.setattr(SeededSampler, "_finish", lambda *args: finished.append(1) or finish(*args))
+        bounds = recording(monkeypatch, "_hit_bounds")
         hits = [sampler.window_hits(n, b, ldp_mod.MC_BLOCK_SIZE, *window, v) for b in range(3)]
-        assert (not finished) == read
-        monkeypatch.undo()
-        tested = [int(np.count_nonzero(in_window(sampler.multinomial_block(n, b, ldp_mod.MC_BLOCK_SIZE) @ v / n,
-                                                 *window, v))) for b in range(3)]
+        assert bool(bounds) == read
+        tested = [drawn_hits(sampler, n, b, ldp_mod.MC_BLOCK_SIZE, window, v) for b in range(3)]
         assert hits == tested
         share = {0: "none", 3 * ldp_mod.MC_BLOCK_SIZE: "all"}.get(sum(tested), "some")
         assert share == {(0.51, 0.52): "none", (0.0, 2.0): "all", (1.0, 1.0): "all"}.get(window, "some")
 
-    def test_hits_that_are_not_one_run_are_tested(self, monkeypatch):
-        # V tied at 0.3: the rounded mean of (c, 40 - c) takes its lower value
-        # only at c = 4 and 9, so a window ending there has hits apart
+    def test_tied_values_have_one_mean_and_are_read(self, monkeypatch):
+        # V tied at 0.3: the matrix product's rounded mean of (c, 40 - c) takes
+        # its lower value only at c = 4 and 9; the mean of every count is one
+        # value, so a window ending just below it has no hit, and one at it all
         v, n = np.array([0.3, 0.3]), 40
-        means = np.column_stack([np.arange(n + 1), n - np.arange(n + 1)]) @ v / n
-        hi = float(means.min()) - 4 * _floor(v)
-        inside = in_window(means, 0.0, hi, v)
-        assert np.flatnonzero(inside).tolist() == [4, 9]
+        product = np.column_stack([np.arange(n + 1), n - np.arange(n + 1)]) @ v / n
+        hi = float(product.min()) - 4 * _floor(v)
+        assert np.flatnonzero(in_window(product, 0.0, hi, v)).tolist() == [4, 9]
+        drawn = np.array([0, 1])
+        assert np.unique(ldp_mod._sample_mean(n, v, drawn, [], n, np.arange(n + 1))).tolist() == [0.3]
         sampler = SeededSampler(seed=21, base=BERN_HALF)
-        finished = []
-        finish = SeededSampler._finish
-        monkeypatch.setattr(SeededSampler, "_finish", lambda *args: finished.append(1) or finish(*args))
-        hits = sampler.window_hits(n, 0, ldp_mod.MC_BLOCK_SIZE, 0.0, hi, v)
-        assert finished == [1]
-        monkeypatch.undo()
-        counts = sampler.multinomial_block(n, 0, ldp_mod.MC_BLOCK_SIZE)
-        assert hits == np.count_nonzero(np.isin(counts[:, 0], [4, 9])) > 0
+        bounds = recording(monkeypatch, "_hit_bounds")
+        hits = [sampler.window_hits(n, 0, ldp_mod.MC_BLOCK_SIZE, *window, v) for window in ((0.0, hi), (0.3, 0.3))]
+        assert len(bounds) == 2 and hits == [0, ldp_mod.MC_BLOCK_SIZE]
 
-    def test_a_block_of_one_trial_is_tested(self, monkeypatch):
-        # a one-row product runs numpy's dot, not the matrix product of the read
-        # (at k = 2: a later count of one trial falls to Generator.binomial anyway)
+    def test_a_block_of_one_trial_is_read(self, monkeypatch):
+        # one trial is read off thresholds as a full block is, by the same mean
         sampler, v = SeededSampler(seed=21, base=BERN_HALF), np.array(V01)
-        finished = []
-        finish = SeededSampler._finish
-        monkeypatch.setattr(SeededSampler, "_finish", lambda *args: finished.append(1) or finish(*args))
-        hits = sampler.window_hits(40, 16, 1, 0.0, 1.0, v)
-        assert finished == [1] and hits == 1
+        bounds = recording(monkeypatch, "_hit_bounds")
+        hits = [sampler.window_hits(40, b, 1, 0.45, 0.55, v) for b in range(40)]
+        assert len(bounds) == 40 and 0 < sum(hits) < 40
+        assert hits == [drawn_hits(sampler, 40, b, 1, (0.45, 0.55), v) for b in range(40)]
 
     def test_generator_binomial_only_where_the_tables_cost_more(self, monkeypatch):
         # at the sizes of the benchmark's k = 3 Monte Carlo every count is a
@@ -403,7 +417,7 @@ class TestSeededSampler:
         cache = ldp_mod._TableCache()
         for m in range(100, 400, 7):
             assert cache(m, 0.3) is cache(m, 0.3)
-            assert cache.entries == sum(len(row[2]) for row in cache.rows.values()) <= 1000
+            assert cache.entries == sum(len(row[1]) for row in cache.rows.values()) <= 1000
         assert list(cache.rows)[-1] == (394, 0.3)
         assert cache(10**6, 0.3) is cache.rows[10**6, 0.3] and len(cache.rows) == 1
 
@@ -415,7 +429,7 @@ class TestSeededSampler:
 
         def read(seed):
             for m in np.random.default_rng(seed).integers(50, 400, 300).tolist():
-                assert len(cache(m, 0.3)[2]) == m + 1
+                assert len(cache(m, 0.3)[1]) == m + 1
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -425,7 +439,7 @@ class TestSeededSampler:
                     future.result(timeout=60)
         finally:
             sys.setswitchinterval(interval)
-        assert cache.entries == sum(len(row[2]) for row in cache.rows.values()) <= 2000
+        assert cache.entries == sum(len(row[1]) for row in cache.rows.values()) <= 2000
 
     def test_large_n_table_is_sublinear_and_unbiased(self):
         n, weights = 10**6, np.array([0.2, 0.3, 0.5])

@@ -98,9 +98,10 @@ def test_the_log_domain_recursion_left_the_library():
 def test_one_monte_carlo_sampler():
     # SeededSampler draws conditional binomials, each by inversion of its
     # cdf table unless a later count's tables outweigh its draws; window_hits
-    # reads the last one's window verdict off its uniform where the table rows
-    # fix the other counts, and multinomial_block draws it.  numpy's per-trial
-    # multinomial is not kept beside them
+    # reads the last one's window verdict off its uniform where it is a table
+    # read with at most three symbols drawn, else draws it and tests the same
+    # mean, and multinomial_block draws it.  numpy's per-trial multinomial is
+    # not kept beside them
     assert calls("multinomial") == []
 
 
