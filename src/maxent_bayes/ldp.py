@@ -2,7 +2,7 @@
 
 Everything here runs at desk scale.  The exact claims all read the law of
 the expected loss xi = V . L_n of n i.i.d. draws, after P is pushed forward
-onto the k distinct values of V on its support, by one of two methods:
+onto the k distinct values of V on its support, by one of three methods:
 
 - the type enumeration, C(n + k - 1, k - 1) compositions of n per n;
 - on a lattice, values a + h m_j with integer m_j of span R = max m, the law
@@ -17,16 +17,23 @@ onto the k distinct values of V on its support, by one of two methods:
   pass for the whole n grid.  The law the meta pipeline fits on its window
   (``error_distribution_exact``), whose far end can lie thousands of nats
   below its near end, runs as many passes as it takes for each reachable sum
-  of the window to keep a normal mass in one (``_lattice_window``).
+  of the window to keep a normal mass in one (``_lattice_window``);
+- for a window reader, the type slab (``_slab_terms``): only the types near
+  the window's dominating point, under the tilt of P there, about sqrt(n)
+  of them per n at k = 3, with a bound on the window mass they leave out,
+  checked against each mass read off them; a read the bound does not keep
+  within _SLAB_TOLERANCE (an empty window, for one) takes the enumeration.
 
-``check_exact_law`` runs the lattice method when one pass has fewer terms
-than ENUMERATION_WEIGHT times the enumeration's sum over the n grid; an
-irrational V (its lattice step is round-off, so R is huge) keeps the
-enumeration.  TABLE_CAP bounds the terms of the enumeration, or of each
-pass.  A window's Sanov probability is its mass under the law, and the
-conditional mean given the window reads the law at n - 1 by
-exchangeability, the p_j-weighted sum of the numerators being
-the denominator:
+One rule (``_exact_method``) runs the lattice method when one pass has
+fewer terms than ENUMERATION_WEIGHT times the enumeration's sum over the n
+grid, or the enumeration is over TABLE_CAP; an irrational V (its lattice
+step is round-off, so R is huge) never takes it.  Where it does not run,
+the meta law (``check_exact_law``) enumerates the types and the window
+readers (``_window_laws``) read slabs.  TABLE_CAP bounds the terms of the
+enumeration, of each pass, or of each slab.  A window's Sanov probability
+is its mass under the law, and the conditional mean given the window reads
+the law at n - 1 by exchangeability, the p_j-weighted sum of the numerators
+being the denominator:
 
     E[L_n | W]_j = p_j P(((n - 1) xi_{n-1} + v_j) / n in W) / P(xi_n in W).
 
@@ -63,7 +70,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyEvent, NumericalError, TableTooLarge
-from .measures import Alphabet, FiniteDistribution, _floor, as_potential, in_window, relative_entropy, total_variation
+from .measures import Alphabet, FiniteDistribution, _band, _floor, as_potential, in_window, relative_entropy, total_variation
 from .tilting import ConstraintSpec, TiltedDistribution, _project, _softmax, attainable_range, i_projection
 
 TABLE_CAP = 10_000_000
@@ -74,6 +81,12 @@ TABLE_CAP = 10_000_000
 # method on every exact op of the benchmark.
 ENUMERATION_WEIGHT = 20
 _TILT_CAP = 746.0  # per lattice step; exp(-746) is 0, so a steeper tilt is the same pass
+# A slab (``_slab_terms``) leaves out at most (2k - 1) e^-_SLAB_NATS of exp(-n I), I the
+# window's rate, and a window read refuses a slab whose bound exceeds _SLAB_TOLERANCE of
+# the mass it read (NumericalError).
+_SLAB_NATS = 50.0
+_SLAB_TOLERANCE = 1e-15
+_SLAB_BLOCK = 1 << 20  # rows of a slab whose means are formed at once
 # Monte Carlo trials per sampling block.  Each block draws from its own
 # stream, keyed by its index, so this size fixes every Monte Carlo output.
 MC_BLOCK_SIZE = 65536
@@ -217,13 +230,16 @@ class ErrorDistribution:
 def _lattice(values: np.ndarray) -> tuple[float, float, np.ndarray] | None:
     """(a, h, m) with each value a + h m_j to within ``_floor(values)``, h > 0
     and the m_j >= 0 integers of gcd 1; None when the values all agree (one
-    type class) or some value is off that lattice.
+    type class), their range overflows the float range, or some value is off
+    that lattice.
 
     h is a float Euclid over the differences from the least value (fmod is
     exact, so only the noise in V enters), then the largest difference over
     its integer.  An irrational V leaves h near round-off and max m huge.
     """
     a = float(values.min())
+    if not math.isfinite(float(values.max()) - a):
+        return None
     d = values - a
     tol = _floor(values)
     h = 0.0
@@ -307,14 +323,14 @@ def _lattice_window(weights: np.ndarray, m: np.ndarray, n: int, inside: np.ndarr
     return log_p
 
 
-def check_exact_law(
-    P: FiniteDistribution, potential, ns: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray, tuple[float, float, np.ndarray] | None]:
+def _exact_method(P: FiniteDistribution, potential, ns: Sequence[int]):
     """Push P forward onto the distinct values of V on its support, in order
-    of first occurrence, and pick the method for the laws at the sample
-    sizes ns (module docstring), the cheaper within TABLE_CAP; TableTooLarge
-    when neither is.  Returns (values, weights, lattice), lattice (a, h, m) when
-    the lattice method runs, else None.
+    of first occurrence, and pick the method of the laws at the sample sizes
+    ns.  Returns (values, weights, lattice, refusal): lattice is (a, h, m) when
+    one tilted lattice pass runs, as it sums at most TABLE_CAP terms, and fewer
+    than ENUMERATION_WEIGHT times the enumeration's sum over ns or the
+    enumeration is over TABLE_CAP; else None.  refusal is the message of
+    TableTooLarge when neither the pass nor the enumeration fits the cap.
     """
     if min(ns) < 1:
         raise ValueError("sample size must be positive")
@@ -332,11 +348,23 @@ def check_exact_law(
         tilted = (span + 1) * (span * n * (n - 1) // 2 + n)
     enumeration, table = ENUMERATION_WEIGHT * sum(table_size(k, size) for size in ns), table_size(k, n)
     if tilted <= TABLE_CAP and (tilted < enumeration or table > TABLE_CAP):
-        return values, weights, lattice
+        return values, weights, lattice, None
     if table > TABLE_CAP:
         method, terms = ("tilted lattice pass", tilted) if tilted < enumeration else ("type enumeration", table)
-        raise TableTooLarge(f"{method} for k={k} distinct values, n={n} sums {terms} terms (cap {TABLE_CAP})")
-    return values, weights, None
+        return values, weights, None, f"{method} for k={k} distinct values, n={n} sums {terms} terms (cap {TABLE_CAP})"
+    return values, weights, None, None
+
+
+def check_exact_law(
+    P: FiniteDistribution, potential, ns: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, tuple[float, float, np.ndarray] | None]:
+    """(values, weights, lattice) of ``_exact_method`` for the meta law, which
+    enumerates the types where the lattice method does not run; TableTooLarge
+    when neither fits TABLE_CAP."""
+    values, weights, lattice, refusal = _exact_method(P, potential, ns)
+    if refusal is not None:
+        raise TableTooLarge(refusal)
+    return values, weights, lattice
 
 
 def _type_terms(values: np.ndarray, weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -345,20 +373,118 @@ def _type_terms(values: np.ndarray, weights: np.ndarray, n: int) -> tuple[np.nda
     return (table.counts / n) @ values, table.log_probs
 
 
-def _window_laws(P: FiniteDistribution, v: np.ndarray, lam: float, ns: Sequence[int]):
-    """For each n of ns, the unsorted, ungrouped terms (xi, log_probs) of the
-    law of V . L_n for a window whose dominating point has multiplier lam:
-    on a lattice a + h m, one term per lattice sum s of positive mass at
-    xi = a + h s / n, all from one pass tilted by t = -lam h; else
-    ``_type_terms`` per n."""
-    values, weights, lattice = check_exact_law(P, v, ns)
+def _slab_terms(values: np.ndarray, weights: np.ndarray, n: int, lam: float, band: float, sized_only: bool = False):
+    """(xi, log_probs, log_bound): the terms of the n-draw type classes that
+    carry the mass of every window read whose dominating point c0 has
+    multiplier lam, and the log of a bound on the mass of such a read that
+    they leave out (-inf: none).  TableTooLarge when the slab holds more than
+    TABLE_CAP types, counted level by level before each level is built;
+    ``sized_only`` stops there and returns None.
+
+    P(type) = P*(type) B e^{lam (S - n c0)}, S = n xi, P* proportional to
+    p e^{-lam V} and B = exp(n (log Z + lam c0)) = exp(-n I(c0)).  A window on
+    the far side of c0 from the mean of P holds only types with
+    lam (S - n c0) <= M: M is the spread of lam V in nats plus 1 (a ``gibbs``
+    row's shift) plus n |lam| ``band`` (the band of ``in_window``).  The
+    levels are built as ``_compositions`` builds them, the least and the
+    greatest value last.  Each conditional count lies in the Hoeffding range
+    of its binomial under P* that leaves out e^-(T + M) on a side
+    (T = _SLAB_NATS); the last one also in the strip
+    -T - M <= lam (S - n c0) <= M, written in the products lam v_j, so the
+    types kept do not move with the scale of V.  The box leaves out at most
+    B e^-T per level and side it cuts, the strip B e^-(T + M).  lam = 0 is the
+    box about P.  An infinite lam is P conditioned on the extreme value, one
+    type, which leaves out the types holding another value within 2 n
+    ``band`` of it.
+    """
+    k = values.size
+    order = np.argsort(values, kind="stable")
+    order = np.concatenate([order[1:-1], order[:1], order[-1:]]) if k > 1 else order
+    if math.isinf(lam):
+        x = int(np.argmin(values) if lam > 0 else np.argmax(values))
+        q_star, tilt, nats = (np.arange(k) == x).astype(float), None, 0.0
+        gap = float(np.abs(np.delete(values, x) - values[x]).min(initial=math.inf))
+        log_bound = math.log1p(-weights[x] ** n) if gap <= 2 * n * band else -math.inf
+    else:
+        tilt = lam * values
+        q_star, log_z = _softmax(np.log(weights) - tilt)
+        center = float(q_star @ tilt)
+        m = float(tilt.max() - tilt.min()) + 1.0 + n * abs(lam) * band
+        nats, floor, cut = _SLAB_NATS + m, -_SLAB_NATS - m, 0.0
+        tilt = tilt[order]
+    q_star = q_star[order]
+    tails = np.cumsum(q_star[::-1])[::-1]
+    q = np.divide(q_star, tails, out=np.zeros(k), where=tails > 0)
+    counts, left = [], np.array([n], dtype=np.int64)  # one array per level: the count of order[j]
+    for j in range(k - 1):
+        mean, h = left * q[j], np.sqrt(left * (nats / 2))
+        lo, hi = np.maximum(np.ceil(mean - h), 0.0), np.minimum(np.floor(mean + h), left)
+        if tilt is not None:
+            cut += bool(np.any(lo > 0)) + bool(np.any(hi < left))
+            if j == k - 2 and tilt[j] != tilt[j + 1]:  # c draws of this symbol put a type at base + c d nats
+                base = sum(c * t for c, t in zip(counts, tilt)) + left * tilt[j + 1] - n * center
+                d = float(tilt[j] - tilt[j + 1])
+                cut += math.exp(-m) * bool(np.any((lo <= hi) & (base + np.minimum(lo * d, hi * d) < floor)))
+                ends = np.sort([(floor - base) / d, (m - base) / d], axis=0)
+                lo, hi = np.maximum(lo, np.ceil(ends[0])), np.minimum(hi, np.floor(ends[1]))
+        sizes = np.maximum(hi - lo + 1.0, 0.0).astype(np.int64)
+        lo = np.where(sizes > 0, lo, 0.0).astype(np.int64)
+        total = int(sizes.sum())
+        if total > TABLE_CAP:
+            raise TableTooLarge(f"type slab for k={k} distinct values, n={n} holds {total} types "
+                                f"at level {j + 1} of {k - 1} (cap {TABLE_CAP})")
+        if sized_only and j == k - 2:
+            return None
+        rows = np.repeat(np.arange(sizes.size), sizes)
+        part = np.arange(total) - (np.cumsum(sizes) - sizes - lo)[rows]
+        counts, left = [c[rows] for c in counts] + [part], left[rows] - part
+    if sized_only:
+        return None
+    if tilt is not None:
+        log_bound = n * (float(log_z) + center) - _SLAB_NATS + math.log(cut) if cut else -math.inf
+    counts = [(counts + [left])[i] for i in np.argsort(order)]
+    # xi = (counts / n) @ values, a block of rows at a time; log-probs log n! + sum_j T_j[c_j],
+    # T_j[c] = c log p_j - log c!, summed as ``enumerate_types`` sums them
+    xi = np.concatenate([(np.column_stack([c[start:start + _SLAB_BLOCK] for c in counts]) / n) @ values
+                         for start in range(0, left.size, _SLAB_BLOCK)])
+    terms = 0
+    for log_p, column in zip(np.log(weights), counts):
+        low, high = int(column.min()), int(column.max())
+        table = log_p * np.arange(low, high + 1) - np.array([math.lgamma(c + 1.0) for c in range(low, high + 1)])
+        terms = terms + table[column - low]
+    return xi, math.lgamma(n + 1.0) + terms, log_bound
+
+
+def _window_laws(P: FiniteDistribution, v: np.ndarray, lam: float, ns: Sequence[int], read):
+    """For each n of ns, the value of read(n, xi, log_probs) -> (value, log_mass)
+    on the unsorted, ungrouped terms of the law of V . L_n, for windows whose
+    dominating point has multiplier lam.  Where the method rule
+    (``_exact_method``) runs the pass on a lattice a + h m: one term per
+    lattice sum s of positive mass at xi = a + h s / n, all from one pass
+    tilted by t = -lam h.  Else the terms of ``_slab_terms``, every n's slab
+    sized before any is built; a read whose log_mass the slab's bound does not
+    keep within _SLAB_TOLERANCE (any bound, for a mass of 0: the slab cannot
+    tell an empty window) is read again off the type enumeration, or raises
+    NumericalError where that is over TABLE_CAP."""
+    values, weights, lattice, _ = _exact_method(P, v, ns)
     if lattice is not None:
         a, h, m = lattice
         for n, log_p in zip(ns, _tilted_pass(weights, m, -lam * h, ns)):
             s = np.flatnonzero(log_p > -math.inf)
-            yield a + h * (s / n), log_p[s]
-    else:
-        yield from (_type_terms(values, weights, n) for n in ns)
+            yield read(n, a + h * (s / n), log_p[s])[0]
+        return
+    band = _band(v)
+    for n in ns:
+        _slab_terms(values, weights, n, lam, band, sized_only=True)
+    for n in ns:
+        xi, log_probs, log_bound = _slab_terms(values, weights, n, lam, band)
+        value, log_mass = read(n, xi, log_probs)
+        if log_bound > log_mass + math.log(_SLAB_TOLERANCE):
+            if table_size(values.size, n) > TABLE_CAP:
+                raise NumericalError(f"the type slab of n={n} leaves out up to exp({log_bound:.6g}) of a window "
+                                     f"mass of exp({log_mass:.6g}), and its type table is over the cap {TABLE_CAP}")
+            value = read(n, *_type_terms(values, weights, n))[0]
+        yield value
 
 
 def error_distribution_exact(
@@ -394,7 +520,7 @@ def error_distribution_exact(
     order = np.argsort(xi, kind="stable")
     xi, log_probs = xi[order], log_probs[order]
     del order
-    starts = np.concatenate(([True], np.diff(xi) > (values.size + 2) * _floor(values)))
+    starts = np.concatenate(([True], np.diff(xi) > _band(values)))
     group_ids = np.cumsum(starts) - 1
     heads = np.flatnonzero(starts)
     shift = np.maximum.reduceat(log_probs, heads)
@@ -469,14 +595,19 @@ def sanov_exact(
     under the exact law of V . L_n at each n.
 
     One I-projection serves the analytic rate and tilts the one lattice pass
-    (``_window_laws``); a window out of reach raises there.  Sample sizes
-    whose event is empty (parity infeasibility) are reported and excluded
-    from the regression.
+    or centres the slabs (``_window_laws``); a window out of reach raises
+    there.  Sample sizes whose event is empty (parity infeasibility) are
+    reported and excluded from the regression.
     """
     v = as_potential(constraint.potential, P.alphabet)
     tilt, analytic_rate = i_projection(P, constraint)
     lo, hi = _held_window(P, v, constraint)
-    logs = [_logsumexp(lp[in_window(x, lo, hi, v)]) for x, lp in _window_laws(P, v, tilt.lam, [int(n) for n in n_grid])]
+
+    def read(n, xi, log_probs):
+        log_p = _logsumexp(log_probs[in_window(xi, lo, hi, v)])
+        return log_p, log_p
+
+    logs = list(_window_laws(P, v, tilt.lam, [int(n) for n in n_grid], read))
     finite = np.isfinite(logs)
     slope, _, r2, se = _fit_line(np.asarray(n_grid, dtype=float)[finite], np.asarray(logs)[finite])
     return RateEstimate(
@@ -766,6 +897,9 @@ def sanov_monte_carlo(
     v = as_potential(constraint.potential, P.alphabet)
     analytic_rate = i_projection(P, constraint)[1]
     lo, hi = _held_window(P, v, constraint)
+    if not math.isfinite(float(v.max()) - float(v.min())):
+        # halved, every v_a - v_b of ``_sample_mean`` is finite; a power of two moves no verdict
+        v, lo, hi = v / 2, lo / 2, hi / 2
 
     n_blocks = (trials + MC_BLOCK_SIZE - 1) // MC_BLOCK_SIZE
 
@@ -828,19 +962,24 @@ def gibbs_conditioning(
     at 0 for n = 1) by exchangeability, see the module docstring; the
     prediction is the I-projection of P onto the window (``i_projection``:
     onto its dominating point), whose multiplier tilts the one lattice pass
-    (``_window_laws``).
+    or centres the slabs (``_window_laws``), whose bound is checked against
+    the event's mass.
     """
     v = as_potential(constraint.potential, P.alphabet)
     predicted, _ = i_projection(P, constraint)
     lo, hi = _held_window(P, v, constraint)
-    laws = _window_laws(P, v, predicted.lam, [int(n) - 1 for n in n_grid if n != 1])
     drawn = np.flatnonzero(P.weights > 0)
+
+    def read(m, xi, log_probs):  # the law of m = n - 1 draws
+        # row j: is (m xi_m + v_j) / n, the value after one more draw of j, inside?
+        inside = in_window(m / (m + 1) * xi + v[drawn, None] / (m + 1), lo, hi, v)
+        log_joint = np.log(P.weights[drawn]) + np.array([_logsumexp(log_probs[row]) for row in inside])
+        return log_joint, _logsumexp(log_joint)
+
+    laws = _window_laws(P, v, predicted.lam, [int(n) - 1 for n in n_grid if n != 1], read)
     results = []
     for n in n_grid:
-        xi, log_probs = (np.zeros(1), np.zeros(1)) if n == 1 else next(laws)
-        # row j: is ((n - 1) xi_{n-1} + v_j) / n, the value after one more draw of j, inside?
-        inside = in_window((n - 1) / n * xi + v[drawn, None] / n, lo, hi, v)
-        log_joint = np.log(P.weights[drawn]) + np.array([_logsumexp(log_probs[row]) for row in inside])
+        log_joint = read(0, np.zeros(1), np.zeros(1))[0] if n == 1 else next(laws)
         log_event = _logsumexp(log_joint)
         if math.isinf(log_event):
             raise EmptyEvent(f"no type class of n={n} satisfies {_describe(constraint)}")

@@ -39,9 +39,14 @@ def _floor(values) -> float:
     return FLOOR_ULPS * math.ulp(float(np.abs(values).max()))
 
 
+def _band(v) -> float:
+    """The float resolution of a computed mean V . mu over k atoms: (k + 2) ``_floor(v)``."""
+    return (np.size(v) + 2) * _floor(v)
+
+
 def in_window(x, lo: float, hi: float, v):
-    """Whether x, computed means V . mu over k atoms, lies in [lo, hi] widened by (k + 2) ``_floor(v)``."""
-    band = (np.size(v) + 2) * _floor(v)
+    """Whether x, computed means V . mu, lies in [lo, hi] widened by ``_band(v)``."""
+    band = _band(v)
     return (x >= lo - band) & (x <= hi + band)
 
 

@@ -404,3 +404,31 @@ def test_criterion_9_seeded_determinism(tmp_path):
         elapsed,
         60.0,
     )
+
+
+def test_criterion_10_non_lattice_bahadur_rao():
+    # V off a lattice (Bahadur & Rao 1960): log P(V . L_n in W) = -n I
+    # - 1/2 log(2 pi n sigma^2) - log |lambda| + r_n, r_n -> 0, with sigma^2
+    # the variance of V under the tilt.  A discrete non-lattice law fails
+    # Cramer's condition, so r_n has no rate: it changes sign, and is bounded
+    # here.  r_100 = -0.080; the prefactor itself is 4.6-5.3 nats at these n
+    t0 = time.perf_counter()
+    P, v = dist(0.2, 0.3, 0.5), np.array([0.0, 1.0, math.sqrt(2.0)])
+    constraint = ConstraintSpec.interval(v, 1.2, math.sqrt(2.0))
+    tilt, rate = i_projection(P, constraint)
+    w = tilt.realized.weights
+    variance = float(w @ (v - w @ v) ** 2)
+    ns = [12800, 25600, 51200]
+    est = sanov_exact(P, constraint, ns)
+    r = [lp + n * rate + 0.5 * math.log(2 * math.pi * n * variance) + math.log(abs(tilt.lam))
+         for n, lp in zip(ns, est.log_probs)]
+    elapsed = time.perf_counter() - t0
+    ok = max(abs(x) for x in r) <= 5e-3
+    report(
+        10,
+        "non-lattice Bahadur-Rao prefactor",
+        ok,
+        f"r_n over n={ns}: {', '.join(f'{x:.2e}' for x in r)} (|r_n| <= 5e-3)",
+        elapsed,
+        5.0,
+    )

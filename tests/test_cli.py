@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -47,13 +48,12 @@ class TestValidate:
         assert diags[0]["error"] == "InfeasibleConstraint"
 
     def test_enumeration_guard_reports_computed_size(self):
-        cases = [
-            # an irrational potential has no lattice: C(503, 3) type classes
-            ([0, 1, math.sqrt(2.0), 3], 500, "type enumeration", math.comb(503, 3)),
-            # span 3 on a lattice: 4 * sum_{i < 2000} (3 i + 1) terms of the tilted pass
-            ([0, 1, 2, 3], 2000, "tilted lattice pass", 4 * (3 * 2000 * 1999 // 2 + 2000)),
-        ]
-        for potential, n, method, terms in cases:
+        # off a lattice, and on a lattice of span 3 whose pass (5.4e7 terms at
+        # n = 3000) is over the cap, the read takes the type slab, which holds
+        # more than the cap at these n; the message gives the slab's own count
+        # (tests/test_ldp.py checks it against a built slab)
+        cases = [([0, 1, math.sqrt(2.0), 3], 4000), ([0, 1, 2, 3], 3000)]
+        for potential, n in cases:
             config = {
                 "command": "sanov",
                 "inputs": {
@@ -67,19 +67,25 @@ class TestValidate:
             diags = cli.validate(config)
             assert len(diags) == 1
             assert diags[0]["family"] == "resource"
-            assert method in diags[0]["message"] and str(terms) in diags[0]["message"]
+            size = re.fullmatch(rf"type slab for k=4 distinct values, n={n} holds (\d+) types at level 3 of 3 "
+                                rf"\(cap {ldp.TABLE_CAP}\)", diags[0]["message"])
+            assert size and int(size[1]) > ldp.TABLE_CAP
 
     def test_gibbs_over_the_cap_is_sized_before_any_law_is_computed(self, monkeypatch):
-        # the grid's one pass is sized at max(n_grid) - 1 = 1999 before its
-        # first step, so no smaller n of the grid is computed first
+        # the pass at max(n_grid) - 1 = 3000 is over the cap, so the grid reads
+        # slabs, each sized before any is built: the slab at 3000 is over the
+        # cap too, and no smaller n of the grid is computed first
         for name in ("_tilted_pass", "_reachable", "enumerate_types"):
             monkeypatch.setattr(ldp, name, lambda *args, name=name: pytest.fail(f"ran {name}"))
+        full = ldp._slab_terms
+        monkeypatch.setattr(ldp, "_slab_terms", lambda *args, sized_only=False: (
+            full(*args, sized_only=True) if sized_only else pytest.fail("built a slab")))
         config = {
             "command": "gibbs",
-            "inputs": {"P": [0.25] * 4, "potential": [0, 1, 2, 3], "Xi": [2, 3], "n_grid": [400, 800, 1200, 2000]},
+            "inputs": {"P": [0.25] * 4, "potential": [0, 1, 2, 3], "Xi": [2, 3], "n_grid": [400, 800, 1200, 3001]},
         }
         [diag] = cli.validate(config)
-        assert diag["error"] == "TableTooLarge" and "n=1999" in diag["message"]
+        assert diag["error"] == "TableTooLarge" and "n=3000 holds" in diag["message"]
 
     def test_unknown_command(self):
         assert cli.validate({"command": "nope", "inputs": {}})[0]["family"] == "validation"
@@ -199,10 +205,10 @@ class TestMain:
         capsys.readouterr()
 
     def test_resource_guard_exits_5(self, tmp_path, capsys):
-        # gibbs reads the law at n - 1 = 499 and 1999: an irrational potential
-        # needs C(501, 3) type classes, a lattice of span 3 at 1999 draws
-        # 2.4e7 recursion terms; both are over the cap of 1e7
-        for potential, n in (([0, 1, math.sqrt(2.0), 3], 500), ([0, 1, 2, 3], 2000)):
+        # gibbs reads the law at n - 1 = 4000 and 3000: off a lattice, and on a
+        # lattice of span 3 whose pass (5.4e7 terms) is over the cap, the type
+        # slab holds more than the cap of 1e7
+        for potential, n in (([0, 1, math.sqrt(2.0), 3], 4001), ([0, 1, 2, 3], 3001)):
             config = {
                 "command": "gibbs",
                 "inputs": {
@@ -216,6 +222,20 @@ class TestMain:
             cfg.write_text(json.dumps(config), encoding="utf-8")
             assert cli.main(["gibbs", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 5
             capsys.readouterr()
+
+    def test_the_old_guard_sizes_are_answered(self, tmp_path, capsys):
+        # k = 4 off a lattice at n = 500 (C(503, 3) type classes, over the cap)
+        # reads a slab of 1e6 types.  The lattice of span 3 at n = 2000 (a pass
+        # of 2.4e7 terms) reads one of 8.2e6, too large for this suite
+        potential = [0, 1, math.sqrt(2.0), 3]
+        sanov = {"command": "sanov", "inputs": {"P": [0.25] * 4, "potential": potential, "target_interval": [2.0, 3.0],
+                                                "n_grid": [500], "method": "exact"}}
+        assert cli.validate(sanov) == []
+        gibbs = {"command": "gibbs", "inputs": {"P": [0.25] * 4, "potential": potential, "Xi": [2.0, 3.0], "n_grid": [500]}}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(gibbs), encoding="utf-8")
+        assert cli.main(["gibbs", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert json.loads(capsys.readouterr().out)["tv_by_n"]["500"] < 0.01
 
     def test_lattice_law_past_the_type_table_cap_runs(self, tmp_path, capsys):
         # C(502, 3) type classes at n - 1 = 499 pass the cap; the lattice
@@ -1064,6 +1084,9 @@ SCALED_CONFIGS = {
     "gibbs": ({"command": "gibbs", "inputs": {"P": [0.2, 0.3, 0.5], "potential": [0, 1, 3], "Xi": [2, 2.5],
                                               "n_grid": [10, 20, 40]}},
               ("potential", "Xi")),
+    "gibbs-irrational": ({"command": "gibbs", "inputs": {"P": [0.2, 0.3, 0.5], "potential": [0, 1, 2 ** 0.5],
+                                                         "Xi": [1.1, 2 ** 0.5], "n_grid": [10, 20, 40, 400]}},
+                         ("potential", "Xi")),
     "meta-identity": ({"command": "meta", "inputs": {"P": [0.5, 0.5], "loss_row": [0, 1], "n": 12, "Xi": [0.6, 0.9],
                                                      "U": {"kind": "identity"}, "eta": 0.7, "model_grid_step": 0.01}},
                       ("loss_row", "Xi", "eta")),

@@ -16,13 +16,14 @@ from maxent_bayes import (
     error_distribution_exact,
     error_rate_function,
     gibbs_conditioning,
+    i_projection,
     sanov_exact,
     sanov_monte_carlo,
 )
 import maxent_bayes.ldp as ldp_mod
 from maxent_bayes.errors import EmptyEvent, InfeasibleConstraint, NumericalError, TableTooLarge
 from maxent_bayes.ldp import table_size
-from maxent_bayes.measures import _floor, in_window
+from maxent_bayes.measures import _band, _floor, in_window
 from tests.conftest import random_distribution
 
 
@@ -736,6 +737,11 @@ class TestLatticeRecursion:
         with pytest.raises(TableTooLarge, match="tilted lattice pass .* sums 50755200 terms"):
             ldp_mod.check_exact_law(dist(*[0.2] * 5), [0.0, 1.0, 2.0, 3.0, 50.0], [200])
 
+    def test_an_irrational_meta_law_over_the_cap_is_refused(self):
+        # the meta law keeps the enumeration off a lattice: C(503, 3) type classes
+        with pytest.raises(TableTooLarge, match=f"type enumeration for k=4 distinct values, n=500 sums {math.comb(503, 3)} "):
+            error_distribution_exact(dist(0.25, 0.25, 0.25, 0.25), [0.0, 1.0, math.sqrt(2.0), 3.0], 500)
+
 
 def terms_at_the_cap(span: int) -> int:
     """The largest n whose lattice pass sums at most TABLE_CAP terms."""
@@ -923,3 +929,171 @@ class TestErrorRateFunction:
         points = error_rate_function(BERN_HALF, V01, [-0.5, 0.5, 1.5])
         assert [p.feasible for p in points] == [False, True, False]
         assert math.isinf(points[0].rate) and math.isinf(points[2].rate)
+
+
+def slab_of(weights, v, window, n):
+    """The slab of n draws for the window's reads, called as ``_window_laws`` calls it."""
+    P = dist(*weights)
+    tilt, _ = i_projection(P, ConstraintSpec.interval(v, *window))
+    values, w, _, _ = ldp_mod._exact_method(P, v, [n])
+    return ldp_mod._slab_terms(values, w, n, tilt.lam, _band(v)), (values, w)
+
+
+def window_masses(xi, log_probs, v, window, n):
+    """log P(V . L_n in W) and the n + 1 draw rows of ``gibbs``, log P((n xi + v_j) / (n + 1) in W)."""
+    rows = in_window(np.concatenate([[xi], (n * xi + np.asarray(v, float)[:, None]) / (n + 1)]), *window, v)
+    return np.array([ldp_mod._logsumexp(log_probs[row]) for row in rows])
+
+
+# P, V and a window off a lattice: multiplier < 0, > 0, 0, -inf (a range end), k = 4
+SLAB_CASES = {
+    "upper-tail": ([0.2, 0.3, 0.5], [0.0, 1.0, math.sqrt(2.0)], (1.2, math.sqrt(2.0))),
+    "lower-tail": ([0.5, 0.3, 0.2], [0.0, 1.0, math.sqrt(2.0)], (0.0, 0.4)),
+    "holds-the-mean": ([0.2, 0.3, 0.5], [0.0, 1.0, math.sqrt(2.0)], (0.3, 1.2)),
+    "range-end": ([0.2, 0.3, 0.5], [0.0, 1.0, math.sqrt(2.0)], (math.sqrt(2.0), 2.0)),
+    "k4": ([0.1, 0.2, 0.3, 0.4], [0.0, 1.0, math.sqrt(2.0), math.pi], (2.3, math.pi)),
+    # V of the undrawn symbol widens in_window's band to 0.09, so types up to
+    # 0.09 n |lambda| nats past the dominating point are in the window
+    "wide-band": ([0.2, 0.3, 0.5, 0.0], [0.0, 1.0, math.sqrt(2.0), 2.0 ** 44], (1.2, math.sqrt(2.0))),
+    **{name: case for name, case in ORACLE_CASES.items() if name != "parity-empty-point"},
+}
+
+
+@pytest.mark.parametrize("weights, v, window", SLAB_CASES.values(), ids=SLAB_CASES.keys())
+class TestSlab:
+    """The window reads off a lattice keep only the types near the window's
+    dominating point (``ldp._slab_terms``), and bound the mass they leave out."""
+
+    def test_window_masses_match_the_enumeration(self, weights, v, window):
+        # n = 1..7, and up to n = 1500 for k = 3 (1.1e6 types enumerated)
+        top = 1500 if len(weights) == 3 else 120
+        for n in [*ORACLE_NS, 40, 300, top]:
+            (xi, log_probs, log_bound), (values, w) = slab_of(weights, v, window, n)
+            expected = window_masses(*ldp_mod._type_terms(values, w, n), v, window, n)
+            got = window_masses(xi, log_probs, v, window, n)
+            assert xi.size <= table_size(values.size, n)
+            if log_bound > got[0] + math.log(ldp_mod._SLAB_TOLERANCE):
+                # a point window off a lattice whose one type lies far from the tilt's
+                # (the all-0.5 type of V = [-1, 0.5, pi]): the readers enumerate
+                assert window[0] == window[1] and got[0] < expected[0], n
+                assert sanov_exact(dist(*weights), oracle_constraint(v, window), [n]).log_probs == (expected[0],)
+                continue
+            assert np.array_equal(np.isneginf(got), np.isneginf(expected)), n
+            finite = np.isfinite(expected)
+            assert np.all(np.abs(got[finite] - expected[finite]) <= 1e-12 * np.maximum(1.0, np.abs(expected[finite])))
+
+
+class TestSlabReads:
+    @pytest.mark.parametrize("name", ["upper-tail", "lower-tail", "holds-the-mean", "k4", "irrational-potential"])
+    def test_a_forced_bound_reads_the_enumeration_or_is_a_numerical_error(self, name, monkeypatch):
+        # with T = 1 nat the slab leaves out more than 1e-15 of the mass it
+        # reads: within the cap the read takes the type table, past it
+        # (k = 3 at n = 5000, k = 4 at n = 400) it is a NumericalError
+        weights, v, window = SLAB_CASES[name]
+        P, constraint, n = dist(*weights), ConstraintSpec.interval(v, *window), 200
+        log_prob = sanov_exact(P, constraint, [n]).log_probs[0]
+        [mean] = gibbs_conditioning(P, constraint, [n + 1])
+        monkeypatch.setattr(ldp_mod, "_SLAB_NATS", 1.0)
+        sizes = count_enumerations(monkeypatch)
+        assert abs(sanov_exact(P, constraint, [n]).log_probs[0] - log_prob) <= 1e-12 * abs(log_prob)
+        [res] = gibbs_conditioning(P, constraint, [n + 1])
+        assert np.abs(res.conditioned_mean_measure.weights - mean.conditioned_mean_measure.weights).max() <= 1e-12
+        assert sizes == [table_size(len(weights), n)] * 2
+        beyond = 5000 if len(weights) == 3 else 400
+        with pytest.raises(NumericalError, match=f"slab of n={beyond} leaves out .* over the cap"):
+            sanov_exact(P, constraint, [beyond])
+        with pytest.raises(NumericalError, match=f"slab of n={beyond} leaves out .* over the cap"):
+            gibbs_conditioning(P, constraint, [beyond + 1])
+
+    def test_an_oversized_slab_is_refused_before_any_law_is_built(self, monkeypatch):
+        # the message holds the slab's own count; every n of the grid is sized
+        # before any slab, pass or enumeration is built
+        weights, v, window = [0.2, 0.3, 0.5], [0.0, 1.0, math.sqrt(2.0)], (1.2, math.sqrt(2.0))
+        (xi, _, _), _ = slab_of(weights, v, window, 800)
+        monkeypatch.setattr(ldp_mod, "TABLE_CAP", xi.size - 1)
+        full, built = ldp_mod._slab_terms, []
+        monkeypatch.setattr(ldp_mod, "_slab_terms", lambda *args, sized_only=False: (
+            full(*args, sized_only=True) if sized_only else built.append(args)))
+        for name in ("_tilted_pass", "enumerate_types"):
+            monkeypatch.setattr(ldp_mod, name, lambda *args, name=name: pytest.fail(f"ran {name}"))
+        with pytest.raises(TableTooLarge, match=f"type slab for k=3 distinct values, n=800 holds {xi.size} types "):
+            sanov_exact(dist(*weights), ConstraintSpec.interval(v, *window), [200, 800, 400])
+        with pytest.raises(TableTooLarge, match="n=800 holds"):
+            gibbs_conditioning(dist(*weights), ConstraintSpec.interval(v, *window), [1, 201, 801])
+        assert built == []
+
+    def test_the_readers_take_the_slab_off_a_lattice(self, monkeypatch):
+        # the enumeration stays the meta law's; an n past its cap is read
+        monkeypatch.setattr(ldp_mod, "enumerate_types", lambda P, n: pytest.fail("enumerated the types"))
+        P, v = dist(0.2, 0.3, 0.5), [0.0, 1.0, math.sqrt(2.0)]
+        assert table_size(3, 10 ** 5) > ldp_mod.TABLE_CAP
+        est = sanov_exact(P, ConstraintSpec.interval(v, 1.2, math.sqrt(2.0)), [20000, 40000, 10 ** 5])
+        assert all(math.isfinite(x) for x in est.log_probs)
+        assert abs(est.fitted_slope + est.analytic_rate) <= 1e-3
+        [res] = gibbs_conditioning(P, ConstraintSpec.interval(v, 1.2, math.sqrt(2.0)), [10 ** 5])
+        assert res.tv_distance <= 1e-4
+
+    def test_a_lattice_the_pass_refuses_is_read_off_the_slab(self):
+        # P = Bin(2, 0.3) on V = [0, 1, 2], so S_n ~ Bin(2n, 0.3): at n = 4471
+        # the pass (6e7 terms) and the enumeration (C(4473, 2)) are both over
+        # the cap, which refused this read before the slab
+        p, n = 0.3, 4471
+        P, v = dist((1 - p) ** 2, 2 * p * (1 - p), p * p), [0.0, 1.0, 2.0]
+        assert ldp_mod._exact_method(P, v, [n])[3] is not None
+        [log_prob] = sanov_exact(P, ConstraintSpec.interval(v, 1.0, 2.0), [n]).log_probs
+        expected = stats.binom.logsf(n - 1, 2 * n, p)
+        assert abs(log_prob - expected) <= 1e-12 * abs(expected)
+
+    def test_an_infinite_multiplier_reads_the_extreme_type(self):
+        # V . L_n = sqrt 2 = max V only when every draw is sqrt 2: log P = n log(1/3)
+        P, v, grid = dist(1 / 3, 1 / 3, 1 / 3), [0.0, 1.0, math.sqrt(2.0)], [700, 800]
+        est = sanov_exact(P, ConstraintSpec.interval(v, math.sqrt(2.0), 2.0), grid)
+        for n, log_prob in zip(grid, est.log_probs):
+            assert abs(log_prob - n * math.log(1 / 3)) <= 1e-12 * n * math.log(3)
+        [res] = gibbs_conditioning(P, ConstraintSpec.interval(v, math.sqrt(2.0), 2.0), [800])
+        assert res.conditioned_mean_measure.weights.tolist() == [0.0, 0.0, 1.0]
+
+    def test_an_infinite_multiplier_next_to_another_value_reads_the_enumeration(self):
+        # 1 + 2^-46 is the range end, and 1 lies within 2 n bands of it: the
+        # types that mix them are in the window, which the one-type slab says;
+        # the read takes the type table, or past the cap is a NumericalError
+        P, v, n = dist(0.2, 0.3, 0.5), [0.0, 1.0, 1.0 + 2.0 ** -46], 30
+        constraint = ConstraintSpec.interval(v, 1.0 + 2.0 ** -46, 2.0)
+        xi, log_probs = ldp_mod._type_terms(np.array(v), np.array([0.2, 0.3, 0.5]), n)
+        expected = ldp_mod._logsumexp(log_probs[in_window(xi, 1.0 + 2.0 ** -46, 1.0 + 2.0 ** -46, v)])
+        assert expected > n * math.log(0.5) + 1.0  # more than the one all-(1 + 2^-46) type
+        assert sanov_exact(P, constraint, [n]).log_probs == (expected,)
+        with pytest.raises(NumericalError, match="slab of n=5000 leaves out"):
+            sanov_exact(P, constraint, [5000])
+
+
+class TestOverflowingRange:
+    """V = [-1e308, 1e308]: V - min V overflows, so there is no lattice, and a
+    Monte Carlo mean halves V; the window [0.5e308, 1e308] is S_n >= 3n/4 of
+    S_n ~ Bin(n, 1/2)."""
+
+    P, V, WINDOW, GRID = dist(0.5, 0.5), [-1e308, 1e308], (0.5e308, 1e308), [20, 40, 60]
+
+    def tail(self, n):
+        return stats.binom.logsf(math.ceil(0.75 * n) - 1, n, 0.5)
+
+    def test_exact_reads_the_binomial_tail(self):
+        assert ldp_mod._lattice(np.array(self.V)) is None
+        est = sanov_exact(self.P, ConstraintSpec.interval(self.V, *self.WINDOW), self.GRID)
+        for n, log_prob in zip(self.GRID, est.log_probs):
+            assert abs(log_prob - self.tail(n)) <= 1e-12 * abs(self.tail(n))
+
+    def test_gibbs_reads_the_binomial_tail(self):
+        # E[L_n | W]_1 = P(S_{n-1} >= 3n/4 - 1) / (2 P(S_n >= 3n/4))
+        results = gibbs_conditioning(self.P, ConstraintSpec.interval(self.V, *self.WINDOW), self.GRID)
+        for n, res in zip(self.GRID, results):
+            top = math.exp(stats.binom.logsf(math.ceil(0.75 * n) - 2, n - 1, 0.5) - self.tail(n)) / 2
+            assert abs(res.conditioned_mean_measure.weights[1] - top) <= 1e-12
+
+    def test_monte_carlo_hits_as_at_unit_scale(self):
+        sampler = SeededSampler(seed=3, base=self.P)
+        est = sanov_monte_carlo(sampler, ConstraintSpec.interval(self.V, *self.WINDOW), self.GRID, 20000)
+        unit = sanov_monte_carlo(sampler, ConstraintSpec.interval([-1.0, 1.0], 0.5, 1.0), self.GRID, 20000)
+        assert est.log_probs == unit.log_probs and est.insufficient_ns == unit.insufficient_ns
+        for n, lo, hi in zip(self.GRID, est.ci_lo, est.ci_hi):
+            assert lo <= self.tail(n) <= hi or n in est.insufficient_ns

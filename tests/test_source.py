@@ -82,8 +82,9 @@ def ldp_callers(name: str) -> list[str]:
 
 
 def test_one_caller_of_the_type_enumeration():
-    # the Sanov probability, the Gibbs conditional mean and the meta law all
-    # read the type classes of ldp._type_terms
+    # the meta law off a lattice reads the type classes of ldp._type_terms;
+    # the window readers read the slab of ldp._slab_terms, and the type
+    # classes only where the slab's bound does not hold a read
     assert len(calls("enumerate_types")) == 1
     assert ldp_callers("enumerate_types") == ["_type_terms"]
 
@@ -126,17 +127,21 @@ def test_window_readers_run_one_pass_per_grid():
                     reached.add(name)
                     todo.append(name)
         assert "_tilted_pass" in reached and "_lattice_window" not in reached, (reader, sorted(reached))
+        assert "_slab_terms" in reached, (reader, sorted(reached))
 
 
 def test_one_method_rule_for_every_exact_law():
-    # ldp.check_exact_law weighs the type enumeration by ENUMERATION_WEIGHT
-    # for every reader: it takes no weight, and no caller passes one
-    from maxent_bayes.ldp import check_exact_law
+    # ldp._exact_method weighs the type enumeration by ENUMERATION_WEIGHT for
+    # every exact law, the meta law (through check_exact_law) and the window
+    # readers: it takes no weight, and no caller passes one
+    from maxent_bayes.ldp import _exact_method, check_exact_law
 
-    assert list(inspect.signature(check_exact_law).parameters) == ["P", "potential", "ns"]
-    places = calls("check_exact_law")
-    assert len(places) == 2 and ldp_callers("check_exact_law") == ["_window_laws", "error_distribution_exact"]
+    for function in (_exact_method, check_exact_law):
+        assert list(inspect.signature(function).parameters) == ["P", "potential", "ns"]
+    places = calls("_exact_method")
+    assert len(places) == 2 and ldp_callers("_exact_method") == ["check_exact_law", "_window_laws"]
     assert [place for place, node in places if len(node.args) != 3 or node.keywords] == []
+    assert ldp_callers("check_exact_law") == ["error_distribution_exact"]
 
 
 def test_window_readers_do_not_sort_the_exact_law():
