@@ -29,11 +29,13 @@ fewer terms than ENUMERATION_WEIGHT times the enumeration's sum over the n
 grid, or the enumeration is over TABLE_CAP; an irrational V (its lattice
 step is round-off, so R is huge) never takes it.  Where it does not run,
 the meta law (``check_exact_law``) enumerates the types and the window
-readers (``_window_laws``) read slabs.  TABLE_CAP bounds the terms of the
-enumeration, of each pass, or of each slab.  A window's Sanov probability
-is its mass under the law, and the conditional mean given the window reads
-the law at n - 1 by exchangeability, the p_j-weighted sum of the numerators
-being the denominator:
+readers (``_window_laws``) read slabs, largest n first.  TABLE_CAP bounds the
+terms of the enumeration, of each pass, or of each slab.  One builder,
+``_compositions``, expands the types of the enumeration, of a slab and of the
+meta model grid; a type's mean and log-probability are ``_type_means`` and
+``_type_log_probs``.  A window's Sanov probability is its mass under the law,
+and the conditional mean given the window reads the law at n - 1 by
+exchangeability, the p_j-weighted sum of the numerators being the denominator:
 
     E[L_n | W]_j = p_j P(((n - 1) xi_{n-1} + v_j) / n in W) / P(xi_n in W).
 
@@ -86,7 +88,7 @@ _TILT_CAP = 746.0  # per lattice step; exp(-746) is 0, so a steeper tilt is the 
 # the mass it read (NumericalError).
 _SLAB_NATS = 50.0
 _SLAB_TOLERANCE = 1e-15
-_SLAB_BLOCK = 1 << 20  # rows of a slab whose means are formed at once
+_MEAN_BLOCK = 1 << 20  # rows of a table of types whose means are formed at once
 # Monte Carlo trials per sampling block.  Each block draws from its own
 # stream, keyed by its index, so this size fixes every Monte Carlo output.
 MC_BLOCK_SIZE = 65536
@@ -127,20 +129,48 @@ def check_trials(trials: int) -> int:
     return trials
 
 
-def _compositions(n: int, k: int) -> np.ndarray:
-    """All count vectors of length k summing to n, in lexicographic order.
+def _compositions(n: int, k: int, ranges=None) -> list[np.ndarray]:
+    """Count vectors of length k summing to n in lexicographic order, one array
+    per part: every type class, or with ``ranges`` a slab.  Part by part, each
+    row with r units left becomes a row per value 0..r of its next part, or
+    lo..hi of ranges(j, counts so far, left); the last takes what is left.
+    TableTooLarge when a level holds over TABLE_CAP rows, before it is built:
+    only a slab can (``check_table_size`` sizes a full table first)."""
+    counts, left = [], np.array([n], dtype=np.int64)
+    for j in range(k - 1):
+        lo, hi = (0, left) if ranges is None else ranges(j, counts, left)
+        sizes = np.maximum(hi - lo + 1, 0).astype(np.int64)
+        total = int(sizes.sum())
+        if total > TABLE_CAP:
+            raise TableTooLarge(f"type slab for k={k} distinct values, n={n} holds {total} types "
+                                f"at level {j + 1} of {k - 1} (cap {TABLE_CAP})")
+        starts = np.cumsum(sizes) - sizes - np.where(sizes > 0, lo, 0).astype(np.int64)
+        part = np.arange(total, dtype=np.int64) - np.repeat(starts, sizes)
+        counts, left = [np.repeat(c, sizes) for c in counts] + [part], np.repeat(left, sizes) - part
+    return counts + [left]
 
-    Part by part: each row with r units left becomes r + 1 rows whose next
-    part runs 0..r; the last part takes what is left.
-    """
-    counts = np.zeros((1, 0), dtype=np.int64)
-    left = np.array([n], dtype=np.int64)
-    for _ in range(k - 1):
-        reps = left + 1
-        part = np.arange(int(reps.sum()), dtype=np.int64) - np.repeat(np.cumsum(reps) - reps, reps)
-        counts = np.column_stack([np.repeat(counts, reps, axis=0), part])
-        left = np.repeat(left, reps) - part
-    return np.column_stack([counts, left])
+
+def _type_means(counts: Sequence[np.ndarray], values: np.ndarray, n: int) -> np.ndarray:
+    """V . L_n of each type (one count array per symbol): (counts / n) @ values, _MEAN_BLOCK rows at a time."""
+    xi, block = np.empty(counts[0].size), np.empty((min(_MEAN_BLOCK, counts[0].size), len(counts)))
+    for start in range(0, xi.size, _MEAN_BLOCK):
+        rows = block[:xi.size - start]
+        for j, c in enumerate(counts):
+            np.divide(c[start:start + len(rows)], n, out=rows[:, j])
+        np.matmul(rows, values, out=xi[start:start + len(rows)])
+    return xi
+
+
+def _type_log_probs(counts: Sequence[np.ndarray], weights: np.ndarray, n: int) -> np.ndarray:
+    """Multinomial log-probability of each type, log n! + sum_j T_j[c_j] in symbol order, one
+    gather per symbol from T_j[c] = c log p_j - log c!, tabled over the counts that occur."""
+    terms = 0
+    for log_p, column in zip(np.log(weights), counts):
+        c = np.arange(int(column.min()), int(column.max()) + 1)
+        table = np.empty(c[-1] + 1)  # read from c[0] on
+        table[c[0]:] = log_p * c - np.array([math.lgamma(x + 1.0) for x in c.tolist()])
+        terms = terms + table[column]
+    return math.lgamma(n + 1.0) + terms
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,21 +192,14 @@ class TypeClassTable:
 
 
 def enumerate_types(P: FiniteDistribution, n: int) -> TypeClassTable:
-    """Build the exact finite-n law of the empirical measure of P^n.
-
-    Each type's log-probability is log n! + sum_j T_j[c_j], one gather per
-    symbol from the table T_j[c] = c log p_j - log c!.
-    """
+    """The exact finite-n law of the empirical measure of P^n: every type, with its log-probability."""
     if n < 1:
         raise ValueError("sample size must be positive")
     drawn = P.weights > 0
     k = int(np.count_nonzero(drawn))
     check_table_size(k, n)
-    counts = _compositions(n, k)
-    log_factorial = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
-    per_symbol = np.log(P.weights[drawn])[:, None] * np.arange(n + 1) - log_factorial
-    log_probs = log_factorial[n] + sum(t[column] for t, column in zip(per_symbol, counts.T))
-    table = TypeClassTable(base=P, n=n, counts=counts, log_probs=log_probs)
+    counts = np.array(_compositions(n, k))  # one row per symbol; the table's counts are its transpose
+    table = TypeClassTable(P, n, counts.T, _type_log_probs(counts, P.weights[drawn], n))
     log_mass = table.total_log_mass()
     if not abs(log_mass) <= 1e-9:
         raise NumericalError(f"type-class probabilities sum to exp({log_mass:.3g}), not 1")
@@ -266,8 +289,8 @@ def _tilted_pass(weights: np.ndarray, m: np.ndarray, t: float, ns: Sequence[int]
     """
     t = min(max(t, -_TILT_CAP), _TILT_CAP)
     c = float(_softmax(np.log(weights) + t * m)[0] @ m)
-    kernel = np.zeros(int(m.max()) + 1)
-    kernel[m], log_zc = _softmax(np.log(weights) + t * (m - c))
+    q, log_zc = _softmax(np.log(weights) + t * (m - c))
+    kernel = np.bincount(m, weights=q)  # values of V within the band of each other share an index
     law, read = np.ones(1), {}
     with np.errstate(divide="ignore"):  # log 0 = -inf: unreachable, or a subnormal mass
         for n in range(1, max(ns) + 1):
@@ -370,26 +393,23 @@ def check_exact_law(
 def _type_terms(values: np.ndarray, weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The terms (xi, log_probs) of the n-draw type classes; terms may share a value xi."""
     table = enumerate_types(FiniteDistribution(Alphabet.of_size(values.size), weights), n)
-    return (table.counts / n) @ values, table.log_probs
+    return _type_means(table.counts.T, values, n), table.log_probs
 
 
-def _slab_terms(values: np.ndarray, weights: np.ndarray, n: int, lam: float, band: float, sized_only: bool = False):
+def _slab_terms(values: np.ndarray, weights: np.ndarray, n: int, lam: float, band: float):
     """(xi, log_probs, log_bound): the terms of the n-draw type classes that
     carry the mass of every window read whose dominating point c0 has
     multiplier lam, and the log of a bound on the mass of such a read that
-    they leave out (-inf: none).  TableTooLarge when the slab holds more than
-    TABLE_CAP types, counted level by level before each level is built;
-    ``sized_only`` stops there and returns None.
+    they leave out (-inf: none); TableTooLarge as ``_compositions`` builds them.
 
     P(type) = P*(type) B e^{lam (S - n c0)}, S = n xi, P* proportional to
     p e^{-lam V} and B = exp(n (log Z + lam c0)) = exp(-n I(c0)).  A window on
     the far side of c0 from the mean of P holds only types with
     lam (S - n c0) <= M: M is the spread of lam V in nats plus 1 (a ``gibbs``
     row's shift) plus n |lam| ``band`` (the band of ``in_window``).  The
-    levels are built as ``_compositions`` builds them, the least and the
-    greatest value last.  Each conditional count lies in the Hoeffding range
-    of its binomial under P* that leaves out e^-(T + M) on a side
-    (T = _SLAB_NATS); the last one also in the strip
+    levels run over the least and the greatest value last.  Each conditional
+    count lies in the Hoeffding range of its binomial under P* that leaves out
+    e^-(T + M) on a side (T = _SLAB_NATS); the last one also in the strip
     -T - M <= lam (S - n c0) <= M, written in the products lam v_j, so the
     types kept do not move with the scale of V.  The box leaves out at most
     B e^-T per level and side it cuts, the strip B e^-(T + M).  lam = 0 is the
@@ -412,11 +432,11 @@ def _slab_terms(values: np.ndarray, weights: np.ndarray, n: int, lam: float, ban
         m = float(tilt.max() - tilt.min()) + 1.0 + n * abs(lam) * band
         nats, floor, cut = _SLAB_NATS + m, -_SLAB_NATS - m, 0.0
         tilt = tilt[order]
-    q_star = q_star[order]
-    tails = np.cumsum(q_star[::-1])[::-1]
-    q = np.divide(q_star, tails, out=np.zeros(k), where=tails > 0)
-    counts, left = [], np.array([n], dtype=np.int64)  # one array per level: the count of order[j]
-    for j in range(k - 1):
+    tails = np.cumsum(q_star[order][::-1])[::-1]
+    q = np.divide(q_star[order], tails, out=np.zeros(k), where=tails > 0)
+
+    def ranges(j, counts, left):  # counts[i] of order[i]
+        nonlocal cut
         mean, h = left * q[j], np.sqrt(left * (nats / 2))
         lo, hi = np.maximum(np.ceil(mean - h), 0.0), np.minimum(np.floor(mean + h), left)
         if tilt is not None:
@@ -427,32 +447,13 @@ def _slab_terms(values: np.ndarray, weights: np.ndarray, n: int, lam: float, ban
                 cut += math.exp(-m) * bool(np.any((lo <= hi) & (base + np.minimum(lo * d, hi * d) < floor)))
                 ends = np.sort([(floor - base) / d, (m - base) / d], axis=0)
                 lo, hi = np.maximum(lo, np.ceil(ends[0])), np.minimum(hi, np.floor(ends[1]))
-        sizes = np.maximum(hi - lo + 1.0, 0.0).astype(np.int64)
-        lo = np.where(sizes > 0, lo, 0.0).astype(np.int64)
-        total = int(sizes.sum())
-        if total > TABLE_CAP:
-            raise TableTooLarge(f"type slab for k={k} distinct values, n={n} holds {total} types "
-                                f"at level {j + 1} of {k - 1} (cap {TABLE_CAP})")
-        if sized_only and j == k - 2:
-            return None
-        rows = np.repeat(np.arange(sizes.size), sizes)
-        part = np.arange(total) - (np.cumsum(sizes) - sizes - lo)[rows]
-        counts, left = [c[rows] for c in counts] + [part], left[rows] - part
-    if sized_only:
-        return None
+        return lo, hi
+
+    counts = _compositions(n, k, ranges)
     if tilt is not None:
         log_bound = n * (float(log_z) + center) - _SLAB_NATS + math.log(cut) if cut else -math.inf
-    counts = [(counts + [left])[i] for i in np.argsort(order)]
-    # xi = (counts / n) @ values, a block of rows at a time; log-probs log n! + sum_j T_j[c_j],
-    # T_j[c] = c log p_j - log c!, summed as ``enumerate_types`` sums them
-    xi = np.concatenate([(np.column_stack([c[start:start + _SLAB_BLOCK] for c in counts]) / n) @ values
-                         for start in range(0, left.size, _SLAB_BLOCK)])
-    terms = 0
-    for log_p, column in zip(np.log(weights), counts):
-        low, high = int(column.min()), int(column.max())
-        table = log_p * np.arange(low, high + 1) - np.array([math.lgamma(c + 1.0) for c in range(low, high + 1)])
-        terms = terms + table[column - low]
-    return xi, math.lgamma(n + 1.0) + terms, log_bound
+    counts = [counts[i] for i in np.argsort(order)]
+    return _type_means(counts, values, n), _type_log_probs(counts, weights, n), log_bound
 
 
 def _window_laws(P: FiniteDistribution, v: np.ndarray, lam: float, ns: Sequence[int], read):
@@ -461,11 +462,11 @@ def _window_laws(P: FiniteDistribution, v: np.ndarray, lam: float, ns: Sequence[
     dominating point has multiplier lam.  Where the method rule
     (``_exact_method``) runs the pass on a lattice a + h m: one term per
     lattice sum s of positive mass at xi = a + h s / n, all from one pass
-    tilted by t = -lam h.  Else the terms of ``_slab_terms``, every n's slab
-    sized before any is built; a read whose log_mass the slab's bound does not
-    keep within _SLAB_TOLERANCE (any bound, for a mass of 0: the slab cannot
-    tell an empty window) is read again off the type enumeration, or raises
-    NumericalError where that is over TABLE_CAP."""
+    tilted by t = -lam h.  Else the terms of ``_slab_terms``, largest n first, as
+    a slab grows with n: a grid over the cap is refused before any law is read.
+    A read whose log_mass the slab's bound does not keep within _SLAB_TOLERANCE
+    (any bound, for a mass of 0: the slab cannot tell an empty window) is read
+    again off the type enumeration, or raises NumericalError past TABLE_CAP."""
     values, weights, lattice, _ = _exact_method(P, v, ns)
     if lattice is not None:
         a, h, m = lattice
@@ -473,18 +474,16 @@ def _window_laws(P: FiniteDistribution, v: np.ndarray, lam: float, ns: Sequence[
             s = np.flatnonzero(log_p > -math.inf)
             yield read(n, a + h * (s / n), log_p[s])[0]
         return
-    band = _band(v)
-    for n in ns:
-        _slab_terms(values, weights, n, lam, band, sized_only=True)
-    for n in ns:
+    band, laws = _band(v), {}
+    for n in sorted(set(ns), reverse=True):
         xi, log_probs, log_bound = _slab_terms(values, weights, n, lam, band)
-        value, log_mass = read(n, xi, log_probs)
+        laws[n], log_mass = read(n, xi, log_probs)
         if log_bound > log_mass + math.log(_SLAB_TOLERANCE):
             if table_size(values.size, n) > TABLE_CAP:
                 raise NumericalError(f"the type slab of n={n} leaves out up to exp({log_bound:.6g}) of a window "
                                      f"mass of exp({log_mass:.6g}), and its type table is over the cap {TABLE_CAP}")
-            value = read(n, *_type_terms(values, weights, n))[0]
-        yield value
+            laws[n] = read(n, *_type_terms(values, weights, n))[0]
+    yield from (laws[n] for n in ns)
 
 
 def error_distribution_exact(

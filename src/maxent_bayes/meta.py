@@ -159,7 +159,7 @@ def check_speed(speed: float) -> float:
 def simplex_grid(k: int, step: float | None) -> np.ndarray:
     """Uniform mesh over the k-simplex with the step ``model_grid_step`` resolves."""
     cells = round(1.0 / model_grid_step(k, step))
-    return _compositions(cells, k) / cells
+    return np.column_stack(_compositions(cells, k)) / cells
 
 
 @dataclass(frozen=True, eq=False)

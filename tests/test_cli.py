@@ -73,19 +73,19 @@ class TestValidate:
 
     def test_gibbs_over_the_cap_is_sized_before_any_law_is_computed(self, monkeypatch):
         # the pass at max(n_grid) - 1 = 3000 is over the cap, so the grid reads
-        # slabs, each sized before any is built: the slab at 3000 is over the
-        # cap too, and no smaller n of the grid is computed first
-        for name in ("_tilted_pass", "_reachable", "enumerate_types"):
+        # slabs, largest n first: the slab at 3000 is over the cap too, and is
+        # refused before any type's terms are read or a smaller slab is begun
+        for name in ("_tilted_pass", "_reachable", "enumerate_types", "_type_means", "_type_log_probs"):
             monkeypatch.setattr(ldp, name, lambda *args, name=name: pytest.fail(f"ran {name}"))
-        full = ldp._slab_terms
-        monkeypatch.setattr(ldp, "_slab_terms", lambda *args, sized_only=False: (
-            full(*args, sized_only=True) if sized_only else pytest.fail("built a slab")))
+        full, begun = ldp._compositions, []
+        monkeypatch.setattr(ldp, "_compositions", lambda *args: begun.append(args[0]) or full(*args))
         config = {
             "command": "gibbs",
             "inputs": {"P": [0.25] * 4, "potential": [0, 1, 2, 3], "Xi": [2, 3], "n_grid": [400, 800, 1200, 3001]},
         }
         [diag] = cli.validate(config)
         assert diag["error"] == "TableTooLarge" and "n=3000 holds" in diag["message"]
+        assert begun == [3000]
 
     def test_unknown_command(self):
         assert cli.validate({"command": "nope", "inputs": {}})[0]["family"] == "validation"

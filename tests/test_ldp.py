@@ -83,7 +83,7 @@ class TestEnumerateTypes:
     def test_missing_type_class_is_a_numerical_error(self, monkeypatch):
         # the mass check is a typed error, so it survives python -O
         full = ldp_mod._compositions
-        monkeypatch.setattr(ldp_mod, "_compositions", lambda n, k: full(n, k)[:-1])
+        monkeypatch.setattr(ldp_mod, "_compositions", lambda n, k: [part[:-1] for part in full(n, k)])
         with pytest.raises(NumericalError, match="sum to"):
             enumerate_types(BERN_HALF, 4)
 
@@ -983,6 +983,29 @@ class TestSlab:
             assert np.all(np.abs(got[finite] - expected[finite]) <= 1e-12 * np.maximum(1.0, np.abs(expected[finite])))
 
 
+# The SLAB_CASES whose slab at n = 1..top cuts no type: it is the whole type table
+UNCUT_SLABS = {"holds-the-mean": 30, "zero-weight-symbol": 30, "repeated-value": 30, "irrational-potential": 4,
+               "lower-tail": 3, "upper-tail": 2, "k4": 2, "wide-band": 2, "irrational-point": 2}
+
+
+@pytest.mark.parametrize("name, top", UNCUT_SLABS.items(), ids=UNCUT_SLABS.keys())
+def test_a_slab_that_cuts_nothing_is_the_enumeration(name, top, monkeypatch):
+    # neither the box nor the strip cuts a type (log_bound = -inf): the slab
+    # holds the enumeration's types, and its means and log-probabilities are
+    # bit-equal to the enumeration's, each read off its one home
+    weights, v, window = SLAB_CASES[name]
+    read = recording(monkeypatch, "_type_log_probs")
+    for n in range(1, top + 1):
+        (xi, log_probs, log_bound), (values, w) = slab_of(weights, v, window, n)
+        assert log_bound == -math.inf
+        counts = np.column_stack(read[-1][0])
+        order = np.lexsort(counts.T[::-1])  # the enumeration's lexicographic order
+        table = enumerate_types(FiniteDistribution(Alphabet.of_size(values.size), w), n)
+        expected_xi, expected_log_probs = ldp_mod._type_terms(values, w, n)
+        assert np.array_equal(counts[order], table.counts), (name, n)
+        assert xi[order].tolist() == expected_xi.tolist() and log_probs[order].tolist() == expected_log_probs.tolist()
+
+
 class TestSlabReads:
     @pytest.mark.parametrize("name", ["upper-tail", "lower-tail", "holds-the-mean", "k4", "irrational-potential"])
     def test_a_forced_bound_reads_the_enumeration_or_is_a_numerical_error(self, name, monkeypatch):
@@ -1006,21 +1029,20 @@ class TestSlabReads:
             gibbs_conditioning(P, constraint, [beyond + 1])
 
     def test_an_oversized_slab_is_refused_before_any_law_is_built(self, monkeypatch):
-        # the message holds the slab's own count; every n of the grid is sized
-        # before any slab, pass or enumeration is built
+        # the message holds the slab's own count; the slabs are built largest
+        # n first, so the slab at 800 is the only one begun, and no type's
+        # mean or log-probability, no pass and no enumeration is computed
         weights, v, window = [0.2, 0.3, 0.5], [0.0, 1.0, math.sqrt(2.0)], (1.2, math.sqrt(2.0))
         (xi, _, _), _ = slab_of(weights, v, window, 800)
         monkeypatch.setattr(ldp_mod, "TABLE_CAP", xi.size - 1)
-        full, built = ldp_mod._slab_terms, []
-        monkeypatch.setattr(ldp_mod, "_slab_terms", lambda *args, sized_only=False: (
-            full(*args, sized_only=True) if sized_only else built.append(args)))
-        for name in ("_tilted_pass", "enumerate_types"):
+        begun = recording(monkeypatch, "_compositions")
+        for name in ("_type_means", "_type_log_probs", "_tilted_pass", "enumerate_types"):
             monkeypatch.setattr(ldp_mod, name, lambda *args, name=name: pytest.fail(f"ran {name}"))
         with pytest.raises(TableTooLarge, match=f"type slab for k=3 distinct values, n=800 holds {xi.size} types "):
             sanov_exact(dist(*weights), ConstraintSpec.interval(v, *window), [200, 800, 400])
         with pytest.raises(TableTooLarge, match="n=800 holds"):
             gibbs_conditioning(dist(*weights), ConstraintSpec.interval(v, *window), [1, 201, 801])
-        assert built == []
+        assert [args[0] for args in begun] == [800, 800]
 
     def test_the_readers_take_the_slab_off_a_lattice(self, monkeypatch):
         # the enumeration stays the meta law's; an n past its cap is read
@@ -1065,6 +1087,31 @@ class TestSlabReads:
         assert sanov_exact(P, constraint, [n]).log_probs == (expected,)
         with pytest.raises(NumericalError, match="slab of n=5000 leaves out"):
             sanov_exact(P, constraint, [5000])
+
+
+class TestValuesSharingALatticeIndex:
+    """1 and 1 + 2^-50 lie within the band of each other, so both sit at
+    lattice index 1, and the pass's kernel holds the sum of their weights."""
+
+    P, v, window, n = dist(0.2, 0.3, 0.5), [0.0, 1.0, 1.0 + 2.0 ** -50], (0.5, 2.0), 30
+
+    def test_the_readers_match_the_enumeration(self, monkeypatch):
+        assert ldp_mod._lattice(np.array(self.v))[2].tolist() == [0, 1, 1]
+        constraint, n, w = ConstraintSpec.interval(self.v, *self.window), self.n, self.P.weights
+        passes = recording(monkeypatch, "_tilted_pass")
+        [log_prob] = sanov_exact(self.P, constraint, [n]).log_probs
+        [result] = gibbs_conditioning(self.P, constraint, [n])
+        law = error_distribution_exact(self.P, self.v, n, self.window)
+        assert len(passes) == 3
+        expected = window_masses(*ldp_mod._type_terms(np.array(self.v), w, n), self.v, self.window, n)[0]
+        assert abs(log_prob - expected) <= 1e-12 * max(1.0, abs(expected))
+        rows = window_masses(*ldp_mod._type_terms(np.array(self.v), w, n - 1), self.v, self.window, n - 1)[1:]
+        mean = np.exp(np.log(w) + rows - ldp_mod._logsumexp(np.log(w) + rows))
+        assert np.abs(result.conditioned_mean_measure.weights - mean).max() <= 1e-12
+        monkeypatch.setattr(ldp_mod, "_lattice", lambda values: None)  # the meta law off the type enumeration
+        enumerated = error_distribution_exact(self.P, self.v, n, self.window)
+        assert np.abs(law.support - enumerated.support).max() <= 1e-12
+        assert np.abs(law.log_mass - enumerated.log_mass).max() <= 1e-12
 
 
 class TestOverflowingRange:

@@ -89,6 +89,30 @@ def test_one_caller_of_the_type_enumeration():
     assert ldp_callers("enumerate_types") == ["_type_terms"]
 
 
+def callers(name: str) -> list[str]:
+    """file:function for each top-level function of the library that calls ``name``, in file order."""
+    return [f"{path.name}:{node.name}" for path in sorted(SOURCE.glob("*.py"))
+            for node in ast.parse(path.read_text(encoding="utf-8")).body if isinstance(node, ast.FunctionDef)
+            and any(called_name(call) == name for call in ast.walk(node))]
+
+
+def test_one_builder_of_every_table_of_types():
+    # ldp._compositions alone expands count vectors level by level (a loop
+    # that repeats rows): the type enumeration, the type slab and the MAP
+    # model grid all call it.  A type's mean and its log-probability each
+    # have one home, which the enumeration and the slab both read
+    expanding = [f"{path.name}:{node.name}" for path in sorted(SOURCE.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.FunctionDef)
+                 and any(isinstance(loop, (ast.For, ast.While)) and any(called_name(c) == "repeat" for c in ast.walk(loop))
+                         for loop in ast.walk(node))]
+    assert expanding == ["ldp.py:_compositions"]
+    assert callers("_compositions") == ["ldp.py:enumerate_types", "ldp.py:_slab_terms", "meta.py:simplex_grid"]
+    assert callers("_type_log_probs") == ["ldp.py:enumerate_types", "ldp.py:_slab_terms"]
+    assert callers("_type_means") == ["ldp.py:_type_terms", "ldp.py:_slab_terms"]
+    assert callers("lgamma") == ["ldp.py:_type_log_probs"]
+
+
 def test_the_log_domain_recursion_left_the_library():
     # every lattice law is read off linear-domain tilted passes; the
     # log-domain recursion is the tests' oracle only
@@ -127,7 +151,7 @@ def test_window_readers_run_one_pass_per_grid():
                     reached.add(name)
                     todo.append(name)
         assert "_tilted_pass" in reached and "_lattice_window" not in reached, (reader, sorted(reached))
-        assert "_slab_terms" in reached, (reader, sorted(reached))
+        assert {"_slab_terms", "_compositions"} <= reached, (reader, sorted(reached))
 
 
 def test_one_method_rule_for_every_exact_law():
