@@ -4,7 +4,7 @@ Everything here runs at desk scale.  The exact claims all read the law of
 the expected loss xi = V . L_n of n i.i.d. draws, after P is pushed forward
 onto the k distinct values of V on its support, by one of three methods:
 
-- the type enumeration, C(n + k - 1, k - 1) compositions of n per n;
+- the meta law's type enumeration, C(n + k - 1, k - 1) compositions of n per n;
 - on a lattice, values a + h m_j with integer m_j of span R = max m, the law
   of the lattice sum S_n = sum m_{X_i} from a linear-domain pass, one
   convolution per draw, (R + 1) (R N (N - 1) / 2 + N) terms to N draws
@@ -13,7 +13,7 @@ onto the k distinct values of V on its support, by one of three methods:
   mass near a chosen point never underflows.  Each pass is tilted by the
   multiplier of a window's dominating point (a point c is the window
   [c, c]; ``tilting.resolve_target`` alone finds it and decides if P reaches
-  it).  The window readers (``sanov_exact``, ``gibbs_conditioning``) run one
+  it).  A window reader (``sanov_exact``, ``gibbs_conditioning``) runs one
   pass for the whole n grid.  The law the meta pipeline fits on its window
   (``error_distribution_exact``), whose far end can lie thousands of nats
   below its near end, runs as many passes as it takes for each reachable sum
@@ -22,15 +22,16 @@ onto the k distinct values of V on its support, by one of three methods:
   the window's dominating point, under the tilt of P there, about sqrt(n)
   of them per n at k = 3, with a bound on the window mass they leave out,
   checked against each mass read off them; a read the bound does not keep
-  within _SLAB_TOLERANCE (an empty window, for one) takes the enumeration.
+  within _SLAB_TOLERANCE (an empty window, for one) reads the slab again
+  without its box: the window's side of the type table, exact.
 
-One rule (``_exact_method``) runs the lattice method when one pass has
-fewer terms than ENUMERATION_WEIGHT times the enumeration's sum over the n
-grid, or the enumeration is over TABLE_CAP; an irrational V (its lattice
-step is round-off, so R is huge) never takes it.  Where it does not run,
-the meta law (``check_exact_law``) enumerates the types and the window
-readers (``_window_laws``) read slabs, largest n first.  TABLE_CAP bounds the
-terms of the enumeration, of each pass, or of each slab.  One builder,
+The window readers (``_window_laws``) run the pass where V takes four or more
+distinct values on a lattice and it fits TABLE_CAP, else slabs.  The meta law
+(``check_exact_law``) runs it where it fits and has fewer terms than
+ENUMERATION_WEIGHT times the enumeration, or the enumeration is over
+TABLE_CAP, else enumerates.  An irrational V (its lattice step is round-off,
+so R is huge) never takes the pass.  TABLE_CAP bounds the terms of the
+enumeration, of each pass, or of each slab.  One builder,
 ``_compositions``, expands the types of the enumeration, of a slab and of the
 meta model grid; a type's mean and log-probability are ``_type_means`` and
 ``_type_log_probs``.  A window's Sanov probability is its mass under the law,
@@ -76,16 +77,16 @@ from .measures import Alphabet, FiniteDistribution, _band, _floor, as_potential,
 from .tilting import ConstraintSpec, TiltedDistribution, _project, _softmax, attainable_range, i_projection
 
 TABLE_CAP = 10_000_000
-# Every exact law counts a type-enumeration term as this many terms of the
-# tilted lattice pass: on a 2-CPU x86-64 machine (numpy 2.4) a read term of
-# the enumeration costs 40-90 ns at k = 3, n = 400-800, a pass term (one
-# multiply-add of np.convolve) 1.3-2 ns.  Any weight in [9, 30] picks the same
-# method on every exact op of the benchmark.
+# The meta law (``check_exact_law``), its only reader, counts a type-enumeration
+# term as this many terms of the tilted lattice pass: on a 2-CPU x86-64 machine
+# (numpy 2.4) a term of its enumeration read costs 70-115 ns at k = 3, n = 400-800
+# and k = 4, n = 200, a pass term (one multiply-add of np.convolve) 0.6-1.5 ns.
+# Any weight in [12, 30] picks the same method on every meta op of the benchmark.
 ENUMERATION_WEIGHT = 20
 _TILT_CAP = 746.0  # per lattice step; exp(-746) is 0, so a steeper tilt is the same pass
 # A slab (``_slab_terms``) leaves out at most (2k - 1) e^-_SLAB_NATS of exp(-n I), I the
-# window's rate, and a window read refuses a slab whose bound exceeds _SLAB_TOLERANCE of
-# the mass it read (NumericalError).
+# window's rate, and a window read whose mass the slab's bound does not keep within
+# _SLAB_TOLERANCE reads the slab again without its box.
 _SLAB_NATS = 50.0
 _SLAB_TOLERANCE = 1e-15
 _MEAN_BLOCK = 1 << 20  # rows of a table of types whose means are formed at once
@@ -346,15 +347,10 @@ def _lattice_window(weights: np.ndarray, m: np.ndarray, n: int, inside: np.ndarr
     return log_p
 
 
-def _exact_method(P: FiniteDistribution, potential, ns: Sequence[int]):
-    """Push P forward onto the distinct values of V on its support, in order
-    of first occurrence, and pick the method of the laws at the sample sizes
-    ns.  Returns (values, weights, lattice, refusal): lattice is (a, h, m) when
-    one tilted lattice pass runs, as it sums at most TABLE_CAP terms, and fewer
-    than ENUMERATION_WEIGHT times the enumeration's sum over ns or the
-    enumeration is over TABLE_CAP; else None.  refusal is the message of
-    TableTooLarge when neither the pass nor the enumeration fits the cap.
-    """
+def _distinct_values(P: FiniteDistribution, potential, ns: Sequence[int]):
+    """P pushed forward onto the distinct values of V on its support, in order
+    of first occurrence, and the lattice of those values: (values, weights,
+    ``_lattice(values)``).  ValueError for a sample size of ns below 1."""
     if min(ns) < 1:
         raise ValueError("sample size must be positive")
     v = as_potential(potential, P.alphabet)
@@ -363,31 +359,30 @@ def _exact_method(P: FiniteDistribution, potential, ns: Sequence[int]):
     order = np.argsort(first)
     weights = np.bincount(np.argsort(order)[inverse], weights=P.weights[drawn])
     values = values[order]
-    k, n = values.size, max(ns)
-    lattice = _lattice(values)
-    tilted = math.inf
-    if lattice is not None:
-        span = int(lattice[2].max())
-        tilted = (span + 1) * (span * n * (n - 1) // 2 + n)
-    enumeration, table = ENUMERATION_WEIGHT * sum(table_size(k, size) for size in ns), table_size(k, n)
-    if tilted <= TABLE_CAP and (tilted < enumeration or table > TABLE_CAP):
-        return values, weights, lattice, None
-    if table > TABLE_CAP:
-        method, terms = ("tilted lattice pass", tilted) if tilted < enumeration else ("type enumeration", table)
-        return values, weights, None, f"{method} for k={k} distinct values, n={n} sums {terms} terms (cap {TABLE_CAP})"
-    return values, weights, None, None
+    return values, weights, _lattice(values)
+
+
+def _pass_terms(m: np.ndarray, n: int) -> int:
+    """Multiply-adds of one ``_tilted_pass`` of n draws on the lattice indices m."""
+    return (int(m.max()) + 1) * (int(m.max()) * n * (n - 1) // 2 + n)
 
 
 def check_exact_law(
     P: FiniteDistribution, potential, ns: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, tuple[float, float, np.ndarray] | None]:
-    """(values, weights, lattice) of ``_exact_method`` for the meta law, which
-    enumerates the types where the lattice method does not run; TableTooLarge
-    when neither fits TABLE_CAP."""
-    values, weights, lattice, refusal = _exact_method(P, potential, ns)
-    if refusal is not None:
-        raise TableTooLarge(refusal)
-    return values, weights, lattice
+    """(values, weights, lattice) of ``_distinct_values`` for the meta law at
+    the sample sizes ns, lattice None where the module docstring's rule
+    enumerates the types; TableTooLarge when neither method fits TABLE_CAP."""
+    values, weights, lattice = _distinct_values(P, potential, ns)
+    k, n = values.size, max(ns)
+    tilted = math.inf if lattice is None else _pass_terms(lattice[2], n)
+    enumeration, table = ENUMERATION_WEIGHT * sum(table_size(k, size) for size in ns), table_size(k, n)
+    if tilted <= TABLE_CAP and (tilted < enumeration or table > TABLE_CAP):
+        return values, weights, lattice
+    if table > TABLE_CAP:
+        method, terms = ("tilted lattice pass", tilted) if tilted < enumeration else ("type enumeration", table)
+        raise TableTooLarge(f"{method} for k={k} distinct values, n={n} sums {terms} terms (cap {TABLE_CAP})")
+    return values, weights, None
 
 
 def _type_terms(values: np.ndarray, weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -396,7 +391,7 @@ def _type_terms(values: np.ndarray, weights: np.ndarray, n: int) -> tuple[np.nda
     return _type_means(table.counts.T, values, n), table.log_probs
 
 
-def _slab_terms(values: np.ndarray, weights: np.ndarray, n: int, lam: float, band: float):
+def _slab_terms(values: np.ndarray, weights: np.ndarray, n: int, lam: float, band: float, box: bool = True):
     """(xi, log_probs, log_bound): the terms of the n-draw type classes that
     carry the mass of every window read whose dominating point c0 has
     multiplier lam, and the log of a bound on the mass of such a read that
@@ -415,11 +410,15 @@ def _slab_terms(values: np.ndarray, weights: np.ndarray, n: int, lam: float, ban
     B e^-T per level and side it cuts, the strip B e^-(T + M).  lam = 0 is the
     box about P.  An infinite lam is P conditioned on the extreme value, one
     type, which leaves out the types holding another value within 2 n
-    ``band`` of it.
+    ``band`` of it.  With box=False each count runs over 0..left and only the
+    strip's upper side, which no read crosses, cuts, so no mass of a read is
+    left out: the window's side of the type table, all of it where lam is 0
+    or infinite (read as 0).
     """
     k = values.size
     order = np.argsort(values, kind="stable")
     order = np.concatenate([order[1:-1], order[:1], order[-1:]]) if k > 1 else order
+    lam = lam if box or math.isfinite(lam) else 0.0
     if math.isinf(lam):
         x = int(np.argmin(values) if lam > 0 else np.argmax(values))
         q_star, tilt, nats = (np.arange(k) == x).astype(float), None, 0.0
@@ -430,14 +429,14 @@ def _slab_terms(values: np.ndarray, weights: np.ndarray, n: int, lam: float, ban
         q_star, log_z = _softmax(np.log(weights) - tilt)
         center = float(q_star @ tilt)
         m = float(tilt.max() - tilt.min()) + 1.0 + n * abs(lam) * band
-        nats, floor, cut = _SLAB_NATS + m, -_SLAB_NATS - m, 0.0
+        nats, floor, cut = _SLAB_NATS + m, -_SLAB_NATS - m if box else -math.inf, 0.0
         tilt = tilt[order]
     tails = np.cumsum(q_star[order][::-1])[::-1]
     q = np.divide(q_star[order], tails, out=np.zeros(k), where=tails > 0)
 
     def ranges(j, counts, left):  # counts[i] of order[i]
         nonlocal cut
-        mean, h = left * q[j], np.sqrt(left * (nats / 2))
+        mean, h = left * q[j], np.sqrt(left * (nats / 2)) if box else math.inf
         lo, hi = np.maximum(np.ceil(mean - h), 0.0), np.minimum(np.floor(mean + h), left)
         if tilt is not None:
             cut += bool(np.any(lo > 0)) + bool(np.any(hi < left))
@@ -459,16 +458,19 @@ def _slab_terms(values: np.ndarray, weights: np.ndarray, n: int, lam: float, ban
 def _window_laws(P: FiniteDistribution, v: np.ndarray, lam: float, ns: Sequence[int], read):
     """For each n of ns, the value of read(n, xi, log_probs) -> (value, log_mass)
     on the unsorted, ungrouped terms of the law of V . L_n, for windows whose
-    dominating point has multiplier lam.  Where the method rule
-    (``_exact_method``) runs the pass on a lattice a + h m: one term per
-    lattice sum s of positive mass at xi = a + h s / n, all from one pass
-    tilted by t = -lam h.  Else the terms of ``_slab_terms``, largest n first, as
-    a slab grows with n: a grid over the cap is refused before any law is read.
-    A read whose log_mass the slab's bound does not keep within _SLAB_TOLERANCE
-    (any bound, for a mass of 0: the slab cannot tell an empty window) is read
-    again off the type enumeration, or raises NumericalError past TABLE_CAP."""
-    values, weights, lattice, _ = _exact_method(P, v, ns)
-    if lattice is not None:
+    dominating point has multiplier lam.  Where V takes at least four distinct
+    values on the support of P, on a lattice a + h m, and one pass to max(ns)
+    sums at most TABLE_CAP terms: one term per lattice sum s of positive mass
+    at xi = a + h s / n, all from one pass tilted by t = -lam h.  Else the
+    terms of ``_slab_terms``, largest n first, as a slab grows with n: a grid
+    over the cap is refused before any law is read.  A read whose log_mass the
+    slab's bound does not keep within _SLAB_TOLERANCE (any bound, for a mass
+    of 0: the slab cannot tell an empty window) reads the slab again without
+    its box, which is exact, or raises its TableTooLarge.  On a 2-CPU x86-64
+    machine (numpy 2.4) the slabs beat the pass at k <= 3 from n = 200 on and
+    lose by under a millisecond below; at k = 4 the pass wins 5-150 times."""
+    values, weights, lattice = _distinct_values(P, v, ns)
+    if values.size >= 4 and lattice is not None and _pass_terms(lattice[2], max(ns)) <= TABLE_CAP:
         a, h, m = lattice
         for n, log_p in zip(ns, _tilted_pass(weights, m, -lam * h, ns)):
             s = np.flatnonzero(log_p > -math.inf)
@@ -479,10 +481,7 @@ def _window_laws(P: FiniteDistribution, v: np.ndarray, lam: float, ns: Sequence[
         xi, log_probs, log_bound = _slab_terms(values, weights, n, lam, band)
         laws[n], log_mass = read(n, xi, log_probs)
         if log_bound > log_mass + math.log(_SLAB_TOLERANCE):
-            if table_size(values.size, n) > TABLE_CAP:
-                raise NumericalError(f"the type slab of n={n} leaves out up to exp({log_bound:.6g}) of a window "
-                                     f"mass of exp({log_mass:.6g}), and its type table is over the cap {TABLE_CAP}")
-            laws[n] = read(n, *_type_terms(values, weights, n))[0]
+            laws[n] = read(n, *_slab_terms(values, weights, n, lam, band, box=False)[:2])[0]
     yield from (laws[n] for n in ns)
 
 

@@ -498,12 +498,14 @@ ORACLE_CASES = {
     "parity-empty-point": ([0.5, 0.5], [0.0, 1.0], (0.5, 0.5)),
     "repeated-value": ([0.2, 0.3, 0.5], [0.0, 1.0, 1.0], (0.5, 0.8)),
 }
-# Cases on a lattice a + h m, read through the lattice recursion
+# Cases on a lattice a + h m, read through the lattice recursion (by the window
+# readers only at k >= 4; at k <= 3 they read the type slab)
 LATTICE_CASES = {
     "offset-tenth-step": ([0.2, 0.3, 0.5], [0.3, 0.4, 0.6], (0.45, 0.5)),  # a = 0.3, h = 0.1, m = 0, 1, 3
     "gcd-2-parity-empty": ([0.25, 0.25, 0.5], [0.0, 2.0, 6.0], (3.0, 3.0)),  # xi = 3 needs n even
     "zero-weight-off-lattice": ([0.3, 0.0, 0.7], [0.0, math.pi, 2.0], (0.9, 1.5)),
     "repeated-value": ([0.2, 0.3, 0.5], [0.0, 1.0, 1.0], (0.5, 0.8)),
+    "k4": ([0.1, 0.2, 0.3, 0.4], [0.0, 1.0, 2.0, 3.0], (2.3, 3.0)),
 }
 
 
@@ -565,7 +567,7 @@ class TestBruteForceOracle(ExactLawReaders):
 class TestLatticeRecursionOracle(ExactLawReaders):
     @pytest.fixture(autouse=True)
     def recursion_only(self, monkeypatch):
-        # a type table at the cap leaves the recursion the cheaper method
+        # a type table at the cap leaves the recursion the meta law's cheaper method
         monkeypatch.setattr(ldp_mod, "table_size", lambda k, n: ldp_mod.TABLE_CAP)
         monkeypatch.setattr(ldp_mod, "enumerate_types", lambda P, n: pytest.fail("enumerated the types"))
 
@@ -814,7 +816,7 @@ class TestTiltedPass:
 
     def test_gibbs_at_one_draw_reads_the_empty_sum(self, monkeypatch):
         # n = 1 conditions on the point mass at n - 1 = 0; the grid's other n
-        # read one pass, each result in the grid's own order
+        # read their slabs, each result in the grid's own order
         monkeypatch.setattr(ldp_mod, "enumerate_types", lambda P, n: pytest.fail("enumerated the types"))
         weights, v, window, grid = [0.2, 0.3, 0.5], [0.0, 1.0, 3.0], (0.9, 3.0), [3, 1, 6]
         results = gibbs_conditioning(dist(*weights), ConstraintSpec.interval(v, *window), grid)
@@ -935,7 +937,7 @@ def slab_of(weights, v, window, n):
     """The slab of n draws for the window's reads, called as ``_window_laws`` calls it."""
     P = dist(*weights)
     tilt, _ = i_projection(P, ConstraintSpec.interval(v, *window))
-    values, w, _, _ = ldp_mod._exact_method(P, v, [n])
+    values, w, _ = ldp_mod._distinct_values(P, v, [n])
     return ldp_mod._slab_terms(values, w, n, tilt.lam, _band(v)), (values, w)
 
 
@@ -974,7 +976,7 @@ class TestSlab:
             assert xi.size <= table_size(values.size, n)
             if log_bound > got[0] + math.log(ldp_mod._SLAB_TOLERANCE):
                 # a point window off a lattice whose one type lies far from the tilt's
-                # (the all-0.5 type of V = [-1, 0.5, pi]): the readers enumerate
+                # (the all-0.5 type of V = [-1, 0.5, pi]): the readers read the box-free slab
                 assert window[0] == window[1] and got[0] < expected[0], n
                 assert sanov_exact(dist(*weights), oracle_constraint(v, window), [n]).log_probs == (expected[0],)
                 continue
@@ -1006,27 +1008,46 @@ def test_a_slab_that_cuts_nothing_is_the_enumeration(name, top, monkeypatch):
         assert xi[order].tolist() == expected_xi.tolist() and log_probs[order].tolist() == expected_log_probs.tolist()
 
 
+def record_boxes(monkeypatch) -> list[bool]:
+    """Whether each type slab that ``_slab_terms`` builds from now on has its box."""
+    boxes, slab = [], ldp_mod._slab_terms
+    monkeypatch.setattr(ldp_mod, "_slab_terms", lambda *args, box=True: boxes.append(box) or slab(*args, box=box))
+    return boxes
+
+
+def box_free_size(weights, v, window, n) -> int:
+    """The types of the box-free slab of n draws for the window's reads."""
+    tilt, _ = i_projection(dist(*weights), ConstraintSpec.interval(v, *window))
+    values, w, _ = ldp_mod._distinct_values(dist(*weights), v, [n])
+    return ldp_mod._slab_terms(values, w, n, tilt.lam, _band(v), box=False)[0].size
+
+
 class TestSlabReads:
     @pytest.mark.parametrize("name", ["upper-tail", "lower-tail", "holds-the-mean", "k4", "irrational-potential"])
-    def test_a_forced_bound_reads_the_enumeration_or_is_a_numerical_error(self, name, monkeypatch):
+    def test_a_forced_bound_reads_the_box_free_slab_or_is_too_large(self, name, monkeypatch):
         # with T = 1 nat the slab leaves out more than 1e-15 of the mass it
-        # reads: within the cap the read takes the type table, past it
-        # (k = 3 at n = 5000, k = 4 at n = 400) it is a NumericalError
+        # reads: the read takes the slab again without its box, which matches
+        # the type table, and a box-free slab over the cap is a TableTooLarge
         weights, v, window = SLAB_CASES[name]
         P, constraint, n = dist(*weights), ConstraintSpec.interval(v, *window), 200
-        log_prob = sanov_exact(P, constraint, [n]).log_probs[0]
-        [mean] = gibbs_conditioning(P, constraint, [n + 1])
+        values, w, _ = ldp_mod._distinct_values(P, v, [n])
+        expected = window_masses(*ldp_mod._type_terms(values, w, n), v, window, n)
+        mean = np.exp(np.log(w) + expected[1:] - ldp_mod._logsumexp(np.log(w) + expected[1:]))
+        free = box_free_size(weights, v, window, n)
         monkeypatch.setattr(ldp_mod, "_SLAB_NATS", 1.0)
-        sizes = count_enumerations(monkeypatch)
-        assert abs(sanov_exact(P, constraint, [n]).log_probs[0] - log_prob) <= 1e-12 * abs(log_prob)
+        monkeypatch.setattr(ldp_mod, "enumerate_types", lambda P, n: pytest.fail("enumerated the types"))
+        boxes = record_boxes(monkeypatch)
+        [log_prob] = sanov_exact(P, constraint, [n]).log_probs
+        assert abs(log_prob - expected[0]) <= 1e-12 * abs(expected[0])
         [res] = gibbs_conditioning(P, constraint, [n + 1])
-        assert np.abs(res.conditioned_mean_measure.weights - mean.conditioned_mean_measure.weights).max() <= 1e-12
-        assert sizes == [table_size(len(weights), n)] * 2
-        beyond = 5000 if len(weights) == 3 else 400
-        with pytest.raises(NumericalError, match=f"slab of n={beyond} leaves out .* over the cap"):
-            sanov_exact(P, constraint, [beyond])
-        with pytest.raises(NumericalError, match=f"slab of n={beyond} leaves out .* over the cap"):
-            gibbs_conditioning(P, constraint, [beyond + 1])
+        assert np.abs(res.conditioned_mean_measure.weights - mean).max() <= 1e-12
+        assert boxes == [True, False] * 2
+        monkeypatch.setattr(ldp_mod, "TABLE_CAP", free - 1)
+        with pytest.raises(TableTooLarge, match=f"type slab for k={len(weights)} distinct values, n={n} holds "):
+            sanov_exact(P, constraint, [n])
+        with pytest.raises(TableTooLarge, match=f"type slab for k={len(weights)} distinct values, n={n} holds "):
+            gibbs_conditioning(P, constraint, [n + 1])
+        assert boxes[4:] == [True, False] * 2
 
     def test_an_oversized_slab_is_refused_before_any_law_is_built(self, monkeypatch):
         # the message holds the slab's own count; the slabs are built largest
@@ -1061,7 +1082,8 @@ class TestSlabReads:
         # the cap, which refused this read before the slab
         p, n = 0.3, 4471
         P, v = dist((1 - p) ** 2, 2 * p * (1 - p), p * p), [0.0, 1.0, 2.0]
-        assert ldp_mod._exact_method(P, v, [n])[3] is not None
+        with pytest.raises(TableTooLarge):
+            ldp_mod.check_exact_law(P, v, [n])
         [log_prob] = sanov_exact(P, ConstraintSpec.interval(v, 1.0, 2.0), [n]).log_probs
         expected = stats.binom.logsf(n - 1, 2 * n, p)
         assert abs(log_prob - expected) <= 1e-12 * abs(expected)
@@ -1075,23 +1097,73 @@ class TestSlabReads:
         [res] = gibbs_conditioning(P, ConstraintSpec.interval(v, math.sqrt(2.0), 2.0), [800])
         assert res.conditioned_mean_measure.weights.tolist() == [0.0, 0.0, 1.0]
 
-    def test_an_infinite_multiplier_next_to_another_value_reads_the_enumeration(self):
+    def test_an_infinite_multiplier_next_to_another_value_reads_the_box_free_slab(self, monkeypatch):
         # 1 + 2^-46 is the range end, and 1 lies within 2 n bands of it: the
         # types that mix them are in the window, which the one-type slab says;
-        # the read takes the type table, or past the cap is a NumericalError
+        # the read takes the slab again without its box (at lam = 0: the whole
+        # type table), or past the cap is a TableTooLarge
         P, v, n = dist(0.2, 0.3, 0.5), [0.0, 1.0, 1.0 + 2.0 ** -46], 30
         constraint = ConstraintSpec.interval(v, 1.0 + 2.0 ** -46, 2.0)
         xi, log_probs = ldp_mod._type_terms(np.array(v), np.array([0.2, 0.3, 0.5]), n)
         expected = ldp_mod._logsumexp(log_probs[in_window(xi, 1.0 + 2.0 ** -46, 1.0 + 2.0 ** -46, v)])
         assert expected > n * math.log(0.5) + 1.0  # more than the one all-(1 + 2^-46) type
-        assert sanov_exact(P, constraint, [n]).log_probs == (expected,)
-        with pytest.raises(NumericalError, match="slab of n=5000 leaves out"):
-            sanov_exact(P, constraint, [5000])
+        [log_prob] = sanov_exact(P, constraint, [n]).log_probs
+        assert abs(log_prob - expected) <= 1e-12 * abs(expected)
+        monkeypatch.setattr(ldp_mod, "TABLE_CAP", table_size(3, n) - 1)
+        with pytest.raises(TableTooLarge, match=f"n={n} holds {table_size(3, n)} types at level 2 of 2 "):
+            sanov_exact(P, constraint, [n])
+
+
+class TestBoxFreeReadsPastTheEnumerationsCap:
+    """Point windows off a lattice whose types lie far from the tilt's slab, at
+    an n whose type table is over the cap (lowered to keep the tests cheap):
+    the box-free slab reads them against their closed forms."""
+
+    def past_the_cap(self, monkeypatch, P, v, n):
+        monkeypatch.setattr(ldp_mod, "TABLE_CAP", table_size(3, n) - 1)
+        monkeypatch.setattr(ldp_mod, "enumerate_types", lambda P, n: pytest.fail("enumerated the types"))
+        with pytest.raises(TableTooLarge, match="type enumeration for k=3 distinct values"):
+            ldp_mod.check_exact_law(P, v, [n])  # the meta law's enumeration refuses n
+        return record_boxes(monkeypatch)
+
+    def test_the_one_type_at_the_point(self, monkeypatch):
+        # only the all-0.5 type has V . L_n = 0.5: log P = n log(1/3), and
+        # given it every draw is 0.5
+        P, v, n = FiniteDistribution.uniform(Alphabet.of_size(3)), [-1.0, 0.5, math.pi], 600
+        boxes = self.past_the_cap(monkeypatch, P, v, n)
+        [log_prob] = sanov_exact(P, ConstraintSpec.point(v, 0.5), [n]).log_probs
+        assert abs(log_prob - n * math.log(1 / 3)) <= 1e-12 * n * math.log(3)
+        [res] = gibbs_conditioning(P, ConstraintSpec.point(v, 0.5), [n + 1])
+        assert res.conditioned_mean_measure.weights.tolist() == [0.0, 1.0, 0.0]
+        assert boxes == [True, False] * 2
+
+    def test_no_type_at_the_point(self, monkeypatch):
+        # c_1 + c_2 sqrt 2 = 1.2 n needs c_2 = 0 and c_1 = 1.2 n > n: the event is empty
+        P, v, n = dist(0.2, 0.3, 0.5), [0.0, 1.0, math.sqrt(2.0)], 600
+        boxes = self.past_the_cap(monkeypatch, P, v, n)
+        est = sanov_exact(P, ConstraintSpec.point(v, 1.2), [n])
+        assert est.empty_event_ns == (n,) and est.log_probs == (-math.inf,)
+        with pytest.raises(EmptyEvent, match=f"n={n + 1} "):
+            gibbs_conditioning(P, ConstraintSpec.point(v, 1.2), [n + 1])
+        assert boxes == [True, False] * 2
+
+    def test_a_box_free_slab_over_the_cap_is_refused_before_it_is_built(self, monkeypatch):
+        # the message holds the box-free slab's own count, and no mean of its
+        # types is formed: only the boxed slab's
+        weights, v, window = SLAB_CASES["irrational-point"]
+        n = 600
+        size = box_free_size(weights, v, window, n)
+        monkeypatch.setattr(ldp_mod, "TABLE_CAP", size - 1)
+        means = recording(monkeypatch, "_type_means")
+        with pytest.raises(TableTooLarge, match=f"type slab for k=3 distinct values, n={n} holds {size} types at level 2 of 2 "):
+            sanov_exact(dist(*weights), oracle_constraint(v, window), [n])
+        assert len(means) == 1
 
 
 class TestValuesSharingALatticeIndex:
     """1 and 1 + 2^-50 lie within the band of each other, so both sit at
-    lattice index 1, and the pass's kernel holds the sum of their weights."""
+    lattice index 1, and the meta law's pass's kernel holds the sum of their
+    weights."""
 
     P, v, window, n = dist(0.2, 0.3, 0.5), [0.0, 1.0, 1.0 + 2.0 ** -50], (0.5, 2.0), 30
 
@@ -1102,7 +1174,7 @@ class TestValuesSharingALatticeIndex:
         [log_prob] = sanov_exact(self.P, constraint, [n]).log_probs
         [result] = gibbs_conditioning(self.P, constraint, [n])
         law = error_distribution_exact(self.P, self.v, n, self.window)
-        assert len(passes) == 3
+        assert len(passes) == 1  # the meta law's: at k = 3 the readers take the slab
         expected = window_masses(*ldp_mod._type_terms(np.array(self.v), w, n), self.v, self.window, n)[0]
         assert abs(log_prob - expected) <= 1e-12 * max(1.0, abs(expected))
         rows = window_masses(*ldp_mod._type_terms(np.array(self.v), w, n - 1), self.v, self.window, n - 1)[1:]

@@ -83,8 +83,8 @@ def ldp_callers(name: str) -> list[str]:
 
 def test_one_caller_of_the_type_enumeration():
     # the meta law off a lattice reads the type classes of ldp._type_terms;
-    # the window readers read the slab of ldp._slab_terms, and the type
-    # classes only where the slab's bound does not hold a read
+    # the window readers read the slab of ldp._slab_terms, without its box
+    # where the slab's bound does not hold a read
     assert len(calls("enumerate_types")) == 1
     assert ldp_callers("enumerate_types") == ["_type_terms"]
 
@@ -154,17 +154,30 @@ def test_window_readers_run_one_pass_per_grid():
         assert {"_slab_terms", "_compositions"} <= reached, (reader, sorted(reached))
 
 
-def test_one_method_rule_for_every_exact_law():
-    # ldp._exact_method weighs the type enumeration by ENUMERATION_WEIGHT for
-    # every exact law, the meta law (through check_exact_law) and the window
-    # readers: it takes no weight, and no caller passes one
-    from maxent_bayes.ldp import _exact_method, check_exact_law
+def test_window_readers_do_not_consult_the_type_enumeration():
+    # sanov_exact and gibbs_conditioning read one tilted pass or the type
+    # slab, and a read the slab's bound does not hold reads the slab again
+    # without its box: nothing they reach sizes, prices or builds the type
+    # enumeration, which with ENUMERATION_WEIGHT is the meta law's alone
+    from maxent_bayes.ldp import check_exact_law
 
-    for function in (_exact_method, check_exact_law):
-        assert list(inspect.signature(function).parameters) == ["P", "potential", "ns"]
-    places = calls("_exact_method")
-    assert len(places) == 2 and ldp_callers("_exact_method") == ["check_exact_law", "_window_laws"]
-    assert [place for place, node in places if len(node.args) != 3 or node.keywords] == []
+    functions = {node.name: node for path in sorted(SOURCE.glob("*.py"))
+                 for node in ast.parse(path.read_text(encoding="utf-8")).body if isinstance(node, ast.FunctionDef)}
+    consulted = {"ENUMERATION_WEIGHT", "table_size", "_type_terms", "enumerate_types"}
+    for reader in ("sanov_exact", "gibbs_conditioning"):
+        reached, todo = {reader}, [reader]
+        while todo:
+            for node in ast.walk(functions[todo.pop()]):
+                name = node.id if isinstance(node, ast.Name) else called_name(node)
+                if name in functions and name not in reached:
+                    reached.add(name)
+                    todo.append(name)
+        assert {"_window_laws", "_slab_terms", "_distinct_values"} <= reached, (reader, sorted(reached))
+        found = sorted(f"{name}:{node.id}" for name in reached for node in ast.walk(functions[name])
+                       if isinstance(node, ast.Name) and node.id in consulted)
+        assert found == [], reader
+    assert "_exact_method" not in functions
+    assert list(inspect.signature(check_exact_law).parameters) == ["P", "potential", "ns"]
     assert ldp_callers("check_exact_law") == ["error_distribution_exact"]
 
 
