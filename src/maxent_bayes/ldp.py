@@ -52,11 +52,11 @@ of a trial by inversion (Devroye 1986, III.2-3) of the binomial cdf table of
 the draws left, a later count off one flat layout of the tables of the block's
 distinct draws-left values, or by ``Generator.binomial`` where those tables
 would hold more entries than the block has trials.  ``sanov_monte_carlo``
-counts hits, not counts: a trial's mean is one elementwise rule, monotone in
-its last conditional count (``_sample_mean``), so where that count is a table
-read with at most three symbols drawn, a trial's window verdict is a comparison
-of its last uniform with two cdf entries of its row
-(``SeededSampler.window_hits``), and that count is never drawn.
+counts hits, not counts: a trial's mean is monotone in its last conditional
+count (``_sample_mean``), so with two or three symbols drawn a trial's verdict
+is its last uniform against two cdf entries of its row, which one
+``_HitReader`` per n and window keeps for all of that n's blocks, and the
+count is drawn only where ``Generator.binomial`` draws it.
 """
 
 from __future__ import annotations
@@ -65,9 +65,8 @@ import math
 import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -238,11 +237,11 @@ class ErrorDistribution:
         return _softmax(self.log_mass)[0]
 
     def mean(self) -> float:
-        return float(np.dot(self.support, self.probabilities))
+        return float(self.support @ self.probabilities)
 
     def variance(self) -> float:
         m = self.mean()
-        return float(np.dot((self.support - m) ** 2, self.probabilities))
+        return float((self.support - m) ** 2 @ self.probabilities)
 
     def weight_at(self, xi: float) -> float:
         idx = np.flatnonzero(np.abs(self.support - xi) <= _floor(self.support))
@@ -623,11 +622,11 @@ def sanov_exact(
     )
 
 
-def _table_range(n: int, q: float) -> tuple[int, int]:
-    """(lo, hi) = nq -+ ceil(sqrt(372.5 n)) within 0..n: outside it, by Hoeffding, Bin(n, q)
-    leaves mass below exp(-745), i.e. 0."""
-    h = math.ceil(math.sqrt(372.5 * n))
-    return max(0, math.floor(n * q) - h), min(n, math.floor(n * q) + h)
+def _table_range(n, q: float):
+    """(lo, hi) = nq -+ ceil(sqrt(372.5 n)) within 0..n, elementwise for an array of n:
+    outside it, by Hoeffding, Bin(n, q) leaves mass below exp(-745), i.e. 0."""
+    h, mid = np.ceil(np.sqrt(372.5 * n)).astype(np.int64), np.floor(n * q).astype(np.int64)
+    return np.maximum(mid - h, 0), np.minimum(mid + h, n)
 
 
 def _inverse_table(n: int, q: float) -> tuple[int, np.ndarray, np.ndarray]:
@@ -663,10 +662,7 @@ def _inverse_binomial(tables: Sequence[tuple], which, u: np.ndarray) -> np.ndarr
     offsets, cdfs, guides = zip(*tables)
     sizes, cells = np.array([len(c) for c in cdfs]), np.array([len(g) - 1 for g in guides])
     starts, cell_starts = np.cumsum(sizes) - sizes, np.cumsum(cells + 1) - cells - 1
-    if len(tables) == 1:
-        cdf, guide = cdfs[0], guides[0]
-    else:
-        cdf, guide = np.concatenate(cdfs), np.concatenate(guides) + np.repeat(starts, cells + 1)
+    cdf, guide = np.concatenate(cdfs), np.concatenate(guides) + np.repeat(starts, cells + 1)
     x = (u * cells.astype(float)[which]).astype(np.intp)  # u K is exact
     x += cell_starts[which]
     x = guide[x]
@@ -713,21 +709,25 @@ _TABLES = _TableCache()
 
 
 def _later_tables(left: np.ndarray, q: float):
-    """(rows, tables, which) for a later count Bin(left_i, q): the block's distinct
-    draws-left values, their ``_inverse_table`` rows and each trial's row index; None where
-    those rows' widths sum past the block's trials, and ``Generator.binomial`` draws it."""
+    """(tables, which) for a later count Bin(left_i, q) of ``_prefix``: the ``_inverse_table``
+    rows of the block's distinct draws-left values and each trial's row index; None where
+    ``_over_budget`` rules those values out, and ``Generator.binomial`` draws it."""
     base = int(left.min())
     shifted = left - base
     seen = np.bincount(shifted) > 0
-    rows = (np.flatnonzero(seen) + base).tolist()
-    # Tables of W entries in all against T trials: timed on full k = 3 blocks at
-    # n = 160-3000 for three P (2-CPU x86-64, numpy 2.4), they break even with
-    # Generator.binomial at W = 0.5-1.1 T in a block that builds them, at W = 2-3 T
-    # in one that finds them cached; W = T sits between.
-    widths = (hi - lo + 1 for lo, hi in (_table_range(m, q) for m in rows))
-    if any(total > left.size for total in accumulate(widths)):
+    rows = np.flatnonzero(seen) + base
+    if _over_budget(rows, q, left.size):
         return None
-    return rows, [_TABLES(m, q) for m in rows], (np.cumsum(seen) - 1)[shifted]
+    return [_TABLES(m, q) for m in rows.tolist()], (np.cumsum(seen) - 1)[shifted]
+
+
+def _over_budget(rows: np.ndarray, q: float, trials: int) -> bool:
+    """Whether the ``_inverse_table`` rows of Bin(m, q), m in rows, hold more entries than a
+    block's trials.  Timed on full k = 3 blocks at n = 160-3000, three P (2-CPU x86-64, numpy
+    2.4), tables of W entries break even with Generator.binomial on T trials at W = 0.5-1.1 T
+    in a block that builds them, at W = 2-3 T in one that finds them cached; W = T sits between."""
+    lo, hi = _table_range(rows, q)
+    return int((hi - lo + 1).sum()) > trials
 
 
 def _draw_count(gen: np.random.Generator, left: np.ndarray, q: float, plan) -> np.ndarray:
@@ -735,8 +735,23 @@ def _draw_count(gen: np.random.Generator, left: np.ndarray, q: float, plan) -> n
     (``_later_tables``), or ``Generator.binomial`` where ``plan`` is None."""
     if plan is None:
         return gen.binomial(left, q)
-    _, tables, which = plan
+    tables, which = plan
     return _inverse_binomial(tables, which, gen.random(left.size))
+
+
+def _prefix(n: int, block_trials: int, gen: np.random.Generator, drawn: np.ndarray, q: np.ndarray):
+    """Draw a block from ``SeededSampler._start``'s (gen, drawn, q) up to its last conditional
+    count, the next-to-last drawn symbol's: (counts, left, q_last, plan), the counts so far (of
+    drawn[:-2]), the draws left for the last two drawn symbols, and the count not yet drawn,
+    Bin(left, q_last) by ``_draw_count`` on ``plan``; q_last and plan None if one symbol is drawn."""
+    counts, left = [], np.broadcast_to(np.int64(n), block_trials)  # a view, no memory
+    for j in range(len(drawn) - 1):
+        plan = ([_TABLES(n, q[0])], 0) if j == 0 else _later_tables(left, q[j])
+        if j == len(drawn) - 2:
+            return counts, left, q[j], plan
+        counts.append(_draw_count(gen, left, q[j], plan))
+        left = left - counts[-1]
+    return counts, left, None, None
 
 
 def _sample_mean(n: int, v: np.ndarray, drawn: np.ndarray, counts, m, c):
@@ -753,19 +768,17 @@ def _sample_mean(n: int, v: np.ndarray, drawn: np.ndarray, counts, m, c):
     return base + (c / n) * (a - b)
 
 
-def _hit_bounds(n: int, v: np.ndarray, drawn: np.ndarray, plan, lo: float, hi: float):
-    """Per table row of ``plan`` (the last conditional count's, from ``_prefix``: draws
-    left m for the last two of at most three drawn symbols, the first taking n - m), the
-    uniforms [lower, upper) whose inversion on that row is a count whose vector's mean
-    (``_sample_mean``) passes ``in_window``.
+def _hit_bounds(n: int, v: np.ndarray, drawn: np.ndarray, rows: list[int], q: float, lo: float, hi: float):
+    """Per ``_inverse_table`` row of Bin(m, q), m in rows (draws left m for the last two of
+    at most three drawn symbols, the first taking n - m), the uniforms [lower, upper) whose
+    inversion on that row is a count whose vector's mean (``_sample_mean``) is in the window.
 
     Every candidate count of every row (one flat layout, as ``_inverse_binomial`` reads)
     gets its mean.  The count at index i of its row is drawn for u in [cdf[i - 1], cdf[i])
     (cdf[i - 1] read as 0 at i = 0), and a row's hits are one run, so they are the u from
     below its first hit to the cdf of its last; a row with no hit reads [0, 0).
     """
-    rows, tables, _ = plan
-    offsets, cdfs, _ = zip(*tables)
+    offsets, cdfs, _ = zip(*(_TABLES(m, q) for m in rows))
     sizes = np.array([len(c) for c in cdfs])
     starts = np.cumsum(sizes) - sizes
     cdf = np.concatenate(cdfs)
@@ -780,6 +793,66 @@ def _hit_bounds(n: int, v: np.ndarray, drawn: np.ndarray, plan, lo: float, hi: f
     return np.minimum(np.minimum.reduceat(np.where(hit, below, 1.0), starts), upper), upper
 
 
+_BUFFERS: list = []  # block arrays (u, bound, cell, idx) not in use, kept across samplers as _TABLES is
+
+
+class _HitReader:
+    """What ``SeededSampler.window_hits`` reads the blocks of one n and window off, two or
+    three symbols drawn: the draws left m for the last two (``rows``: n, or n - c by table
+    index of the first count c) and each row's [lower, upper) of ``_hit_bounds``, filled in
+    as blocks first draw that row.  A first count is the index of the first cdf entry of its
+    table above its uniform u (Chen & Asau 1974): cell floor(u K) of ``guide`` (K >= 16 per
+    entry, to 2^18) holds it, or -1 where a cdf entry lies inside the cell and u is searched.
+    Blocks hand their arrays on (``_BUFFERS``), so one in steady state maps no new memory."""
+
+    def __init__(self, n: int, v: np.ndarray, drawn: np.ndarray, q: np.ndarray, lo: float, hi: float):
+        self.n, self.v, self.drawn, self.q, self.window, self.rows = n, v, drawn, q, (lo, hi), np.array([n])
+        if len(drawn) == 3:
+            offset, self.cdf, _ = _TABLES(n, q[0])
+            self.rows = n - offset - np.arange(len(self.cdf))
+            edges = np.arange((cells := 1 << min((16 * len(self.cdf)).bit_length(), 18)) + 1) / cells
+            first = np.searchsorted(self.cdf, edges[:-1], side="right")
+            self.guide = np.where(np.searchsorted(self.cdf, edges[1:]) > first, -1, first)
+        self.lower, self.upper = np.zeros((2, self.rows.size))
+        self.filled, self.lock = np.zeros(self.rows.size, dtype=bool), threading.Lock()
+
+    def hits(self, gen: np.random.Generator, trials: int) -> int:
+        try:
+            buffers = _BUFFERS.pop()
+        except IndexError:  # none made yet, or every one in use
+            buffers = [np.empty(0)]
+        if len(buffers[0]) < trials:
+            buffers = [np.empty(max(trials, MC_BLOCK_SIZE), dtype=t) for t in (float, float, np.intp, np.intp)]
+        u, bound, cell, idx = (b[:trials] for b in buffers)
+        try:
+            gen.random(out=u)
+            seen = np.ones(1, dtype=bool)
+            if len(self.drawn) == 3:
+                np.copyto(cell, np.multiply(u, len(self.guide), out=bound), casting="unsafe")  # floor(u K), u K exact
+                np.take(self.guide, cell, out=idx, mode="clip")  # every cell is in range; "raise" would copy
+                split = np.flatnonzero(idx < 0)
+                idx[split] = np.searchsorted(self.cdf, u[split], side="right")
+                seen = np.zeros(self.rows.size, dtype=bool)
+                seen[idx] = True
+                if _over_budget(self.rows[seen], self.q[1], trials):
+                    c = gen.binomial(left := self.rows[idx], self.q[1])
+                    mean = _sample_mean(self.n, self.v, self.drawn, [self.n - left], left, c)
+                    return int(np.count_nonzero(in_window(mean, *self.window, self.v)))
+                gen.random(out=u)
+            with self.lock:
+                new = np.flatnonzero(seen & ~self.filled)
+                if new.size:
+                    bounds = _hit_bounds(self.n, self.v, self.drawn, self.rows[new].tolist(), self.q[-2], *self.window)
+                    self.lower[new], self.upper[new] = bounds
+                    self.filled[new] = True
+            if len(self.drawn) == 2:
+                return int(np.count_nonzero(u < self.upper[0])) - int(np.count_nonzero(u < self.lower[0]))
+            hits = int(np.count_nonzero(u < np.take(self.upper, idx, out=bound, mode="clip")))
+            return hits - int(np.count_nonzero(u < np.take(self.lower, idx, out=bound, mode="clip")))
+        finally:
+            _BUFFERS.append(buffers)
+
+
 @dataclass(frozen=True)
 class SeededSampler:
     """Deterministic counter-based sampling streams.
@@ -790,56 +863,41 @@ class SeededSampler:
     any parallel schedule.  Only the symbols of positive weight are drawn,
     up to the first whose q_j = p_j / sum_{i >= j} p_i is 1.0: it takes every
     draw left, the weights after it being below its float resolution.
-    Each count but the last is Bin(draws left, q_j), by
-    inversion of one ``gen.random`` value per trial (``_inverse_binomial``):
-    the first on the table of (n, p_0), each later one on the tables of the
-    block's distinct draws-left values, unless their widths sum past the
-    block's trials; that count is ``Generator.binomial(left, q_j)``.  The
-    tables are kept in one cache (``_TABLES``) across blocks and samplers.
-
-    ``multinomial_block`` returns a block's count vectors.  ``window_hits``
-    returns only how many of them have their mean (``_sample_mean``) in a
-    window: it draws the same counts up to the last conditional one
-    (``_prefix``, shared), and where that count is a table read with at most
-    three symbols drawn, it reads each trial's verdict off its last uniform
-    (``_hit_bounds``) instead of drawing the count.
+    Each count but the last is Bin(draws left, q_j), by inversion of one
+    ``gen.random`` value per trial: the first on the table of (n, p_0), each
+    later one on the tables of the block's distinct draws-left values, unless
+    ``_over_budget`` rules them out and ``Generator.binomial`` draws it.  One
+    cache (``_TABLES``) keeps the tables across blocks and samplers.
+    ``multinomial_block`` returns a block's count vectors; ``window_hits``
+    how many have their mean in a window, with two or three symbols drawn
+    read off the ``_HitReader`` the sampler keeps for all blocks of that n.
     """
 
     seed: int
     base: FiniteDistribution
+    _readers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must be a 64-bit non-negative integer")
 
-    def _prefix(self, n: int, block_index: int, block_trials: int):
-        """Draw a block up to its last conditional count (that of the next-to-last drawn
-        symbol).  Returns (gen, drawn, counts, left, q, plan): the block's generator, the
-        drawn symbols, the counts drawn so far (of drawn[:-2]), the draws left for the
-        last two drawn symbols, and the count not yet drawn, Bin(left, q) by ``_draw_count``
-        on ``plan``; q and plan are None when one symbol takes every draw."""
+    def _start(self, n: int, block_index: int):
+        """(gen, drawn, q): the Philox generator of a block, the drawn symbols, their q_j."""
         if n >= 2 ** 63:  # checked before numpy converts n to a C integer
             raise TableTooLarge(f"counts of n={n} draws overflow the 64-bit count table")
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(0, _STREAM_SANOV, n, block_index))
-        gen = np.random.Generator(np.random.Philox(seq))
         drawn = np.flatnonzero(self.base.weights > 0)
         weights = self.base.weights[drawn]
         q = weights / np.cumsum(weights[::-1])[::-1]
-        drawn = drawn[:np.argmax(q == 1.0) + 1]  # q[-1] is w / w = 1.0
-        counts, left = [], np.broadcast_to(np.int64(n), block_trials)  # a view, no memory
-        for j in range(len(drawn) - 1):
-            plan = ([n], [_TABLES(n, q[0])], 0) if j == 0 else _later_tables(left, q[j])
-            if j == len(drawn) - 2:
-                return gen, drawn, counts, left, q[j], plan
-            counts.append(_draw_count(gen, left, q[j], plan))
-            left = left - counts[-1]
-        return gen, drawn, counts, left, None, None
+        size = int(np.argmax(q == 1.0)) + 1  # q[-1] is w / w = 1.0
+        return np.random.Generator(np.random.Philox(seq)), drawn[:size], q[:size]
 
     def multinomial_block(self, n: int, block_index: int, block_trials: int) -> np.ndarray:
         """The (trials, k) count matrix of a block: ``_prefix`` and its last count drawn."""
-        gen, drawn, counts, left, q, plan = self._prefix(n, block_index, block_trials)
-        if q is not None:
-            counts = counts + [_draw_count(gen, left, q, plan)]
+        gen, drawn, q = self._start(n, block_index)
+        counts, left, q_last, plan = _prefix(n, block_trials, gen, drawn, q)
+        if q_last is not None:
+            counts = counts + [_draw_count(gen, left, q_last, plan)]
             left = left - counts[-1]
         matrix = np.zeros((left.size, self.base.size), dtype=np.int64)
         for j, count in zip(drawn, counts + [left]):
@@ -847,20 +905,18 @@ class SeededSampler:
         return matrix
 
     def window_hits(self, n: int, block_index: int, block_trials: int, lo: float, hi: float, v: np.ndarray) -> int:
-        """How many count vectors of ``multinomial_block(n, block_index, block_trials)``
-        have a mean V . L_n (``_sample_mean``) that passes ``in_window(., lo, hi, v)``.
-
-        Where the last conditional count is a table read with at most three symbols drawn,
-        a trial hits when its last uniform lies in its row's [lower, upper) of
-        ``_hit_bounds``, and that count is never drawn.  Any other block (over the tables'
-        budget, four or more symbols drawn, or one) draws it and tests the same mean.
-        """
-        gen, drawn, counts, left, q, plan = self._prefix(n, block_index, block_trials)
-        if plan is not None and len(drawn) <= 3:
-            lower, upper = _hit_bounds(n, v, drawn, plan, lo, hi)  # lower <= upper
-            u, which = gen.random(left.size), plan[2]
-            return int(np.count_nonzero(u < upper[which])) - int(np.count_nonzero(u < lower[which]))
-        c = 0 if q is None else _draw_count(gen, left, q, plan)
+        """How many count vectors of ``multinomial_block(n, block_index, block_trials)`` have
+        a mean V . L_n (``_sample_mean``) that passes ``in_window(., lo, hi, v)``.  With two
+        or three symbols drawn, a trial of the ``_HitReader`` of (n, window) hits when its last
+        uniform lies in its row's [lower, upper), unless ``_over_budget`` sends the block's
+        first counts to ``Generator.binomial``; else each vector is drawn and tested."""
+        gen, drawn, q = self._start(n, block_index)
+        if len(drawn) in (2, 3):
+            key = (n, lo, hi, v.tobytes())
+            reader = self._readers.get(key) or self._readers.setdefault(key, _HitReader(n, v, drawn, q, lo, hi))
+            return reader.hits(gen, block_trials)
+        counts, left, q_last, plan = _prefix(n, block_trials, gen, drawn, q)
+        c = 0 if q_last is None else _draw_count(gen, left, q_last, plan)
         return int(np.count_nonzero(in_window(_sample_mean(n, v, drawn, counts, left, c), lo, hi, v)))
 
 

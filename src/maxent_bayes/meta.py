@@ -117,10 +117,13 @@ def _self_consistent_center(reference: ErrorDistribution, eta: float) -> float:
     Where eta lies outside the range of (xi - m)^2 over the support, h takes
     the limit of the tilt (the reference conditioned on the nearest or the
     farthest support points), so h is defined on the whole bracket.  The
-    search starts from the reference mean and stops at the float resolution
-    of the support.  No centre exists when eta exceeds ((max - min) / 2)^2
-    over the support, the largest variance of a law on it: there h - m only
-    jumps from + to - at the midpoint, so that is an InfeasibleConstraint.
+    search runs secant and bisection steps from the reference mean to the
+    float resolution of the support.  The root need not be unique: for small
+    eta the tilt sits on the support points nearest m, so h - m falls through
+    0 near each, and the one returned is the crossing those steps close on.
+    No centre exists when eta exceeds ((max - min) / 2)^2 over the support,
+    the largest variance of a law on it: there h - m only jumps from + to -
+    at the midpoint, so that is an InfeasibleConstraint.
     """
     xi, log_mass = reference.support, reference.log_mass
     lo, hi = float(xi.min()), float(xi.max())
@@ -132,7 +135,7 @@ def _self_consistent_center(reference: ErrorDistribution, eta: float) -> float:
     def gap(m: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, None]:
         u = (xi - m) ** 2
         log_w = _project(log_mass, u, min(max(eta, float(u.min())), float(u.max())), boundary=True)[1][0]
-        return float(np.dot(xi, _softmax(log_w)[0])) - m, None
+        return float(xi @ _softmax(log_w)[0]) - m, None
 
     return float(_bracketed_root(gap, lo, hi, reference.mean(), _floor(xi))[0][0])
 

@@ -190,7 +190,7 @@ def resolve_target(
     else:
         v_sup, weights = v[np.isfinite(q)], _softmax(q)[0]
     v_lo, v_hi = float(v_sup.min()), float(v_sup.max())
-    mean = float(np.dot(weights, v))
+    mean = float(weights @ v)
     if isinstance(target, tuple):
         target = np.clip(mean, *target)
     asked = np.asarray(target, dtype=float)

@@ -229,7 +229,7 @@ def drawn_hits(sampler, n, block, trials, window, v):
     """Hits of a block's count vectors (``multinomial_block``), each mean taken by the
     sampler's rule (``_sample_mean``) and tested by ``in_window``."""
     counts = sampler.multinomial_block(n, block, trials)
-    drawn = sampler._prefix(n, block, 1)[1]
+    drawn = sampler._start(n, block)[1]
     m, c = counts[:, drawn[-2:]].sum(axis=1), counts[:, drawn[-2]] if len(drawn) > 1 else 0
     mean = ldp_mod._sample_mean(n, v, drawn, list(counts[:, drawn[:-2]].T), m, c)
     return int(np.count_nonzero(in_window(mean, *window, v)))
@@ -386,12 +386,77 @@ class TestSeededSampler:
         assert len(bounds) == 2 and hits == [0, ldp_mod.MC_BLOCK_SIZE]
 
     def test_a_block_of_one_trial_is_read(self, monkeypatch):
-        # one trial is read off thresholds as a full block is, by the same mean
+        # one trial is read off thresholds as a full block is, by the same mean;
+        # the bounds are found once for the n and window, not once per block
         sampler, v = SeededSampler(seed=21, base=BERN_HALF), np.array(V01)
         bounds = recording(monkeypatch, "_hit_bounds")
         hits = [sampler.window_hits(40, b, 1, 0.45, 0.55, v) for b in range(40)]
-        assert len(bounds) == 40 and 0 < sum(hits) < 40
+        assert len(bounds) == 1 and 0 < sum(hits) < 40
         assert hits == [drawn_hits(sampler, 40, b, 1, (0.45, 0.55), v) for b in range(40)]
+
+    @pytest.mark.parametrize("n, blocks, trials, tables", [
+        # first-table guide cells holding several cdf steps; the block's later tables
+        # outweigh it, so its last count is Generator.binomial's
+        (10**4, 3, ldp_mod.MC_BLOCK_SIZE, False),
+        # blocks of one trial: one row of over one entry outweighs the trial
+        (40, 40, 1, False),
+        (10**6, 2, ldp_mod.MC_BLOCK_SIZE, False),
+        # a first table of 1.2 million entries, read through a guide of 2^18 cells
+        (10**9, 1, ldp_mod.MC_BLOCK_SIZE, False),
+        (160, 3, ldp_mod.MC_BLOCK_SIZE, True),
+    ], ids=["cells-of-several-steps", "one-trial-blocks", "binomial-n-1e6", "guide-cap-n-1e9", "tables-n160"])
+    def test_the_k3_reader_counts_the_drawn_vectors(self, monkeypatch, n, blocks, trials, tables):
+        # the hits read off the first and last uniforms (or off Generator.binomial's last
+        # counts) are those of multinomial_block's count vectors
+        P, v = dist(0.2, 0.3, 0.5), np.array([0.0, 1.0, 2.0])
+        window = (1.3, 1.3 + 0.3 / math.sqrt(n))
+        sampler = SeededSampler(seed=21, base=P)
+        bounds = recording(monkeypatch, "_hit_bounds")
+        hits = [sampler.window_hits(n, b, trials, *window, v) for b in range(blocks)]
+        assert hits == [drawn_hits(sampler, n, b, trials, window, v) for b in range(blocks)]
+        assert 0 < sum(hits) < blocks * trials or trials == 1
+        assert bool(bounds) == tables
+        [reader] = sampler._readers.values()
+        assert reader.filled.any() == tables
+        cdf, cells = reader.cdf, len(reader.guide)
+        assert cells <= 2**18
+        several = 0
+        for b in range(blocks):
+            u = np.floor(sampler._start(n, b)[0].random(trials) * cells)
+            steps = np.searchsorted(cdf, (u + 1) / cells) - np.searchsorted(cdf, u / cells, side="right")
+            several += int(np.count_nonzero(steps > 1))
+        assert several > 0 or trials == 1
+
+    def test_bounds_filled_in_any_order_read_the_same_hits(self, monkeypatch):
+        # the bounds of a row are found once, by whichever block first draws it: blocks
+        # read in reverse, or by 8 threads at a short switch interval, read the same hits;
+        # at n = 800 the full blocks read tables and the last, short one Generator.binomial
+        P, v, window = dist(0.2, 0.3, 0.5), np.array([0.0, 1.0, 2.0]), (1.4, 2.0)
+        blocks = [(n, b) for n in (20, 160, 800) for b in range(4)]
+        trials = {b: ldp_mod.MC_BLOCK_SIZE if b < 3 else 1000 for b in range(4)}
+
+        def read(sampler, order):
+            return {(n, b): sampler.window_hits(n, b, trials[b], *window, v) for n, b in order}
+
+        def filled_once(bounds):
+            rows = [(call[0], m) for call in bounds for m in call[3]]
+            return len(rows) == len(set(rows)) and {n for n, _ in rows} == {20, 160, 800}
+
+        bounds = recording(monkeypatch, "_hit_bounds")
+        forward = read(SeededSampler(seed=5, base=P), blocks)
+        assert filled_once(bounds)
+        assert forward == read(SeededSampler(seed=5, base=P), blocks[::-1])
+        bounds.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            sampler = SeededSampler(seed=5, base=P)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                threaded = dict(zip(blocks, pool.map(lambda block: read(sampler, [block])[block], blocks, timeout=60)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == forward and filled_once(bounds)
+        assert forward == {(n, b): drawn_hits(sampler, n, b, trials[b], window, v) for n, b in blocks}
 
     def test_generator_binomial_only_where_the_tables_cost_more(self, monkeypatch):
         # at the sizes of the benchmark's k = 3 Monte Carlo every count is a
@@ -412,6 +477,14 @@ class TestSeededSampler:
         assert calls == []
         sampler.multinomial_block(10**6, 0, ldp_mod.MC_BLOCK_SIZE)
         assert len(calls) == 1 and calls[0][0].shape == (ldp_mod.MC_BLOCK_SIZE,)
+
+    @pytest.mark.parametrize("rows, q", [([0, 1, 40], 0.3), ([500, 800, 3000], 0.6), ([10**6], 0.2)])
+    def test_the_table_budget_counts_every_entry(self, rows, q):
+        # Generator.binomial draws a count exactly where its tables would hold more
+        # entries than the block has trials
+        entries = sum(len(ldp_mod._inverse_table(m, q)[1]) for m in rows)
+        assert not ldp_mod._over_budget(np.array(rows), q, entries)
+        assert ldp_mod._over_budget(np.array(rows), q, entries - 1)
 
     def test_the_table_cache_holds_its_entries(self, monkeypatch):
         monkeypatch.setattr(ldp_mod, "TABLE_CACHE_ENTRIES", 1000)
