@@ -39,8 +39,6 @@ from .ldp import (
     RateEstimate,
     RatePoint,
     SeededSampler,
-    TypeClassTable,
-    enumerate_types,
     error_distribution_exact,
     error_rate_function,
     gibbs_conditioning,

@@ -27,16 +27,17 @@ onto the k distinct values of V on its support, by one of three methods:
 
 The window readers (``_window_laws``) run the pass where V takes four or more
 distinct values on a lattice and it fits TABLE_CAP, else slabs.  The meta law
-(``check_exact_law``) runs it where it fits and has fewer terms than
-ENUMERATION_WEIGHT times the enumeration, or the enumeration is over
-TABLE_CAP, else enumerates.  An irrational V (its lattice step is round-off,
-so R is huge) never takes the pass.  TABLE_CAP bounds the terms of the
-enumeration, of each pass, or of each slab.  One builder,
-``_compositions``, expands the types of the enumeration, of a slab and of the
-meta model grid; a type's mean and log-probability are ``_type_means`` and
-``_type_log_probs``.  A window's Sanov probability is its mass under the law,
-and the conditional mean given the window reads the law at n - 1 by
-exchangeability, the p_j-weighted sum of the numerators being the denominator:
+(``error_distribution_exact``) runs its passes where one fits and has fewer
+terms than ENUMERATION_WEIGHT times the enumeration, or the enumeration is
+over TABLE_CAP, else enumerates, and the enumeration refuses a table over
+TABLE_CAP.  An irrational V (its lattice step is round-off, so R is huge)
+never takes the pass.  TABLE_CAP bounds the terms of the enumeration, of
+each pass, or of each slab.  One builder, ``_compositions``, expands the
+types of the enumeration, of a slab and of the meta model grid; a type's
+mean and log-probability are ``_type_means`` and ``_type_log_probs``.  A
+window's Sanov probability is its mass under the law, and the conditional
+mean given the window reads the law at n - 1 by exchangeability, the
+p_j-weighted sum of the numerators being the denominator:
 
     E[L_n | W]_j = p_j P(((n - 1) xi_{n-1} + v_j) / n in W) / P(xi_n in W).
 
@@ -76,7 +77,7 @@ from .measures import Alphabet, FiniteDistribution, _band, _floor, as_potential,
 from .tilting import ConstraintSpec, TiltedDistribution, _project, _softmax, attainable_range, i_projection
 
 TABLE_CAP = 10_000_000
-# The meta law (``check_exact_law``), its only reader, counts a type-enumeration
+# The meta law (``error_distribution_exact``), its only reader, counts a type-enumeration
 # term as this many terms of the tilted lattice pass: on a 2-CPU x86-64 machine
 # (numpy 2.4) a term of its enumeration read costs 70-115 ns at k = 3, n = 400-800
 # and k = 4, n = 200, a pass term (one multiply-add of np.convolve) 0.6-1.5 ns.
@@ -176,19 +177,14 @@ def _type_log_probs(counts: Sequence[np.ndarray], weights: np.ndarray, n: int) -
 @dataclass(frozen=True, eq=False)
 class TypeClassTable:
     """Exhaustive table of type classes with exact multinomial log-probabilities;
-    ``counts`` has one column per symbol of positive weight in ``base``."""
+    ``counts`` has one column per symbol of positive weight."""
 
-    base: FiniteDistribution
-    n: int
     counts: np.ndarray
     log_probs: np.ndarray
 
     @property
     def size(self) -> int:
         return self.counts.shape[0]
-
-    def total_log_mass(self) -> float:
-        return _logsumexp(self.log_probs)
 
 
 def enumerate_types(P: FiniteDistribution, n: int) -> TypeClassTable:
@@ -199,8 +195,8 @@ def enumerate_types(P: FiniteDistribution, n: int) -> TypeClassTable:
     k = int(np.count_nonzero(drawn))
     check_table_size(k, n)
     counts = np.array(_compositions(n, k))  # one row per symbol; the table's counts are its transpose
-    table = TypeClassTable(P, n, counts.T, _type_log_probs(counts, P.weights[drawn], n))
-    log_mass = table.total_log_mass()
+    table = TypeClassTable(counts.T, _type_log_probs(counts, P.weights[drawn], n))
+    log_mass = _logsumexp(table.log_probs)
     if not abs(log_mass) <= 1e-9:
         raise NumericalError(f"type-class probabilities sum to exp({log_mass:.3g}), not 1")
     return table
@@ -323,7 +319,7 @@ def _lattice_window(weights: np.ndarray, m: np.ndarray, n: int, inside: np.ndarr
     s; S_n the sum of n i.i.d. draws of m_j with probability weights[j].
 
     In rounds, each run of such sums that no pass has covered yet gets one
-    ``_tilted_pass`` (of the size ``check_exact_law`` counted), tilted at the
+    ``_tilted_pass`` (of the size ``_pass_terms`` counts), tilted at the
     run's dominating point: every run of the round goes to one ``_project``
     as a window [first sum / n, last sum / n] of the mean of m, and a run
     that holds the mean m . p comes back with multiplier 0.  A sum reads the
@@ -364,30 +360,6 @@ def _distinct_values(P: FiniteDistribution, potential, ns: Sequence[int]):
 def _pass_terms(m: np.ndarray, n: int) -> int:
     """Multiply-adds of one ``_tilted_pass`` of n draws on the lattice indices m."""
     return (int(m.max()) + 1) * (int(m.max()) * n * (n - 1) // 2 + n)
-
-
-def check_exact_law(
-    P: FiniteDistribution, potential, ns: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray, tuple[float, float, np.ndarray] | None]:
-    """(values, weights, lattice) of ``_distinct_values`` for the meta law at
-    the sample sizes ns, lattice None where the module docstring's rule
-    enumerates the types; TableTooLarge when neither method fits TABLE_CAP."""
-    values, weights, lattice = _distinct_values(P, potential, ns)
-    k, n = values.size, max(ns)
-    tilted = math.inf if lattice is None else _pass_terms(lattice[2], n)
-    enumeration, table = ENUMERATION_WEIGHT * sum(table_size(k, size) for size in ns), table_size(k, n)
-    if tilted <= TABLE_CAP and (tilted < enumeration or table > TABLE_CAP):
-        return values, weights, lattice
-    if table > TABLE_CAP:
-        method, terms = ("tilted lattice pass", tilted) if tilted < enumeration else ("type enumeration", table)
-        raise TableTooLarge(f"{method} for k={k} distinct values, n={n} sums {terms} terms (cap {TABLE_CAP})")
-    return values, weights, None
-
-
-def _type_terms(values: np.ndarray, weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The terms (xi, log_probs) of the n-draw type classes; terms may share a value xi."""
-    table = enumerate_types(FiniteDistribution(Alphabet.of_size(values.size), weights), n)
-    return _type_means(table.counts.T, values, n), table.log_probs
 
 
 def _slab_terms(values: np.ndarray, weights: np.ndarray, n: int, lam: float, band: float, box: bool = True):
@@ -488,10 +460,15 @@ def error_distribution_exact(
     P: FiniteDistribution, potential, n: int, window: tuple[float, float] = (-math.inf, math.inf)
 ) -> ErrorDistribution:
     """Exact law of V . L_n conditioned on the window [lo, hi] (default: none),
-    the law the meta pipeline fits: on a lattice a + h m the masses of
-    ``_lattice_window`` (one per reachable lattice sum s in the window, at
-    xi = a + h s / n), else the terms of ``_type_terms`` inside the window;
-    sorted by xi and grouped.  EmptyEvent when the window holds no mass.
+    the law the meta pipeline fits, sorted by xi and grouped.  EmptyEvent when
+    the window holds no mass.
+
+    On a lattice a + h m, where one pass of n draws (``_pass_terms``) fits
+    TABLE_CAP and either sums fewer terms than ENUMERATION_WEIGHT times the
+    type table or the table is over TABLE_CAP, the terms are the masses of
+    ``_lattice_window``, one per reachable lattice sum s in the window, at
+    xi = a + h s / n.  Else they are the types of ``enumerate_types`` inside
+    the window, and a table over TABLE_CAP is its TableTooLarge.
 
     The support holds the values of positive probability (values within the
     band of ``in_window`` of their neighbour count as one).  Each value's log
@@ -501,15 +478,19 @@ def error_distribution_exact(
     ``gibbs_conditioning``) masks the ungrouped terms instead.
     """
     lo, hi = window
-    values, weights, lattice = check_exact_law(P, potential, [n])
-    if lattice is not None:
+    values, weights, lattice = _distinct_values(P, potential, [n])
+    terms = math.inf if lattice is None else _pass_terms(lattice[2], n)
+    table = table_size(values.size, n)
+    if terms <= TABLE_CAP and (terms < ENUMERATION_WEIGHT * table or table > TABLE_CAP):
         a, h, m = lattice
         xi = a + h * (np.arange(n * int(m.max()) + 1) / n)
         log_probs = _lattice_window(weights, m, n, in_window(xi, lo, hi, values))
         s = np.flatnonzero(log_probs > -math.inf)
         xi, log_probs = xi[s], log_probs[s]
     else:
-        xi, log_probs = _type_terms(values, weights, n)
+        types = enumerate_types(FiniteDistribution(Alphabet.of_size(values.size), weights), n)
+        xi, log_probs = _type_means(types.counts.T, values, n), types.log_probs
+        del types
         inside = in_window(xi, lo, hi, values)
         xi, log_probs = xi[inside], log_probs[inside]
     if xi.size == 0:

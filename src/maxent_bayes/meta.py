@@ -2,12 +2,14 @@
 
 The first level treats the expected loss of an empirical measure as a random
 variable: its exact finite-n law on the window is
-``ldp.error_distribution_exact``, built by the same two methods (tilted
-lattice passes, type enumeration) as the laws the Sanov and Gibbs
-measurements read.  The second level tilts that law to match a summary
-statistic (a mean, a variance, or a user-supplied statistic), and the two
-levels combine in a MAP search over a simplex grid of candidate models:
-maximize
+``ldp.error_distribution_exact``, read off tilted lattice passes over the
+window or off the type enumeration, by the weighted rule of the ``ldp``
+module docstring.  The Sanov and Gibbs measurements read one window's mass
+instead, off the type slab near its dominating point or, at four or more
+lattice values, off one pass.  The second level tilts that law to match a
+summary statistic (a mean, a variance, or a user-supplied statistic), and
+the two levels combine in a MAP search over a simplex grid of candidate
+models: maximize
 
     - speed * KL(mu || P) - lambda_eta * U(V . mu) + ln Q(mu)
 

@@ -12,7 +12,6 @@ from maxent_bayes import (
     ConstraintSpec,
     FiniteDistribution,
     SeededSampler,
-    enumerate_types,
     error_distribution_exact,
     error_rate_function,
     gibbs_conditioning,
@@ -22,7 +21,7 @@ from maxent_bayes import (
 )
 import maxent_bayes.ldp as ldp_mod
 from maxent_bayes.errors import EmptyEvent, InfeasibleConstraint, NumericalError, TableTooLarge
-from maxent_bayes.ldp import table_size
+from maxent_bayes.ldp import _logsumexp, enumerate_types, table_size
 from maxent_bayes.measures import _band, _floor, in_window
 from tests.conftest import random_distribution
 
@@ -67,18 +66,18 @@ class TestEnumerateTypes:
             for n in (1, 5, 17, 30, 60):
                 P = random_distribution(rng, k, min_mass=1e-3)
                 table = enumerate_types(P, n)
-                assert abs(table.total_log_mass()) <= 1e-9
+                assert abs(_logsumexp(table.log_probs)) <= 1e-9
 
     def test_zero_atoms_are_handled(self):
         table = enumerate_types(dist(0.5, 0.5, 0.0), 3)
-        assert abs(table.total_log_mass()) <= 1e-9
+        assert abs(_logsumexp(table.log_probs)) <= 1e-9
 
     def test_size_guard_counts_only_positive_weight_symbols(self):
         # over all four symbols, C(403, 3) = 10,827,401 classes exceed the cap;
         # the table has one column per positive-weight symbol, C(402, 2) rows
         table = enumerate_types(dist(0.3, 0.0, 0.2, 0.5), 400)
         assert table.size == math.comb(402, 2) == 80_601
-        assert abs(table.total_log_mass()) <= 1e-9
+        assert abs(_logsumexp(table.log_probs)) <= 1e-9
 
     def test_missing_type_class_is_a_numerical_error(self, monkeypatch):
         # the mass check is a typed error, so it survives python -O
@@ -687,6 +686,73 @@ class TestWindowReadsAtBenchmarkScale:
             assert np.abs(mean.weights - expected).max() <= 1e-12
 
 
+def integer_law_coefficients(n: int) -> list[int]:
+    """The integer coefficients of (1 + x + 2 x^3)^n: 4^n P(S_n = s) for S_n the
+    sum of n draws of m = [0, 1, 3] with P = [1/4, 1/4, 1/2]."""
+    c = [1]
+    for _ in range(n):
+        nxt = [0] * (len(c) + 3)
+        for s, a in enumerate(c):
+            nxt[s] += a
+            nxt[s + 1] += a
+            nxt[s + 3] += 2 * a
+        c = nxt
+    return c
+
+
+class TestBigIntegerOracle:
+    """P = [1/4, 1/4, 1/2], V = [0, 1, 3] at n = 200: the law of S_n = n V . L_n
+    in exact integers, free of the arithmetic of the pass, the slab and the
+    enumeration.  The gaps measured on a 2-vCPU x86-64 machine (numpy 2.4)
+    are in each comment; the tolerances leave 15-25 times that."""
+
+    P, v, n = dist(0.25, 0.25, 0.5), [0.0, 1.0, 3.0], 200
+
+    def window_sum(self, c, lo, hi, shift=0):
+        return sum(c[s] for s in range(len(c)) if round(lo * self.n) <= s + shift <= round(hi * self.n))
+
+    def test_sanov_log_probs(self):
+        # the tail window 2.4e-14 off (log P = -14.93), the window holding the
+        # mean 6.0e-14 off (log P = -0.053), both read off the type slab
+        c = integer_law_coefficients(self.n)
+        assert sum(c) == 4 ** self.n
+        for window in ((2.2, 3.0), (1.6, 2.0)):
+            exact = math.log(self.window_sum(c, *window)) - self.n * math.log(4)
+            [log_prob] = sanov_exact(self.P, ConstraintSpec.interval(self.v, *window), [self.n]).log_probs
+            assert abs(log_prob - exact) <= 1e-12, window
+
+    def test_gibbs_mean_and_tv(self):
+        # E[L_n | W]_j = w_j #(S_{n-1} + m_j in n W) / #(S_n in n W), w = [1, 1, 2]:
+        # 4.1e-15 off, and its TV from the tilt onto 2.2 (a bisection on the
+        # multiplier) 4.1e-15 off
+        window = (2.2, 3.0)
+        c = integer_law_coefficients(self.n - 1)
+        joint = [w * self.window_sum(c, *window, shift=m) for w, m in zip([1, 1, 2], [0, 1, 3])]
+        assert sum(joint) == self.window_sum(integer_law_coefficients(self.n), *window)
+        mean = np.array([x / sum(joint) for x in joint])
+        lo, hi = 0.0, 10.0
+        for _ in range(100):
+            t = (lo + hi) / 2
+            tilt = self.P.weights * np.exp(t * np.array(self.v))
+            tilt /= tilt.sum()
+            lo, hi = (t, hi) if tilt @ self.v < window[0] else (lo, t)
+        [res] = gibbs_conditioning(self.P, ConstraintSpec.interval(self.v, *window), [self.n])
+        assert np.abs(res.conditioned_mean_measure.weights - mean).max() <= 1e-13
+        assert abs(res.tv_distance - 0.5 * np.abs(mean - tilt).sum()) <= 1e-13
+
+    def test_the_grouped_meta_law(self):
+        # every sum 320..400 is reached, at xi = s / n exactly; the log masses,
+        # read off the tilted passes, are 5.3e-14 off
+        window = (1.6, 2.0)
+        c = integer_law_coefficients(self.n)
+        s = np.arange(round(window[0] * self.n), round(window[1] * self.n) + 1)
+        total = self.window_sum(c, *window)
+        exact = np.array([math.log(c[x]) - math.log(total) for x in s.tolist()])
+        law = error_distribution_exact(self.P, self.v, self.n, window)
+        assert np.array_equal(law.support, s / self.n)
+        assert np.abs(law.log_mass - exact).max() <= 1e-12
+
+
 def count_enumerations(monkeypatch) -> list[int]:
     """The size of each type table that enumerate_types builds from now on."""
     sizes = []
@@ -792,6 +858,10 @@ class TestLatticeRecursion:
         ([0.2, 0.3, 0.5], [0.0, 1.0, 3.0], 800, 0),
         # span 10: 2.2e6 pass terms against 20 x 20,301
         ([0.2, 0.3, 0.5], [0.0, 1.0, 10.0], 200, 1),
+        # span 15: 4.8e6 pass terms against 20 x 20,301; the passes take 3.0 ms
+        # on a central window where the enumeration takes 1.05 ms (2 vCPUs, min
+        # of 7), so a rule without the weight would pick the slower method
+        ([0.2, 0.3, 0.5], [0.0, 1.0, 15.0], 200, 1),
         # span 1000: np.convolve multiplies the kernel's zeros too, 1.8e9
         # pass terms against 20 x 635,376
         ([0.2] * 5, [0.0, 1.0, 2.0, 3.0, 1000.0], 60, 1),
@@ -808,13 +878,14 @@ class TestLatticeRecursion:
 
     def test_a_sparse_lattice_pass_over_the_cap_is_refused(self):
         # span 50 at n = 200: 51 x (50 x 200 x 199 / 2 + 200) multiply-adds,
-        # over the cap, and still fewer than 20 x C(204, 4) enumeration terms
-        with pytest.raises(TableTooLarge, match="tilted lattice pass .* sums 50755200 terms"):
-            ldp_mod.check_exact_law(dist(*[0.2] * 5), [0.0, 1.0, 2.0, 3.0, 50.0], [200])
+        # over the cap, so the C(204, 4) types are enumerated, and refused
+        assert ldp_mod._pass_terms(np.array([0, 1, 2, 3, 50]), 200) == 50_755_200 > ldp_mod.TABLE_CAP
+        with pytest.raises(TableTooLarge, match=f"enumeration for k=5, n=200 needs {math.comb(204, 4)} type classes"):
+            error_distribution_exact(dist(*[0.2] * 5), [0.0, 1.0, 2.0, 3.0, 50.0], 200)
 
     def test_an_irrational_meta_law_over_the_cap_is_refused(self):
         # the meta law keeps the enumeration off a lattice: C(503, 3) type classes
-        with pytest.raises(TableTooLarge, match=f"type enumeration for k=4 distinct values, n=500 sums {math.comb(503, 3)} "):
+        with pytest.raises(TableTooLarge, match=f"enumeration for k=4, n=500 needs {math.comb(503, 3)} type classes"):
             error_distribution_exact(dist(0.25, 0.25, 0.25, 0.25), [0.0, 1.0, math.sqrt(2.0), 3.0], 500)
 
 
@@ -948,10 +1019,12 @@ class TestLatticeWindowLaw:
     @pytest.mark.parametrize("k, n", [(4, 1291), (5, 1000), (6, 816)])
     def test_reach_at_the_cap(self, k, n):
         # V = [0..k-1]: one pass at n sums at most TABLE_CAP terms, at n + 1
-        # more; the law of a window symmetric about the mean is symmetric
+        # more, where the type table is over the cap too and the enumeration
+        # refuses it; the law of a window symmetric about the mean is symmetric
         P, v = FiniteDistribution.uniform(Alphabet.of_size(k)), list(range(k))
-        with pytest.raises(TableTooLarge, match=f"n={n + 1} "):
-            ldp_mod.check_exact_law(P, v, [n + 1])
+        assert ldp_mod._pass_terms(np.arange(k), n) <= ldp_mod.TABLE_CAP < ldp_mod._pass_terms(np.arange(k), n + 1)
+        with pytest.raises(TableTooLarge, match=f"enumeration for k={k}, n={n + 1} needs {table_size(k, n + 1)} "):
+            error_distribution_exact(P, v, n + 1)
         lo, hi = 0.4 * (k - 1), 0.6 * (k - 1)
         law = error_distribution_exact(P, v, n, (lo, hi))
         assert np.abs(np.diff(law.support) * n - 1.0).max() <= 1e-9  # every sum in the window
@@ -1014,6 +1087,12 @@ def slab_of(weights, v, window, n):
     return ldp_mod._slab_terms(values, w, n, tilt.lam, _band(v)), (values, w)
 
 
+def type_terms(values, weights, n):
+    """(xi, log_probs) of every n-draw type class of the distinct values, off the type enumeration."""
+    table = enumerate_types(FiniteDistribution(Alphabet.of_size(values.size), weights), n)
+    return ldp_mod._type_means(table.counts.T, values, n), table.log_probs
+
+
 def window_masses(xi, log_probs, v, window, n):
     """log P(V . L_n in W) and the n + 1 draw rows of ``gibbs``, log P((n xi + v_j) / (n + 1) in W)."""
     rows = in_window(np.concatenate([[xi], (n * xi + np.asarray(v, float)[:, None]) / (n + 1)]), *window, v)
@@ -1044,7 +1123,7 @@ class TestSlab:
         top = 1500 if len(weights) == 3 else 120
         for n in [*ORACLE_NS, 40, 300, top]:
             (xi, log_probs, log_bound), (values, w) = slab_of(weights, v, window, n)
-            expected = window_masses(*ldp_mod._type_terms(values, w, n), v, window, n)
+            expected = window_masses(*type_terms(values, w, n), v, window, n)
             got = window_masses(xi, log_probs, v, window, n)
             assert xi.size <= table_size(values.size, n)
             if log_bound > got[0] + math.log(ldp_mod._SLAB_TOLERANCE):
@@ -1076,7 +1155,7 @@ def test_a_slab_that_cuts_nothing_is_the_enumeration(name, top, monkeypatch):
         counts = np.column_stack(read[-1][0])
         order = np.lexsort(counts.T[::-1])  # the enumeration's lexicographic order
         table = enumerate_types(FiniteDistribution(Alphabet.of_size(values.size), w), n)
-        expected_xi, expected_log_probs = ldp_mod._type_terms(values, w, n)
+        expected_xi, expected_log_probs = ldp_mod._type_means(table.counts.T, values, n), table.log_probs
         assert np.array_equal(counts[order], table.counts), (name, n)
         assert xi[order].tolist() == expected_xi.tolist() and log_probs[order].tolist() == expected_log_probs.tolist()
 
@@ -1104,7 +1183,7 @@ class TestSlabReads:
         weights, v, window = SLAB_CASES[name]
         P, constraint, n = dist(*weights), ConstraintSpec.interval(v, *window), 200
         values, w, _ = ldp_mod._distinct_values(P, v, [n])
-        expected = window_masses(*ldp_mod._type_terms(values, w, n), v, window, n)
+        expected = window_masses(*type_terms(values, w, n), v, window, n)
         mean = np.exp(np.log(w) + expected[1:] - ldp_mod._logsumexp(np.log(w) + expected[1:]))
         free = box_free_size(weights, v, window, n)
         monkeypatch.setattr(ldp_mod, "_SLAB_NATS", 1.0)
@@ -1155,8 +1234,8 @@ class TestSlabReads:
         # the cap, which refused this read before the slab
         p, n = 0.3, 4471
         P, v = dist((1 - p) ** 2, 2 * p * (1 - p), p * p), [0.0, 1.0, 2.0]
-        with pytest.raises(TableTooLarge):
-            ldp_mod.check_exact_law(P, v, [n])
+        with pytest.raises(TableTooLarge, match=f"enumeration for k=3, n={n} needs {math.comb(n + 2, 2)} "):
+            error_distribution_exact(P, v, n)
         [log_prob] = sanov_exact(P, ConstraintSpec.interval(v, 1.0, 2.0), [n]).log_probs
         expected = stats.binom.logsf(n - 1, 2 * n, p)
         assert abs(log_prob - expected) <= 1e-12 * abs(expected)
@@ -1177,7 +1256,7 @@ class TestSlabReads:
         # type table), or past the cap is a TableTooLarge
         P, v, n = dist(0.2, 0.3, 0.5), [0.0, 1.0, 1.0 + 2.0 ** -46], 30
         constraint = ConstraintSpec.interval(v, 1.0 + 2.0 ** -46, 2.0)
-        xi, log_probs = ldp_mod._type_terms(np.array(v), np.array([0.2, 0.3, 0.5]), n)
+        xi, log_probs = type_terms(np.array(v), np.array([0.2, 0.3, 0.5]), n)
         expected = ldp_mod._logsumexp(log_probs[in_window(xi, 1.0 + 2.0 ** -46, 1.0 + 2.0 ** -46, v)])
         assert expected > n * math.log(0.5) + 1.0  # more than the one all-(1 + 2^-46) type
         [log_prob] = sanov_exact(P, constraint, [n]).log_probs
@@ -1194,9 +1273,9 @@ class TestBoxFreeReadsPastTheEnumerationsCap:
 
     def past_the_cap(self, monkeypatch, P, v, n):
         monkeypatch.setattr(ldp_mod, "TABLE_CAP", table_size(3, n) - 1)
+        with pytest.raises(TableTooLarge, match=f"enumeration for k=3, n={n} needs {table_size(3, n)} "):
+            error_distribution_exact(P, v, n)  # the meta law's enumeration refuses n
         monkeypatch.setattr(ldp_mod, "enumerate_types", lambda P, n: pytest.fail("enumerated the types"))
-        with pytest.raises(TableTooLarge, match="type enumeration for k=3 distinct values"):
-            ldp_mod.check_exact_law(P, v, [n])  # the meta law's enumeration refuses n
         return record_boxes(monkeypatch)
 
     def test_the_one_type_at_the_point(self, monkeypatch):
@@ -1248,9 +1327,9 @@ class TestValuesSharingALatticeIndex:
         [result] = gibbs_conditioning(self.P, constraint, [n])
         law = error_distribution_exact(self.P, self.v, n, self.window)
         assert len(passes) == 1  # the meta law's: at k = 3 the readers take the slab
-        expected = window_masses(*ldp_mod._type_terms(np.array(self.v), w, n), self.v, self.window, n)[0]
+        expected = window_masses(*type_terms(np.array(self.v), w, n), self.v, self.window, n)[0]
         assert abs(log_prob - expected) <= 1e-12 * max(1.0, abs(expected))
-        rows = window_masses(*ldp_mod._type_terms(np.array(self.v), w, n - 1), self.v, self.window, n - 1)[1:]
+        rows = window_masses(*type_terms(np.array(self.v), w, n - 1), self.v, self.window, n - 1)[1:]
         mean = np.exp(np.log(w) + rows - ldp_mod._logsumexp(np.log(w) + rows))
         assert np.abs(result.conditioned_mean_measure.weights - mean).max() <= 1e-12
         monkeypatch.setattr(ldp_mod, "_lattice", lambda values: None)  # the meta law off the type enumeration

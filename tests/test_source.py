@@ -82,11 +82,11 @@ def ldp_callers(name: str) -> list[str]:
 
 
 def test_one_caller_of_the_type_enumeration():
-    # the meta law off a lattice reads the type classes of ldp._type_terms;
-    # the window readers read the slab of ldp._slab_terms, without its box
-    # where the slab's bound does not hold a read
+    # the meta law off a lattice, ldp.error_distribution_exact, reads the
+    # type classes itself; the window readers read the slab of
+    # ldp._slab_terms, without its box where the slab's bound does not hold a read
     assert len(calls("enumerate_types")) == 1
-    assert ldp_callers("enumerate_types") == ["_type_terms"]
+    assert ldp_callers("enumerate_types") == ["error_distribution_exact"]
 
 
 def callers(name: str) -> list[str]:
@@ -109,7 +109,7 @@ def test_one_builder_of_every_table_of_types():
     assert expanding == ["ldp.py:_compositions"]
     assert callers("_compositions") == ["ldp.py:enumerate_types", "ldp.py:_slab_terms", "meta.py:simplex_grid"]
     assert callers("_type_log_probs") == ["ldp.py:enumerate_types", "ldp.py:_slab_terms"]
-    assert callers("_type_means") == ["ldp.py:_type_terms", "ldp.py:_slab_terms"]
+    assert callers("_type_means") == ["ldp.py:_slab_terms", "ldp.py:error_distribution_exact"]
     assert callers("lgamma") == ["ldp.py:_type_log_probs"]
 
 
@@ -158,12 +158,11 @@ def test_window_readers_do_not_consult_the_type_enumeration():
     # sanov_exact and gibbs_conditioning read one tilted pass or the type
     # slab, and a read the slab's bound does not hold reads the slab again
     # without its box: nothing they reach sizes, prices or builds the type
-    # enumeration, which with ENUMERATION_WEIGHT is the meta law's alone
-    from maxent_bayes.ldp import check_exact_law
-
+    # enumeration, which with ENUMERATION_WEIGHT is the meta law's alone,
+    # weighed and read in error_distribution_exact
     functions = {node.name: node for path in sorted(SOURCE.glob("*.py"))
                  for node in ast.parse(path.read_text(encoding="utf-8")).body if isinstance(node, ast.FunctionDef)}
-    consulted = {"ENUMERATION_WEIGHT", "table_size", "_type_terms", "enumerate_types"}
+    consulted = {"ENUMERATION_WEIGHT", "table_size", "enumerate_types"}
     for reader in ("sanov_exact", "gibbs_conditioning"):
         reached, todo = {reader}, [reader]
         while todo:
@@ -176,9 +175,10 @@ def test_window_readers_do_not_consult_the_type_enumeration():
         found = sorted(f"{name}:{node.id}" for name in reached for node in ast.walk(functions[name])
                        if isinstance(node, ast.Name) and node.id in consulted)
         assert found == [], reader
-    assert "_exact_method" not in functions
-    assert list(inspect.signature(check_exact_law).parameters) == ["P", "potential", "ns"]
-    assert ldp_callers("check_exact_law") == ["error_distribution_exact"]
+    assert not {"_exact_method", "check_exact_law", "_type_terms"} & set(functions)
+    weighing = [name for name, node in functions.items()
+                if any(isinstance(ref, ast.Name) and ref.id == "ENUMERATION_WEIGHT" for ref in ast.walk(node))]
+    assert weighing == ldp_callers("enumerate_types") == ["error_distribution_exact"]
 
 
 def test_window_readers_do_not_sort_the_exact_law():
@@ -196,7 +196,7 @@ def test_window_readers_do_not_sort_the_exact_law():
 def test_the_cli_decides_no_feasibility():
     # the cli parses; whether a config is feasible, or its law within the
     # cap, is decided by the computation that validate and run both execute
-    found = [place for name in ("resolve_target", "check_exact_law", "check_table_size")
+    found = [place for name in ("resolve_target", "enumerate_types", "check_table_size")
              for place, _ in calls(name) if place.startswith("cli.py:")]
     assert found == []
     assert "RUN_TO_VALIDATE" not in identifiers(SOURCE / "cli.py")
