@@ -52,12 +52,12 @@ a single n would not.  Monte Carlo blocks (``SeededSampler``) draw every count
 of a trial by inversion (Devroye 1986, III.2-3) of the binomial cdf table of
 the draws left, a later count off one flat layout of the tables of the block's
 distinct draws-left values, or by ``Generator.binomial`` where those tables
-would hold more entries than the block has trials.  ``sanov_monte_carlo``
+would hold more entries than the block has trials, all in ``_draw_counts``,
+which continues after any counts its caller holds.  ``sanov_monte_carlo``
 counts hits, not counts: a trial's mean is monotone in its last conditional
 count (``_sample_mean``), so with two or three symbols drawn a trial's verdict
 is its last uniform against two cdf entries of its row, which one
-``_HitReader`` per n and window keeps for all of that n's blocks, and the
-count is drawn only where ``Generator.binomial`` draws it.
+``_HitReader`` per n and window keeps for all of that n's blocks.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -644,11 +644,11 @@ def _inverse_binomial(tables: Sequence[tuple], which, u: np.ndarray) -> np.ndarr
     sizes, cells = np.array([len(c) for c in cdfs]), np.array([len(g) - 1 for g in guides])
     starts, cell_starts = np.cumsum(sizes) - sizes, np.cumsum(cells + 1) - cells - 1
     cdf, guide = np.concatenate(cdfs), np.concatenate(guides) + np.repeat(starts, cells + 1)
-    x = (u * cells.astype(float)[which]).astype(np.intp)  # u K is exact
-    x += cell_starts[which]
-    x = guide[x]
-    x += u >= cdf[x]  # the answer, unless its cell has several steps and it lies past x
-    several = np.flatnonzero(u >= cdf[x])
+    x = (u * np.take(cells.astype(float), which)).astype(np.intp)  # u K is exact
+    x += np.take(cell_starts, which)
+    x = np.take(guide, x)
+    x += u >= np.take(cdf, x)  # the answer, unless its cell has several steps and it lies past x
+    several = np.flatnonzero(u >= np.take(cdf, x))
     row, v = np.broadcast_to(which, u.shape)[several], u[several]
     lo, hi = x[several] + 1, guide[(v * cells[row]).astype(np.intp) + cell_starts[row] + 1]
     for _ in range(int((hi - lo).max(initial=0)).bit_length()):  # the first cdf > v in lo..hi
@@ -656,7 +656,7 @@ def _inverse_binomial(tables: Sequence[tuple], which, u: np.ndarray) -> np.ndarr
         above = v >= cdf[mid]
         lo, hi = np.where(above, mid + 1, lo), np.where(above, hi, mid)
     x[several] = lo
-    x += (np.array(offsets) - starts)[which]
+    x += np.take(np.array(offsets) - starts, which)
     return x
 
 
@@ -690,16 +690,17 @@ _TABLES = _TableCache()
 
 
 def _later_tables(left: np.ndarray, q: float):
-    """(tables, which) for a later count Bin(left_i, q) of ``_prefix``: the ``_inverse_table``
-    rows of the block's distinct draws-left values and each trial's row index; None where
-    ``_over_budget`` rules those values out, and ``Generator.binomial`` draws it."""
+    """(tables, which) for a later count Bin(left_i, q) of ``_draw_counts``, the one function
+    that draws a block's counts: the ``_inverse_table`` rows of the block's distinct
+    draws-left values and each trial's row index; None where ``_over_budget`` rules those
+    values out.  Its block-size temporaries go when it returns, before the count is drawn."""
     base = int(left.min())
     shifted = left - base
     seen = np.bincount(shifted) > 0
     rows = np.flatnonzero(seen) + base
     if _over_budget(rows, q, left.size):
         return None
-    return [_TABLES(m, q) for m in rows.tolist()], (np.cumsum(seen) - 1)[shifted]
+    return [_TABLES(m, q) for m in rows.tolist()], np.take(np.cumsum(seen) - 1, shifted)
 
 
 def _over_budget(rows: np.ndarray, q: float, trials: int) -> bool:
@@ -711,42 +712,42 @@ def _over_budget(rows: np.ndarray, q: float, trials: int) -> bool:
     return int((hi - lo + 1).sum()) > trials
 
 
-def _draw_count(gen: np.random.Generator, left: np.ndarray, q: float, plan) -> np.ndarray:
-    """Bin(left_i, q) per trial: one ``gen.random`` value inverted on the tables of ``plan``
-    (``_later_tables``), or ``Generator.binomial`` where ``plan`` is None."""
-    if plan is None:
-        return gen.binomial(left, q)
-    tables, which = plan
-    return _inverse_binomial(tables, which, gen.random(left.size))
-
-
-def _prefix(n: int, block_trials: int, gen: np.random.Generator, drawn: np.ndarray, q: np.ndarray):
-    """Draw a block from ``SeededSampler._start``'s (gen, drawn, q) up to its last conditional
-    count, the next-to-last drawn symbol's: (counts, left, q_last, plan), the counts so far (of
-    drawn[:-2]), the draws left for the last two drawn symbols, and the count not yet drawn,
-    Bin(left, q_last) by ``_draw_count`` on ``plan``; q_last and plan None if one symbol is drawn."""
-    counts, left = [], np.broadcast_to(np.int64(n), block_trials)  # a view, no memory
-    for j in range(len(drawn) - 1):
-        plan = ([_TABLES(n, q[0])], 0) if j == 0 else _later_tables(left, q[j])
-        if j == len(drawn) - 2:
-            return counts, left, q[j], plan
-        counts.append(_draw_count(gen, left, q[j], plan))
+def _draw_counts(gen: np.random.Generator, n: int, q: np.ndarray, trials: int, counts=(), plan=None) -> list:
+    """The count vectors of a block's drawn symbols (q_j of ``SeededSampler._start``), drawn
+    on after ``counts``, the caller's counts of the first of them; the last takes the draws
+    left.  Each other is Bin(draws left, q_j), one ``gen.random`` value per trial inverted
+    (``_inverse_binomial``) on the table of (n, q_0) for a block's first count, on
+    ``_later_tables`` for a later one, or ``Generator.binomial`` where that is None; a caller
+    holding counts passes the next one's ``plan``, None where it found its tables over budget."""
+    counts, start = list(counts), len(counts)
+    left = reduce(np.subtract, counts, n)  # n itself before a block's first count
+    for j in range(start, len(q) - 1):
+        if j == 0 or j > start:
+            plan = ([_TABLES(n, q[0])], 0) if j == 0 else _later_tables(left, q[j])
+        counts.append(gen.binomial(left, q[j]) if plan is None else _inverse_binomial(*plan, gen.random(trials)))
+        plan = None  # its row indices, a block-size array, go before the next one is made
         left = left - counts[-1]
-    return counts, left, None, None
+    return counts + [np.broadcast_to(left, trials)]  # with one symbol drawn, a view of n
 
 
-def _sample_mean(n: int, v: np.ndarray, drawn: np.ndarray, counts, m, c):
-    """V . L_n of count vectors of the drawn symbols j_1 < ... < j_r: counts[i] of j_i for
-    i <= r - 2, c of a = j_{r-1} and m - c of b = j_r (a = b and c = 0 where r = 1).
-
-    It is B + (c / n) (v_a - v_b), B = sum_{i <= r - 2} (counts[i] / n) v_{j_i} + (m / n) v_b
-    summed left to right: each count is divided by n before its product, and at fixed B
-    the value is monotone in c, as rounding is (Higham 2002, 2.1), so the counts c of one
-    B whose vectors pass ``in_window`` are one run.
+def _sample_mean(n: int, v: np.ndarray, drawn: np.ndarray, counts) -> np.ndarray:
+    """V . L_n of the count vectors of the drawn symbols j_0 < ... < j_{r-1} (``_draw_counts``):
+    with c = counts[-2] of a = j_{r-2} and m = c + counts[-1] of a and b = j_{r-1} (a = b and
+    c = 0 where r = 1), it is B + (c / n) (v_a - v_b), B = sum_{i < r - 2} (counts[i] / n) v_{j_i}
+    + (m / n) v_b summed left to right: each count is divided by n before its product, and at
+    fixed B the value is monotone in c, as rounding is (Higham 2002, 2.1), so the counts c
+    of one B whose vectors pass ``in_window`` are one run.  Each term is formed in one
+    scratch row: a block's mean makes two block-size arrays, not one per operation.
     """
     a, b = v[drawn[-2:]][[0, -1]]
-    base = sum((count / n) * v[j] for j, count in zip(drawn, counts)) + (m / n) * b
-    return base + (c / n) * (a - b)
+    c = counts[-2] if len(counts) > 1 else 0
+    mean, term = 0, np.empty(len(counts[-1]))
+    for j, count in zip(drawn, counts[:-2]):
+        mean += np.multiply(np.divide(count, n, out=term), v[j], out=term)
+    np.add(counts[-1], c, out=term)  # m, rounded to a float once, as m / n rounds it
+    mean += np.multiply(np.divide(term, n, out=term), b, out=term)
+    mean += np.multiply(np.divide(c, n, out=term), a - b, out=term)
+    return mean
 
 
 def _hit_bounds(n: int, v: np.ndarray, drawn: np.ndarray, rows: list[int], q: float, lo: float, hi: float):
@@ -767,7 +768,7 @@ def _hit_bounds(n: int, v: np.ndarray, drawn: np.ndarray, rows: list[int], q: fl
     m = np.array(rows)[row]
     count = np.arange(cdf.size) - (starts - np.array(offsets))[row]
     first = [n - m] if len(drawn) == 3 else []
-    hit = in_window(_sample_mean(n, v, drawn, first, m, count), lo, hi, v)
+    hit = in_window(_sample_mean(n, v, drawn, first + [count, m - count]), lo, hi, v)
     below = np.concatenate(([0.0], cdf[:-1]))
     below[starts] = 0.0
     upper = np.maximum.reduceat(np.where(hit, cdf, 0.0), starts)
@@ -784,7 +785,8 @@ class _HitReader:
     as blocks first draw that row.  A first count is the index of the first cdf entry of its
     table above its uniform u (Chen & Asau 1974): cell floor(u K) of ``guide`` (K >= 16 per
     entry, to 2^18) holds it, or -1 where a cdf entry lies inside the cell and u is searched.
-    Blocks hand their arrays on (``_BUFFERS``), so one in steady state maps no new memory."""
+    Blocks hand their arrays on (``_BUFFERS``), so one in steady state maps no new memory; a
+    block whose last count falls to Generator.binomial continues in ``_draw_counts``."""
 
     def __init__(self, n: int, v: np.ndarray, drawn: np.ndarray, q: np.ndarray, lo: float, hi: float):
         self.n, self.v, self.drawn, self.q, self.window, self.rows = n, v, drawn, q, (lo, hi), np.array([n])
@@ -816,8 +818,8 @@ class _HitReader:
                 seen = np.zeros(self.rows.size, dtype=bool)
                 seen[idx] = True
                 if _over_budget(self.rows[seen], self.q[1], trials):
-                    c = gen.binomial(left := self.rows[idx], self.q[1])
-                    mean = _sample_mean(self.n, self.v, self.drawn, [self.n - left], left, c)
+                    counts = _draw_counts(gen, self.n, self.q, trials, [idx + (self.n - self.rows[0])], plan=None)
+                    mean = _sample_mean(self.n, self.v, self.drawn, counts)
                     return int(np.count_nonzero(in_window(mean, *self.window, self.v)))
                 gen.random(out=u)
             with self.lock:
@@ -844,14 +846,14 @@ class SeededSampler:
     any parallel schedule.  Only the symbols of positive weight are drawn,
     up to the first whose q_j = p_j / sum_{i >= j} p_i is 1.0: it takes every
     draw left, the weights after it being below its float resolution.
-    Each count but the last is Bin(draws left, q_j), by inversion of one
-    ``gen.random`` value per trial: the first on the table of (n, p_0), each
-    later one on the tables of the block's distinct draws-left values, unless
-    ``_over_budget`` rules them out and ``Generator.binomial`` draws it.  One
-    cache (``_TABLES``) keeps the tables across blocks and samplers.
-    ``multinomial_block`` returns a block's count vectors; ``window_hits``
-    how many have their mean in a window, with two or three symbols drawn
-    read off the ``_HitReader`` the sampler keeps for all blocks of that n.
+    Each count but the last is Bin(draws left, q_j), drawn by ``_draw_counts``:
+    by inversion of one ``gen.random`` value per trial on the table of (n, p_0)
+    for the first, on the tables of the block's distinct draws-left values for
+    each later one, unless ``_over_budget`` rules them out and
+    ``Generator.binomial`` draws it.  One cache (``_TABLES``) keeps the tables
+    across blocks and samplers.  ``multinomial_block`` returns a block's count
+    vectors; ``window_hits`` how many have their mean in a window, with two or
+    three symbols drawn read off the ``_HitReader`` the sampler keeps per n.
     """
 
     seed: int
@@ -874,14 +876,10 @@ class SeededSampler:
         return np.random.Generator(np.random.Philox(seq)), drawn[:size], q[:size]
 
     def multinomial_block(self, n: int, block_index: int, block_trials: int) -> np.ndarray:
-        """The (trials, k) count matrix of a block: ``_prefix`` and its last count drawn."""
+        """The (trials, k) count matrix of a block, its drawn columns ``_draw_counts``'s."""
         gen, drawn, q = self._start(n, block_index)
-        counts, left, q_last, plan = _prefix(n, block_trials, gen, drawn, q)
-        if q_last is not None:
-            counts = counts + [_draw_count(gen, left, q_last, plan)]
-            left = left - counts[-1]
-        matrix = np.zeros((left.size, self.base.size), dtype=np.int64)
-        for j, count in zip(drawn, counts + [left]):
+        matrix = np.zeros((block_trials, self.base.size), dtype=np.int64)
+        for j, count in zip(drawn, _draw_counts(gen, n, q, block_trials)):
             matrix[:, j] = count
         return matrix
 
@@ -889,16 +887,15 @@ class SeededSampler:
         """How many count vectors of ``multinomial_block(n, block_index, block_trials)`` have
         a mean V . L_n (``_sample_mean``) that passes ``in_window(., lo, hi, v)``.  With two
         or three symbols drawn, a trial of the ``_HitReader`` of (n, window) hits when its last
-        uniform lies in its row's [lower, upper), unless ``_over_budget`` sends the block's
-        first counts to ``Generator.binomial``; else each vector is drawn and tested."""
+        uniform lies in its row's [lower, upper), unless ``_over_budget`` sends the block's last
+        count to ``Generator.binomial``; else ``_draw_counts`` draws each vector, and it is tested."""
         gen, drawn, q = self._start(n, block_index)
         if len(drawn) in (2, 3):
             key = (n, lo, hi, v.tobytes())
             reader = self._readers.get(key) or self._readers.setdefault(key, _HitReader(n, v, drawn, q, lo, hi))
             return reader.hits(gen, block_trials)
-        counts, left, q_last, plan = _prefix(n, block_trials, gen, drawn, q)
-        c = 0 if q_last is None else _draw_count(gen, left, q_last, plan)
-        return int(np.count_nonzero(in_window(_sample_mean(n, v, drawn, counts, left, c), lo, hi, v)))
+        counts = _draw_counts(gen, n, q, block_trials)
+        return int(np.count_nonzero(in_window(_sample_mean(n, v, drawn, counts), lo, hi, v)))
 
 
 def _wilson_interval(hits: int, trials: int) -> tuple[float, float]:

@@ -122,12 +122,35 @@ def test_the_log_domain_recursion_left_the_library():
 
 def test_one_monte_carlo_sampler():
     # SeededSampler draws conditional binomials, each by inversion of its
-    # cdf table unless a later count's tables outweigh its draws; window_hits
-    # reads the last one's window verdict off its uniform where it is a table
-    # read with at most three symbols drawn, else draws it and tests the same
-    # mean, and multinomial_block draws it.  numpy's per-trial multinomial is
-    # not kept beside them
+    # cdf table unless a later count's tables outweigh its draws, and one
+    # function draws every count a block draws, continuing after the counts a
+    # caller holds: multinomial_block, window_hits (one drawn symbol, or four or
+    # more) and the k = 3 reader's blocks whose last count falls to
+    # Generator.binomial all reach it.  Where the last count is a table read with
+    # two or three symbols drawn, the reader reads its window verdict off its
+    # uniform.  numpy's per-trial multinomial is not kept beside them
     assert calls("multinomial") == []
+    tree = ast.parse((SOURCE / "ldp.py").read_text(encoding="utf-8"))
+    functions = {prefix + node.name: node
+                 for prefix, body in [("", tree.body)] + [(f"{c.name}.", c.body) for c in tree.body if isinstance(c, ast.ClassDef)]
+                 for node in body if isinstance(node, ast.FunctionDef)}
+    assert not {"_prefix", "_draw_count"} & set(functions)
+    [(place, _)] = calls("binomial")
+    line = int(place.removeprefix("ldp.py:"))
+    [home] = [name for name, node in functions.items() if node.lineno <= line <= node.end_lineno and "." not in name]
+    assert home == "_draw_counts"
+    by_name = {}
+    for name in functions:
+        by_name.setdefault(name.rsplit(".", 1)[-1], []).append(name)
+    for entry in ("SeededSampler.multinomial_block", "SeededSampler.window_hits", "_HitReader.hits"):
+        reached, todo = {entry}, [entry]
+        while todo:
+            for node in ast.walk(functions[todo.pop()]):
+                for name in by_name.get(called_name(node), []):
+                    if name not in reached:
+                        reached.add(name)
+                        todo.append(name)
+        assert home in reached, (entry, sorted(reached))
 
 
 def test_two_callers_of_the_tilted_pass():
