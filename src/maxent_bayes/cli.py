@@ -24,7 +24,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -330,14 +330,10 @@ def _prepare_rate(inputs: dict) -> Execute:
             raise ConfigInvalid("xi_grid must be non-empty")
 
     def execute(ctx: RunContext) -> dict:
-        pts = error_rate_function(P, v, xi_grid)
-        rows = [(p.xi, p.rate, p.feasible) for p in pts]
-        payload = {
-            "xi": [p.xi for p in pts],
-            "rate": [p.rate for p in pts],
-            "feasible": [p.feasible for p in pts],
-        }
-        return {"json": payload, "csv": {"rate_function.csv": (("xi", "rate", "feasible"), rows)}}
+        points = error_rate_function(P, v, xi_grid)  # each point is its CSV row
+        xi, rate, feasible = zip(*points)
+        payload = {"xi": xi, "rate": rate, "feasible": feasible}
+        return {"json": payload, "csv": {"rate_function.csv": (("xi", "rate", "feasible"), points)}}
 
     return execute
 
@@ -488,6 +484,15 @@ def _diagnostic(exc: MaxentError) -> dict:
     return {"family": _FAMILIES.get(exc.exit_code, "error"), "error": type(exc).__name__, "message": str(exc)}
 
 
+def _write(path: Path, text: str) -> None:
+    """Write ``text`` as UTF-8 over the file at ``path`` and cut the file to
+    its length: without O_TRUNC, as ext4 starts writeback at close of a
+    non-empty file truncated to zero (auto_da_alloc)."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(text.encode("utf-8"))
+        fh.truncate()
+
+
 def _execute(config: dict, command: str | None, threads: int | None = None, verbose: bool = False, **settings):
     """The one path of validate and run: prepare, then run the computation,
     whose typed errors propagate; writes nothing.  Returns (plan, ctx, artifacts)."""
@@ -542,20 +547,18 @@ def run(
         json_text = dumps(payload)
         stdout.write(json_text)
         has_csv = bool(artifacts.get("csv"))
+        texts = {}
         if plan.fmt in ("json", "both") or not has_csv:
-            path = out / f"{plan.command}_result.json"
-            path.write_text(json_text, encoding="utf-8")
-            manifest.outputs[path.name] = sha256_text(json_text)
+            texts[f"{plan.command}_result.json"] = json_text
         if plan.fmt in ("csv", "both"):
             for name, (header, rows) in artifacts.get("csv", {}).items():
-                text = csv_text(header, rows)
-                path = out / name
-                path.write_text(text, encoding="utf-8", newline="")
-                manifest.outputs[path.name] = sha256_text(text)
+                texts[name] = csv_text(header, rows)
+        for name, text in texts.items():
+            _write(out / name, text)
+            manifest.outputs[name] = sha256_text(text)
 
         manifest.finished_utc = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        manifest_path = out / "manifest.json"
-        manifest_path.write_text(dumps(asdict(manifest)), encoding="utf-8")
+        _write(out / "manifest.json", dumps(vars(manifest)))
     except OSError as exc:
         raise ConfigInvalid(f"output directory {out} is not writable: {exc}") from exc
     return manifest
@@ -587,8 +590,7 @@ def _load_config(path: str) -> dict:
     """The JSON config in the file at ``path``; ConfigInvalid when the file
     cannot be read, is not JSON or repeats a key."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=_unique_keys)
+        return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigInvalid(f"cannot read config: {exc}") from exc
     except ValueError as exc:

@@ -1,27 +1,23 @@
 """Deterministic JSON/CSV emission.
 
-Floats are serialized with 17 significant digits so that every double
-round-trips exactly; non-finite values become null in JSON and literal
-inf/-inf/nan tokens in CSV.  CSV output is RFC 4180 (CRLF line endings,
-minimal quoting), UTF-8, '.' decimal separator.
+Floats are serialized as '%.17g', so every double round-trips exactly;
+non-finite values become null in JSON and nan/inf/-inf in CSV.  CSV is
+RFC 4180 (CRLF, UTF-8, '.' decimal separator), the text csv.writer writes
+for rows of two or more fields: a field is quoted only where it holds a
+comma, a double quote, CR or LF, and None is empty.  A list of finite
+floats, a list of bools and each CSV row are formatted in one expression.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import math
 from typing import Iterable, Sequence
 
 
 def format_float(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
+    return "%.17g" % x
 
 
 def _encode(obj) -> str:
@@ -39,7 +35,12 @@ def _encode(obj) -> str:
         items = ", ".join(f"{json.dumps(str(k), ensure_ascii=False)}: {_encode(v)}" for k, v in obj.items())
         return "{" + items + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_encode(v) for v in obj) + "]"
+        kinds = set(map(type, obj))
+        if kinds == {float} and math.isfinite(sum(obj)):  # a sum of floats is finite only if each is
+            return "[" + ", ".join(["%.17g"] * len(obj)) % tuple(obj) + "]"
+        if kinds == {bool}:
+            return "[" + ", ".join(["true" if x else "false" for x in obj]) + "]"
+        return "[" + ", ".join(map(_encode, obj)) + "]"
     if hasattr(obj, "item"):  # numpy scalar
         return _encode(obj.item())
     raise TypeError(f"cannot serialize {type(obj)!r}")
@@ -50,14 +51,26 @@ def dumps(obj) -> str:
     return _encode(obj) + "\n"
 
 
+def _field(value) -> str:
+    text = "" if value is None else format_float(value) if isinstance(value, float) else str(value)
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+
+def _column(values: Sequence) -> tuple[str, Sequence]:
+    """A column's conversion in the row format, and the values it converts."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return "%.17g", values
+    return "%s", values if kinds <= {int, bool} else list(map(_field, values))
+
+
 def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """RFC 4180 CSV text with 17-significant-digit floats."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(list(header))
-    for row in rows:
-        writer.writerow([format_float(v) if isinstance(v, float) else v for v in row])
-    return buf.getvalue()
+    """RFC 4180 CSV text with 17-significant-digit floats, each row one
+    %-format of its columns' conversions; ValueError for rows of unequal width."""
+    columns = [_column(values) for values in zip(*rows, strict=True)]
+    line = ",".join(spec for spec, _ in columns) + "\r\n"
+    rows = zip(*(values for _, values in columns))
+    return ",".join(map(_field, header)) + "\r\n" + "".join([line % row for row in rows])
 
 
 def sha256_text(text: str) -> str:

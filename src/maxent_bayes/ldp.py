@@ -68,7 +68,7 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -1022,9 +1022,8 @@ def gibbs_conditioning(
     return results
 
 
-@dataclass(frozen=True)
-class RatePoint:
-    """One grid evaluation of the error rate function."""
+class RatePoint(NamedTuple):
+    """One grid evaluation of the error rate function, a tuple: its CSV row."""
 
     xi: float
     rate: float
@@ -1043,7 +1042,8 @@ def error_rate_function(
     conditioning of P on the extreme set of the potential.  The whole grid is
     one batch of projections (``tilting._project``), one row of P's size per
     point, TableTooLarge past TABLE_CAP entries before any is allocated; each
-    rate is the relative entropy of its row (``measures.relative_entropy``).
+    rate is the relative entropy of its row (``measures.relative_entropy``),
+    and the points are built off the batch's ``tolist`` columns.
     """
     v = as_potential(potential, P.alphabet)
     spaced = isinstance(xi_grid, int)
@@ -1054,4 +1054,4 @@ def error_rate_function(
     _, mus, _, end, _ = _project(P, v, xi, boundary=True)
     feasible = end != "out"
     rates = np.where(feasible, relative_entropy(mus, P.weights), math.inf)
-    return [RatePoint(xi=float(x), rate=float(r), feasible=bool(f)) for x, r, f in zip(xi, rates, feasible)]
+    return list(map(RatePoint, xi.tolist(), rates.tolist(), feasible.tolist()))

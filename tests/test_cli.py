@@ -1,3 +1,6 @@
+import csv
+import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -145,6 +148,29 @@ class TestRun:
         explicit = tmp_path / "explicit"
         cli.run(config, out_dir=explicit, stdout=io.StringIO())
         assert (explicit / "tilt_result.json").exists()
+
+    def test_a_rerun_overwrites_each_output_and_cuts_it_to_length(self, tmp_path):
+        rate = {"command": "rate", "inputs": {"P": [0.2, 0.3, 0.5], "potential": [0, 1, 3], "points": 2000}}
+        fewer = {**rate, "inputs": {**rate["inputs"], "points": 50}}
+        tilt = {"command": "tilt", "inputs": {"q": [0.2, 0.3, 0.5], "potential": [0, 1, 3], "target": 2.0}}
+        out = tmp_path / "out"
+        for i, config in enumerate((rate, fewer, tilt)):
+            manifest = run_quiet(config, out)
+            fresh = tmp_path / f"fresh{i}"
+            assert run_quiet(config, fresh).outputs == manifest.outputs
+            assert (out / "manifest.json").read_text(encoding="utf-8") == dumps(dataclasses.asdict(manifest))
+            assert len(manifest.outputs) == (1 if config is tilt else 2)
+            for name, digest in manifest.outputs.items():
+                data = (out / name).read_bytes()
+                assert data == (fresh / name).read_bytes()
+                assert hashlib.sha256(data).hexdigest() == digest
+
+    def test_an_output_path_that_is_a_directory_is_a_validation_error(self, tmp_path):
+        (tmp_path / "tilt_result.json").mkdir()
+        from maxent_bayes.errors import ConfigInvalid
+
+        with pytest.raises(ConfigInvalid):
+            run_quiet(tilt_config(), tmp_path)
 
     def test_unwritable_output_dir_is_a_validation_error(self, tmp_path):
         blocker = tmp_path / "occupied"
@@ -545,6 +571,94 @@ class TestJsonIo:
     def test_csv_is_rfc4180(self):
         text = csv_text(("a", "b"), [(1, 0.5), (2, float("-inf"))])
         assert text == "a,b\r\n1,0.5\r\n2,-inf\r\n"
+
+    FLOATS = (0.0, -0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf, math.nan, 0.1)
+    TEXTS = ("", "plain", "a,b", 'say "hi"', '"', ",", "cr\r", "lf\n", "crlf\r\n", " spaced ", "x,\"y\"\r\n")
+
+    @staticmethod
+    def value(rng, kind):
+        if kind == "float":
+            pool = TestJsonIo.FLOATS
+            return pool[rng.integers(len(pool))] if rng.random() < 0.5 else float(rng.normal() * 10.0 ** rng.integers(-30, 30))
+        if kind == "int":
+            return int(rng.integers(-10**6, 10**6))
+        if kind == "bool":
+            return bool(rng.integers(2))
+        if kind == "none":
+            return None
+        return TestJsonIo.TEXTS[rng.integers(len(TestJsonIo.TEXTS))]
+
+    @staticmethod
+    def csv_writer_text(header, rows):
+        # the oracle: csv.writer, with floats given as 17-digit text as the CLI always wrote them
+        def text(x):
+            return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf") if math.isinf(x) else format(x, ".17g")
+
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\r\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([text(v) if isinstance(v, float) else v for v in row])
+        return buf.getvalue()
+
+    def test_csv_text_is_the_text_of_csv_writer(self):
+        rng = np.random.default_rng(34)
+        kinds = ("float", "int", "bool", "none", "text", "mixed")
+        for _ in range(400):
+            width = int(rng.integers(2, 6))
+            header = tuple(self.value(rng, "text") for _ in range(width))
+            columns = [kinds[rng.integers(len(kinds))] for _ in range(width)]
+            rows = [
+                tuple(self.value(rng, kinds[rng.integers(5)] if c == "mixed" else c) for c in columns)
+                for _ in range(int(rng.integers(0, 12)))
+            ]
+            assert csv_text(header, rows) == self.csv_writer_text(header, rows), (header, rows)
+        rows = [(np.float64(0.1), np.int64(3), np.bool_(True), [1, 2])]
+        assert csv_text(("a", "b", "c", "d"), rows) == self.csv_writer_text(("a", "b", "c", "d"), rows)
+
+    def test_csv_rows_of_unequal_width_are_refused(self):
+        with pytest.raises(ValueError):
+            csv_text(("a", "b"), [(1, 2), (3,)])
+
+    @staticmethod
+    def recursive_encode(obj):
+        # the encoder as it was, one call per element
+        if obj is None:
+            return "null"
+        if isinstance(obj, bool):
+            return "true" if obj else "false"
+        if isinstance(obj, int):
+            return str(obj)
+        if isinstance(obj, float):
+            return format(obj, ".17g") if math.isfinite(obj) else "null"
+        if isinstance(obj, str):
+            return json.dumps(obj, ensure_ascii=False)
+        if isinstance(obj, dict):
+            enc = TestJsonIo.recursive_encode
+            return "{" + ", ".join(f"{json.dumps(str(k), ensure_ascii=False)}: {enc(v)}" for k, v in obj.items()) + "}"
+        if isinstance(obj, (list, tuple)):
+            return "[" + ", ".join(TestJsonIo.recursive_encode(v) for v in obj) + "]"
+        return TestJsonIo.recursive_encode(obj.item())
+
+    def test_dumps_is_the_text_of_the_recursive_encoder(self):
+        rng = np.random.default_rng(35)
+        floats = [self.value(rng, "float") for _ in range(300)]
+        finite = [x for x in floats if math.isfinite(x)]
+        cases = [
+            floats,
+            finite,
+            tuple(finite),
+            [1e308, 1e308],  # finite terms whose sum is not
+            [math.inf, -math.inf, math.nan],
+            [bool(b) for b in rng.integers(2, size=50)],
+            [],
+            (),
+            [np.float64(x) for x in floats[:20]],
+            [0.5, 1, True, None, "s"],
+            {"a": {"b": (0.25, [math.nan, 2.0]), "c": [[], [True, False]]}, 3: ({"d": -0.0},), "e": np.float64(1 / 3)},
+        ]
+        for obj in cases:
+            assert dumps(obj) == self.recursive_encode(obj) + "\n", obj
 
 
 VALID_CONFIGS = [

@@ -237,6 +237,31 @@ def test_one_command_table():
     assert tables == ["COMMANDS"]
 
 
+def test_the_cli_writes_files_through_one_helper():
+    # every output and the manifest are written in place by cli._write, which
+    # opens without O_TRUNC and cuts the file to its new length
+    from maxent_bayes import cli
+
+    source = (SOURCE / "cli.py").read_text(encoding="utf-8")
+    helper = inspect.getsource(cli._write)
+    assert "open(" in helper and "truncate()" in helper
+    rest = source.replace(helper, "")
+    assert [word for word in ("open(", "write_text", "write_bytes") if word in rest] == []
+
+
+def test_the_serializer_formats_without_csv_or_io():
+    tree = ast.parse((SOURCE / "jsonio.py").read_text(encoding="utf-8"))
+    imported = {alias.name.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module}
+    assert imported & {"csv", "io"} == set()
+
+
+def test_a_rate_point_is_its_csv_row():
+    from maxent_bayes.ldp import RatePoint
+
+    assert issubclass(RatePoint, tuple) and RatePoint._fields == ("xi", "rate", "feasible")
+
+
 def test_one_float_resolution_rule():
     # windows, groupings, lattices, ties and monotonicity are all held to
     # measures._floor of the values compared: no fixed band stays beside it
